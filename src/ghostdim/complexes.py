@@ -719,9 +719,20 @@ def cone(f, name=""):
     return ConeData(triangle=tri, cone=c, inj_target=inj_t, inj_shift=inj_s, pr_target=pr_t, pr_shift=pr_s)
 
 
+def _is_identity_certificate(cert):
+    """The certificate of a free module by itself: cover = the module, pi = section = id."""
+    ident = eye(cert.cover.ngens)
+    return (cert.cover is cert.pi.tgt and np.array_equal(cert.pi.mat, ident)
+            and np.array_equal(cert.section.mat, ident))
+
+
 def _sum_certificates(total, cert_a, cert_b):
     if cert_a is None or cert_b is None:
         return None
+    if _is_identity_certificate(cert_a) and _is_identity_certificate(cert_b):
+        # The sum of the covers is `total` itself, already built and checked.
+        ident = ModuleMap(total, total, eye(total.ngens), check=False)
+        return ProjectivityCertificate(cover=total, pi=ident, section=ident)
     cover = direct_sum_modules(cert_a.cover, cert_b.cover)
     na, nb = cert_a.cover.ngens, cert_b.cover.ngens
     pi = zeros(total.ngens, na + nb)

@@ -49,6 +49,10 @@ class NoFactorization(GhostdimError):
     """The constructive factorization failed; a precondition must have been violated."""
 
 
+class ModulusTooLarge(GhostdimError):
+    """Sums of products of residues mod m could overflow the exact int64 kernel."""
+
+
 class ParseError(GhostdimError):
     """A spec file or serialized object could not be parsed."""
 

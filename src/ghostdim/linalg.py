@@ -17,8 +17,17 @@ add-a-multiple steps likewise.  The result is D = S @ A @ T (mod m) with
 D diagonal and S, T invertible mod m.  Solving, kernels, quotient
 presentations and generating-set reduction all read off D.
 
-Entries are kept reduced into [0, m); with m <= 2**8 every intermediate
-product fits comfortably in int64.
+Entries are kept reduced into [0, m) and all arithmetic is exact int64.
+That is exact only while every sum of products of residues fits, so the
+kernel checks its bound (check_exact) and refuses a larger modulus with
+ModulusTooLarge instead of returning a wrong answer: a ring built with
+allow_large can have any modulus.
+
+The kernel stays in int64 instead of float64 BLAS because it gains its
+speed from skipping zeros: on a 2-core Xeon, measured back to back, the
+684 x 1014 F_2 system of a null-homotopy in the summary workload
+eliminates in 25 ms, while one dense 1014 x 1014 float64 product
+(OpenBLAS, default threads) takes 39 ms.
 """
 
 from __future__ import annotations
@@ -28,6 +37,10 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+
+from .errors import ModulusTooLarge
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def xgcd(a, b):
@@ -81,6 +94,52 @@ class SmithDecomposition:
     shape: tuple
 
 
+def check_exact(m, terms):
+    """Refuse m unless a sum of `terms` products of residues mod m fits in int64.
+
+    terms * m**2 bounds every intermediate of the kernel: the row updates
+    q * row, the S^-1 column sums over at most max(rows, cols) products, the
+    products in solving, and the two-term gcd combinations of the composite
+    path (hence at least 2).
+    """
+    terms = max(terms, 2)
+    if terms * m * m > INT64_MAX:
+        raise ModulusTooLarge(
+            f"modulus {m} is too large for exact int64 arithmetic on sums of {terms} products "
+            f"(needs {terms} * m**2 <= 2**63 - 1)")
+
+
+def sparse_product_sum(terms):
+    """Sum the products x[p] @ y[q] of stacked matrices, at a cost set by their nonzeros.
+
+    Each term is a pair of int64 stacks x (P, a, b) and y (Q, b, c); entry
+    (i, k) of x[p] @ y[q] has flat index ((p * Q + q) * a + i) * c + k, and
+    the terms are summed entry by entry, so they must share one flat layout.
+    Every nonzero x[p, i, j] meets every nonzero y[q, j, k] once: the work
+    follows the number of such pairs, not the size of the matrices, which
+    pays on the mostly-zero action matrices of modules.  Returns the sorted
+    flat indices that some product reached and the exact sums there.  The
+    caller keeps the sums in range (check_exact).
+    """
+    keys, vals = [], []
+    for x, y in terms:
+        p, i, j = x.nonzero()
+        yj, q, k = y.transpose(1, 0, 2).nonzero()       # sorted by yj
+        first = np.searchsorted(yj, j)
+        count = np.searchsorted(yj, j, side="right") - first
+        px = np.repeat(np.arange(p.size), count)
+        py = np.arange(px.size) - np.repeat(np.cumsum(count) - count - first, count)
+        keys.append(((p[px] * y.shape[0] + q[py]) * x.shape[1] + i[px]) * y.shape[2] + k[py])
+        vals.append(x[p, i, j][px] * y[q, yj, k][py])
+    keys = np.concatenate(keys)
+    if keys.size == 0:
+        return keys, keys
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[start], np.add.reduceat(np.concatenate(vals)[order], start)
+
+
 def _is_prime(m):
     if m < 2:
         return False
@@ -93,57 +152,72 @@ _PRIME_CACHE = {}
 def _smith_prime(a, m, track_sinv):
     """Gauss-Jordan diagonalization over the field Z/m, m prime.
 
-    One vectorized clearing pass per pivot, then a single column sweep,
-    which is substantially faster than the generic gcd walk.
+    One pass of row operations on D (from A) and S (from I), the same
+    operations applied to both.  Each pivot updates only the rows with a
+    nonzero in the pivot column, and only the columns where the pivot row
+    is nonzero: the systems the package builds are mostly zeros.  In D these
+    columns all lie at or right of the pivot column, because the pivot row
+    is zero to its left (every earlier column has its pivot above it).  The
+    reduced D is [I B; 0 0] up to the column permutation that puts the
+    pivot columns first, so T has a closed form: that permutation, with
+    -B (mod m) in the pivot rows of the non-pivot columns.
+
+    D and S are two arrays, not one augmented block [A | I]: returning S
+    out of the block meant holding both at once, and that raised the peak
+    memory of the compact-eq benchmark workload by about 3 MB (5 %).
     """
-    d = as_matrix(a).copy() % m
+    d = as_matrix(a) % m
     r, c = d.shape
     s = eye(r)
     s_inv = eye(r) if track_sinv else None
-    t = eye(c)
     pivot_cols = []
     row = 0
     for col in range(c):
         if row == r:
             break
-        nz = np.nonzero(d[row:, col])[0]
+        nz = d[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         i = row + int(nz[0])
         if i != row:
-            d[[row, i]] = d[[i, row]]
+            d[[row, i], col:] = d[[i, row], col:]
             s[[row, i]] = s[[i, row]]
             if track_sinv:
                 s_inv[:, [row, i]] = s_inv[:, [i, row]]
-        pv = int(d[row, col])
+        prow = d[row, col:]
+        srow = s[row]
+        pv = int(prow[0])
         if pv != 1:
             inv = modinv(pv, m)
-            d[row] = (d[row] * inv) % m
-            s[row] = (s[row] * inv) % m
+            for vec in (prow, srow):
+                np.multiply(vec, inv, out=vec)
+                np.remainder(vec, m, out=vec)
             if track_sinv:
                 s_inv[:, row] = (s_inv[:, row] * pv) % m
-        colvals = d[:, col].copy()
-        colvals[row] = 0
-        hits = np.nonzero(colvals)[0]
-        if hits.size:
-            q = colvals[hits]
-            d[hits] = (d[hits] - np.outer(q, d[row])) % m
-            s[hits] = (s[hits] - np.outer(q, s[row])) % m
+        hits = d[:, col].nonzero()[0]
+        if hits.size > 1:
+            hits = hits[hits != row]
+            q = d[hits, col]
+            for mat, vec, first in ((d, prow, col), (s, srow, 0)):
+                cols = vec.nonzero()[0]
+                live = (hits[:, None], first + cols)
+                block = np.multiply.outer(q, vec[cols])
+                np.subtract(mat[live], block, out=block)
+                np.remainder(block, m, out=block)
+                mat[live] = block
             if track_sinv:
                 s_inv[:, row] = (s_inv[:, row] + s_inv[:, hits] @ q) % m
         pivot_cols.append(col)
         row += 1
     npiv = len(pivot_cols)
-    non_pivot = [j for j in range(c) if j not in set(pivot_cols)]
-    perm = pivot_cols + non_pivot
-    d = d[:, perm]
-    t = t[:, perm]
+    pivots = set(pivot_cols)
+    non_pivot = [j for j in range(c) if j not in pivots]
+    t = zeros(c, c)
+    t[pivot_cols + non_pivot, np.arange(c)] = 1
     if npiv and c > npiv:
-        b = d[:npiv, npiv:]
-        if b.any():
-            t[:, npiv:] = (t[:, npiv:] - t[:, :npiv] @ b) % m
-            d[:npiv, npiv:] = 0
-    diag = np.array([d[i, i] for i in range(min(r, c))], dtype=np.int64)
+        t[pivot_cols, npiv:] = (-d[:npiv, non_pivot]) % m
+    diag = np.zeros(min(r, c), dtype=np.int64)
+    diag[:npiv] = 1
     return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c))
 
 
@@ -154,11 +228,13 @@ def smith_mod(a, m, track_sinv=True):
     diagonal; none of the callers needs it.  Pass track_sinv=False to skip
     maintaining S^-1 (solving and kernels never read it).
     """
+    a = as_matrix(a)
+    check_exact(m, max(a.shape))
     if m not in _PRIME_CACHE:
         _PRIME_CACHE[m] = _is_prime(m)
     if _PRIME_CACHE[m]:
         return _smith_prime(a, m, track_sinv)
-    d = as_matrix(a).copy() % m
+    d = a % m
     r, c = d.shape
     s = eye(r)
     s_inv = eye(r) if track_sinv else None

@@ -23,6 +23,12 @@ from .errors import NonSimpleDeclared, ParseError, RingMismatch, ValidationError
 from .linalg import as_matrix, eye, zeros
 from .rings import ENUMERATION_CAP
 
+# Above this many generators, and over a ring of rank > 1, the relation and
+# equivariance checks multiply by nonzeros (linalg.sparse_product_sum); at or
+# below it einsum's dense products are faster.  Measured on the checks the
+# summary workload makes.
+SPARSE_CHECK_MIN_GENS = 16
+
 
 @dataclass(eq=False)
 class FgModule:
@@ -87,7 +93,22 @@ def _validate_module(mod):
     if (linalg.reduce_coords(unit_combo, mod.orders) != linalg.reduce_coords(eye(n), mod.orders)).any():
         raise ValidationError("unit does not act as the identity")
     acts = np.stack(mod.actions)                              # rank x n x n
+    r = ring.rank
+    linalg.check_exact(m, n + r)
     # (x . b_s) . b_t = x . (b_s b_t):  A^t A^s = sum_k sc[s,t,k] A^k
+    if r > 1 and n > SPARSE_CHECK_MIN_GENS:
+        # Products keyed (t, s, i, k); the second term is -sc[s,t,:] . A^k
+        # in the same flat layout.
+        keys, sums = linalg.sparse_product_sum([
+            (acts, acts),
+            (-ring.sc.transpose(1, 0, 2).reshape(1, r * r, r), acts.reshape(1, r, n * n)),
+        ])
+        bad = sums % ords[keys // n % n] != 0
+        if bad.any():
+            t, s = np.divmod(keys[bad] // (n * n), r)
+            pair = min(zip(s.tolist(), t.tolist()))
+            raise ValidationError(f"action violates the ring relations at basis pair {pair}")
+        return
     lhs = np.einsum("tij,sjk->stik", acts, acts)
     rhs = np.einsum("stk,kij->stij", ring.sc, acts)
     delta = (lhs - rhs) % np.asarray(mod.orders)[None, None, :, None]
@@ -147,6 +168,17 @@ def _validate_map(f):
             raise ValidationError("matrix is not well defined on the source group")
         src_acts = np.stack(f.src.actions)
         tgt_acts = np.stack(f.tgt.actions)
+        nt, ns = f.mat.shape
+        linalg.check_exact(m, nt + ns)
+        if f.src.ring.rank > 1 and max(nt, ns) > SPARSE_CHECK_MIN_GENS:
+            # F A^t - A^t F, both keyed (t, i, k)
+            keys, sums = linalg.sparse_product_sum([(f.mat[None], src_acts),
+                                                    (-tgt_acts, f.mat[None])])
+            bad = sums % tgt_ord[keys // ns % nt] != 0
+            if bad.any():
+                t = int(keys[bad][0] // (nt * ns))
+                raise ValidationError(f"matrix does not commute with ring action {t}")
+            return
         delta = (np.einsum("ij,tjk->tik", f.mat, src_acts)
                  - np.einsum("tij,jk->tik", tgt_acts, f.mat)) % tgt_ord[None, :, None]
         if delta.any():

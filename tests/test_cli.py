@@ -143,3 +143,18 @@ def test_replay_compact_eq(tmp_path):
     res = invoke("replay", str(path), "--output", "json")
     assert res.exit_code == 0
     assert json.loads(res.output)["result"] == "PASS"
+
+
+def test_modulus_past_the_exactness_bound_exits_2(tmp_path):
+    m = 2**31 - 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "ring": {"name": "big", "backend": "zmod", "n": m, "allow_large": True},
+        "lo": 0, "hi": 1, "name": "x",
+        "terms": {"0": {"orders": [m] * 3}, "1": {"orders": [m] * 3}},
+        "diffs": {"1": [[1, 2, 3], [4, 5, 6], [7, 8, 10]]},
+    }))
+    res = invoke("complex", "pdim", "--file", str(path), "--bound", "3")
+    assert res.exit_code == 2
+    assert res.output.count("\n") == 1
+    assert "too large for exact int64 arithmetic" in res.output

@@ -1,8 +1,13 @@
+from functools import lru_cache
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smith_reference
 from ghostdim import linalg
+from ghostdim.errors import ModulusTooLarge
 from ghostdim.linalg import (
     SmithSolver,
     enumerate_group,
@@ -30,6 +35,16 @@ def random_matrix(data, m, max_dim=4):
     return np.array(entries, dtype=np.int64).reshape(rows, cols)
 
 
+def sparse_matrix(data, m, max_rows, max_cols):
+    """A random matrix mod m of any density, empty and single-row shapes included."""
+    rows = data.draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, max_rows)))
+    cols = data.draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, max_cols)))
+    density = data.draw(st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((rows, cols)) < density
+    return np.where(mask, rng.integers(1, m, size=(rows, cols)), 0).astype(np.int64)
+
+
 @given(st.integers(-300, 300), st.integers(-300, 300))
 def test_xgcd(a, b):
     g, x, y = xgcd(a, b)
@@ -40,7 +55,7 @@ def test_xgcd(a, b):
 @settings(max_examples=200, deadline=None)
 @given(st.data(), small_modulus)
 def test_smith_decomposition_identities(data, m):
-    a = random_matrix(data, m)
+    a = sparse_matrix(data, m, 12, 16)
     dec = smith_mod(a, m)
     r, c = a.shape
     # D = S A T and S S^-1 = I, all mod m
@@ -50,6 +65,74 @@ def test_smith_decomposition_identities(data, m):
     assert np.array_equal((dec.s @ a @ dec.t) % m, d % m)
     assert np.array_equal((dec.s @ dec.s_inv) % m, np.eye(r, dtype=np.int64) % m)
     assert np.array_equal((dec.s_inv @ dec.s) % m, np.eye(r, dtype=np.int64) % m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5, 7, 251]), st.booleans())
+def test_smith_prime_is_bit_identical_to_the_reference(data, m, track_sinv):
+    a = sparse_matrix(data, m, 40, 60)
+    got = linalg._smith_prime(a, m, track_sinv)
+    want = smith_reference._smith_prime(a, m, track_sinv)
+    assert (got.m, got.shape) == (want.m, want.shape)
+    for field in ("diag", "s", "s_inv", "t"):
+        g, w = getattr(got, field), getattr(want, field)
+        if w is None:
+            assert g is None, field
+            continue
+        assert g.dtype == w.dtype and g.shape == w.shape, field
+        assert np.array_equal(g, w), field
+
+
+@lru_cache(maxsize=None)
+def prime_across_bound(terms, above):
+    """The largest prime m with terms * m**2 <= 2**63 - 1, or the smallest prime past it."""
+    m = isqrt(linalg.INT64_MAX // terms)
+    step = 1 if above else -1
+    m += 1 if above else 0
+    while not linalg._is_prime(m):
+        m += step
+    return m
+
+
+def exact_residues(a, x, m):
+    return [sum(int(a[i, j]) * int(x[j]) for j in range(a.shape[1])) % m for i in range(a.shape[0])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(min_value=2, max_value=12), st.booleans())
+def test_kernel_is_exact_below_its_bound_and_refuses_past_it(data, k, above):
+    m = prime_across_bound(k, above)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, m, size=(k, k), dtype=np.int64)
+    b = np.array(exact_residues(a, rng.integers(0, m, size=k), m), dtype=np.int64)
+    if above:
+        with pytest.raises(ModulusTooLarge):
+            solve_mod(a, b, m)
+        return
+    x = solve_mod(a, b, m)
+    assert x is not None
+    assert exact_residues(a, x, m) == b.tolist()
+
+
+def test_kernel_refuses_mersenne_31_at_twelve_unknowns():
+    m = 2**31 - 1
+    a = np.random.default_rng(0).integers(0, m, size=(12, 12), dtype=np.int64)
+    with pytest.raises(ModulusTooLarge, match="too large for exact int64"):
+        solve_mod(a, a[:, 0], m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=5, max_size=5),
+       st.sampled_from([0.0, 0.05, 0.3, 1.0]), st.integers(0, 2**32 - 1))
+def test_sparse_product_sum_matches_einsum(dims, density, seed):
+    p, q, a, b, c = dims
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.random((p, a, b)) < density, rng.integers(-6, 7, size=(p, a, b)), 0)
+    y = np.where(rng.random((q, b, c)) < density, rng.integers(-6, 7, size=(q, b, c)), 0)
+    keys, sums = linalg.sparse_product_sum([(x, y), (-x, y), (x, y)])
+    dense = np.zeros(p * q * a * c, dtype=np.int64)
+    dense[keys] = sums
+    assert np.array_equal(dense, np.einsum("pij,qjk->pqik", x, y).reshape(-1))
 
 
 @settings(max_examples=150, deadline=None)

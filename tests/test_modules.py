@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import helpers
-from ghostdim import linalg
-from ghostdim.errors import RingMismatch, SideMismatch
+from ghostdim import linalg, modules
+from ghostdim.errors import RingMismatch, SideMismatch, ValidationError
 from ghostdim.modules import (
     FgModule,
     ModuleMap,
@@ -25,12 +27,14 @@ from ghostdim.modules import (
     tensor_map,
     tensor_modules,
 )
-from ghostdim.rings import builtin_ring, zmod
+from ghostdim.rings import _upper_triangular, builtin_ring, zmod
 
 
 Z4 = zmod(4)
 DUAL = builtin_ring("dual:f2")
 UT2 = builtin_ring("ut2:f2")
+UT3 = builtin_ring("ut3:f2")
+UT2_F3 = _upper_triangular(2, 3, "ut2:f3")
 
 
 def zmod_module(ring, *orders):
@@ -260,3 +264,64 @@ def test_presentation_descriptor():
     # presentation matrix for Z/2 over Z/4: one generator, relation 2g
     m = make_module(Z4, {"presentation": [[2]]})
     assert m.orders == (2,)
+
+
+# ut3:f2 has basis e00, e01, e02, e11, e12, e22; e01 (index 1) is nilpotent,
+# so changing its action leaves the unit acting as the identity and breaks
+# only the ring relations.  Rank 1 (6 generators) is checked by einsum,
+# rank 12 (72 generators) by the sparse products.
+@pytest.mark.parametrize("rank", [1, 12])
+def test_module_breaking_a_ring_relation_is_rejected(rank):
+    free = free_module(UT3, rank)
+    assert (free.ngens > modules.SPARSE_CHECK_MIN_GENS) == (rank == 12)
+    acts = [a.copy() for a in free.actions]
+    acts[1][0, 0] ^= 1
+    with pytest.raises(ValidationError, match=re.escape(
+            "action violates the ring relations at basis pair (1, 0)")):
+        FgModule(UT3, free.orders, tuple(acts))
+
+
+@pytest.mark.parametrize("rank", [1, 12])
+def test_map_breaking_equivariance_is_rejected(rank):
+    free = free_module(UT3, rank)
+    mat = np.eye(free.ngens, dtype=np.int64)
+    mat[0, 1] ^= 1
+    with pytest.raises(ValidationError, match="matrix does not commute with ring action 0"):
+        ModuleMap(free, free, mat)
+
+
+def _outcome(check, arg):
+    try:
+        check(arg)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("ring", [UT3, UT2_F3], ids=["ut3:f2", "ut2:f3"])
+def test_sparse_and_einsum_checks_report_the_same_failure(ring, monkeypatch):
+    rng = np.random.default_rng(5)
+    m = ring.modulus
+    free = free_module(ring, 3)
+    seen = set()
+    for trial in range(60):
+        acts = [a.copy() for a in free.actions]
+        mat = np.eye(free.ngens, dtype=np.int64)
+        if trial:
+            for _ in range(rng.integers(1, 3)):
+                a, i, j = rng.integers(ring.rank), *rng.integers(free.ngens, size=2)
+                acts[a][i, j] = (acts[a][i, j] + rng.integers(1, m)) % m
+            i, j = rng.integers(free.ngens, size=2)
+            mat[i, j] = (mat[i, j] + rng.integers(1, m)) % m
+        broken = FgModule.__new__(FgModule)
+        broken.ring, broken.orders, broken.actions, broken.label = ring, free.orders, tuple(acts), ""
+        f = ModuleMap(free, free, mat, check=False)
+        for check, arg in ((modules._validate_module, broken), (modules._validate_map, f)):
+            monkeypatch.setattr(modules, "SPARSE_CHECK_MIN_GENS", 0)
+            sparse = _outcome(check, arg)
+            monkeypatch.setattr(modules, "SPARSE_CHECK_MIN_GENS", 10**9)
+            assert sparse == _outcome(check, arg)
+            if not trial:
+                assert sparse is None
+            seen.add(sparse)
+    assert len(seen) > 3
