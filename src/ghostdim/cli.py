@@ -41,6 +41,7 @@ from .ghosts import (
     random_chain_map,
     universal_ghost,
 )
+from .linalg import parse_int
 from .modules import free_module, is_projective
 from .rings import BUILTIN_NAMES, builtin_ring, load_ring_file, ring_to_dict
 from .tensor_ss import fdim_via_ss
@@ -105,9 +106,12 @@ def parse_window(text):
         return None
     try:
         lo, hi = text.split(":")
-        return (int(lo), int(hi))
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise ParseError(f"bad window {text!r}; expected LO:HI") from None
+    if lo > hi:
+        raise ParseError(f"bad window {text!r}; LO must not exceed HI")
+    return (lo, hi)
 
 
 def _run_members(members, fn, jobs):
@@ -152,7 +156,7 @@ def ring_describe(selector, output):
 @main.command("dim")
 @click.argument("quantity", type=click.Choice(["wdim", "gldim", "ghdim"]))
 @click.option("--ring", "selector", required=True)
-@click.option("--bound", default=8, show_default=True)
+@click.option("--bound", default=8, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--output", type=click.Choice(["text", "json"]), default="text")
 def dim_command(quantity, selector, bound, seed, output):
@@ -176,7 +180,7 @@ def dim_command(quantity, selector, bound, seed, output):
 @main.command("complex")
 @click.argument("quantity", type=click.Choice(["pdim", "fdim"]))
 @click.option("--file", "path", required=True, type=click.Path(exists=True))
-@click.option("--bound", default=8, show_default=True)
+@click.option("--bound", default=8, show_default=True, type=click.IntRange(min=0))
 @click.option("--window", default=None)
 @click.option("--output", type=click.Choice(["text", "json"]), default="text")
 def complex_command(quantity, path, bound, window, output):
@@ -392,7 +396,7 @@ _SUITES = {
 @main.command("verify")
 @click.argument("suite", type=click.Choice(sorted(_SUITES)))
 @click.option("--ring", "selector", required=True)
-@click.option("--bound", default=8, show_default=True)
+@click.option("--bound", default=8, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--jobs", default=1, show_default=True)
 @click.option("--output", type=click.Choice(["text", "json"]), default="text")
@@ -433,8 +437,8 @@ def _replay_one(ce):
     from .rings import make_ring, ring_spec_from_dict
 
     r = make_ring(ring_spec_from_dict(ce["ring"]))
-    bound = int(ce.get("bound", 8))
-    seed = int(ce.get("seed", 0))
+    bound = parse_int(ce.get("bound", 8), "counterexample 'bound'")
+    seed = parse_int(ce.get("seed", 0), "counterexample 'seed'")
     if kind == "summary":
         ok, _ = verify_summary(r, bound, seed, 1)
         return {"kind": kind, "pass": ok}

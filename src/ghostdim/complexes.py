@@ -14,17 +14,33 @@ Sign conventions (fixed once, used everywhere):
 All homotopy questions (nullity, chain-map solving, factorizations through
 cones) are linear systems over the base arithmetic and go through
 :class:`MapSystem`.
+
+Homology is computed once per content, not once per complex.  Ghost towers
+rebuild the same groups over and over (a stage, the cone it feeds, the
+target of every ghost check), so Complex.homology first looks H_k up by a
+digest of everything _homology_at reads: the ring (name, backend, modulus,
+structure constants, unit and declared simples), the degree k, term k (its
+orders and action matrices), the orders of term k-1, and the shapes and
+bytes of d_k and d_(k+1).  _homology_at is deterministic in exactly these
+inputs, so a shared result is bit-identical to a fresh one.  The shared
+HomologyData lives as long as some complex holds it (a weak-valued table,
+no size limit to tune) and its arrays are read-only.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
+
+# The blake2b that hashlib re-exports.  Importing hashlib would also load
+# OpenSSL, whose hashes go unused here: 3.6 MB more resident memory.
+from _blake2 import blake2b
 
 import numpy as np
 
 from . import linalg
-from .errors import SquareNotCommuting, ValidationError
+from .errors import ParseError, SquareNotCommuting, ValidationError
 from .linalg import as_matrix, eye, zeros
 from .modules import (
     FgModule,
@@ -164,7 +180,7 @@ class Complex:
     def homology(self):
         with self._lock:
             if "homology" not in self._cache:
-                self._cache["homology"] = {k: _homology_at(self, k) for k in self.degrees()}
+                self._cache["homology"] = {k: _shared_homology(self, k) for k in self.degrees()}
             return self._cache["homology"]
 
     def homology_at(self, k):
@@ -185,6 +201,12 @@ class Complex:
 
 @dataclass
 class HomologyData:
+    """H_k of a complex: the module, chosen cycle representatives and the cycle group.
+
+    Shared between complexes with the same content (see _shared_homology),
+    so its arrays are read-only.
+    """
+
     degree: int
     module: FgModule          # the homology module (over the same ring)
     lift: np.ndarray          # term coordinates of chosen cycle representatives
@@ -223,23 +245,93 @@ def _homology_at(cx, k):
     cyc = _reduce_mixed_generators(cyc, term.orders, m)
     if cyc.shape[1] == 0:
         return _zero_homology(cx, k)
-    bnd = linalg.reduce_coords(cx.diff(k + 1), term.orders)
-    yb = linalg.solve_hetero(cyc, bnd, term.orders, m)
+    # One decomposition of the cycle matrix answers every solve and the kernel.
+    cycles = linalg.SmithSolver(linalg.scale_rows(cyc, term.orders, m), m)
+
+    def in_cycles(cols):
+        return cycles.solve_matrix(linalg.scale_rows(cols, term.orders, m))
+
+    yb = in_cycles(linalg.reduce_coords(cx.diff(k + 1), term.orders))
     if yb is None:
         raise ValidationError("boundaries are not cycles; differential is broken")
-    zrel = linalg.kernel_hetero(cyc, term.orders, m)
-    rel = np.concatenate([yb, zrel], axis=1)
+    rel = np.concatenate([yb, cycles.kernel()], axis=1)
     pres = linalg.quotient_presentation([m] * cyc.shape[1], rel, m)
     if not pres.orders:
         return _zero_homology(cx, k)
     lift = linalg.reduce_coords(cyc @ pres.lift, term.orders)
     acts = []
     for t in range(ring.rank):
-        moved = linalg.reduce_coords(term.actions[t] @ lift, term.orders)
-        y = linalg.solve_hetero(cyc, moved, term.orders, m)
+        y = in_cycles(linalg.reduce_coords(term.actions[t] @ lift, term.orders))
         acts.append(linalg.reduce_coords(pres.proj @ y, pres.orders))
     h = FgModule(ring=ring, orders=pres.orders, actions=tuple(acts), label=f"H{k}")
     return HomologyData(degree=k, module=h, lift=lift, _cycles=cyc, _proj=pres.proj, _term=term)
+
+
+# H_k of every complex built in this process, by content digest.  An entry
+# lives as long as some complex's homology cache holds it.
+_SHARED_HOMOLOGY = weakref.WeakValueDictionary()
+_SHARED_HOMOLOGY_LOCK = threading.Lock()
+
+
+def _digest(obj, build):
+    """A content digest cached on obj (a ring or module, immutable once built)."""
+    cached = getattr(obj, "_digest", None)
+    if cached is None:
+        h = blake2b(digest_size=32)
+        build(h)
+        cached = h.digest()
+        object.__setattr__(obj, "_digest", cached)
+    return cached
+
+
+def _update_array(h, a):
+    a = np.ascontiguousarray(a)
+    h.update(repr((a.dtype.str, a.shape)).encode())
+    h.update(memoryview(a))
+
+
+def _ring_digest(ring):
+    def build(h):
+        h.update(repr((ring.name, ring.backend, ring.modulus, ring.rank)).encode())
+        _update_array(h, ring.sc)
+        _update_array(h, ring.unit)
+        for s in ring.simples or ():
+            h.update(repr(s.label).encode())
+            h.update(_module_digest(s))
+    return _digest(ring, build)
+
+
+def _module_digest(mod):
+    def build(h):
+        h.update(repr(mod.orders).encode())
+        for a in mod.actions:
+            _update_array(h, a)
+    return _digest(mod, build)
+
+
+def _homology_key(cx, k):
+    """Digest of everything _homology_at(cx, k) reads."""
+    h = blake2b(digest_size=32)
+    h.update(_ring_digest(cx.ring))
+    h.update(repr((k, cx.term(k - 1).orders)).encode())
+    h.update(_module_digest(cx.term(k)))
+    _update_array(h, cx.diff(k))
+    _update_array(h, cx.diff(k + 1))
+    return h.digest()
+
+
+def _shared_homology(cx, k):
+    """_homology_at(cx, k), computed once for all complexes with the same content."""
+    key = _homology_key(cx, k)
+    with _SHARED_HOMOLOGY_LOCK:
+        found = _SHARED_HOMOLOGY.get(key)
+    if found is not None:
+        return found
+    hd = _homology_at(cx, k)
+    for a in (hd.lift, hd._cycles, hd._proj, *hd.module.actions):
+        a.flags.writeable = False
+    with _SHARED_HOMOLOGY_LOCK:
+        return _SHARED_HOMOLOGY.setdefault(key, hd)
 
 
 # ---------------------------------------------------------------------------
@@ -1259,19 +1351,29 @@ def complex_to_dict(cx):
 
 
 def complex_from_dict(data, ring=None):
+    """Parse a serialized complex (see complex_to_dict); malformed data raises ParseError."""
     from .rings import make_ring, ring_spec_from_dict
 
+    if not isinstance(data, dict):
+        raise ParseError("a complex must be a JSON object")
+    for key in ("lo", "hi", "terms") if ring is not None else ("ring", "lo", "hi", "terms"):
+        if key not in data:
+            raise ParseError(f"complex is missing field {key!r}")
+    if not isinstance(data["terms"], dict) or not isinstance(data.get("diffs", {}), dict):
+        raise ParseError("complex fields 'terms' and 'diffs' must be JSON objects")
     if ring is None:
         ring = make_ring(ring_spec_from_dict(data["ring"]))
-    lo, hi = int(data["lo"]), int(data["hi"])
+    lo, hi = linalg.parse_int(data["lo"], "complex 'lo'"), linalg.parse_int(data["hi"], "complex 'hi'")
     terms = {}
     for k in range(lo, hi + 1):
         desc = data["terms"].get(str(k))
         terms[k] = make_module(ring, desc) if desc else zero_module(ring)
     diffs = {}
     for kstr, mat in data.get("diffs", {}).items():
-        diffs[int(kstr)] = as_matrix(mat, rows=terms.get(int(kstr) - 1, zero_module(ring)).ngens,
-                                     cols=terms.get(int(kstr), zero_module(ring)).ngens)
+        k = _parse_degree(kstr, "complex 'diffs'")
+        diffs[k] = linalg.parse_matrix(mat, f"differential {k}",
+                                       rows=terms.get(k - 1, zero_module(ring)).ngens,
+                                       cols=terms.get(k, zero_module(ring)).ngens)
     certs = {k: (certificate_for(t) if is_projective(t)[0] else None) for k, t in terms.items()}
     return Complex(ring, lo, hi, terms, diffs, certs=certs, name=data.get("name", ""))
 
@@ -1281,4 +1383,19 @@ def chain_map_to_dict(f):
 
 
 def chain_map_from_dict(src, tgt, data):
-    return ChainMap(src, tgt, {int(k): as_matrix(v) for k, v in data.items()})
+    """Parse a serialized chain map (see chain_map_to_dict); malformed data raises ParseError."""
+    if not isinstance(data, dict):
+        raise ParseError("a chain map must be a JSON object")
+    mats = {}
+    for kstr, mat in data.items():
+        k = _parse_degree(kstr, "chain map")
+        mats[k] = linalg.parse_matrix(mat, f"chain map component {k}",
+                                      rows=tgt.term(k).ngens, cols=src.term(k).ngens)
+    return ChainMap(src, tgt, mats)
+
+
+def _parse_degree(text, where):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad degree {text!r} in {where}") from None

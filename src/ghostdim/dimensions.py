@@ -183,11 +183,24 @@ class BatteryMember:
     provenance: str = ""
 
 
+def _proper_divisors(n):
+    """The divisors d of n with 1 < d < n, ascending, by trial division up to sqrt(n)."""
+    small, large = [], []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
 def _cyclic_modules(ring, rng, count=2):
     """A few cyclic test modules R / xR."""
     out = []
     if ring.backend == "zmod":
-        divisors = [d for d in range(2, ring.modulus) if ring.modulus % d == 0]
+        divisors = _proper_divisors(ring.modulus)
         rng.shuffle(divisors)
         for d in divisors[:count]:
             out.append(make_module(ring, {"orders": [d]}, label=f"Z/{d}"))

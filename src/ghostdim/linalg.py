@@ -38,7 +38,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ModulusTooLarge
+from .errors import ModulusTooLarge, ParseError
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -72,6 +72,33 @@ def as_matrix(a, rows=None, cols=None):
         else:
             raise ValueError(f"expected 2-d matrix, got shape {arr.shape}")
     return arr
+
+
+def parse_int(value, what):
+    """An integer read from untrusted input (JSON); ParseError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def parse_matrix(value, what, rows=None, cols=None):
+    """A 2-d int64 matrix read from untrusted nested lists.
+
+    ParseError unless the value is a rectangular matrix of integers and,
+    where rows or cols is given, has that many rows or columns.  A bare
+    empty list stands for an empty matrix of the expected shape.
+    """
+    try:
+        arr = np.array(value)
+    except ValueError:
+        raise ParseError(f"{what} is not a rectangular matrix") from None
+    if arr.size == 0 and arr.ndim != 2 and not (rows or 0) * (cols or 0):
+        arr = arr.reshape(rows or 0, cols or 0)
+    if arr.ndim != 2 or (arr.size and arr.dtype.kind != "i"):
+        raise ParseError(f"{what} must be a matrix of integers")
+    if (rows is not None and arr.shape[0] != rows) or (cols is not None and arr.shape[1] != cols):
+        raise ParseError(f"{what} has shape {arr.shape}, expected ({rows}, {cols})")
+    return arr.astype(np.int64)
 
 
 def zeros(rows, cols):

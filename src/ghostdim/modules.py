@@ -260,25 +260,6 @@ def hom_generators(src, tgt):
     return out
 
 
-def solve_module_map(src, tgt, extra_rows, extra_moduli, rhs):
-    """Find a module map U: src -> tgt with  extra_rows @ vec(U) = rhs.
-
-    extra equation rows are congruences mod extra_moduli.  Returns a
-    ModuleMap or None.
-    """
-    m = src.ring.modulus
-    ns, nt = src.ngens, tgt.ngens
-    nvar = ns * nt
-    hom_rows, hom_mods = _hom_constraint_rows(src, tgt)
-    rows = np.concatenate([hom_rows, as_matrix(extra_rows, rows=len(extra_moduli), cols=nvar)], axis=0)
-    moduli = list(hom_mods) + list(extra_moduli)
-    rhs_full = np.concatenate([zeros(hom_rows.shape[0], 1), as_matrix(rhs, rows=len(extra_moduli), cols=1)], axis=0)
-    sol = linalg.solve_hetero(rows, rhs_full, moduli, m)
-    if sol is None:
-        return None
-    return ModuleMap(src, tgt, sol[:, 0].reshape(ns, nt).T, check=False)
-
-
 # ---------------------------------------------------------------------------
 # Submodules, kernels, cokernels
 # ---------------------------------------------------------------------------
@@ -706,10 +687,6 @@ def find_isomorphism(a, b, max_gens=12, max_candidates=20000):
     return None
 
 
-def modules_isomorphic(a, b):
-    return find_isomorphism(a, b) is not None
-
-
 # ---------------------------------------------------------------------------
 # Tensor products (right module over R  x  left module = module over R^op)
 # ---------------------------------------------------------------------------
@@ -876,16 +853,20 @@ def make_module(ring, descriptor, label=""):
     zmod: {"orders": [...]} or {"presentation": [[...]]} (columns are relations
     among the generators).  fp_algebra: {"dim": d, "actions": [d x d] * rank}.
     """
+    if not isinstance(descriptor, dict):
+        raise ParseError(f"a module descriptor must be a JSON object, got {descriptor!r}")
     if ring.backend == "zmod":
         if "orders" in descriptor:
-            orders = [int(d) for d in descriptor["orders"]]
+            if not isinstance(descriptor["orders"], list):
+                raise ParseError("module 'orders' must be a list")
+            orders = [linalg.parse_int(d, "module order") for d in descriptor["orders"]]
             for d in orders:
                 if d < 2 or ring.modulus % d:
                     raise ParseError(f"order {d} does not divide {ring.modulus}")
             return FgModule(ring=ring, orders=tuple(orders),
                             actions=(eye(len(orders)),), label=label or descriptor.get("label", ""))
         if "presentation" in descriptor:
-            pres_mat = as_matrix(descriptor["presentation"])
+            pres_mat = linalg.parse_matrix(descriptor["presentation"], "module presentation")
             g = pres_mat.shape[0]
             pres = linalg.quotient_presentation([ring.modulus] * g, pres_mat, ring.modulus)
             return FgModule(ring=ring, orders=pres.orders,
@@ -893,8 +874,10 @@ def make_module(ring, descriptor, label=""):
         raise ParseError("zmod module descriptor needs 'orders' or 'presentation'")
     if "dim" not in descriptor or "actions" not in descriptor:
         raise ParseError("fp_algebra module descriptor needs 'dim' and 'actions'")
-    dim = int(descriptor["dim"])
-    acts = [as_matrix(a, rows=dim, cols=dim) for a in descriptor["actions"]]
+    dim = linalg.parse_int(descriptor["dim"], "module 'dim'")
+    if dim < 0 or not isinstance(descriptor["actions"], list):
+        raise ParseError("module 'dim' must be >= 0 and 'actions' a list")
+    acts = [linalg.parse_matrix(a, "action matrix", rows=dim, cols=dim) for a in descriptor["actions"]]
     if len(acts) != ring.rank:
         raise ParseError(f"need {ring.rank} action matrices, got {len(acts)}")
     return FgModule(ring=ring, orders=tuple([ring.modulus] * dim), actions=tuple(acts),
@@ -928,9 +911,11 @@ def validate_simple_list(ring, mods):
     for i, s in enumerate(mods):
         if not is_simple(s):
             raise NonSimpleDeclared(f"declared simple #{i} of {ring.name} is not simple")
+    # Schur: a nonzero map between simples is an isomorphism, so two simples
+    # are isomorphic exactly when the hom space between them is nonzero.
     for i in range(len(mods)):
         for j in range(i + 1, len(mods)):
-            if find_isomorphism(mods[i], mods[j]) is not None:
+            if hom_generators(mods[i], mods[j]):
                 raise NonSimpleDeclared(
                     f"declared simples #{i} and #{j} of {ring.name} are isomorphic"
                 )

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadUnit, NonAssociative, ParseError, ValidationError
+from .linalg import parse_int
 
 DEFAULT_RING_CAP = 2 ** 8
 ENUMERATION_CAP = 2 ** 12
@@ -356,14 +357,14 @@ def ring_spec_from_dict(data):
     if backend == "zmod":
         if "n" not in data:
             raise ParseError("zmod ring spec needs field 'n'")
-        return RingSpec(name=name, backend="zmod", n=int(data["n"]),
+        return RingSpec(name=name, backend="zmod", n=parse_int(data["n"], "ring 'n'"),
                         allow_large=bool(data.get("allow_large", False)))
     if backend == "fp_algebra":
         for f in ("p", "dim", "structure_constants", "unit"):
             if f not in data:
                 raise ParseError(f"fp_algebra ring spec needs field '{f}'")
         scs = data["structure_constants"]
-        dim = int(data["dim"])
+        dim = parse_int(data["dim"], "ring 'dim'")
         arr = np.asarray(scs, dtype=object)
         if arr.shape != (dim, dim, dim):
             raise ParseError(
@@ -372,7 +373,7 @@ def ring_spec_from_dict(data):
         if len(data["unit"]) != dim:
             raise ParseError(f"unit must have length {dim}")
         return RingSpec(
-            name=name, backend="fp_algebra", p=int(data["p"]), dim=dim,
+            name=name, backend="fp_algebra", p=parse_int(data["p"], "ring 'p'"), dim=dim,
             structure_constants=scs, unit=data["unit"], simples=data.get("simples"),
             allow_large=bool(data.get("allow_large", False)),
         )

@@ -158,3 +158,93 @@ def test_modulus_past_the_exactness_bound_exits_2(tmp_path):
     assert res.exit_code == 2
     assert res.output.count("\n") == 1
     assert "too large for exact int64 arithmetic" in res.output
+
+
+def test_dim_ghdim_on_a_huge_prime_modulus_returns_quickly(tmp_path):
+    import time
+
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "backend": "zmod", "n": 2**31 - 1,
+                                "allow_large": True}))
+    start = time.perf_counter()
+    res = invoke("dim", "ghdim", "--ring", str(path), "--bound", "3")
+    assert time.perf_counter() - start < 20
+    assert res.exit_code in (0, 2)
+
+
+def _good_complex_data():
+    cx = resolution_complex(make_module(zmod(4), {"orders": [2]}), 2, name="t2")
+    return complex_to_dict(cx)
+
+
+def _break_ring(data):
+    del data["ring"]
+
+
+def _break_lo(data):
+    data["lo"] = "zero"
+
+
+def _break_entry(data):
+    data["diffs"]["1"] = [[1.5]]
+
+
+def _break_text_entry(data):
+    data["diffs"]["1"] = "x"
+
+
+def _break_shape(data):
+    data["diffs"]["1"] = [[2, 0]]
+
+
+def _break_ragged(data):
+    data["diffs"]["2"] = [[2], [0, 1]]
+
+
+def _break_order(data):
+    data["terms"]["0"] = {"orders": ["two"]}
+
+
+def _break_terms(data):
+    data["terms"] = [1, 2]
+
+
+@pytest.mark.parametrize("breaker", [_break_ring, _break_lo, _break_entry, _break_text_entry,
+                                     _break_shape, _break_ragged, _break_order, _break_terms])
+def test_malformed_complex_file_exits_2_with_one_line(tmp_path, breaker):
+    data = _good_complex_data()
+    breaker(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    res = invoke("complex", "pdim", "--file", str(path), "--bound", "3")
+    assert res.exit_code == 2
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+
+
+def test_window_and_bound_are_checked(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_good_complex_data()))
+    res = invoke("complex", "fdim", "--file", str(path), "--window", "5:1")
+    assert res.exit_code == 2
+    assert "LO must not exceed HI" in res.output
+    res = invoke("complex", "fdim", "--file", str(path), "--window", "0:5", "--output", "json")
+    assert res.exit_code == 0 and json.loads(res.output)["value"] == "2"
+    for cmd in (("complex", "pdim", "--file", str(path)), ("dim", "wdim", "--ring", "f2"),
+                ("verify", "summary", "--ring", "f2")):
+        res = runner.invoke(main, [*cmd, "--bound", "-1"])
+        assert res.exit_code == 2
+        assert "Invalid value for '--bound'" in res.output
+
+
+def test_replay_of_a_malformed_counterexample_exits_2(tmp_path):
+    data = _good_complex_data()
+    data["diffs"]["1"] = "x"
+    ce = {"kind": "compact-eq", "ring": ring_to_dict(zmod(4)), "bound": 5, "complex": data}
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps(ce))
+    res = invoke("replay", str(path))
+    assert res.exit_code == 2 and res.output.count("\n") == 1
+    ce["complex"], ce["bound"] = _good_complex_data(), "five"
+    path.write_text(json.dumps(ce))
+    res = invoke("replay", str(path))
+    assert res.exit_code == 2 and "'bound' must be an integer" in res.output

@@ -28,7 +28,7 @@ from ghostdim.complexes import (
     three_by_three,
     zero_chain,
 )
-from ghostdim.errors import SquareNotCommuting, ValidationError
+from ghostdim.errors import ParseError, SquareNotCommuting, ValidationError
 from ghostdim.modules import free_module, make_module
 from ghostdim.rings import builtin_ring, zmod
 
@@ -276,6 +276,12 @@ def test_chain_map_serialization():
     assert all(np.array_equal(back.component(k), f.component(k)) for k in CONE2.degrees())
 
 
+@pytest.mark.parametrize("data", [[[2]], {"x": [[2]]}, {"0": "x"}, {"0": [[2, 0]]}, {"0": [[1.5]]}])
+def test_malformed_chain_map_is_a_parse_error(data):
+    with pytest.raises(ParseError):
+        chain_map_from_dict(CONE2, CONE2, data)
+
+
 def test_dd_zero_enforced():
     r = free_module(Z4, 1)
     with pytest.raises(ValidationError):
@@ -289,3 +295,152 @@ def test_zero_complex_everywhere():
     tri = cone(zero_chain(z, CONE2)).triangle
     tri.validate()
     assert suspend(z).is_zero
+
+
+# ---------------------------------------------------------------------------
+# Homology shared by content
+# ---------------------------------------------------------------------------
+
+def _reference_homology_at(cx, k):
+    """H_k by separate solves and kernels of the cycle matrix (no shared decomposition)."""
+    from ghostdim import linalg
+    from ghostdim.modules import FgModule, _reduce_mixed_generators
+
+    ring, m, term = cx.ring, cx.ring.modulus, cx.term(k)
+    if term.is_zero:
+        return None
+    cyc = linalg.reduce_coords(linalg.kernel_hetero(cx.diff(k), cx.term(k - 1).orders, m), term.orders)
+    cyc = _reduce_mixed_generators(cyc, term.orders, m)
+    if cyc.shape[1] == 0:
+        return None
+    bnd = linalg.reduce_coords(cx.diff(k + 1), term.orders)
+    yb = linalg.solve_hetero(cyc, bnd, term.orders, m)
+    rel = np.concatenate([yb, linalg.kernel_hetero(cyc, term.orders, m)], axis=1)
+    pres = linalg.quotient_presentation([m] * cyc.shape[1], rel, m)
+    if not pres.orders:
+        return None
+    lift = linalg.reduce_coords(cyc @ pres.lift, term.orders)
+    acts = []
+    for t in range(ring.rank):
+        moved = linalg.reduce_coords(term.actions[t] @ lift, term.orders)
+        y = linalg.solve_hetero(cyc, moved, term.orders, m)
+        acts.append(linalg.reduce_coords(pres.proj @ y, pres.orders))
+    return FgModule(ring=ring, orders=pres.orders, actions=tuple(acts)), lift, cyc, pres.proj
+
+
+def _twin(cx):
+    """A distinct complex with the same content: new module and matrix objects."""
+    from ghostdim.modules import FgModule
+
+    terms = {k: FgModule(ring=cx.ring, orders=t.orders, actions=tuple(a.copy() for a in t.actions))
+             for k, t in cx._terms.items()}
+    diffs = {k: d.copy() for k, d in cx._diffs.items()}
+    return Complex(cx.ring, cx.lo, cx.hi, terms, diffs, certs=cx.certs, check=False)
+
+
+def _random_complexes(ring, rng):
+    """Cones of random maps between free complexes, resolutions and two-term complexes."""
+    from ghostdim.ghosts import random_chain_map
+    from ghostdim.modules import hom_generators
+
+    out = []
+    for _ in range(4):
+        a = free_complex(ring, {k: rng.randrange(3) for k in range(3)})
+        b = free_complex(ring, {k: rng.randrange(3) for k in range(3)})
+        out.append(cone(random_chain_map(a, b, rng)).cone)
+    mods = list(ring.simples) + [free_module(ring, 1)]
+    if ring.backend == "zmod":
+        mods += [make_module(ring, {"orders": [2, 6]}), make_module(ring, {"orders": [4, 3]})]
+    out += [resolution_complex(mod, 3) for mod in mods]
+    for _ in range(4):
+        src, tgt = rng.choice(mods), rng.choice(mods)
+        mat = np.zeros((tgt.ngens, src.ngens), dtype=np.int64)
+        for g in hom_generators(src, tgt):
+            mat += rng.randrange(ring.modulus) * g.mat
+        out.append(Complex(ring, 0, 1, {0: tgt, 1: src}, {1: mat}))
+    out.append(cone(random_chain_map(out[0], out[-1], rng)).cone)
+    return out
+
+
+@pytest.mark.parametrize("name", ["zmod:12", "ut3:f2", "dual:f2"])
+def test_shared_homology_is_bit_identical_to_a_fresh_computation(name):
+    import random
+
+    from ghostdim.complexes import _homology_at
+
+    ring = builtin_ring(name)
+    rng = random.Random(2024)
+    nonzero = 0
+    for cx in _random_complexes(ring, rng):
+        shared = _twin(cx).homology()
+        for k in cx.degrees():
+            got = cx.homology()[k]
+            assert got is shared[k]
+            fresh = _homology_at(cx, k)
+            assert got.module.orders == fresh.module.orders
+            pairs = [(got.lift, fresh.lift), (got._cycles, fresh._cycles), (got._proj, fresh._proj),
+                     *zip(got.module.actions, fresh.module.actions)]
+            ref = _reference_homology_at(cx, k)
+            if ref is None:
+                assert got.module.is_zero
+            else:
+                nonzero += 1
+                mod, lift, cyc, proj = ref
+                assert got.module.orders == mod.orders
+                pairs += [(got.lift, lift), (got._cycles, cyc), (got._proj, proj),
+                          *zip(got.module.actions, mod.actions)]
+                coeffs = np.array([[rng.randrange(d)] for d in got.module.orders])
+                assert np.array_equal(got.classify(got.lift @ coeffs), coeffs)
+            for a, b in pairs:
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    assert nonzero >= 5
+
+
+def test_complexes_with_equal_content_share_one_homology():
+    a = mult_complex(Z4, 2)
+    b = _twin(a)
+    assert a is not b
+    for k in a.degrees():
+        assert a.homology()[k] is b.homology()[k]
+
+
+def test_no_sharing_across_degrees_or_ring_names():
+    a = mult_complex(Z4, 2)
+    shifted = suspend(a, 2)           # same terms and differentials, degrees + 2
+    assert np.array_equal(shifted.diff(3), a.diff(1))
+    for k in a.degrees():
+        assert shifted.homology_at(k + 2) is not a.homology_at(k)
+        assert shifted.homology_at(k + 2).degree == k + 2
+    renamed = zmod(4, name="z4-renamed")
+    b = mult_complex(renamed, 2)
+    for k in a.degrees():
+        assert b.homology_at(k) is not a.homology_at(k)
+        assert b.homology_at(k).module.ring is renamed
+
+
+def test_shared_homology_dies_with_its_complexes():
+    import gc
+
+    from ghostdim import complexes
+
+    ring = zmod(4, name="z4-collected")
+    a = mult_complex(ring, 2)
+    b = _twin(a)
+    key = complexes._homology_key(a, 0)
+    hd = a.homology_at(0)
+    assert complexes._SHARED_HOMOLOGY[key] is hd is b.homology_at(0)
+    del hd
+    del a
+    gc.collect()
+    assert key in complexes._SHARED_HOMOLOGY
+    del b
+    gc.collect()
+    assert key not in complexes._SHARED_HOMOLOGY
+
+
+def test_shared_homology_arrays_are_read_only():
+    hd = mult_complex(Z4, 2).homology_at(0)
+    assert hd.module.orders == (2,)
+    for arr in (hd.lift, hd._cycles, hd._proj, *hd.module.actions):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1

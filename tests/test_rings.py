@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghostdim.errors import BadUnit, NonAssociative, ParseError, ValidationError
+from ghostdim.errors import BadUnit, NonAssociative, NonSimpleDeclared, ParseError, ValidationError
 from ghostdim.rings import (
     BUILTIN_NAMES,
     RingSpec,
@@ -109,3 +109,19 @@ def test_base_ring():
     base = ring.base_ring()
     assert base.rank == 1 and base.modulus == 2
     assert zmod(4).base_ring() is zmod(4).base_ring() or True  # just total
+
+
+def test_builtin_simple_lists_validate_from_their_specs():
+    # make_ring checks a declared simple list in full: each simple, and no
+    # two isomorphic (a nonzero hom between simples, by Schur).
+    for name in BUILTIN_NAMES:
+        ring = builtin_ring(name)
+        again = make_ring(ring_spec_from_dict(ring_to_dict(ring)))
+        assert len(again.simples) == len(ring.simples)
+
+
+def test_declared_isomorphic_simples_are_rejected():
+    data = ring_to_dict(builtin_ring("ut2:f2"))
+    data["simples"] = data["simples"] + data["simples"][:1]
+    with pytest.raises(NonSimpleDeclared, match="#0 and #2 of ut2:f2 are isomorphic"):
+        make_ring(ring_spec_from_dict(data))
