@@ -21,15 +21,15 @@ target of every ghost check), so Complex.homology first looks H_k up by a
 digest of everything _homology_at reads: the ring (name, backend, modulus,
 structure constants, unit and declared simples), the degree k, term k (its
 orders and action matrices), the orders of term k-1, and the shapes and
-bytes of d_k and d_(k+1).  _homology_at is deterministic in exactly these
-inputs, so a shared result is bit-identical to a fresh one.  The shared
-HomologyData lives as long as some complex holds it (a weak-valued table,
-no size limit to tune) and its arrays are read-only.
+bytes of d_k and d_(k+1) (each d_k digested once per complex).  _homology_at
+is deterministic in exactly these inputs, so a shared result is
+bit-identical to a fresh one.  The shared HomologyData lives as long as
+some complex holds it (a weak-valued table, no size limit to tune) and its
+arrays are read-only.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
 
@@ -113,7 +113,6 @@ class Complex:
         self._diffs = {k: as_matrix(d) for k, d in diffs.items()}
         self.name = name
         self._zero = zero_module(ring)
-        self._lock = threading.RLock()
         self._cache = {}
         if certs is None:
             certs = {}
@@ -137,9 +136,6 @@ class Complex:
         if d is None:
             return zeros(self.term(k - 1).ngens, self.term(k).ngens)
         return d
-
-    def diff_map(self, k):
-        return ModuleMap(self.term(k), self.term(k - 1), self.diff(k), check=False)
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -178,10 +174,10 @@ class Complex:
     # -- derived data ------------------------------------------------------
 
     def homology(self):
-        with self._lock:
-            if "homology" not in self._cache:
-                self._cache["homology"] = {k: _shared_homology(self, k) for k in self.degrees()}
-            return self._cache["homology"]
+        if "homology" not in self._cache:
+            diffs = _diff_digests(self)
+            self._cache["homology"] = {k: _shared_homology(self, k, diffs) for k in self.degrees()}
+        return self._cache["homology"]
 
     def homology_at(self, k):
         if self.lo <= k <= self.hi:
@@ -189,10 +185,9 @@ class Complex:
         return _zero_homology(self, k)
 
     def cache_get(self, key, build):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = build()
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def __repr__(self):
         nm = self.name or "C"
@@ -270,7 +265,6 @@ def _homology_at(cx, k):
 # H_k of every complex built in this process, by content digest.  An entry
 # lives as long as some complex's homology cache holds it.
 _SHARED_HOMOLOGY = weakref.WeakValueDictionary()
-_SHARED_HOMOLOGY_LOCK = threading.Lock()
 
 
 def _digest(obj, build):
@@ -309,29 +303,37 @@ def _module_digest(mod):
     return _digest(mod, build)
 
 
-def _homology_key(cx, k):
-    """Digest of everything _homology_at(cx, k) reads."""
+def _diff_digests(cx):
+    """Digest of every d_k that H_lo..H_hi read, each computed once: {k: digest}."""
+    out = {}
+    for k in range(cx.lo, cx.hi + 2):
+        h = blake2b(digest_size=32)
+        _update_array(h, cx.diff(k))
+        out[k] = h.digest()
+    return out
+
+
+def _homology_key(cx, k, diffs):
+    """Digest of everything _homology_at(cx, k) reads; diffs[j] digests d_j."""
     h = blake2b(digest_size=32)
     h.update(_ring_digest(cx.ring))
     h.update(repr((k, cx.term(k - 1).orders)).encode())
     h.update(_module_digest(cx.term(k)))
-    _update_array(h, cx.diff(k))
-    _update_array(h, cx.diff(k + 1))
+    h.update(diffs[k])
+    h.update(diffs[k + 1])
     return h.digest()
 
 
-def _shared_homology(cx, k):
+def _shared_homology(cx, k, diffs):
     """_homology_at(cx, k), computed once for all complexes with the same content."""
-    key = _homology_key(cx, k)
-    with _SHARED_HOMOLOGY_LOCK:
-        found = _SHARED_HOMOLOGY.get(key)
+    key = _homology_key(cx, k, diffs)
+    found = _SHARED_HOMOLOGY.get(key)
     if found is not None:
         return found
     hd = _homology_at(cx, k)
     for a in (hd.lift, hd._cycles, hd._proj, *hd.module.actions):
         a.flags.writeable = False
-    with _SHARED_HOMOLOGY_LOCK:
-        return _SHARED_HOMOLOGY.setdefault(key, hd)
+    return _SHARED_HOMOLOGY.setdefault(key, hd)
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +692,6 @@ def suspend(cx, times=1):
                    name=f"S^{times}({cx.name})" if cx.name else "", check=False)
 
 
-def suspend_map(f, times=1):
-    src = suspend(f.src, times)
-    tgt = suspend(f.tgt, times)
-    return ChainMap(src, tgt, {k + times: m for k, m in f.mats.items()}, check=False)
-
-
 def suspend_between(f, src, tgt, times):
     """Suspended map with caller-supplied (already suspended) endpoints."""
     return ChainMap(src, tgt, {k + times: m for k, m in f.mats.items()}, check=False)
@@ -715,9 +711,6 @@ class Triangle:
     hg_null: Homotopy
     rot_null: Homotopy          # (Sf) . h ~ 0
     kind: str = "cone"
-
-    def suspended_a(self):
-        return self.h.tgt
 
     def validate(self):
         for cx in (self.a, self.b, self.c):

@@ -18,7 +18,6 @@ Factorization stores a witness for  f - out_of . into.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from . import linalg
@@ -129,12 +128,10 @@ class Tower:
         self.base = x
         self.stages = []
         self._nullities = {}
-        self._lock = threading.RLock()
 
     def extend_to(self, n):
-        with self._lock:
-            while len(self.stages) <= n:
-                self._add_stage()
+        while len(self.stages) <= n:
+            self._add_stage()
 
     def _add_stage(self):
         i = len(self.stages)
@@ -167,15 +164,9 @@ class Tower:
     def nullity(self, n):
         """Null-homotopy of g_n, or None; cached."""
         self.extend_to(n)
-        with self._lock:
-            if n not in self._nullities:
-                self._nullities[n] = null_homotopy(self.composite(n))
-            return self._nullities[n]
-
-    def stage_homology(self, i):
-        st = self.stage(i).stage
-        return {k: st.homology_at(k).module for k in st.degrees()
-                if not st.homology_at(k).module.is_zero}
+        if n not in self._nullities:
+            self._nullities[n] = null_homotopy(self.composite(n))
+        return self._nullities[n]
 
     def to_json(self, depth):
         self.extend_to(depth)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadUnit, NonAssociative, ParseError, ValidationError
-from .linalg import parse_int
+from .linalg import parse_int, parse_matrix
 
 DEFAULT_RING_CAP = 2 ** 8
 ENUMERATION_CAP = 2 ** 12
@@ -35,7 +35,7 @@ def _prime(p):
 
 @dataclass(frozen=True, eq=False)
 class Ring:
-    """A validated finite ring handle.  Immutable; safe to share across threads."""
+    """A validated finite ring handle.  Immutable once built."""
 
     name: str
     backend: str                 # "zmod" | "fp_algebra"
@@ -363,18 +363,16 @@ def ring_spec_from_dict(data):
         for f in ("p", "dim", "structure_constants", "unit"):
             if f not in data:
                 raise ParseError(f"fp_algebra ring spec needs field '{f}'")
-        scs = data["structure_constants"]
         dim = parse_int(data["dim"], "ring 'dim'")
-        arr = np.asarray(scs, dtype=object)
-        if arr.shape != (dim, dim, dim):
-            raise ParseError(
-                f"structure_constants must be a {dim}x{dim}x{dim} array, got shape {arr.shape}"
-            )
-        if len(data["unit"]) != dim:
-            raise ParseError(f"unit must have length {dim}")
+        scs = data["structure_constants"]
+        if not isinstance(scs, list) or len(scs) != dim:
+            raise ParseError(f"structure_constants must be a list of {dim} {dim}x{dim} matrices")
+        sc = [parse_matrix(c, f"structure_constants[{i}]", dim, dim).tolist()
+              for i, c in enumerate(scs)]
+        unit = parse_matrix([data["unit"]], "unit", 1, dim)[0].tolist()
         return RingSpec(
             name=name, backend="fp_algebra", p=parse_int(data["p"], "ring 'p'"), dim=dim,
-            structure_constants=scs, unit=data["unit"], simples=data.get("simples"),
+            structure_constants=sc, unit=unit, simples=data.get("simples"),
             allow_large=bool(data.get("allow_large", False)),
         )
     raise ParseError(f"unknown backend {backend!r}")

@@ -63,7 +63,7 @@ def test_criterion_1_summary_theorem_suite():
     t0 = time.time()
     for name in BUILTIN_NAMES:
         ring = builtin_ring(name)
-        ok, report = verify_summary(ring, 8, 0, 1)
+        ok, report = verify_summary(ring, 8, 0)
         assert ok, f"{name}: ghdim {report['ghdim']} != wdim {report['wdim']}"
         assert report["ghdim"] == EXPECTED_SUMMARY[name], (name, report["ghdim"])
         assert report["wdim"] == EXPECTED_SUMMARY[name]
@@ -77,7 +77,7 @@ def test_criterion_2_compact_equality_suite():
     t0 = time.time()
     for name in BUILTIN_NAMES:
         ring = builtin_ring(name)
-        ok, report = verify_compact_eq(ring, 6, 7, 1)
+        ok, report = verify_compact_eq(ring, 6, 7)
         assert report["battery_size"] >= 25, name
         assert ok, f"{name}: disagreements {report.get('counterexamples')}"
     elapsed = time.time() - t0
@@ -91,7 +91,7 @@ def test_criterion_3_flat_characterization():
     t0 = time.time()
     for name in BUILTIN_NAMES:
         ring = builtin_ring(name)
-        ok, report = verify_flatchar(ring, 6, 0, 1)
+        ok, report = verify_flatchar(ring, 6, 0)
         assert ok, f"{name}: {report.get('counterexamples')}"
         flats = [row for row in report["members"] if row["flat_homology"]]
         assert flats, f"{name}: battery contained no flat member"
@@ -106,7 +106,7 @@ def test_criterion_4_rouquier_witness():
     built = 0
     for name in ("ut2:f2", "a2:f2", "a3:f2", "zmod:6"):
         ring = builtin_ring(name)
-        ok, report = verify_rouquier(ring, 6, 0, 1)
+        ok, report = verify_rouquier(ring, 6, 0)
         assert ok, f"{name}: {report.get('counterexamples')}"
         rows = [row for row in report["members"] if not row.get("skipped")]
         assert rows, f"{name}: nothing was built"
@@ -124,7 +124,7 @@ def test_criterion_5_symmetry():
     t0 = time.time()
     for name in BUILTIN_NAMES:
         ring = builtin_ring(name)
-        ok, report = verify_symmetry(ring, 8, 0, 1)
+        ok, report = verify_symmetry(ring, 8, 0)
         assert ok, f"{name}: {report}"
         assert report["status"] == "equal"
         assert report["ghdim"] == EXPECTED_SUMMARY[name]

@@ -75,6 +75,8 @@ def test_verify_summary_pass():
     data = json.loads(res.output)
     assert data["result"] == "PASS"
     assert data["ghdim"] == data["wdim"] == "0"
+    res = invoke("verify", "summary", "--ring", "zmod:6", "--bound", "4", "--jobs", "2")
+    assert res.exit_code == 2
 
 
 def test_verify_symmetry_pass():
@@ -88,9 +90,15 @@ def test_verify_flatchar_pass():
     assert res.exit_code == 0
 
 
-def test_verify_compact_eq_with_jobs():
-    res = invoke("verify", "compact-eq", "--ring", "f2", "--bound", "4", "--jobs", "2",
-                 "--output", "json")
+def test_verify_determinism():
+    args = ("verify", "flatchar", "--ring", "f2", "--bound", "4", "--output", "json")
+    out1 = invoke(*args).output
+    out2 = invoke(*args).output
+    assert out1 == out2
+
+
+def test_verify_compact_eq_pass():
+    res = invoke("verify", "compact-eq", "--ring", "f2", "--bound", "4", "--output", "json")
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["battery_size"] >= 25
@@ -121,12 +129,22 @@ def test_ring_spec_file_direct_path(tmp_path):
     assert json.loads(res.output)["value"] == "1"
 
 
-def test_malformed_ring_file_exit_2(tmp_path):
+_DUAL_SC = ring_to_dict(builtin_ring("dual:f2"))["structure_constants"]
+
+
+@pytest.mark.parametrize("sc, unit", [
+    ([[[1]]], [1, 0]),
+    ([_DUAL_SC[0], [[0, 1], [0, "x"]]], [1, 0]),
+    (_DUAL_SC, [1, "0"]),
+    (_DUAL_SC, [1, 0.5]),
+], ids=["sc-shape", "sc-string", "unit-string", "unit-float"])
+def test_malformed_ring_file_exit_2(tmp_path, sc, unit):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"name": "bad", "backend": "fp_algebra", "p": 2, "dim": 2,
-                                "structure_constants": [[[1]]], "unit": [1, 0]}))
+                                "structure_constants": sc, "unit": unit}))
     res = invoke("ring", "describe", "--ring", str(path))
     assert res.exit_code == 2
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
 
 
 def test_replay_compact_eq(tmp_path):

@@ -24,7 +24,6 @@ from ghostdim.complexes import (
     resolution_complex,
     section_from_null_homotopy,
     suspend,
-    suspend_map,
     three_by_three,
     zero_chain,
 )
@@ -426,7 +425,7 @@ def test_shared_homology_dies_with_its_complexes():
     ring = zmod(4, name="z4-collected")
     a = mult_complex(ring, 2)
     b = _twin(a)
-    key = complexes._homology_key(a, 0)
+    key = complexes._homology_key(a, 0, complexes._diff_digests(a))
     hd = a.homology_at(0)
     assert complexes._SHARED_HOMOLOGY[key] is hd is b.homology_at(0)
     del hd
