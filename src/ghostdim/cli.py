@@ -426,6 +426,8 @@ def _replay_one(ce):
 
     r = make_ring(ring_spec_from_dict(ce["ring"]))
     bound = parse_int(ce.get("bound", 8), "counterexample 'bound'")
+    if bound < 0:
+        raise ParseError(f"counterexample 'bound' must be >= 0, got {bound}")
     seed = parse_int(ce.get("seed", 0), "counterexample 'seed'")
     if kind == "summary":
         ok, _ = verify_summary(r, bound, seed)

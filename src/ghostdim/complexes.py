@@ -1,10 +1,13 @@
-"""Bounded chain complexes of certified-projective modules.
+"""Bounded chain complexes with certified-projective terms.
 
 These are the concrete model of compact objects: a complex knows its ring,
 its degree range, a module for every degree and the differentials between
 them.  Strict chain maps modulo chain homotopy represent morphisms in the
 homotopy category, which agrees with the derived category on bounded
-complexes of projectives.
+complexes of projectives.  A term is certified iff it is structurally free
+(is_free_module, zero included) or carries a ProjectivityCertificate, which
+validate() checks; free terms carry none, and a sum of a free and a
+certified term gets the block certificate with an identity block.
 
 Sign conventions (fixed once, used everywhere):
 
@@ -45,13 +48,17 @@ from .linalg import as_matrix, eye, zeros
 from .modules import (
     FgModule,
     ModuleMap,
+    ProjectivityCertificate,
     _hom_constraint_rows,
+    _reduce_mixed_generators,
+    free_cover,
     free_module,
+    image_subgroup_order,
     is_free_module,
     is_projective,
+    kernel_of,
     make_module,
     module_to_descriptor,
-    projective_cover_data,
 )
 from .rings import ring_to_dict
 
@@ -73,35 +80,6 @@ def direct_sum_modules(a, b, label=""):
 
 
 
-@dataclass
-class ProjectivityCertificate:
-    """A section of a surjection from a free module: pi . section = id."""
-
-    cover: FgModule
-    pi: ModuleMap
-    section: ModuleMap
-
-    def validate(self):
-        comp = self.pi @ self.section
-        if not np.array_equal(comp.mat, linalg.reduce_coords(eye(self.pi.tgt.ngens), self.pi.tgt.orders)):
-            raise ValidationError("projectivity certificate does not split")
-
-
-def trivial_certificate(mod):
-    if mod.is_zero or is_free_module(mod):
-        ident = mod.identity_map()
-        return ProjectivityCertificate(cover=mod, pi=ident, section=ident)
-    return None
-
-
-def certificate_for(mod):
-    cert = trivial_certificate(mod)
-    if cert is not None:
-        return cert
-    cover, pi, sec = projective_cover_data(mod)
-    return ProjectivityCertificate(cover=cover, pi=pi, section=sec)
-
-
 class Complex:
     """A bounded complex.  Immutable once built; derived data is cached."""
 
@@ -114,12 +92,7 @@ class Complex:
         self.name = name
         self._zero = zero_module(ring)
         self._cache = {}
-        if certs is None:
-            certs = {}
-            for k, t in self._terms.items():
-                certs[k] = trivial_certificate(t)
-        self.certs = certs
-        self.certified = all(self.certs.get(k) is not None for k in self._terms if not self._terms[k].is_zero)
+        self.certs = {k: c for k, c in (certs or {}).items() if c is not None}
         if check:
             self.validate()
 
@@ -139,6 +112,11 @@ class Complex:
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
+
+    @property
+    def certified(self):
+        """Every term is structurally free or carries a certificate."""
+        return all(k in self.certs or is_free_module(t) for k, t in self._terms.items())
 
     @property
     def length(self):
@@ -167,9 +145,8 @@ class Complex:
             dd = self.diff(k - 1) @ d
             if linalg.reduce_coords(dd, self.term(k - 2).orders).any():
                 raise ValidationError(f"d.d != 0 at degree {k}")
-        for k, cert in self.certs.items():
-            if cert is not None:
-                cert.validate()
+        for cert in self.certs.values():
+            cert.validate()
 
     # -- derived data ------------------------------------------------------
 
@@ -235,8 +212,6 @@ def _homology_at(cx, k):
     below = cx.term(k - 1)
     cyc = linalg.kernel_hetero(cx.diff(k), below.orders, m)
     cyc = linalg.reduce_coords(cyc, term.orders)
-    from .modules import _reduce_mixed_generators
-
     cyc = _reduce_mixed_generators(cyc, term.orders, m)
     if cyc.shape[1] == 0:
         return _zero_homology(cx, k)
@@ -687,7 +662,7 @@ def suspend(cx, times=1):
     sign = -1 if times % 2 else 1
     terms = {k + times: cx.term(k) for k in cx.degrees() if not cx.term(k).is_zero}
     diffs = {k + times: (sign * cx.diff(k)) % cx.ring.modulus for k in cx.degrees()}
-    certs = {k + times: cx.certs.get(k) for k in cx.degrees()}
+    certs = {k + times: c for k, c in cx.certs.items()}
     return Complex(cx.ring, cx.lo + times, cx.hi + times, terms, diffs, certs=certs,
                    name=f"S^{times}({cx.name})" if cx.name else "", check=False)
 
@@ -785,11 +760,8 @@ def cone(f, name=""):
             [zeros(x.term(k - 2).ngens, y.term(k).ngens), (-x.diff(k - 1)) % ring.modulus], axis=1
         )
         diffs[k] = np.concatenate([top, bot], axis=0)
-    certs = {}
-    for k in range(lo, hi + 1):
-        cy = y.certs.get(k) or trivial_certificate(y.term(k))
-        cx_ = x.certs.get(k - 1) or trivial_certificate(x.term(k - 1))
-        certs[k] = _sum_certificates(terms[k], cy, cx_)
+    certs = {k: _sum_certificate(terms[k], y.term(k), y.certs.get(k), x.term(k - 1), x.certs.get(k - 1))
+             for k in range(lo, hi + 1)}
     c = Complex(ring, lo, hi, terms, diffs, certs=certs, name=name or f"cone({x.name or 'X'})", check=False)
     incl = ChainMap(y, c, {k: inj_t[k] for k in c.degrees()}, check=False)
     sx = suspend(x)
@@ -804,28 +776,33 @@ def cone(f, name=""):
     return ConeData(triangle=tri, cone=c, inj_target=inj_t, inj_shift=inj_s, pr_target=pr_t, pr_shift=pr_s)
 
 
-def _is_identity_certificate(cert):
-    """The certificate of a free module by itself: cover = the module, pi = section = id."""
-    ident = eye(cert.cover.ngens)
-    return (cert.cover is cert.pi.tgt and np.array_equal(cert.pi.mat, ident)
-            and np.array_equal(cert.section.mat, ident))
+def _sum_certificate(total, a, cert_a, b, cert_b):
+    """Certificate of total = a + b, or None.
 
-
-def _sum_certificates(total, cert_a, cert_b):
-    if cert_a is None or cert_b is None:
+    None when neither summand has a certificate: then both are free and so
+    is the sum, or one is uncertified and so is the sum.  Otherwise the
+    block sum of the two certificates, a free summand standing in with its
+    identity (None if that summand is not free).
+    """
+    if cert_a is None and cert_b is None:
         return None
-    if _is_identity_certificate(cert_a) and _is_identity_certificate(cert_b):
-        # The sum of the covers is `total` itself, already built and checked.
-        ident = ModuleMap(total, total, eye(total.ngens), check=False)
-        return ProjectivityCertificate(cover=total, pi=ident, section=ident)
+    blocks = []
+    for mod, cert in ((a, cert_a), (b, cert_b)):
+        if cert is None:
+            if not is_free_module(mod):
+                return None
+            ident = ModuleMap(mod, mod, eye(mod.ngens), check=False)
+            cert = ProjectivityCertificate(cover=mod, pi=ident, section=ident)
+        blocks.append(cert)
+    cert_a, cert_b = blocks
     cover = direct_sum_modules(cert_a.cover, cert_b.cover)
     na, nb = cert_a.cover.ngens, cert_b.cover.ngens
     pi = zeros(total.ngens, na + nb)
-    pi[: cert_a.pi.tgt.ngens, :na] = cert_a.pi.mat
-    pi[cert_a.pi.tgt.ngens :, na:] = cert_b.pi.mat
+    pi[: a.ngens, :na] = cert_a.pi.mat
+    pi[a.ngens :, na:] = cert_b.pi.mat
     sec = zeros(na + nb, total.ngens)
-    sec[:na, : cert_a.pi.tgt.ngens] = cert_a.section.mat
-    sec[na:, cert_a.pi.tgt.ngens :] = cert_b.section.mat
+    sec[:na, : a.ngens] = cert_a.section.mat
+    sec[na:, a.ngens :] = cert_b.section.mat
     return ProjectivityCertificate(
         cover=cover,
         pi=ModuleMap(cover, total, pi, check=False),
@@ -967,9 +944,7 @@ def direct_sum_complexes(a, b, name=""):
     terms, diffs, certs = {}, {}, {}
     for k in range(lo, hi + 1):
         terms[k] = direct_sum_modules(a.term(k), b.term(k))
-        ca = a.certs.get(k) or trivial_certificate(a.term(k))
-        cb = b.certs.get(k) or trivial_certificate(b.term(k))
-        certs[k] = _sum_certificates(terms[k], ca, cb)
+        certs[k] = _sum_certificate(terms[k], a.term(k), a.certs.get(k), b.term(k), b.certs.get(k))
         top = np.concatenate([a.diff(k), zeros(a.term(k - 1).ngens, b.term(k).ngens)], axis=1)
         bot = np.concatenate([zeros(b.term(k - 1).ngens, a.term(k).ngens), b.diff(k)], axis=1)
         diffs[k] = np.concatenate([top, bot], axis=0)
@@ -1009,13 +984,6 @@ def shift_identification(sa, a, k, times=1):
     return ModuleMap(hs.module, ht.module, ht.classify(hs.lift), check=False)
 
 
-def image_order(f):
-    """Order of the image subgroup of a ModuleMap."""
-    from .modules import image_subgroup_order
-
-    return image_subgroup_order(f)
-
-
 def homology_les_exact(tri):
     """Check exactness of the homology long exact sequence of a triangle.
 
@@ -1041,11 +1009,11 @@ def homology_les_exact(tri):
         hb = b.homology_at(k).module.size
         hc = c.homology_at(k).module.size
         ha_prev = a.homology_at(k - 1).module.size
-        if image_order(f_star) * image_order(g_star) != hb:
+        if image_subgroup_order(f_star) * image_subgroup_order(g_star) != hb:
             return False
-        if image_order(g_star) * image_order(conn) != hc:
+        if image_subgroup_order(g_star) * image_subgroup_order(conn) != hc:
             return False
-        if image_order(conn) * image_order(f_prev) != ha_prev:
+        if image_subgroup_order(conn) * image_subgroup_order(f_prev) != ha_prev:
             return False
     return True
 
@@ -1061,16 +1029,12 @@ def resolution_complex(module, length, name=""):
     the final term, so finite projective dimension yields the honest finite
     resolution.  H_k = 0 for 0 < k < length; H_length is the last syzygy.
     """
-    from .modules import kernel_of
-
     ring = module.ring
     if module.is_zero:
         return Complex.zero(ring)
-    flag, _ = is_projective(module)
+    flag, cert = is_projective(module)
     if flag:
-        terms = {0: module}
-        return Complex(ring, 0, 0, terms, {}, certs={0: certificate_for(module)},
-                       name=name or f"res({module.label})")
+        return Complex(ring, 0, 0, {0: module}, {}, certs={0: cert}, name=name or f"res({module.label})")
     if length < 1:
         raise ValidationError("a non-projective module needs length >= 1 to resolve")
     terms = {}
@@ -1082,22 +1046,19 @@ def resolution_complex(module, length, name=""):
     while k <= length:
         if k == length:
             # truncation: last term is the cover of the current syzygy
-            cover, pi = _cover_of(current)
+            cover, pi = free_cover(current)
             terms[k] = cover
-            certs[k] = trivial_certificate(cover)
             if prev_incl is not None:
                 diffs[k] = linalg.reduce_coords(prev_incl.mat @ pi.mat, prev_incl.tgt.orders)
             break
-        flag, _ = is_projective(current)
-        if flag and k > 0:
-            terms[k] = current
-            certs[k] = certificate_for(current)
-            if prev_incl is not None:
+        if k > 0:
+            flag, certs[k] = is_projective(current)
+            if flag:
+                terms[k] = current
                 diffs[k] = prev_incl.mat
-            break
-        cover, pi = _cover_of(current)
+                break
+        cover, pi = free_cover(current)
         terms[k] = cover
-        certs[k] = trivial_certificate(cover)
         if prev_incl is not None:
             diffs[k] = linalg.reduce_coords(prev_incl.mat @ pi.mat, prev_incl.tgt.orders)
         ker = kernel_of(pi, label=f"syz{k + 1}")
@@ -1110,12 +1071,6 @@ def resolution_complex(module, length, name=""):
     return Complex(ring, 0, hi, terms, diffs, certs=certs, name=name or f"res({module.label})")
 
 
-def _cover_of(module):
-    from .modules import free_cover
-
-    return free_cover(module)
-
-
 def free_complex(ring, ranks, name=""):
     """A complex of free modules with zero differentials."""
     terms = {k: free_module(ring, r) for k, r in ranks.items() if r > 0}
@@ -1126,11 +1081,11 @@ def free_complex(ring, ranks, name=""):
 
 
 def module_complex(module, degree=0, name=""):
-    """The module placed in one degree.  Requires a projectivity certificate
-    to count as a compact object; homology-only uses may pass uncertified."""
+    """The module placed in one degree.  It is a compact object iff it is
+    free or projective (then certified); homology-only uses may pass others."""
     ring = module.ring
     terms = {degree: module}
-    certs = {degree: certificate_for(module) if is_projective(module)[0] else None}
+    certs = {degree: is_projective(module)[1]}
     return Complex(ring, degree, degree, terms, {}, certs=certs, name=name or module.label)
 
 
@@ -1357,18 +1312,26 @@ def complex_from_dict(data, ring=None):
     if ring is None:
         ring = make_ring(ring_spec_from_dict(data["ring"]))
     lo, hi = linalg.parse_int(data["lo"], "complex 'lo'"), linalg.parse_int(data["hi"], "complex 'hi'")
-    terms = {}
-    for k in range(lo, hi + 1):
-        desc = data["terms"].get(str(k))
-        terms[k] = make_module(ring, desc) if desc else zero_module(ring)
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise ParseError("complex 'name' must be a string")
+    # One term per degree, as complex_to_dict writes them; checked before
+    # anything is built for a degree, so a huge range fails fast.
+    degrees = {_parse_degree(k, "complex 'terms'"): desc for k, desc in data["terms"].items()}
+    if len(degrees) != len(data["terms"]) or len(degrees) != max(hi - lo + 1, 0) or (
+            degrees and not lo <= min(degrees) <= max(degrees) <= hi):
+        raise ParseError(f"complex 'terms' must have exactly one entry per degree {lo}..{hi}")
+    terms = {k: make_module(ring, desc) for k, desc in sorted(degrees.items())}
     diffs = {}
     for kstr, mat in data.get("diffs", {}).items():
         k = _parse_degree(kstr, "complex 'diffs'")
+        if not lo <= k <= hi:
+            raise ParseError(f"differential {k} lies outside the degrees {lo}..{hi}")
         diffs[k] = linalg.parse_matrix(mat, f"differential {k}",
                                        rows=terms.get(k - 1, zero_module(ring)).ngens,
-                                       cols=terms.get(k, zero_module(ring)).ngens)
-    certs = {k: (certificate_for(t) if is_projective(t)[0] else None) for k, t in terms.items()}
-    return Complex(ring, lo, hi, terms, diffs, certs=certs, name=data.get("name", ""))
+                                       cols=terms[k].ngens) % ring.modulus
+    certs = {k: is_projective(t)[1] for k, t in terms.items()}
+    return Complex(ring, lo, hi, terms, diffs, certs=certs, name=name)
 
 
 def chain_map_to_dict(f):

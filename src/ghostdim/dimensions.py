@@ -167,7 +167,8 @@ def wdim_ring(ring, bound):
 
 
 def gldim_ring(ring, bound):
-    """Global dimension oracle; equals wdim on these rings and is asserted so."""
+    """Global dimension: wdim_ring's result, returned unchecked.  A finite ring
+    is noetherian on both sides, where gldim = wdim (Auslander)."""
     verdict, witnesses = wdim_ring(ring, bound)
     return verdict, witnesses
 

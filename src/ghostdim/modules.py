@@ -92,11 +92,17 @@ def _validate_module(mod):
     unit_combo = sum(int(u) * a for u, a in zip(ring.unit, mod.actions)) % m
     if (linalg.reduce_coords(unit_combo, mod.orders) != linalg.reduce_coords(eye(n), mod.orders)).any():
         raise ValidationError("unit does not act as the identity")
-    acts = np.stack(mod.actions)                              # rank x n x n
     r = ring.rank
     linalg.check_exact(m, n + r)
+    if r == 1:
+        # Rank 1 (b_0 b_0 = c b_0, unit u b_0): the ring's unit axiom gives
+        # u c = 1 (mod m), so the unit check (u A = I row-wise) gives A = c I
+        # row-wise, and with well-definedness A A = c A modulo the row
+        # orders.  The relation check below cannot fail.
+        return
+    acts = np.stack(mod.actions)                              # rank x n x n
     # (x . b_s) . b_t = x . (b_s b_t):  A^t A^s = sum_k sc[s,t,k] A^k
-    if r > 1 and n > SPARSE_CHECK_MIN_GENS:
+    if n > SPARSE_CHECK_MIN_GENS:
         # Products keyed (t, s, i, k); the second term is -sc[s,t,:] . A^k
         # in the same flat layout.
         keys, sums = linalg.sparse_product_sum([
@@ -166,11 +172,16 @@ def _validate_map(f):
     if f.mat.size:
         if ((f.mat * src_ord[None, :]) % tgt_ord[:, None]).any():
             raise ValidationError("matrix is not well defined on the source group")
-        src_acts = np.stack(f.src.actions)
-        tgt_acts = np.stack(f.tgt.actions)
         nt, ns = f.mat.shape
         linalg.check_exact(m, nt + ns)
-        if f.src.ring.rank > 1 and max(nt, ns) > SPARSE_CHECK_MIN_GENS:
+        if f.src.ring.rank == 1:
+            # Both actions are c I modulo their row orders (_validate_module),
+            # so with well-definedness F A_src = c F = A_tgt F modulo the
+            # target orders: equivariance cannot fail.
+            return
+        src_acts = np.stack(f.src.actions)
+        tgt_acts = np.stack(f.tgt.actions)
+        if max(nt, ns) > SPARSE_CHECK_MIN_GENS:
             # F A^t - A^t F, both keyed (t, i, k)
             keys, sums = linalg.sparse_product_sum([(f.mat[None], src_acts),
                                                     (-tgt_acts, f.mat[None])])
@@ -592,30 +603,34 @@ def split_surjection(pi):
     return sec
 
 
-def is_projective(module):
-    """Decide projectivity by splitting the free cover; returns (flag, section).
+@dataclass
+class ProjectivityCertificate:
+    """A section of a surjection from a free module: pi . section = id."""
 
-    The section s satisfies pi . s = id exactly when it exists.
+    cover: FgModule
+    pi: ModuleMap
+    section: ModuleMap
+
+    def validate(self):
+        comp = self.pi @ self.section
+        if not np.array_equal(comp.mat, linalg.reduce_coords(eye(self.pi.tgt.ngens), self.pi.tgt.orders)):
+            raise ValidationError("projectivity certificate does not split")
+
+
+def is_projective(module):
+    """Decide projectivity; returns (flag, certificate or None).
+
+    A free module (the zero module included) is projective by construction
+    and gets no certificate.  Any other module is projective iff its minimal
+    free cover splits, and the certificate is that split.
     """
-    if module.is_zero:
-        return True, module.identity_map()
-    _, pi = free_cover(module)
+    if is_free_module(module):
+        return True, None
+    cover, pi = free_cover(module)
     sec = split_surjection(pi)
     if sec is None:
         return False, None
-    return True, sec
-
-
-def projective_cover_data(module):
-    """(free cover, pi, section) for a projective module; raises otherwise."""
-    if module.is_zero:
-        f = free_module(module.ring, 0)
-        return f, ModuleMap(f, module, zeros(0, 0)), ModuleMap(module, f, zeros(0, 0))
-    f, pi = free_cover(module)
-    sec = split_surjection(pi)
-    if sec is None:
-        raise ValidationError(f"{module!r} is not projective")
-    return f, pi, sec
+    return True, ProjectivityCertificate(cover=cover, pi=pi, section=sec)
 
 
 # ---------------------------------------------------------------------------

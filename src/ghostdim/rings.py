@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadUnit, NonAssociative, ParseError, ValidationError
-from .linalg import parse_int, parse_matrix
+from .linalg import check_exact, parse_int, parse_matrix
 
 DEFAULT_RING_CAP = 2 ** 8
 ENUMERATION_CAP = 2 ** 12
@@ -173,13 +173,15 @@ def make_ring(spec):
         return ring
     if spec.backend != "fp_algebra":
         raise ValidationError(f"unknown backend {spec.backend!r}")
-    if not _prime(spec.p):
-        raise ValidationError(f"fp_algebra base {spec.p} is not prime")
     if spec.dim is None or spec.dim < 1:
         raise ValidationError("fp_algebra needs dim >= 1")
     size = spec.p ** spec.dim
     if size > DEFAULT_RING_CAP and not spec.allow_large:
         raise ValidationError(f"|R| = {size} exceeds the default cap {DEFAULT_RING_CAP}")
+    # Both bounds come before the trial division, which takes sqrt(p) steps.
+    check_exact(spec.p, 2)
+    if not _prime(spec.p):
+        raise ValidationError(f"fp_algebra base {spec.p} is not prime")
     sc = np.asarray(spec.structure_constants, dtype=np.int64) % spec.p
     unit = np.asarray(spec.unit, dtype=np.int64) % spec.p
     ring = Ring(name=spec.name, backend="fp_algebra", modulus=spec.p, rank=spec.dim,
@@ -200,6 +202,8 @@ def zmod(n, name=None, allow_large=False):
         raise ValidationError("zmod needs n >= 2")
     if n > DEFAULT_RING_CAP and not allow_large:
         raise ValidationError(f"|R| = {n} exceeds the default cap {DEFAULT_RING_CAP}")
+    # Before the factoring below, which takes sqrt(n) steps.
+    check_exact(n, 2)
     ring = Ring(
         name=name or f"zmod:{n}",
         backend="zmod",
@@ -354,11 +358,16 @@ def ring_spec_from_dict(data):
         name = data["name"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"ring spec missing field: {exc}") from None
+    if not isinstance(name, str):
+        raise ParseError(f"ring 'name' must be a string, got {name!r}")
+    allow_large = data.get("allow_large", False)
+    if not isinstance(allow_large, bool):
+        raise ParseError(f"ring 'allow_large' must be true or false, got {allow_large!r}")
     if backend == "zmod":
         if "n" not in data:
             raise ParseError("zmod ring spec needs field 'n'")
         return RingSpec(name=name, backend="zmod", n=parse_int(data["n"], "ring 'n'"),
-                        allow_large=bool(data.get("allow_large", False)))
+                        allow_large=allow_large)
     if backend == "fp_algebra":
         for f in ("p", "dim", "structure_constants", "unit"):
             if f not in data:
@@ -370,10 +379,13 @@ def ring_spec_from_dict(data):
         sc = [parse_matrix(c, f"structure_constants[{i}]", dim, dim).tolist()
               for i, c in enumerate(scs)]
         unit = parse_matrix([data["unit"]], "unit", 1, dim)[0].tolist()
+        simples = data.get("simples")
+        if "simples" in data and not (isinstance(simples, list) and all(isinstance(d, dict) for d in simples)):
+            raise ParseError("ring 'simples' must be a list of module descriptors (JSON objects)")
         return RingSpec(
             name=name, backend="fp_algebra", p=parse_int(data["p"], "ring 'p'"), dim=dim,
-            structure_constants=sc, unit=unit, simples=data.get("simples"),
-            allow_large=bool(data.get("allow_large", False)),
+            structure_constants=sc, unit=unit, simples=simples,
+            allow_large=allow_large,
         )
     raise ParseError(f"unknown backend {backend!r}")
 

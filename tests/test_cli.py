@@ -3,6 +3,7 @@ import os
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from ghostdim.cli import main
 from ghostdim.complexes import complex_to_dict, resolution_complex
@@ -147,6 +148,31 @@ def test_malformed_ring_file_exit_2(tmp_path, sc, unit):
     assert res.output.startswith("error: ") and res.output.count("\n") == 1
 
 
+_FP2 = {"name": "b", "backend": "fp_algebra", "p": 2, "dim": 1, "structure_constants": [[[1]]], "unit": [1]}
+
+
+@pytest.mark.parametrize("spec", [
+    {**_FP2, "simples": 5},
+    {**_FP2, "simples": [5]},
+    {"name": "b", "backend": "zmod", "n": 1000, "allow_large": "false"},
+    {**_FP2, "name": ["b"]},
+    {**_FP2, "p": 2**61 - 1},
+    {**_FP2, "p": 2**61 - 1, "allow_large": True},
+    {"name": "b", "backend": "zmod", "n": 2**61 - 1, "allow_large": True},
+], ids=["simples-int", "simples-of-int", "allow-large-string", "name-list", "huge-p", "huge-p-allowed",
+        "huge-n-allowed"])
+def test_ring_file_boundary_exits_2_fast(tmp_path, spec):
+    import time
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    res = invoke("ring", "describe", "--ring", str(path))
+    assert time.perf_counter() - start < 2
+    assert res.exit_code == 2
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+
+
 def test_replay_compact_eq(tmp_path):
     cx = resolution_complex(make_module(zmod(4), {"orders": [2]}), 2, name="t2")
     ce = {
@@ -227,8 +253,26 @@ def _break_terms(data):
     data["terms"] = [1, 2]
 
 
+def _break_huge_hi(data):
+    data["hi"] = 10**30
+
+
+def _break_missing_term(data):
+    del data["terms"]["1"]
+
+
+def _break_null_term(data):
+    data["terms"]["1"] = None
+
+
+def _break_diff_degree(data):
+    data["diffs"]["7"] = [[1]]
+
+
 @pytest.mark.parametrize("breaker", [_break_ring, _break_lo, _break_entry, _break_text_entry,
-                                     _break_shape, _break_ragged, _break_order, _break_terms])
+                                     _break_shape, _break_ragged, _break_order, _break_terms,
+                                     _break_huge_hi, _break_missing_term, _break_null_term,
+                                     _break_diff_degree])
 def test_malformed_complex_file_exits_2_with_one_line(tmp_path, breaker):
     data = _good_complex_data()
     breaker(data)
@@ -266,3 +310,43 @@ def test_replay_of_a_malformed_counterexample_exits_2(tmp_path):
     path.write_text(json.dumps(ce))
     res = invoke("replay", str(path))
     assert res.exit_code == 2 and "'bound' must be an integer" in res.output
+    ce["bound"] = -3
+    path.write_text(json.dumps(ce))
+    res = invoke("replay", str(path))
+    assert res.exit_code == 2 and "'bound' must be >= 0" in res.output
+
+
+# Any JSON value: null, bools, strings, floats (NaN and infinities too),
+# small and huge integers, and lists and objects of these.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.floats()
+    | st.integers(-3, 12) | st.sampled_from([2**31 - 1, 2**61 - 1, 2**63, 10**30, -(10**30)]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def _fuzz_targets():
+    ring = {**ring_to_dict(builtin_ring("dual:f2")), "allow_large": False}
+    replay = {"kind": "compact-eq", "ring": ring_to_dict(zmod(4)), "bound": 3, "seed": 0,
+              "complex": _good_complex_data()}
+    return {
+        "ring": (ring, lambda path: ("ring", "describe", "--ring", path)),
+        "complex": (_good_complex_data(), lambda path: ("complex", "pdim", "--file", path, "--bound", "3")),
+        "replay": (replay, lambda path: ("replay", path)),
+    }
+
+
+_FUZZ_TARGETS = _fuzz_targets()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_FUZZ_TARGETS)), st.data(), _JSON_VALUES)
+def test_one_field_replaced_by_any_json_value_exits_0_or_2(tmp_path_factory, target, data, value):
+    base, command = _FUZZ_TARGETS[target]
+    field = data.draw(st.sampled_from(sorted(base)), label="field")
+    path = tmp_path_factory.mktemp("fuzz") / f"{target}.json"
+    path.write_text(json.dumps({**base, field: value}))
+    res = invoke(*command(str(path)))
+    assert res.exit_code in (0, 2), res.output
+    if res.exit_code == 2:
+        assert res.output.startswith("error: ") and res.output.count("\n") == 1

@@ -28,7 +28,9 @@ from ghostdim.complexes import (
     zero_chain,
 )
 from ghostdim.errors import ParseError, SquareNotCommuting, ValidationError
-from ghostdim.modules import free_module, make_module
+from ghostdim import modules
+from ghostdim.ghosts import pdim_complex
+from ghostdim.modules import ModuleMap, ProjectivityCertificate, free_module, is_free_module, make_module
 from ghostdim.rings import builtin_ring, zmod
 
 Z4 = zmod(4)
@@ -443,3 +445,77 @@ def test_shared_homology_arrays_are_read_only():
     for arr in (hd.lift, hd._cycles, hd._proj, *hd.module.actions):
         with pytest.raises(ValueError):
             arr[0, 0] = 1
+
+
+# -- the certificate rule: a term is free or carries a validated certificate
+
+S2 = UT2.simples[1]                     # projective, not free
+Z3_OVER_Z12 = make_module(zmod(12), {"orders": [3]})
+
+
+def test_free_complexes_cones_and_sums_carry_no_certificates():
+    fx = free_complex(UT2, {0: 1, 1: 2})
+    built = [CONE2, fx, suspend(fx), module_complex(free_module(UT2, 2)),
+             resolution_complex(make_module(Z4, {"orders": [2]}), 3),
+             cone(identity_chain(CONE2)).cone, cone(identity_chain(fx)).cone,
+             direct_sum_complexes(CONE2, CONE2)[0], direct_sum_complexes(fx, suspend(fx))[0]]
+    for cx in built:
+        assert cx.certs == {}
+        assert cx.certified
+
+
+def _mixed_complexes(proj):
+    """Complexes with a term proj + free (a cone) and free + proj (a direct sum)."""
+    ring = proj.ring
+    x, y = module_complex(proj), free_complex(ring, {0: 1, 1: 1})
+    c = cone(zero_chain(x, y)).cone                          # C_1 = R + proj
+    s = direct_sum_complexes(y, x)[0]                         # S_0 = R + proj
+    return {1: c, 0: s}
+
+
+@pytest.mark.parametrize("proj", [S2, Z3_OVER_Z12], ids=["ut2-S2", "z3-over-z12"])
+def test_a_free_plus_projective_term_gets_a_block_certificate(proj):
+    assert set(module_complex(proj).certs) == {0}
+    for k, cx in _mixed_complexes(proj).items():
+        assert set(cx.certs) == {k}
+        cert = cx.certs[k]
+        assert cert.pi.tgt is cx.term(k) and is_free_module(cert.cover)
+        cert.validate()
+        cx.validate()
+        assert cx.certified
+
+
+@pytest.mark.parametrize("proj", [S2, Z3_OVER_Z12], ids=["ut2-S2", "z3-over-z12"])
+def test_validate_rejects_a_tampered_section(proj):
+    for k, cx in _mixed_complexes(proj).items():
+        cert = cx.certs[k]
+        bad = ProjectivityCertificate(
+            cover=cert.cover, pi=cert.pi,
+            section=ModuleMap(cx.term(k), cert.cover, np.zeros_like(cert.section.mat), check=False))
+        terms = {j: cx.term(j) for j in cx.degrees()}
+        with pytest.raises(ValidationError, match="does not split"):
+            Complex(cx.ring, cx.lo, cx.hi, terms, cx._diffs, certs={k: bad})
+
+
+def test_a_non_projective_term_stays_uncertified():
+    z2 = make_module(Z4, {"orders": [2]})
+    for cx in (module_complex(z2), complex_from_dict(complex_to_dict(module_complex(z2)))):
+        assert cx.certs == {} and not cx.certified
+        with pytest.raises(ValidationError, match="certified-projective"):
+            pdim_complex(cx, 3)
+
+
+def test_each_projective_non_free_term_is_split_once(monkeypatch):
+    calls = []
+    split = modules.split_surjection
+    monkeypatch.setattr(modules, "split_surjection", lambda pi: calls.append(pi.tgt) or split(pi))
+    cx = module_complex(S2)
+    assert calls == [S2] and cx.certified
+    mixed = _mixed_complexes(S2)[1]
+    calls.clear()
+    parsed = complex_from_dict(complex_to_dict(mixed))
+    assert len(calls) == 1 and parsed.certified
+    calls.clear()
+    # S1 is not projective (one split); its first syzygy is S2 (one more)
+    res = resolution_complex(UT2.simples[0], 4)
+    assert len(calls) == 2 and res.hi == 1 and res.certified

@@ -1,9 +1,12 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
+import validate_reference
 from ghostdim import linalg, modules
 from ghostdim.errors import RingMismatch, SideMismatch, ValidationError
 from ghostdim.modules import (
@@ -148,10 +151,10 @@ def test_is_projective_cases():
     )
     # projective simple over UT2: the second vertex simple is projective
     s2 = UT2.simples[1]
-    flag, sec = is_projective(s2)
+    flag, cert = is_projective(s2)
     assert flag
-    f, pi = free_cover(s2)
-    assert maps_equal(pi @ sec, s2.identity_map())
+    assert cert.cover is free_cover(s2)[0]
+    assert maps_equal(cert.pi @ cert.section, s2.identity_map())
     # non-projective simple over UT2
     s1 = UT2.simples[0]
     assert not is_projective(s1)[0]
@@ -325,3 +328,75 @@ def test_sparse_and_einsum_checks_report_the_same_failure(ring, monkeypatch):
                 assert sparse is None
             seen.add(sparse)
     assert len(seen) > 3
+
+
+def _rank_one_ring(m, c):
+    """Z/m with b_0 b_0 = c b_0 (c a unit mod m); its unit is c^-1 b_0."""
+    from ghostdim.rings import Ring, _validate_ring
+
+    ring = Ring(name=f"z{m}c{c}", backend="zmod", modulus=m, rank=1,
+                sc=np.full((1, 1, 1), c, dtype=np.int64),
+                unit=np.array([pow(c, -1, m)], dtype=np.int64))
+    _validate_ring(ring)
+    return ring
+
+
+@st.composite
+def _rank_one_case(draw):
+    """A rank-1 ring, an unchecked module, and an unchecked map between two checked modules."""
+    m = draw(st.sampled_from([4, 6, 8, 9, 12]))
+    units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+    c = draw(st.sampled_from(units))
+    ring = _rank_one_ring(m, c)
+    divisors = [d for d in range(2, m + 1) if m % d == 0]
+
+    def matrix(rows, cols):
+        return np.array(draw(st.lists(st.integers(0, m - 1), min_size=rows * cols,
+                                      max_size=rows * cols)), dtype=np.int64).reshape(rows, cols)
+
+    def corrupt(a):
+        if a.size and draw(st.booleans()):
+            i, j = draw(st.integers(0, a.shape[0] - 1)), draw(st.integers(0, a.shape[1] - 1))
+            a = a.copy()
+            a[i, j] = (a[i, j] + draw(st.integers(1, m - 1))) % m
+        return a
+
+    def valid_action(orders):
+        # c I plus multiples of d_i in row i is well defined and unital
+        n = len(orders)
+        return (c * np.eye(n, dtype=np.int64) + np.asarray(orders, dtype=np.int64)[:, None] * matrix(n, n)) % m
+
+    def action(orders):
+        valid = valid_action(orders)
+        kind = draw(st.sampled_from(["valid", "corrupted", "unit-multiple", "random"]))
+        if kind == "corrupted":
+            return corrupt(valid)
+        if kind == "unit-multiple":
+            return (draw(st.sampled_from(units)) * valid) % m
+        return valid if kind == "valid" else matrix(len(orders), len(orders))
+
+    orders = tuple(draw(st.lists(st.sampled_from(divisors), max_size=4)))
+    mod = FgModule.__new__(FgModule)
+    mod.ring, mod.orders, mod.actions, mod.label = ring, orders, (action(orders),), ""
+
+    def checked_module():
+        ords = tuple(draw(st.lists(st.sampled_from(divisors), max_size=4)))
+        return FgModule(ring, ords, (valid_action(ords),))
+
+    src, tgt = checked_module(), checked_module()
+    # multiples of d_i / gcd(d_i, e_j) in entry (i, j) are well defined
+    step = np.array([[d // math.gcd(d, e) for e in src.orders] for d in tgt.orders],
+                    dtype=np.int64).reshape(tgt.ngens, src.ngens)
+    valid = (step * matrix(tgt.ngens, src.ngens)) % m
+    kind = draw(st.sampled_from(["valid", "corrupted", "random"]))
+    mat = valid if kind == "valid" else corrupt(valid) if kind == "corrupted" else matrix(tgt.ngens, src.ngens)
+    return mod, ModuleMap(src, tgt, mat, check=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_rank_one_case())
+def test_rank_one_checks_decide_as_the_full_checks(case):
+    """Over a rank-1 ring the unit and well-definedness checks imply the rest."""
+    mod, f = case
+    assert _outcome(modules._validate_module, mod) == _outcome(validate_reference._validate_module, mod)
+    assert _outcome(modules._validate_map, f) == _outcome(validate_reference._validate_map, f)
