@@ -59,6 +59,7 @@ from .modules import (
     kernel_of,
     make_module,
     module_to_descriptor,
+    module_unit_columns,
 )
 from .rings import ring_to_dict
 
@@ -432,6 +433,13 @@ class MapSystem:
     identities  sum_i  pre_i @ U_{k_i} @ post_i = rhs,  read entrywise as
     congruences modulo the target row orders.
 
+    Every homotopy question is posed through two builders, which hold the
+    sign and degree conventions once:
+
+    * add_chain_map_equations: a family U is a chain map, d U_k = U_(k-1) d;
+    * add_homotopy_equations: left = sum pre.U.post + d h + h d for a new
+      family h, over the ChainMaps pre and post of each listed family U.
+
     Maps out of a free module are parametrized directly by the images of
     its module generators (no constraints at all), which keeps the systems
     rank-of-the-algebra-squared smaller than the naive group-coordinate
@@ -457,6 +465,47 @@ class MapSystem:
         """terms: list of (family_name, degree, pre_matrix, post_matrix)."""
         self.equations.append((tgt_term, src_term, as_matrix(rhs, rows=tgt_term.ngens, cols=src_term.ngens), terms))
 
+    def add_chain_map_equations(self, name, src, tgt):
+        """A family U: src -> tgt of degree 0 that commutes with d."""
+        self.add_family(name, src, tgt)
+        for k in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1):
+            below = tgt.term(k - 1)
+            if below.is_zero or src.term(k).is_zero:
+                continue
+            self.add_equation(
+                below,
+                src.term(k),
+                zeros(below.ngens, src.term(k).ngens),
+                [
+                    (name, k, tgt.diff(k), eye(src.term(k).ngens)),
+                    (name, k - 1, -eye(below.ngens), src.diff(k)),
+                ],
+            )
+
+    def add_homotopy_equations(self, hname, left, via=()):
+        """left = sum pre.U.post + d h + h d, h a new degree +1 family hname.
+
+        via lists (family, pre, post) with ChainMaps pre and post.  A degree
+        where either end of left is zero carries no equation: left_k is an
+        empty matrix there.
+        """
+        src, tgt = left.src, left.tgt
+        self.add_family(hname, src, tgt, shift=1)
+        for k in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1):
+            tgt_term = tgt.term(k)
+            src_term = src.term(k)
+            if tgt_term.is_zero or src_term.is_zero:
+                continue
+            self.add_equation(
+                tgt_term,
+                src_term,
+                left.component(k),
+                [(name, k, pre.component(k), post.component(k)) for name, pre, post in via] + [
+                    (hname, k, tgt.diff(k + 1), eye(src_term.ngens)),
+                    (hname, k - 1, eye(tgt_term.ngens), src.diff(k)),
+                ],
+            )
+
     def _block_info(self, name, k):
         src, tgt, shift, _ = self.families[name]
         s, t = src.term(k), tgt.term(k + shift)
@@ -477,14 +526,12 @@ class MapSystem:
 
     def _term_contribution(self, name, k, pre, post, tgt_term, eq_cols):
         """Rows (eq entries x block vars) of pre @ U_k @ post for this block."""
-        src, tgt, shift, _ = self.families[name]
         kind, s, t, size = self._block_info(name, k)
         pre = as_matrix(pre, rows=tgt_term.ngens, cols=t.ngens)
         post = as_matrix(post, rows=s.ngens, cols=eq_cols)
         if kind == "generic":
             return np.kron(post.T, pre) % self.m
         rank = self.ring.rank
-        a = s.ngens // rank
         out = zeros(tgt_term.ngens * eq_cols, size)
         for tt in range(rank):
             # U columns (j, tt) equal act^tt @ T[:, j]; collect P_tt
@@ -516,8 +563,6 @@ class MapSystem:
             eq_cols = src_term.ngens
             if is_free_module(src_term) and self.ring.rank > 1:
                 # maps out of a free module agree iff they agree on generators
-                from .modules import module_unit_columns
-
                 post_restrict = module_unit_columns(self.ring, src_term.ngens // self.ring.rank)
                 eq_cols = post_restrict.shape[1]
             nr = tgt_term.ngens * eq_cols
@@ -554,24 +599,17 @@ class MapSystem:
             return None
         return self._unpack(sol[:, 0], offsets)
 
-    def kernel(self, max_gens=None):
+    def kernel(self):
         """Generators of the solution space of the homogeneous system."""
         offsets, total, big, moduli, _ = self._assemble()
         gens = linalg.kernel_hetero(big, moduli, self.m)
         gens = linalg.reduce_generators(gens, self.m)
-        out = []
-        for c in range(gens.shape[1]):
-            out.append(self._unpack(gens[:, c], offsets))
-            if max_gens is not None and len(out) >= max_gens:
-                break
-        return out
+        return [self._unpack(gens[:, c], offsets) for c in range(gens.shape[1])]
 
     def _unpack(self, flat, offsets):
         result = {name: {} for name in self.families}
         for (name, k), (off, size, kind) in offsets.items():
-            src, tgt, shift, _ = self.families[name]
-            s = src.term(k)
-            t = tgt.term(k + shift)
+            _, s, t, _ = self._block_info(name, k)
             if kind == "generic":
                 block = flat[off : off + size].reshape(s.ngens, t.ngens).T
             else:
@@ -593,25 +631,7 @@ def null_homotopy(f):
     means the finite linear system has no solution.
     """
     sys = MapSystem(f.src.ring)
-    sys.add_family("h", f.src, f.tgt, shift=1)
-    lo = min(f.src.lo, f.tgt.lo)
-    hi = max(f.src.hi, f.tgt.hi)
-    for k in range(lo, hi + 1):
-        tgt_term = f.tgt.term(k)
-        src_term = f.src.term(k)
-        if tgt_term.is_zero or src_term.is_zero:
-            if f.component(k).any():
-                return None
-            continue
-        sys.add_equation(
-            tgt_term,
-            src_term,
-            f.component(k),
-            [
-                ("h", k, f.tgt.diff(k + 1), eye(src_term.ngens)),
-                ("h", k - 1, eye(tgt_term.ngens), f.src.diff(k)),
-            ],
-        )
+    sys.add_homotopy_equations("h", f)
     sol = sys.solve()
     if sol is None:
         return None
@@ -620,27 +640,12 @@ def null_homotopy(f):
     return h
 
 
-def chain_map_generators(src, tgt, max_gens=None):
+def chain_map_generators(src, tgt):
     """Generators of the group of strict chain maps src -> tgt."""
     sys = MapSystem(src.ring)
-    sys.add_family("f", src, tgt, shift=0)
-    lo = min(src.lo, tgt.lo)
-    hi = max(src.hi, tgt.hi)
-    for k in range(lo, hi + 1):
-        below = tgt.term(k - 1)
-        if below.is_zero or src.term(k).is_zero:
-            continue
-        sys.add_equation(
-            below,
-            src.term(k),
-            zeros(below.ngens, src.term(k).ngens),
-            [
-                ("f", k, tgt.diff(k), eye(src.term(k).ngens)),
-                ("f", k - 1, -eye(below.ngens), src.diff(k)),
-            ],
-        )
+    sys.add_chain_map_equations("f", src, tgt)
     out = []
-    for sol in sys.kernel(max_gens=max_gens):
+    for sol in sys.kernel():
         cm = ChainMap(src, tgt, sol["f"], check=True)
         if not cm.is_zero:
             out.append(cm)

@@ -104,7 +104,7 @@ def module_pdim(module, bound, with_run=False):
     return verdict
 
 
-def module_fdim_tor(module, bound, left_tests=None):
+def module_fdim_tor(module, bound):
     """Flat dimension via Tor vanishing against the opposite ring's simples.
 
     Valid oracle: every finitely generated left module has a finite simple
@@ -112,14 +112,11 @@ def module_fdim_tor(module, bound, left_tests=None):
     vanishes on the simples.  Returns finite(n) when Tor_{n+1} is the first
     all-zero row, else at_least(bound + 1).
     """
-    ring = module.ring
-    if left_tests is None:
-        op = ring.opposite()
-        if not op.simples:
-            raise NoSimplesDeclared(f"{ring.name} has no declared simples")
-        left_tests = op.simples
+    op = module.ring.opposite()
+    if not op.simples:
+        raise NoSimplesDeclared(f"{module.ring.name} has no declared simples")
     rows = {}
-    for s in left_tests:
+    for s in op.simples:
         groups = tor(module, s, bound + 1)
         for degree, grp in groups.items():
             rows.setdefault(degree, 0)
@@ -221,7 +218,7 @@ def _cyclic_modules(ring, rng, count=2):
     return out
 
 
-def standard_battery(ring, bound, seed, min_size=25, trunc_cap=None):
+def standard_battery(ring, bound, seed, min_size=25):
     """The seeded compact-object battery used by ghdim and the verify suites.
 
     Resolutions of simples (full when finite, growing truncations when the
@@ -229,7 +226,6 @@ def standard_battery(ring, bound, seed, min_size=25, trunc_cap=None):
     shifted frees.
     """
     rng = random.Random(seed)
-    trunc_cap = trunc_cap if trunc_cap is not None else bound + 1
     members = [
         BatteryMember(ident="free:1", cx=free_complex(ring, {0: 1}, name="free:1"),
                       provenance="the free module in degree 0"),
@@ -253,7 +249,7 @@ def standard_battery(ring, bound, seed, min_size=25, trunc_cap=None):
             members.append(BatteryMember(ident=f"res:{label}", cx=res,
                                          provenance=f"resolution, module pdim {v.n}"))
         else:
-            lengths = list(range(1, trunc_cap + 1))
+            lengths = list(range(1, bound + 2))
             for length in lengths:
                 res = resolution_complex(mod, length, name=f"trunc:{label}:{length}")
                 members.append(BatteryMember(ident=f"trunc:{label}:{length}", cx=res,

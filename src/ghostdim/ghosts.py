@@ -41,7 +41,6 @@ from .complexes import (
     zero_chain,
 )
 from .errors import NoFactorization, ValidationError
-from .linalg import eye, zeros
 from .modules import free_map, image_subgroup_order, minimal_generators
 from .verdicts import Verdict
 
@@ -226,59 +225,13 @@ class Factorization:
         check_null_homotopy(f - self.out_of @ self.into, self.witness)
 
 
-def _chain_map_equations(sys, name, src, tgt):
-    for k in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1):
-        below = tgt.term(k - 1)
-        if below.is_zero or src.term(k).is_zero:
-            continue
-        sys.add_equation(
-            below,
-            src.term(k),
-            zeros(below.ngens, src.term(k).ngens),
-            [
-                (name, k, tgt.diff(k), eye(src.term(k).ngens)),
-                (name, k - 1, -eye(below.ngens), src.diff(k)),
-            ],
-        )
-
-
 def solve_chain_map_through(f, p):
     """Solve  f ~ p . t  for a chain map t: A -> P; returns (t, witness) or None.
 
     witness bounds  f - p.t.
     """
-    a, xx, pp = f.src, f.tgt, p.src
-    sys = MapSystem(a.ring)
-    sys.add_family("t", a, pp, shift=0)
-    sys.add_family("s", a, xx, shift=1)
-    _chain_map_equations(sys, "t", a, pp)
-    lo = min(a.lo, xx.lo)
-    hi = max(a.hi, xx.hi)
-    for k in range(lo, hi + 1):
-        tgt_term = xx.term(k)
-        src_term = a.term(k)
-        if tgt_term.is_zero or src_term.is_zero:
-            if f.component(k).any():
-                return None
-            continue
-        # f_k = (p t)_k + (d s + s d)_k
-        sys.add_equation(
-            tgt_term,
-            src_term,
-            f.component(k),
-            [
-                ("t", k, p.component(k), eye(src_term.ngens)),
-                ("s", k, xx.diff(k + 1), eye(src_term.ngens)),
-                ("s", k - 1, eye(tgt_term.ngens), a.diff(k)),
-            ],
-        )
-    sol = sys.solve()
-    if sol is None:
-        return None
-    t = ChainMap(a, pp, sol["t"], check=True)
-    s = Homotopy(a, xx, sol["s"])
-    check_null_homotopy(f - p @ t, s)
-    return t, s
+    got = _solve_squares(f.src, p.src, [(f, p, identity_chain(f.src), "s")])
+    return None if got is None else (got[0], got[1]["s"])
 
 
 def factor_through_projective(f, ug=None):
@@ -306,32 +259,10 @@ def _solve_squares(unknown_src, unknown_tgt, squares):
     post: ChainMap S->(unknown_src), hname).  Returns (u, witnesses) or None;
     each witness bounds  left - pre.u.post.
     """
-    ring = unknown_src.ring
-    sys = MapSystem(ring)
-    sys.add_family("u", unknown_src, unknown_tgt, shift=0)
-    _chain_map_equations(sys, "u", unknown_src, unknown_tgt)
+    sys = MapSystem(unknown_src.ring)
+    sys.add_chain_map_equations("u", unknown_src, unknown_tgt)
     for left, pre, post, hname in squares:
-        sys.add_family(hname, left.src, left.tgt, shift=1)
-        s_src, s_tgt = left.src, left.tgt
-        lo = min(s_src.lo, s_tgt.lo)
-        hi = max(s_src.hi, s_tgt.hi)
-        for k in range(lo, hi + 1):
-            tgt_term = s_tgt.term(k)
-            src_term = s_src.term(k)
-            if tgt_term.is_zero or src_term.is_zero:
-                if left.component(k).any():
-                    return None
-                continue
-            sys.add_equation(
-                tgt_term,
-                src_term,
-                left.component(k),
-                [
-                    ("u", k, pre.component(k), post.component(k)),
-                    (hname, k, s_tgt.diff(k + 1), eye(src_term.ngens)),
-                    (hname, k - 1, eye(tgt_term.ngens), s_src.diff(k)),
-                ],
-            )
+        sys.add_homotopy_equations(hname, left, via=[("u", pre, post)])
     sol = sys.solve()
     if sol is None:
         return None
@@ -363,17 +294,7 @@ def _solve_squares_sign_tolerant(unknown_src, unknown_tgt, squares):
     return None
 
 
-def _cone_to_cover(cone_data, k):
-    """Raw matrix (S^-1 cone(p))_k -> P_k extracting the shifted cover block."""
-    cone_term = cone_data.cone.term(k + 1)
-    p_term = cone_data.triangle.a.term(k)
-    out = zeros(p_term.ngens, cone_term.ngens)
-    x_n = cone_data.triangle.b.term(k + 1).ngens
-    out[:, x_n:] = eye(p_term.ngens)
-    return out
-
-
-def factor_through_pdim_n(f, n, tower=None, _verify=True):
+def factor_through_pdim_n(f, n, _verify=True):
     """Factor f: A -> X through a compact B with pdim B <= n.
 
     The weak-pushout construction: factor the ghost composite out of X
@@ -386,7 +307,7 @@ def factor_through_pdim_n(f, n, tower=None, _verify=True):
         z = Complex.zero(x.ring)
         return Factorization(through=z, into=zero_chain(a, z), out_of=zero_chain(z, x),
                              witness=Homotopy(a, x, {}))
-    tower = tower or ghost_tower(x, 0)
+    tower = ghost_tower(x, 0)
     if n == 0:
         return factor_through_projective(f, ug=tower.stage(0).ug)
     st = tower.stage(0)
@@ -395,7 +316,7 @@ def factor_through_pdim_n(f, n, tower=None, _verify=True):
     c0 = st.ug.target                       # cone(p) = S X_1
     delta = st.ug.ghost                     # X -> C0, the universal ghost
     x1 = desuspend(c0)                      # the first tower stage
-    rprime = ChainMap(x1, pp, {k: _cone_to_cover(st.ug.cone_data, k) for k in x1.degrees()}, check=True)
+    rprime = ChainMap(x1, pp, {k: st.ug.cone_data.psh(k + 1) for k in x1.degrees()}, check=True)
 
     # 1. recursively factor  delta . f : A -> C0  through pdim <= n-1
     sub = factor_through_pdim_n(delta @ f, n - 1, _verify=False)

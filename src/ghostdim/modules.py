@@ -711,7 +711,6 @@ class TensorModule:
     """M (x)_R N as a module over the base ring, with pair-coordinate data."""
 
     module: FgModule          # over ring.base_ring()
-    pair_orders: tuple        # gcd(d_i, e_j), row-major pairs (i, j)
     proj: np.ndarray          # pair coords -> normalized coords
     lift: np.ndarray          # normalized -> pair coords
     shape: tuple = (0, 0)     # (right.ngens, left.ngens)
@@ -739,8 +738,7 @@ def _tensor_free_right(right, left, base, label):
                 lift[col_block:col_block + nj, c * nj:(c + 1) * nj] = u * eye(nj)
     proj = linalg.reduce_coords(proj % m, orders) if orders else proj
     mod = FgModule(ring=base, orders=orders, actions=(eye(len(orders)),), label=label)
-    return TensorModule(module=mod, pair_orders=_pair_orders(right, left), proj=proj, lift=lift,
-                        shape=(right.ngens, left.ngens))
+    return TensorModule(module=mod, proj=proj, lift=lift, shape=(right.ngens, left.ngens))
 
 
 def _tensor_free_left(right, left, base, label):
@@ -767,16 +765,7 @@ def _tensor_free_left(right, left, base, label):
                     lift[i * left.ngens + c * rank + t, c * ni + i] = u
     proj = linalg.reduce_coords(proj % m, orders) if orders else proj
     mod = FgModule(ring=base, orders=orders, actions=(eye(len(orders)),), label=label)
-    return TensorModule(module=mod, pair_orders=_pair_orders(right, left), proj=proj, lift=lift,
-                        shape=(right.ngens, left.ngens))
-
-
-def _pair_orders(right, left):
-    out = []
-    for i in range(right.ngens):
-        for j in range(left.ngens):
-            out.append(int(np.gcd(right.orders[i], left.orders[j])))
-    return tuple(out)
+    return TensorModule(module=mod, proj=proj, lift=lift, shape=(right.ngens, left.ngens))
 
 
 def tensor_modules(right, left):
@@ -803,7 +792,8 @@ def tensor_modules(right, left):
         if is_free_module(left):
             return _tensor_free_left(right, left, base, label)
     ni, nj = right.ngens, left.ngens
-    pair_orders = _pair_orders(right, left)
+    # gcd(d_i, e_j), row-major pairs (i, j)
+    pair_orders = tuple(int(np.gcd(d, e)) for d in right.orders for e in left.orders)
     npair = ni * nj
     rels = []
     if ring.rank > 1:
@@ -832,8 +822,7 @@ def tensor_modules(right, left):
     )
     proj = pres.proj if pres.orders else zeros(0, npair)
     lift = pres.lift if pres.orders else zeros(npair, 0)
-    return TensorModule(module=mod, pair_orders=pair_orders, proj=proj, lift=lift,
-                        shape=(right.ngens, left.ngens))
+    return TensorModule(module=mod, proj=proj, lift=lift, shape=(right.ngens, left.ngens))
 
 
 def tensor_map(f_mat, g_mat, src_tensor, tgt_tensor):

@@ -117,11 +117,10 @@ def tensor_complexes(x, z):
     return TensorComplex(total=total, x=x, z=z, blocks=blocks)
 
 
-def tensor_chain_map(f, z, src_tensor=None, tgt_tensor=None):
-    """The induced map  f (x) id_Z  between total tensor complexes."""
-    src_tensor = src_tensor or tensor_complexes(f.src, z)
-    tgt_tensor = tgt_tensor or tensor_complexes(f.tgt, z)
+def tensor_chain_map(f, src_tensor):
+    """The induced map  f (x) id_Z  out of src_tensor = f.src (x) Z."""
     z = src_tensor.z
+    tgt_tensor = tensor_complexes(f.tgt, z)
     mats = {}
     for n in src_tensor.total.degrees():
         src_blocks = src_tensor.blocks.get(n, [])
@@ -223,7 +222,7 @@ def ucss_filtration(x, z, window=None, tower=None, max_depth=None, extend=True):
         if len(tower.stages) <= s and not extend:
             raise WindowTooDeep(f"tower depth {len(tower.stages)} cannot reach stage {s}")
         gs = tower.composite(s)
-        gxz = tensor_chain_map(gs, z, src_tensor=txz)
+        gxz = tensor_chain_map(gs, txz)
         exhausted = True
         for t in degrees:
             ind = induced_map(gxz, t)

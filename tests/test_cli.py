@@ -98,6 +98,23 @@ def test_verify_determinism():
     assert out1 == out2
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("golden, args", [
+    ("dim-ghdim-ut3-f2.json", ("dim", "ghdim", "--ring", "ut3:f2")),
+    ("dim-wdim-dual-f2.json", ("dim", "wdim", "--ring", "dual:f2")),
+    ("verify-rouquier-zmod-6.json", ("verify", "rouquier", "--ring", "zmod:6")),
+    ("verify-compact-eq-zmod-12-b4.json", ("verify", "compact-eq", "--ring", "zmod:12", "--bound", "4")),
+    ("verify-flatchar-f2-b4.json", ("verify", "flatchar", "--ring", "f2", "--bound", "4")),
+])
+def test_json_report_matches_golden_file(golden, args):
+    res = invoke(*args, "--output", "json")
+    assert res.exit_code == 0
+    with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        assert res.output.encode() == fh.read()
+
+
 def test_verify_compact_eq_pass():
     res = invoke("verify", "compact-eq", "--ring", "f2", "--bound", "4", "--output", "json")
     assert res.exit_code == 0
