@@ -22,7 +22,6 @@ from .complexes import (
     complex_to_dict,
     module_complex,
     null_homotopy,
-    resolution_complex,
 )
 from .dimensions import (
     DimReport,
@@ -36,7 +35,6 @@ from .dimensions import (
 from .errors import GhostdimError, ParseError, UnknownCommand
 from .ghosts import (
     factor_through_projective,
-    ghost_tower,
     pdim_complex,
     random_chain_map,
     universal_ghost,

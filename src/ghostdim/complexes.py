@@ -50,6 +50,7 @@ from .modules import (
     ModuleMap,
     ProjectivityCertificate,
     _hom_constraint_rows,
+    _projectivity,
     _reduce_mixed_generators,
     free_cover,
     free_module,
@@ -1037,7 +1038,7 @@ def resolution_complex(module, length, name=""):
     ring = module.ring
     if module.is_zero:
         return Complex.zero(ring)
-    flag, cert = is_projective(module)
+    flag, cert, covered = _projectivity(module)
     if flag:
         return Complex(ring, 0, 0, {0: module}, {}, certs={0: cert}, name=name or f"res({module.label})")
     if length < 1:
@@ -1049,23 +1050,19 @@ def resolution_complex(module, length, name=""):
     current = module
     k = 0
     while k <= length:
-        if k == length:
-            # truncation: last term is the cover of the current syzygy
-            cover, pi = free_cover(current)
-            terms[k] = cover
-            if prev_incl is not None:
-                diffs[k] = linalg.reduce_coords(prev_incl.mat @ pi.mat, prev_incl.tgt.orders)
-            break
-        if k > 0:
-            flag, certs[k] = is_projective(current)
+        if 0 < k < length:
+            flag, certs[k], covered = _projectivity(current)
             if flag:
                 terms[k] = current
                 diffs[k] = prev_incl.mat
                 break
-        cover, pi = free_cover(current)
+        # truncation at k == length: the last term is the cover of the current syzygy
+        cover, pi = covered if k < length else free_cover(current)
         terms[k] = cover
         if prev_incl is not None:
             diffs[k] = linalg.reduce_coords(prev_incl.mat @ pi.mat, prev_incl.tgt.orders)
+        if k == length:
+            break
         ker = kernel_of(pi, label=f"syz{k + 1}")
         current = ker.module
         prev_incl = ker.inclusion
@@ -1188,7 +1185,7 @@ def three_by_three(top, bottom, right, witness=None):
     right leg  right: U -> V  commuting up to homotopy.
 
     Output: the honest cone triangle on the comparison map
-    cone(top) -> cone(bottom), together Jwith an equivalence of its third
+    cone(top) -> cone(bottom), together with an equivalence of its third
     vertex with cone(right).
     """
     x = top.src

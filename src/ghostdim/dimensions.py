@@ -34,7 +34,6 @@ from .complexes import (
     fiber,
     free_complex,
     identity_chain,
-    null_homotopy,
     octahedron_equivalence,
     resolution_complex,
     section_from_null_homotopy,
@@ -49,10 +48,9 @@ from .ghosts import (
 )
 from .linalg import eye, zeros
 from .modules import (
+    _projectivity,
     find_isomorphism,
-    free_cover,
     free_module,
-    is_projective,
     kernel_of,
     make_module,
     quotient_by,
@@ -84,7 +82,7 @@ def module_pdim(module, bound, with_run=False):
     history = [current]
     verdict = None
     for i in range(bound + 1):
-        flag, _ = is_projective(current)
+        flag, _, covered = _projectivity(current)
         if flag:
             verdict = Verdict.finite(i)
             break
@@ -94,7 +92,7 @@ def module_pdim(module, bound, with_run=False):
                 break
         if verdict is not None:
             break
-        ker = kernel_of(free_cover(current)[1], label=f"syz{i + 1}")
+        ker = kernel_of(covered[1], label=f"syz{i + 1}")
         current = ker.module
         history.append(current)
     if verdict is None:
@@ -443,7 +441,7 @@ def _step_model(tower, j, cd_mj):
     return model
 
 
-def rouquier_build(x, n, bound=None):
+def rouquier_build(x, n):
     """Realize x as a retract of an n-step extension of finite frees.
 
     Requires pdim x <= n (PdimTooLarge otherwise).  The certificate carries

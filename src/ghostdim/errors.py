@@ -41,10 +41,6 @@ class NoSimplesDeclared(GhostdimError):
     """The operation needs a simple-module list and the ring declares none."""
 
 
-class WindowTooDeep(GhostdimError):
-    """The supplied ghost tower is too shallow for the requested degree window."""
-
-
 class NoFactorization(GhostdimError):
     """The constructive factorization failed; a precondition must have been violated."""
 

@@ -167,10 +167,21 @@ def sparse_product_sum(terms):
     return keys[start], np.add.reduceat(np.concatenate(vals)[order], start)
 
 
-def _is_prime(m):
-    if m < 2:
-        return False
-    return all(m % q for q in range(2, int(m ** 0.5) + 1))
+def factorize(n):
+    """The prime factorization of n by trial division, {p: e} in ascending p.
+
+    Takes sqrt(n) steps: callers bound n (check_exact) before calling.
+    """
+    out = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 _PRIME_CACHE = {}
@@ -258,7 +269,7 @@ def smith_mod(a, m, track_sinv=True):
     a = as_matrix(a)
     check_exact(m, max(a.shape))
     if m not in _PRIME_CACHE:
-        _PRIME_CACHE[m] = _is_prime(m)
+        _PRIME_CACHE[m] = factorize(m) == {m: 1}
     if _PRIME_CACHE[m]:
         return _smith_prime(a, m, track_sinv)
     d = a % m

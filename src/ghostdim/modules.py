@@ -490,20 +490,6 @@ def free_map(free_src, tgt, targets):
     return ModuleMap(free_src, tgt, mat)
 
 
-def _prime_factors(d):
-    out = set()
-    q = 2
-    while q * q <= d:
-        if d % q == 0:
-            out.add(q)
-            while d % q == 0:
-                d //= q
-        q += 1
-    if d > 1:
-        out.add(d)
-    return out
-
-
 def minimal_generators(module):
     """A minimum-size generating set.
 
@@ -522,7 +508,7 @@ def minimal_generators(module):
         groups = []
         used = []
         for i, d in enumerate(module.orders):
-            ps = _prime_factors(d)
+            ps = set(linalg.factorize(d))
             for grp, taken in zip(groups, used):
                 if taken.isdisjoint(ps):
                     grp.append(i)
@@ -624,13 +610,20 @@ def is_projective(module):
     and gets no certificate.  Any other module is projective iff its minimal
     free cover splits, and the certificate is that split.
     """
+    return _projectivity(module)[:2]
+
+
+def _projectivity(module):
+    """is_projective's (flag, certificate) and the minimal free cover
+    (cover, pi) it built, None for a free module; a resolution goes on
+    with that cover when the module is not projective."""
     if is_free_module(module):
-        return True, None
+        return True, None, None
     cover, pi = free_cover(module)
     sec = split_surjection(pi)
     if sec is None:
-        return False, None
-    return True, ProjectivityCertificate(cover=cover, pi=pi, section=sec)
+        return False, None, (cover, pi)
+    return True, ProjectivityCertificate(cover=cover, pi=pi, section=sec), (cover, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -639,21 +632,7 @@ def is_projective(module):
 
 def canonical_group(orders):
     """Multiset of prime-power components; equal iff the groups are isomorphic."""
-    parts = []
-    for d in orders:
-        k = int(d)
-        q = 2
-        while q * q <= k:
-            if k % q == 0:
-                pe = 1
-                while k % q == 0:
-                    pe *= q
-                    k //= q
-                parts.append(pe)
-            q += 1
-        if k > 1:
-            parts.append(k)
-    return tuple(sorted(parts))
+    return tuple(sorted(p ** e for d in orders for p, e in linalg.factorize(int(d)).items()))
 
 
 def is_invertible(f):
@@ -665,7 +644,13 @@ def is_invertible(f):
     return not kg.any()
 
 
-def find_isomorphism(a, b, max_gens=12, max_candidates=20000):
+# The search budget of find_isomorphism: hom spaces with more generators are
+# not searched, and at most this many combinations are tried.
+ISO_MAX_GENS = 12
+ISO_MAX_CANDIDATES = 20000
+
+
+def find_isomorphism(a, b):
     """Search for an invertible module map a -> b.
 
     Returns a ModuleMap or None.  None means "no isomorphism found within the
@@ -681,7 +666,7 @@ def find_isomorphism(a, b, max_gens=12, max_candidates=20000):
     gens = hom_generators(a, b)
     if not gens:
         return None
-    if len(gens) > max_gens:
+    if len(gens) > ISO_MAX_GENS:
         return None
     m = a.ring.modulus
     # single generators (and their unit multiples) catch most real cases
@@ -690,7 +675,7 @@ def find_isomorphism(a, b, max_gens=12, max_candidates=20000):
             cand = ModuleMap(a, b, (u * g.mat), check=False)
             if is_invertible(cand):
                 return cand
-    budget = max_candidates
+    budget = ISO_MAX_CANDIDATES
     for coeffs in itertools.product(range(m), repeat=len(gens)):
         budget -= 1
         if budget < 0:
@@ -742,30 +727,12 @@ def _tensor_free_right(right, left, base, label):
 
 
 def _tensor_free_left(right, left, base, label):
-    """M (x) (R^op)^b = M^b: m tensored with copy-c of b_t is act_M^t(m) in copy c."""
-    ring = right.ring
-    m = ring.modulus
-    rank = ring.rank
-    b = left.ngens // rank
-    ni = right.ngens
-    npair = ni * left.ngens
-    orders = tuple(right.orders) * b
-    proj = zeros(b * ni, npair)
-    lift = zeros(npair, b * ni)
-    for i in range(ni):
-        for c in range(b):
-            for t in range(rank):
-                col = i * left.ngens + c * rank + t
-                proj[c * ni:(c + 1) * ni, col] = right.actions[t][:, i]
-    for c in range(b):
-        for t in range(rank):
-            u = int(ring.unit[t])
-            if u:
-                for i in range(ni):
-                    lift[i * left.ngens + c * rank + t, c * ni + i] = u
-    proj = linalg.reduce_coords(proj % m, orders) if orders else proj
-    mod = FgModule(ring=base, orders=orders, actions=(eye(len(orders)),), label=label)
-    return TensorModule(module=mod, proj=proj, lift=lift, shape=(right.ngens, left.ngens))
+    """M (x) (R^op)^b = M^b: the free-right builder on (left, right), with its
+    pair coordinates (j, i) put back in row-major (i, j) order."""
+    tm = _tensor_free_right(left, right, base, label)
+    ni, nj = right.ngens, left.ngens
+    swap = np.arange(ni * nj).reshape(nj, ni).T.reshape(-1)
+    return TensorModule(module=tm.module, proj=tm.proj[:, swap], lift=tm.lift[swap], shape=(ni, nj))
 
 
 def tensor_modules(right, left):

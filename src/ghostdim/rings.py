@@ -21,16 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadUnit, NonAssociative, ParseError, ValidationError
-from .linalg import check_exact, parse_int, parse_matrix
+from .linalg import check_exact, factorize, parse_int, parse_matrix
 
 DEFAULT_RING_CAP = 2 ** 8
 ENUMERATION_CAP = 2 ** 12
-
-
-def _prime(p):
-    if p < 2:
-        return False
-    return all(p % q for q in range(2, int(p ** 0.5) + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +174,7 @@ def make_ring(spec):
         raise ValidationError(f"|R| = {size} exceeds the default cap {DEFAULT_RING_CAP}")
     # Both bounds come before the trial division, which takes sqrt(p) steps.
     check_exact(spec.p, 2)
-    if not _prime(spec.p):
+    if factorize(spec.p) != {spec.p: 1}:
         raise ValidationError(f"fp_algebra base {spec.p} is not prime")
     sc = np.asarray(spec.structure_constants, dtype=np.int64) % spec.p
     unit = np.asarray(spec.unit, dtype=np.int64) % spec.p
@@ -215,20 +209,9 @@ def zmod(n, name=None, allow_large=False):
     )
     from .modules import FgModule
 
-    primes = []
-    k = n
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            primes.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        primes.append(k)
     simples = tuple(
         FgModule(ring=ring, orders=(p,), actions=(np.ones((1, 1), dtype=np.int64),), label=f"Z/{p}")
-        for p in primes
+        for p in factorize(n)
     )
     object.__setattr__(ring, "simples", simples)
     return ring

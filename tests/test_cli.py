@@ -306,13 +306,25 @@ def test_window_and_bound_are_checked(tmp_path):
     res = invoke("complex", "fdim", "--file", str(path), "--window", "5:1")
     assert res.exit_code == 2
     assert "LO must not exceed HI" in res.output
+    # the window leaves out degrees -2 and -1 of X (x) D(X), so 2 is only a lower bound
     res = invoke("complex", "fdim", "--file", str(path), "--window", "0:5", "--output", "json")
-    assert res.exit_code == 0 and json.loads(res.output)["value"] == "2"
+    assert res.exit_code == 0 and json.loads(res.output)["value"] == "≥ 2"
     for cmd in (("complex", "pdim", "--file", str(path)), ("dim", "wdim", "--ring", "f2"),
                 ("verify", "summary", "--ring", "f2")):
         res = runner.invoke(main, [*cmd, "--bound", "-1"])
         assert res.exit_code == 2
         assert "Invalid value for '--bound'" in res.output
+
+
+def test_a_window_that_misses_degrees_gives_a_lower_bound(tmp_path):
+    path = tmp_path / "res3.json"
+    path.write_text(json.dumps(complex_to_dict(resolution_complex(make_module(zmod(4), {"orders": [2]}), 3))))
+    values = {}
+    for cmd, extra in (("fdim", ()), ("fdim", ("--window", "100:200")), ("pdim", ())):
+        res = invoke("complex", cmd, "--file", str(path), "--bound", "6", *extra, "--output", "json")
+        assert res.exit_code == 0
+        values[(cmd, *extra)] = json.loads(res.output)["value"]
+    assert values == {("fdim",): "3", ("fdim", "--window", "100:200"): "≥ 0", ("pdim",): "3"}
 
 
 def test_replay_of_a_malformed_counterexample_exits_2(tmp_path):

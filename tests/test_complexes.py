@@ -29,6 +29,7 @@ from ghostdim.complexes import (
 )
 from ghostdim.errors import ParseError, SquareNotCommuting, ValidationError
 from ghostdim import modules
+from ghostdim.dimensions import module_pdim
 from ghostdim.ghosts import pdim_complex
 from ghostdim.modules import ModuleMap, ProjectivityCertificate, free_module, is_free_module, make_module
 from ghostdim.rings import builtin_ring, zmod
@@ -519,3 +520,16 @@ def test_each_projective_non_free_term_is_split_once(monkeypatch):
     # S1 is not projective (one split); its first syzygy is S2 (one more)
     res = resolution_complex(UT2.simples[0], 4)
     assert len(calls) == 2 and res.hi == 1 and res.certified
+
+
+def test_each_syzygy_is_covered_once(monkeypatch):
+    calls = []
+    gens = modules.minimal_generators
+    monkeypatch.setattr(modules, "minimal_generators", lambda mod: calls.append(mod) or gens(mod))
+    for mod in (make_module(Z4, {"orders": [2]}), DUAL.simples[0]):
+        calls.clear()
+        resolution_complex(mod, 4)
+        assert len(calls) == 5 and len({id(m) for m in calls}) == 5
+        calls.clear()
+        assert module_pdim(mod, 4).is_infinite
+        assert len(calls) == 2 and len({id(m) for m in calls}) == 2

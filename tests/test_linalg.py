@@ -89,7 +89,7 @@ def prime_across_bound(terms, above):
     m = isqrt(linalg.INT64_MAX // terms)
     step = 1 if above else -1
     m += 1 if above else 0
-    while not linalg._is_prime(m):
+    while linalg.factorize(m) != {m: 1}:
         m += step
     return m
 

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 import helpers
-from ghostdim.complexes import Complex, module_complex, resolution_complex, suspend
-from ghostdim.errors import SideMismatch, WindowTooDeep
-from ghostdim.ghosts import Tower, ghost_tower, pdim_complex
+import tensor_reference as ref
+from ghostdim import modules, tensor_ss
+from ghostdim.cli import verify_compact_eq
+from ghostdim.complexes import Complex, dual_complex, module_complex, resolution_complex, suspend
+from ghostdim.dimensions import module_pdim, standard_battery
+from ghostdim.errors import SideMismatch
+from ghostdim.ghosts import ghost_tower, pdim_complex
 from ghostdim.modules import free_module, make_module
 from ghostdim.rings import builtin_ring, zmod
 from ghostdim.tensor_ss import (
@@ -146,14 +150,6 @@ def test_ucss_e2_domination():
             assert order <= tors[s].size
 
 
-def test_ucss_window_too_deep():
-    x = cone2()
-    tower = Tower(x)
-    tower.extend_to(0)
-    with pytest.raises(WindowTooDeep):
-        ucss_filtration(x, make_module(Z4, {"orders": [2]}), tower=tower, extend=False, max_depth=5)
-
-
 def test_fdim_matches_pdim_on_small_battery():
     m2 = make_module(Z4, {"orders": [2]})
     cases = [
@@ -202,3 +198,136 @@ def test_filtration_table_json():
     data = table.to_json()
     assert data["vanishing_line"] == table.vanishing_line
     assert "e_infty" in data
+
+
+# ---------------------------------------------------------------------------
+# The block routine against the block loops it replaced (tensor_reference)
+# ---------------------------------------------------------------------------
+
+IDENTITY_RINGS = ("zmod:12", "ut3:f2", "dual:f2", "a2:f2")
+
+
+def _ring(name):
+    return zmod(12) if name == "zmod:12" else builtin_ring(name)
+
+
+def _assert_same_complex(got, want):
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    for n in range(got.lo - 1, got.hi + 2):
+        assert got.term(n).orders == want.term(n).orders, n
+        assert got.diff(n).dtype == want.diff(n).dtype, n
+        assert np.array_equal(got.diff(n), want.diff(n)), n
+
+
+def _assert_same_chain_map(got, want):
+    assert got.mats.keys() == want.mats.keys()
+    for k, mat in got.mats.items():
+        assert mat.dtype == want.mats[k].dtype and np.array_equal(mat, want.mats[k]), k
+
+
+def _identity_cases(ring):
+    """Right complexes X (certified ones get towers) and left test complexes Z."""
+    members, _ = standard_battery(ring, 2, seed=0, min_size=25)
+    cones = sorted((m.cx for m in members if m.ident.startswith("cone")),
+                   key=lambda cx: sum(cx.term(k).ngens for k in cx.degrees()))[:3]
+    resolutions = [resolution_complex(s, 2) for s in ring.simples]
+    xs = [(cx, True) for cx in cones + resolutions]
+    xs += [(module_complex(s), False) for s in ring.simples if not modules.is_free_module(s)]
+    op_simples = ring.opposite().simples
+    for x, towered in xs:
+        zs = [module_complex(s) for s in op_simples]
+        if all(modules.is_free_module(x.term(k)) for k in x.degrees()):
+            zs.append(dual_complex(x))
+        yield x, towered, zs
+
+
+@pytest.mark.parametrize("name", IDENTITY_RINGS)
+def test_tensor_blocks_match_the_reference_loops(name):
+    ring = _ring(name)
+    checked = 0
+    for x, towered, zs in _identity_cases(ring):
+        tower = ghost_tower(x, 1) if towered else None
+        for z in zs:
+            got, want = tensor_complexes(x, z), ref.tensor_complexes(x, z)
+            _assert_same_complex(got.total, want.total)
+            assert got.blocks.keys() == want.blocks.keys()
+            for n, blocks in got.blocks.items():
+                assert [(a, b, off) for a, b, _, off in blocks] == \
+                    [(a, b, off) for a, b, _, off in want.blocks[n]]
+            for s in range(len(tower.stages) if tower else 0):
+                g = tower.composite(s)
+                _assert_same_chain_map(tensor_chain_map(g, got), ref.tensor_chain_map(g, want))
+            checked += 1
+    assert checked >= 5
+
+
+@pytest.mark.parametrize("name", IDENTITY_RINGS)
+def test_augmentation_and_columns_match_the_reference_loops(name):
+    ring = _ring(name)
+    checked = 0
+    for s in ring.simples:
+        x = resolution_complex(s, 1)
+        for zm in ring.opposite().simples:
+            q = resolution_complex(zm, 2)
+            aug0 = tensor_ss._augmentation_map(q, zm)
+            got_q, want_q = tensor_complexes(x, q), ref.tensor_complexes(x, q)
+            got_z, want_z = tensor_complexes(x, zm), ref.tensor_complexes(x, zm)
+            _assert_same_complex(got_q.total, want_q.total)
+            _assert_same_chain_map(tensor_ss._tensor_second_map(got_q, got_z, aug0),
+                                   ref._tensor_second_map(want_q, want_z, aug0))
+            for q_max in range(q.lo - 1, q.hi + 1):
+                sub, incl = tensor_ss._column_subcomplex(got_q, q_max)
+                ref_sub, ref_incl = ref._column_subcomplex(want_q, q_max)
+                _assert_same_complex(sub, ref_sub)
+                _assert_same_chain_map(incl, ref_incl)
+            checked += 1
+    assert checked >= len(ring.simples) * len(ring.opposite().simples)
+
+
+@pytest.mark.parametrize("name", IDENTITY_RINGS)
+def test_free_left_tensor_matches_the_reference_builder(name):
+    ring = _ring(name)
+    op = ring.opposite()
+    base = ring.base_ring()
+    checked = 0
+    for s in ring.simples:
+        for mod in module_pdim(s, 2, with_run=True).syzygies:
+            if modules.is_free_module(mod) or mod.is_zero:
+                continue
+            for rank in (1, 2):
+                free = free_module(op, rank)
+                got = modules._tensor_free_left(mod, free, base, "t")
+                want = ref._tensor_free_left(mod, free, base, "t")
+                assert got.module.orders == want.module.orders and got.shape == want.shape
+                for a, b in ((got.proj, want.proj), (got.lift, want.lift)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                checked += 1
+    assert checked >= 2
+
+
+def test_unchecked_tensor_constructions_validate(monkeypatch):
+    """Everything the block routine builds, unchecked, passes validate()."""
+    built = {}
+    picks = {
+        "tensor_complexes": lambda t: [t.total],
+        "tensor_chain_map": lambda f: [f],
+        "_tensor_second_map": lambda f: [f],
+        "_column_subcomplex": lambda pair: list(pair),
+    }
+    for name, pick in picks.items():
+        def wrapper(*args, fn=getattr(tensor_ss, name), name=name, pick=pick):
+            out = fn(*args)
+            built.setdefault(name, []).extend(pick(out))
+            return out
+        monkeypatch.setattr(tensor_ss, name, wrapper)
+    ok, _ = verify_compact_eq(zmod(12), 4, 0)
+    assert ok
+    ut3 = builtin_ring("ut3:f2")
+    members, _ = standard_battery(ut3, 2, seed=0, min_size=4)
+    for mem in members[:4]:
+        for zm in ut3.opposite().simples:
+            resolution_filtration(mem.cx, zm)
+    assert built.keys() == picks.keys()
+    for objs in built.values():
+        for obj in objs:
+            obj.validate()
