@@ -691,18 +691,43 @@ def find_isomorphism(a, b):
 # Tensor products (right module over R  x  left module = module over R^op)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TensorModule:
-    """M (x)_R N as a module over the base ring, with pair-coordinate data."""
+    """M (x)_R N as a module over the base ring, with pair-coordinate data:
+    `proj` maps row-major pairs (i, j) onto normalized coordinates, `lift`
+    back.  A free-factor tensor builds the two only when first read."""
 
-    module: FgModule          # over ring.base_ring()
-    proj: np.ndarray          # pair coords -> normalized coords
-    lift: np.ndarray          # normalized -> pair coords
-    shape: tuple = (0, 0)     # (right.ngens, left.ngens)
+    def __init__(self, module, shape, proj=None, lift=None, free=None):
+        self.module = module
+        self.shape = shape            # (right.ngens, left.ngens)
+        self.free = free              # (swapped, free factor, other factor)
+        self._coords = None if proj is None else (proj, lift)
+
+    proj = property(lambda self: self._pair_coords()[0])
+    lift = property(lambda self: self._pair_coords()[1])
+
+    def _pair_coords(self):
+        if self._coords is None:
+            self._coords = _free_pair_coords(*self.free)
+        return self._coords
 
 
-def _tensor_free_right(right, left, base, label):
-    """R^a (x) N = N^a: basis copy-c of b_t tensored with n is act_N^t(n) in copy c."""
+def _tensor_free_right(right, left, base, label, swapped=False):
+    """R^a (x) N = N^a: basis copy-c of b_t tensored with n is act_N^t(n) in copy c.
+    Swapped, it is M (x) (R^op)^b = M^b for (right, left) = ((R^op)^b, M)."""
+    a = right.ngens // right.ring.rank
+    orders = tuple(left.orders) * a
+    mod = FgModule(ring=base, orders=orders, actions=(eye(len(orders)),), label=label)
+    shape = (left.ngens, right.ngens) if swapped else (right.ngens, left.ngens)
+    return TensorModule(module=mod, shape=shape, free=(swapped, right, left))
+
+
+def _tensor_free_left(right, left, base, label):
+    """M (x) (R^op)^b = M^b: the free-right form on the swapped pair."""
+    return _tensor_free_right(left, right, base, label, swapped=True)
+
+
+def _free_pair_coords(swapped, right, left):
+    """proj and lift of _tensor_free_right(right, left, ..., swapped)."""
     ring = right.ring
     m = ring.modulus
     rank = ring.rank
@@ -722,17 +747,11 @@ def _tensor_free_right(right, left, base, label):
                 col_block = (c * rank + t) * nj
                 lift[col_block:col_block + nj, c * nj:(c + 1) * nj] = u * eye(nj)
     proj = linalg.reduce_coords(proj % m, orders) if orders else proj
-    mod = FgModule(ring=base, orders=orders, actions=(eye(len(orders)),), label=label)
-    return TensorModule(module=mod, proj=proj, lift=lift, shape=(right.ngens, left.ngens))
-
-
-def _tensor_free_left(right, left, base, label):
-    """M (x) (R^op)^b = M^b: the free-right builder on (left, right), with its
-    pair coordinates (j, i) put back in row-major (i, j) order."""
-    tm = _tensor_free_right(left, right, base, label)
-    ni, nj = right.ngens, left.ngens
-    swap = np.arange(ni * nj).reshape(nj, ni).T.reshape(-1)
-    return TensorModule(module=tm.module, proj=tm.proj[:, swap], lift=tm.lift[swap], shape=(ni, nj))
+    if swapped:
+        # pair (j, i) of the free-right form is pair (i, j) of M (x) (R^op)^b
+        swap = np.arange(npair).reshape(right.ngens, nj).T.reshape(-1)
+        proj, lift = proj[:, swap], lift[swap]
+    return proj, lift
 
 
 def tensor_modules(right, left):
@@ -797,20 +816,32 @@ def tensor_map(f_mat, g_mat, src_tensor, tgt_tensor):
 
     src_tensor presents M (x) N and tgt_tensor presents M' (x) N'.  Pair
     coordinates are row-major; the Kronecker product is never materialized:
-    (f (x) g) vec(V) = vec(f V g^T) columnwise over the lift.
+    (f (x) g) vec(V) = vec(f V g^T) columnwise over the lift.  Between two
+    tensors of one free kind, proj (f (x) g) lift has a closed form.
     """
     m = src_tensor.module.ring.modulus
-    ni_s, nj_s = src_tensor.shape
-    lift = src_tensor.lift
-    k = lift.shape[1]
+    k = src_tensor.module.ngens
     if k == 0 or tgt_tensor.module.is_zero:
-        mat = zeros(tgt_tensor.module.ngens, src_tensor.module.ngens)
-        return ModuleMap(src_tensor.module, tgt_tensor.module, mat, check=False)
-    cube = lift.reshape(ni_s, nj_s, k)
-    t1 = np.tensordot(f_mat, cube, axes=(1, 0)) % m          # ni_t x nj_s x k
-    t2 = np.tensordot(g_mat, t1, axes=(1, 1)) % m            # nj_t x ni_t x k
-    moved = np.transpose(t2, (1, 0, 2)).reshape(-1, k)
-    mat = (tgt_tensor.proj @ moved) % m
+        mat = zeros(tgt_tensor.module.ngens, k)
+    elif src_tensor.free and tgt_tensor.free and src_tensor.free[0] == tgt_tensor.free[0]:
+        # R^a (x) N -> R^a' (x) N' (a free left factor swaps f and g): block
+        # (c', c) is sum_t r[c', c, t] A_t g, where r[c', c, t] = sum_s u_s
+        # f[c' rank + t, c rank + s] are the coordinates of f(e_c) for the unit
+        # u = sum_s u_s b_s, and A_t are the actions on N'.
+        swapped, free, other = tgt_tensor.free
+        f_mat, g_mat = (g_mat, f_mat) if swapped else (f_mat, g_mat)
+        rank = free.ring.rank
+        a_t, a_s = f_mat.shape[0] // rank, f_mat.shape[1] // rank
+        r = np.einsum("ptcs,s->pct", f_mat.reshape(a_t, rank, a_s, rank), free.ring.unit) % m
+        ag = np.stack([act @ g_mat for act in other.actions]) % m
+        mat = (np.einsum("pct,tij->picj", r, ag) % m).reshape(a_t * other.ngens, k)
+    else:
+        ni_s, nj_s = src_tensor.shape
+        cube = src_tensor.lift.reshape(ni_s, nj_s, k)
+        t1 = np.tensordot(f_mat, cube, axes=(1, 0)) % m          # ni_t x nj_s x k
+        t2 = np.tensordot(g_mat, t1, axes=(1, 1)) % m            # nj_t x ni_t x k
+        moved = np.transpose(t2, (1, 0, 2)).reshape(-1, k)
+        mat = (tgt_tensor.proj @ moved) % m
     return ModuleMap(src_tensor.module, tgt_tensor.module, mat, check=False)
 
 

@@ -38,7 +38,8 @@ from .complexes import (
 from .errors import RingMismatch, SideMismatch, ValidationError
 from .ghosts import ghost_tower
 from .linalg import eye, zeros
-from .modules import FgModule, tensor_map, tensor_modules
+from .modules import (FgModule, free_cover, image_subgroup_order, subgroup_order_in, tensor_map,
+                      tensor_modules)
 from .verdicts import Verdict
 
 
@@ -181,7 +182,7 @@ class FiltrationTable:
     e_infty: dict                 # (s, t) -> order of the filtration quotient
     vanishing_line: int
     exhausted: bool
-    depth: int
+    depth: int                    # tower stages read
 
     def to_json(self):
         return {
@@ -196,22 +197,20 @@ class FiltrationTable:
         }
 
 
-def _kernel_order_of(ind):
-    """Order of the kernel subgroup of a ModuleMap between finite modules."""
-    m = ind.src.ring.modulus
-    kg = linalg.kernel_hetero(ind.mat, ind.tgt.orders, m)
-    kg = linalg.reduce_coords(kg, ind.src.orders)
-    from .modules import subgroup_order_in
-
-    return subgroup_order_in(ind.src, kg)
-
-
 def ucss_filtration(x, z, window=None, max_depth=None):
     """Filtration of H(X (x) Z) by kernels of the tower-induced maps.
 
     A class has filtration s when it dies under g_s (x) Z but not under
     g_{s-1} (x) Z; the E-infinity order at (s, t) is the index jump of the
     kernel chain.  Only total degrees inside the window are read.
+
+    E-infinity reads only the orders of the kernels, so no homology of a
+    target W_s (x) Z is formed.  For phi = g_s (x) Z, B'_t the boundaries of
+    W_s (x) Z and L_t the cycle representatives of H_t(X (x) Z),
+        |ker H_t(phi)| = |H_t(X (x) Z)| / |im H_t(phi)|,
+        |im H_t(phi)| = |B'_t + phi(L_t)| / |B'_t|,
+    because L_t spans the cycles modulo boundaries and the chain map phi sends
+    boundaries into B'_t.  Both are subgroup orders in the term of degree t.
     """
     ring = x.ring
     z = _as_left_complex(ring, z)
@@ -220,8 +219,8 @@ def ucss_filtration(x, z, window=None, max_depth=None):
     if window is not None:
         lo, hi = max(lo, window[0]), min(hi, window[1])
     degrees = [t for t in range(lo, hi + 1)]
-    h_orders = {t: txz.total.homology_at(t).module.size for t in degrees}
-    tower = ghost_tower(x, 0)
+    homs = {t: txz.total.homology_at(t) for t in degrees}
+    h_orders = {t: hd.module.size for t, hd in homs.items()}
     if max_depth is None:
         max_depth = max(x.length + 1, 1)
     kernel_orders = {t: [] for t in degrees}
@@ -230,12 +229,18 @@ def ucss_filtration(x, z, window=None, max_depth=None):
     while not exhausted:
         if s >= max_depth:
             break
-        gs = tower.composite(s)
-        gxz = tensor_chain_map(gs, txz)
+        gxz = tensor_chain_map(ghost_tower(x, s).composite(s), txz)
+        w = gxz.tgt
         exhausted = True
         for t in degrees:
-            ind = induced_map(gxz, t)
-            k_order = _kernel_order_of(ind)
+            term = w.term(t)
+            pushed = linalg.reduce_coords(gxz.component(t) @ homs[t].lift, term.orders)
+            image = 1
+            if pushed.any():
+                bounds = w.diff(t + 1)
+                image = (subgroup_order_in(term, np.concatenate([bounds, pushed], axis=1))
+                         // subgroup_order_in(term, bounds))
+            k_order = h_orders[t] // image
             prev = kernel_orders[t][-1] if kernel_orders[t] else None
             if prev is not None and k_order % prev:
                 raise ValidationError("kernel filtration failed to be nested")
@@ -263,7 +268,7 @@ def ucss_filtration(x, z, window=None, max_depth=None):
         e_infty=e_infty,
         vanishing_line=line,
         exhausted=exhausted,
-        depth=len(tower.stages),
+        depth=s,
     )
 
 
@@ -300,10 +305,7 @@ def resolution_filtration(x, z_module):
         sub, incl = _column_subcomplex(txq, s)
         through = aug @ incl
         for t in range(lo, hi + 1):
-            ind = induced_map(through, t)
-            from .modules import image_subgroup_order
-
-            images[t].append(image_subgroup_order(ind))
+            images[t].append(image_subgroup_order(induced_map(through, t)))
         if all(images[t][-1] == h_orders[t] for t in images):
             break
     line = 0
@@ -329,8 +331,6 @@ def _augmentation_map(q, z_module):
     if q.hi == 0 and f0 is z_module:
         # projective module: the resolution is the module itself
         return ChainMap(q, zc, {0: eye(z_module.ngens)}, check=True)
-    from .modules import free_cover
-
     cover, pi = free_cover(z_module)
     if cover.ngens != f0.ngens:
         raise ValidationError("unexpected resolution shape for augmentation")

@@ -8,15 +8,29 @@ copied unchanged.  The total complexes, the induced chain maps, the column
 subcomplexes and the tensor modules must come out exactly as these build
 them.  `TensorComplex` is the dataclass these functions return, with the
 `block_index` they use.
+
+`tensor_map` is the pair-cube route that ghostdim.modules took for every
+pair of tensor modules before free factors got their closed form, copied
+unchanged; the block loops here use it, so they share no tensor-map code
+with the package.
+
+`ucss_filtration` is the one ghostdim.tensor_ss ran before it read the
+kernel chain from subgroup orders, copied unchanged: it forms the homology
+of every target W_s (x) Z and takes the kernel of the induced map by
+`_kernel_order_of`.  Here it runs on these block loops.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ghostdim import linalg
-from ghostdim.complexes import ChainMap, Complex
+from ghostdim.complexes import ChainMap, Complex, induced_map
+from ghostdim.errors import ValidationError
+from ghostdim.ghosts import ghost_tower
 from ghostdim.linalg import eye, zeros
-from ghostdim.modules import FgModule, TensorModule, tensor_map, tensor_modules
-from ghostdim.tensor_ss import _as_left_complex
+from ghostdim.modules import FgModule, ModuleMap, TensorModule, subgroup_order_in, tensor_modules
+from ghostdim.tensor_ss import FiltrationTable, _as_left_complex
 
 
 @dataclass
@@ -192,3 +206,94 @@ def _tensor_free_left(right, left, base, label):
     proj = linalg.reduce_coords(proj % m, orders) if orders else proj
     mod = FgModule(ring=base, orders=orders, actions=(eye(len(orders)),), label=label)
     return TensorModule(module=mod, proj=proj, lift=lift, shape=(right.ngens, left.ngens))
+
+
+def tensor_map(f_mat, g_mat, src_tensor, tgt_tensor):
+    """Induced map on tensors for group matrices f: M -> M' and g: N -> N'.
+
+    src_tensor presents M (x) N and tgt_tensor presents M' (x) N'.  Pair
+    coordinates are row-major; the Kronecker product is never materialized:
+    (f (x) g) vec(V) = vec(f V g^T) columnwise over the lift.
+    """
+    m = src_tensor.module.ring.modulus
+    ni_s, nj_s = src_tensor.shape
+    lift = src_tensor.lift
+    k = lift.shape[1]
+    if k == 0 or tgt_tensor.module.is_zero:
+        mat = zeros(tgt_tensor.module.ngens, src_tensor.module.ngens)
+        return ModuleMap(src_tensor.module, tgt_tensor.module, mat, check=False)
+    cube = lift.reshape(ni_s, nj_s, k)
+    t1 = np.tensordot(f_mat, cube, axes=(1, 0)) % m          # ni_t x nj_s x k
+    t2 = np.tensordot(g_mat, t1, axes=(1, 1)) % m            # nj_t x ni_t x k
+    moved = np.transpose(t2, (1, 0, 2)).reshape(-1, k)
+    mat = (tgt_tensor.proj @ moved) % m
+    return ModuleMap(src_tensor.module, tgt_tensor.module, mat, check=False)
+
+
+def _kernel_order_of(ind):
+    """Order of the kernel subgroup of a ModuleMap between finite modules."""
+    m = ind.src.ring.modulus
+    kg = linalg.kernel_hetero(ind.mat, ind.tgt.orders, m)
+    kg = linalg.reduce_coords(kg, ind.src.orders)
+    return subgroup_order_in(ind.src, kg)
+
+
+def ucss_filtration(x, z, window=None, max_depth=None):
+    """Filtration of H(X (x) Z) by kernels of the tower-induced maps.
+
+    A class has filtration s when it dies under g_s (x) Z but not under
+    g_{s-1} (x) Z; the E-infinity order at (s, t) is the index jump of the
+    kernel chain.  Only total degrees inside the window are read.
+    """
+    ring = x.ring
+    z = _as_left_complex(ring, z)
+    txz = tensor_complexes(x, z)
+    lo, hi = txz.total.lo, txz.total.hi
+    if window is not None:
+        lo, hi = max(lo, window[0]), min(hi, window[1])
+    degrees = [t for t in range(lo, hi + 1)]
+    h_orders = {t: txz.total.homology_at(t).module.size for t in degrees}
+    tower = ghost_tower(x, 0)
+    if max_depth is None:
+        max_depth = max(x.length + 1, 1)
+    kernel_orders = {t: [] for t in degrees}
+    exhausted = all(v == 1 for v in h_orders.values())
+    s = 0
+    while not exhausted:
+        if s >= max_depth:
+            break
+        gs = tower.composite(s)
+        gxz = tensor_chain_map(gs, txz)
+        exhausted = True
+        for t in degrees:
+            ind = induced_map(gxz, t)
+            k_order = _kernel_order_of(ind)
+            prev = kernel_orders[t][-1] if kernel_orders[t] else None
+            if prev is not None and k_order % prev:
+                raise ValidationError("kernel filtration failed to be nested")
+            kernel_orders[t].append(k_order)
+            if k_order != h_orders[t]:
+                exhausted = False
+        s += 1
+    e_infty = {}
+    line = 0
+    for t in degrees:
+        chain = kernel_orders[t]
+        prev = 1
+        for s_idx, k in enumerate(chain):
+            jump = k // prev
+            if jump > 1:
+                e_infty[(s_idx, t)] = jump
+                line = max(line, s_idx)
+            prev = k
+    return FiltrationTable(
+        x_name=x.name or "X",
+        z_name=z.name or "Z",
+        window=(lo, hi),
+        h_orders=h_orders,
+        kernel_orders=kernel_orders,
+        e_infty=e_infty,
+        vanishing_line=line,
+        exhausted=exhausted,
+        depth=len(tower.stages),
+    )

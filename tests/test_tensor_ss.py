@@ -331,3 +331,95 @@ def test_unchecked_tensor_constructions_validate(monkeypatch):
     for objs in built.values():
         for obj in objs:
             obj.validate()
+
+
+# ---------------------------------------------------------------------------
+# The closed form for free factors against the pair cube, and the kernel
+# chain from subgroup orders against homology and induced maps
+# ---------------------------------------------------------------------------
+
+def _total_gens(cx):
+    return sum(cx.term(k).ngens for k in cx.degrees())
+
+
+def _same_kind(src, tgt):
+    return bool(src.free and tgt.free and src.free[0] == tgt.free[0])
+
+
+@pytest.mark.parametrize("name", ("ut2:f2", "a2:f2", "ut3:f2", "dual:f2"))
+def test_tensor_map_matches_the_pair_cube_during_fdim(name, monkeypatch):
+    closed = []
+
+    def checked(f_mat, g_mat, src, tgt, fn=tensor_ss.tensor_map):
+        got = fn(f_mat, g_mat, src, tgt)
+        want = ref.tensor_map(f_mat, g_mat, src, tgt)
+        assert got.mat.dtype == want.mat.dtype and np.array_equal(got.mat, want.mat)
+        closed.append(_same_kind(src, tgt))
+        return got
+
+    monkeypatch.setattr(tensor_ss, "tensor_map", checked)
+    members, _ = standard_battery(builtin_ring(name), 2, seed=0, min_size=8)
+    # the reference pair cube is slow on the largest duals: the six smallest
+    for cx in sorted((m.cx for m in members), key=_total_gens)[:6]:
+        fdim_via_ss(cx, 2)
+    assert any(closed)
+
+
+@pytest.mark.parametrize("name", ("ut2:f2", "ut3:f2"))
+def test_tensor_map_matches_the_pair_cube_on_every_kind_of_pair(name):
+    """Free-right and free-left pairs take the closed form without building
+    proj or lift; mixed pairs and zero blocks take the pair cube."""
+    ring = builtin_ring(name)
+    op = ring.opposite()
+    m = ring.modulus
+    rng = np.random.default_rng(0)
+    rights = [free_module(ring, 0), free_module(ring, 1), free_module(ring, 2), *ring.simples]
+    lefts = [free_module(op, 0), free_module(op, 1), free_module(op, 2), *op.simples]
+    pairs = [(r, l) for r in rights for l in lefts]
+    kinds = set()
+    for src_pair in pairs:
+        for tgt_pair in pairs:
+            src, tgt = modules.tensor_modules(*src_pair), modules.tensor_modules(*tgt_pair)
+            (ni_s, nj_s), (ni_t, nj_t) = src.shape, tgt.shape
+            f_mat = rng.integers(0, m, size=(ni_t, ni_s)).astype(np.int64)
+            g_mat = rng.integers(0, m, size=(nj_t, nj_s)).astype(np.int64)
+            got = modules.tensor_map(f_mat, g_mat, src, tgt)
+            if _same_kind(src, tgt):
+                assert src._coords is None and tgt._coords is None
+            want = ref.tensor_map(f_mat, g_mat, src, tgt)
+            assert got.mat.dtype == want.mat.dtype and np.array_equal(got.mat, want.mat)
+            kinds.add((src.free and src.free[0], tgt.free and tgt.free[0],
+                       src.module.is_zero or tgt.module.is_zero))
+    # free-right, free-left, free source into a presented target, zero blocks
+    assert {(False, False, False), (True, True, False), (False, None, False),
+            (False, False, True)} <= kinds
+
+
+@pytest.mark.parametrize("name", ("zmod:12", "ut3:f2", "dual:f2"))
+def test_ucss_orders_match_the_induced_map_route(name):
+    ring = _ring(name)
+    members, _ = standard_battery(ring, 3, seed=0, min_size=10)
+    checked = 0
+    for x in sorted((m.cx for m in members), key=_total_gens)[:6]:
+        for z in tensor_ss.default_tests(x):
+            lo, hi = x.lo + z.lo, x.hi + z.hi
+            for window in (None, (lo + 1, hi), (lo, lo)):
+                got = ucss_filtration(x, z, window=window)
+                want = ref.ucss_filtration(x, z, window=window)
+                assert got.h_orders == want.h_orders
+                assert got.kernel_orders == want.kernel_orders
+                assert got.e_infty == want.e_infty
+                assert got.vanishing_line == want.vanishing_line
+                checked += any(len(chain) > 1 for chain in got.kernel_orders.values())
+    assert checked >= 3
+
+
+def test_filtration_depth_counts_the_stages_read():
+    ut3 = builtin_ring("ut3:f2")
+    members, _ = standard_battery(ut3, 6, 7, min_size=25)
+    x = next(m.cx for m in members if m.ident == "cone:5")
+    z = ut3.opposite().simples[0]
+    fresh = ucss_filtration(x, z).to_json()
+    pdim_complex(x, 4)
+    assert len(ghost_tower(x, 0).stages) > fresh["tower_depth"]
+    assert ucss_filtration(x, z).to_json() == fresh
