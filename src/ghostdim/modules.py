@@ -694,13 +694,14 @@ def find_isomorphism(a, b):
 class TensorModule:
     """M (x)_R N as a module over the base ring, with pair-coordinate data:
     `proj` maps row-major pairs (i, j) onto normalized coordinates, `lift`
-    back.  A free-factor tensor builds the two only when first read."""
+    back.  A free-factor tensor passes coords=None and builds the two only
+    when first read."""
 
-    def __init__(self, module, shape, proj=None, lift=None, free=None):
+    def __init__(self, module, shape, coords, free):
         self.module = module
         self.shape = shape            # (right.ngens, left.ngens)
-        self.free = free              # (swapped, free factor, other factor)
-        self._coords = None if proj is None else (proj, lift)
+        self.free = free              # (swapped, free factor, other factor) or None
+        self._coords = coords         # (proj, lift) or None
 
     proj = property(lambda self: self._pair_coords()[0])
     lift = property(lambda self: self._pair_coords()[1])
@@ -711,19 +712,19 @@ class TensorModule:
         return self._coords
 
 
-def _tensor_free_right(right, left, base, label, swapped=False):
+def _tensor_free_right(right, left, base, label, swapped):
     """R^a (x) N = N^a: basis copy-c of b_t tensored with n is act_N^t(n) in copy c.
     Swapped, it is M (x) (R^op)^b = M^b for (right, left) = ((R^op)^b, M)."""
     a = right.ngens // right.ring.rank
     orders = tuple(left.orders) * a
     mod = FgModule(ring=base, orders=orders, actions=(eye(len(orders)),), label=label)
     shape = (left.ngens, right.ngens) if swapped else (right.ngens, left.ngens)
-    return TensorModule(module=mod, shape=shape, free=(swapped, right, left))
+    return TensorModule(mod, shape, None, (swapped, right, left))
 
 
 def _tensor_free_left(right, left, base, label):
     """M (x) (R^op)^b = M^b: the free-right form on the swapped pair."""
-    return _tensor_free_right(left, right, base, label, swapped=True)
+    return _tensor_free_right(left, right, base, label, True)
 
 
 def _free_pair_coords(swapped, right, left):
@@ -774,7 +775,7 @@ def tensor_modules(right, left):
     label = f"{right.label or 'M'}(x){left.label or 'N'}"
     if ring.rank > 1:
         if is_free_module(right):
-            return _tensor_free_right(right, left, base, label)
+            return _tensor_free_right(right, left, base, label, False)
         if is_free_module(left):
             return _tensor_free_left(right, left, base, label)
     ni, nj = right.ngens, left.ngens
@@ -808,7 +809,7 @@ def tensor_modules(right, left):
     )
     proj = pres.proj if pres.orders else zeros(0, npair)
     lift = pres.lift if pres.orders else zeros(npair, 0)
-    return TensorModule(module=mod, proj=proj, lift=lift, shape=(right.ngens, left.ngens))
+    return TensorModule(mod, (right.ngens, left.ngens), (proj, lift), None)
 
 
 def tensor_map(f_mat, g_mat, src_tensor, tgt_tensor):

@@ -4,7 +4,7 @@
 `_column_subcomplex` below are the block loops that tensor_ss ran before
 they became callers of one block routine, and `_tensor_free_left` is the
 free-left builder that ghostdim.modules kept beside the free-right one,
-copied unchanged.  The total complexes, the induced chain maps, the column
+copied unchanged but for the positional `TensorModule` call.  The total complexes, the induced chain maps, the column
 subcomplexes and the tensor modules must come out exactly as these build
 them.  `TensorComplex` is the dataclass these functions return, with the
 `block_index` they use.
@@ -205,7 +205,7 @@ def _tensor_free_left(right, left, base, label):
                     lift[i * left.ngens + c * rank + t, c * ni + i] = u
     proj = linalg.reduce_coords(proj % m, orders) if orders else proj
     mod = FgModule(ring=base, orders=orders, actions=(eye(len(orders)),), label=label)
-    return TensorModule(module=mod, proj=proj, lift=lift, shape=(right.ngens, left.ngens))
+    return TensorModule(mod, (right.ngens, left.ngens), (proj, lift), None)
 
 
 def tensor_map(f_mat, g_mat, src_tensor, tgt_tensor):

@@ -12,7 +12,7 @@ from ghostdim.dimensions import module_pdim, standard_battery
 from ghostdim.errors import SideMismatch
 from ghostdim.ghosts import ghost_tower, pdim_complex
 from ghostdim.modules import free_module, make_module
-from ghostdim.rings import builtin_ring, zmod
+from ghostdim.rings import builtin_ring, make_ring, ring_spec_from_dict, zmod
 from ghostdim.tensor_ss import (
     fdim_via_ss,
     resolution_filtration,
@@ -207,7 +207,25 @@ def test_filtration_table_json():
 IDENTITY_RINGS = ("zmod:12", "ut3:f2", "dual:f2", "a2:f2")
 
 
+def _ut2_f3():
+    """T_2(F_3) on the basis (2 e11, e12, e22): the unit is 2 b_0 + b_2, so
+    unit coefficients other than 0 and 1 and the signs that F_2 hides show."""
+    sc = np.zeros((3, 3, 3), dtype=np.int64)
+    sc[0, 0, 0] = 2       # (2 e11)(2 e11) = e11 = 2 b_0
+    sc[0, 1, 1] = 2       # (2 e11) e12 = 2 e12
+    sc[1, 2, 1] = 1       # e12 e22 = e12
+    sc[2, 2, 2] = 1
+    return make_ring(ring_spec_from_dict({
+        "backend": "fp_algebra", "name": "ut2:f3", "p": 3, "dim": 3,
+        "structure_constants": sc.tolist(), "unit": [2, 0, 1],
+        "simples": [{"dim": 1, "actions": [[[2]], [[0]], [[0]]]},
+                    {"dim": 1, "actions": [[[0]], [[0]], [[1]]]}],
+    }))
+
+
 def _ring(name):
+    if name == "ut2:f3":
+        return _ut2_f3()
     return zmod(12) if name == "zmod:12" else builtin_ring(name)
 
 
@@ -346,7 +364,7 @@ def _same_kind(src, tgt):
     return bool(src.free and tgt.free and src.free[0] == tgt.free[0])
 
 
-@pytest.mark.parametrize("name", ("ut2:f2", "a2:f2", "ut3:f2", "dual:f2"))
+@pytest.mark.parametrize("name", ("ut2:f2", "a2:f2", "ut3:f2", "dual:f2", "ut2:f3"))
 def test_tensor_map_matches_the_pair_cube_during_fdim(name, monkeypatch):
     closed = []
 
@@ -358,18 +376,18 @@ def test_tensor_map_matches_the_pair_cube_during_fdim(name, monkeypatch):
         return got
 
     monkeypatch.setattr(tensor_ss, "tensor_map", checked)
-    members, _ = standard_battery(builtin_ring(name), 2, seed=0, min_size=8)
+    members, _ = standard_battery(_ring(name), 2, seed=0, min_size=8)
     # the reference pair cube is slow on the largest duals: the six smallest
     for cx in sorted((m.cx for m in members), key=_total_gens)[:6]:
         fdim_via_ss(cx, 2)
     assert any(closed)
 
 
-@pytest.mark.parametrize("name", ("ut2:f2", "ut3:f2"))
+@pytest.mark.parametrize("name", ("ut2:f2", "ut3:f2", "ut2:f3"))
 def test_tensor_map_matches_the_pair_cube_on_every_kind_of_pair(name):
     """Free-right and free-left pairs take the closed form without building
     proj or lift; mixed pairs and zero blocks take the pair cube."""
-    ring = builtin_ring(name)
+    ring = _ring(name)
     op = ring.opposite()
     m = ring.modulus
     rng = np.random.default_rng(0)
@@ -395,12 +413,15 @@ def test_tensor_map_matches_the_pair_cube_on_every_kind_of_pair(name):
             (False, False, True)} <= kinds
 
 
-@pytest.mark.parametrize("name", ("zmod:12", "ut3:f2", "dual:f2"))
-def test_ucss_orders_match_the_induced_map_route(name):
+# ut2:f3 is hereditary: of its battery only res:M2, the eighth smallest,
+# has a kernel chain longer than one.
+@pytest.mark.parametrize("name,smallest,chains", (("zmod:12", 6, 3), ("ut3:f2", 6, 3),
+                                                  ("dual:f2", 6, 3), ("ut2:f3", 8, 2)))
+def test_ucss_orders_match_the_induced_map_route(name, smallest, chains):
     ring = _ring(name)
     members, _ = standard_battery(ring, 3, seed=0, min_size=10)
     checked = 0
-    for x in sorted((m.cx for m in members), key=_total_gens)[:6]:
+    for x in sorted((m.cx for m in members), key=_total_gens)[:smallest]:
         for z in tensor_ss.default_tests(x):
             lo, hi = x.lo + z.lo, x.hi + z.hi
             for window in (None, (lo + 1, hi), (lo, lo)):
@@ -411,7 +432,7 @@ def test_ucss_orders_match_the_induced_map_route(name):
                 assert got.e_infty == want.e_infty
                 assert got.vanishing_line == want.vanishing_line
                 checked += any(len(chain) > 1 for chain in got.kernel_orders.values())
-    assert checked >= 3
+    assert checked >= chains
 
 
 def test_filtration_depth_counts_the_stages_read():

@@ -1,6 +1,6 @@
 """Wall times of the fdim path that no perfbench workload reaches.
 
-    PYTHONPATH=src python3 tools/bench_timings.py [--rings a3:f2,ut3:f2]
+    PYTHONPATH=src python3 tools/bench_timings.py
 
 Prints one JSON object: the environment, the fdim time of the a3:f2 member
 cone2:1 (bound 6, seed 7, on a freshly built battery) and, per builtin
@@ -9,7 +9,6 @@ criterion 2 -- with a digest of its report, so two commits can be compared
 for both speed and answers.
 """
 
-import argparse
 import hashlib
 import json
 import os
@@ -39,9 +38,9 @@ def cone2_fdim():
     return {"seconds": round(time.perf_counter() - t0, 2), "fdim": verdict.render()}
 
 
-def criterion_2(rings):
+def criterion_2():
     out = {}
-    for name in rings:
+    for name in BUILTIN_NAMES:
         t0 = time.perf_counter()
         ok, report = verify_compact_eq(builtin_ring(name), BOUND, SEED)
         out[name] = {"seconds": round(time.perf_counter() - t0, 2), "pass": ok,
@@ -50,16 +49,11 @@ def criterion_2(rings):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rings", default=",".join(BUILTIN_NAMES),
-                    help="comma-separated builtin rings for criterion 2 (default: all)")
-    args = ap.parse_args()
-    rings = [r for r in args.rings.split(",") if r]
     result = {
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "cores": os.cpu_count()},
         "cone2:1_fdim": cone2_fdim(),
-        "criterion_2": criterion_2(rings),
+        "criterion_2": criterion_2(),
     }
     result["criterion_2_total_s"] = round(sum(v["seconds"] for v in result["criterion_2"].values()), 2)
     json.dump(result, sys.stdout)
