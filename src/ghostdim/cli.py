@@ -8,6 +8,7 @@ counterexamples.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -41,7 +42,14 @@ from .ghosts import (
 )
 from .linalg import parse_int
 from .modules import free_module, is_projective
-from .rings import BUILTIN_NAMES, builtin_ring, load_ring_file, ring_to_dict
+from .rings import (
+    BUILTIN_NAMES,
+    builtin_ring,
+    load_ring_file,
+    make_ring,
+    ring_spec_from_dict,
+    ring_to_dict,
+)
 from .tensor_ss import fdim_via_ss
 
 CORPUS_ENV = "GHOSTDIM_CORPUS_DIR"
@@ -241,50 +249,89 @@ def verify_symmetry(r, bound, seed):
     return ok, report
 
 
-def verify_flatchar(r, bound, seed):
-    members, _ = standard_battery(r, bound, seed, min_size=12)
-    # Members draw their probes from one generator in id order (the battery's
-    # order), so the report depends only on the inputs.
-    rng = random.Random(seed + 1)
+def _random_probes(x, rng):
+    """Up to three nonzero random maps R -> x, from at most eight draws."""
+    a = module_complex(free_module(x.ring, 1))
+    draws = (random_chain_map(a, x, rng) for _ in range(8))
+    return itertools.islice((f for f in draws if not f.is_zero), 3)
+
+
+def _flatchar_check(x, bound, probes):
+    """Flat homology iff the universal ghost is null; flat members factor each probe."""
+    hom = x.homology()
+    flat = all(is_projective(hom[k].module)[0] for k in x.degrees())
+    ug = universal_ghost(x)
+    ghost_null = null_homotopy(ug.ghost) is not None
+    entry = {"flat_homology": flat, "universal_ghost_null": ghost_null}
+    if flat != ghost_null:
+        entry["fail"] = "ghost nullity disagrees with flatness"
+        return entry
+    if flat:
+        checked = 0
+        for f in probes:
+            try:
+                factor_through_projective(f, ug=ug)
+            except GhostdimError as exc:
+                entry["fail"] = f"factorization failed: {exc}"
+                entry["map"] = chain_map_to_dict(f)
+                return entry
+            checked += 1
+        entry["factorizations_checked"] = checked
+    return entry
+
+
+def _compact_eq_check(x, bound, probes):
+    """pdim (ghost tower) and fdim (spectral sequence) agree."""
+    v_p = pdim_complex(x, bound)
+    v_f = fdim_via_ss(x, bound)
+    entry = {"pdim": v_p.render(), "fdim": v_f.render(), "agree": v_p.same_verdict(v_f)}
+    if not entry["agree"]:
+        entry["fail"] = f"pdim {entry['pdim']} and fdim {entry['fdim']} disagree"
+    return entry
+
+
+def _rouquier_check(x, bound, probes):
+    """x is a retract of a pdim-step extension of frees (pdim <= min(4, bound))."""
+    v = pdim_complex(x, bound)
+    if not v.is_finite or v.n > min(4, bound):
+        return {"pdim": v.render(), "skipped": True}
+    try:
+        cert = rouquier_build(x, v.n)
+    except GhostdimError as exc:
+        return {"pdim": v.render(), "fail": str(exc)}
+    entry = {
+        "pdim": v.render(),
+        "triangles": len(cert.steps),
+        "stage_ranks": [st.free_rank_total for st in cert.steps],
+        "retract_exact": not cert.retract_homotopy.mats,
+        "ok": len(cert.steps) <= v.n,
+    }
+    if not entry["ok"]:
+        entry["fail"] = "too many triangles"
+    return entry
+
+
+# Each battery suite: its member check and the battery's minimum size.  A
+# check maps (complex, bound, probes) to an entry that holds "fail" exactly
+# when the member fails; `replay` runs the same check on a recorded complex.
+_MEMBER_CHECKS = {
+    "flatchar": (_flatchar_check, 12),
+    "compact-eq": (_compact_eq_check, 25),
+    "rouquier": (_rouquier_check, 15),
+}
+
+
+def _battery_suite(kind, r, bound, seed, probes):
+    check, min_size = _MEMBER_CHECKS[kind]
+    members, _ = standard_battery(r, bound, seed, min_size=min_size)
     rows = []
     failures = []
-
-    def check(mem):
-        x = mem.cx
-        hom = x.homology()
-        flat = all(is_projective(hom[k].module)[0] for k in x.degrees())
-        ug = universal_ghost(x)
-        ghost_null = null_homotopy(ug.ghost) is not None
-        entry = {"member": mem.ident, "flat_homology": flat, "universal_ghost_null": ghost_null}
-        if flat != ghost_null:
-            entry["fail"] = "ghost nullity disagrees with flatness"
-            return entry
-        if flat:
-            probes = 0
-            for _ in range(8):
-                a = module_complex(free_module(r, 1))
-                f = random_chain_map(a, x, rng)
-                if f.is_zero:
-                    continue
-                try:
-                    fact = factor_through_projective(f, ug=ug)
-                    fact.validate(f)
-                except GhostdimError as exc:
-                    entry["fail"] = f"factorization failed: {exc}"
-                    entry["map"] = chain_map_to_dict(f)
-                    return entry
-                probes += 1
-                if probes >= 3:
-                    break
-            entry["factorizations_checked"] = probes
-        return entry
-
     for mem in members:
-        entry = check(mem)
+        entry = {"member": mem.ident, **check(mem.cx, bound, probes(mem.cx))}
         rows.append(entry)
         if "fail" in entry:
             ce = {
-                "kind": "flatchar",
+                "kind": kind,
                 "ring": ring_to_dict(r),
                 "bound": bound,
                 "seed": seed,
@@ -295,80 +342,28 @@ def verify_flatchar(r, bound, seed):
                 ce["map"] = entry.pop("map")
             failures.append(ce)
     ok = not failures
-    report = {"suite": "flatchar", "ring": r.name, "members": rows, "pass": ok}
+    report = {"suite": kind, "ring": r.name, "members": rows, "pass": ok}
     if failures:
         report["counterexamples"] = failures
     return ok, report
+
+
+def verify_flatchar(r, bound, seed):
+    # Members draw their probes lazily from one generator in id order (the
+    # battery's order), so the report depends only on the inputs.
+    rng = random.Random(seed + 1)
+    return _battery_suite("flatchar", r, bound, seed, lambda x: _random_probes(x, rng))
 
 
 def verify_compact_eq(r, bound, seed):
-    members, _ = standard_battery(r, bound, seed, min_size=25)
-    rows = []
-    failures = []
-    for mem in members:
-        v_p = pdim_complex(mem.cx, bound)
-        v_f = fdim_via_ss(mem.cx, bound)
-        entry = {"member": mem.ident, "pdim": v_p.render(), "fdim": v_f.render(),
-                 "agree": v_p.same_verdict(v_f)}
-        rows.append(entry)
-        if not entry["agree"]:
-            failures.append({
-                "kind": "compact-eq",
-                "ring": ring_to_dict(r),
-                "bound": bound,
-                "seed": seed,
-                "complex": complex_to_dict(mem.cx),
-                "pdim": entry["pdim"],
-                "fdim": entry["fdim"],
-            })
-    ok = not failures
-    report = {"suite": "compact-eq", "ring": r.name, "battery_size": len(members),
-              "members": rows, "pass": ok}
-    if failures:
-        report["counterexamples"] = failures
-    return ok, report
+    ok, report = _battery_suite("compact-eq", r, bound, seed, lambda x: ())
+    # battery_size sits between ring and members in the report
+    return ok, {"suite": report.pop("suite"), "ring": report.pop("ring"),
+                "battery_size": len(report["members"]), **report}
 
 
 def verify_rouquier(r, bound, seed):
-    members, _ = standard_battery(r, bound, seed, min_size=15)
-    rows = []
-    failures = []
-
-    def check(mem):
-        v = pdim_complex(mem.cx, bound)
-        if not v.is_finite or v.n > min(4, bound):
-            return {"member": mem.ident, "pdim": v.render(), "skipped": True}
-        try:
-            cert = rouquier_build(mem.cx, v.n)
-            cert.validate(mem.cx)
-        except GhostdimError as exc:
-            return {"member": mem.ident, "pdim": v.render(), "fail": str(exc)}
-        return {
-            "member": mem.ident,
-            "pdim": v.render(),
-            "triangles": len(cert.steps),
-            "stage_ranks": [st.free_rank_total for st in cert.steps],
-            "retract_exact": not cert.retract_homotopy.mats,
-            "ok": len(cert.steps) <= v.n,
-        }
-
-    for mem in members:
-        entry = check(mem)
-        rows.append(entry)
-        if entry.get("fail") or entry.get("ok") is False:
-            failures.append({
-                "kind": "rouquier",
-                "ring": ring_to_dict(r),
-                "bound": bound,
-                "seed": seed,
-                "complex": complex_to_dict(mem.cx),
-                "detail": entry.get("fail", "too many triangles"),
-            })
-    ok = not failures
-    report = {"suite": "rouquier", "ring": r.name, "members": rows, "pass": ok}
-    if failures:
-        report["counterexamples"] = failures
-    return ok, report
+    return _battery_suite("rouquier", r, bound, seed, lambda x: ())
 
 
 _SUITES = {
@@ -406,7 +401,11 @@ def replay_command(path, output):
     try:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ParseError("a replay file must hold a JSON object")
         ces = data.get("counterexamples", [data] if "kind" in data else [])
+        if not isinstance(ces, list) or not all(isinstance(ce, dict) for ce in ces):
+            raise ParseError("'counterexamples' must be a list of objects")
         if not ces:
             raise ParseError("no counterexamples found in file")
         results = [_replay_one(ce) for ce in ces]
@@ -419,53 +418,24 @@ def replay_command(path, output):
 
 
 def _replay_one(ce):
+    """Re-run a counterexample: a ring-level suite in full, or a battery
+    suite's member check on the recorded complex (and recorded map, if any)."""
     kind = ce["kind"]
-    from .rings import make_ring, ring_spec_from_dict
-
+    if not isinstance(kind, str) or kind not in _SUITES:
+        raise UnknownCommand(f"cannot replay counterexample of kind {kind!r}")
     r = make_ring(ring_spec_from_dict(ce["ring"]))
     bound = parse_int(ce.get("bound", 8), "counterexample 'bound'")
     if bound < 0:
         raise ParseError(f"counterexample 'bound' must be >= 0, got {bound}")
     seed = parse_int(ce.get("seed", 0), "counterexample 'seed'")
-    if kind == "summary":
-        ok, _ = verify_summary(r, bound, seed)
+    if kind not in _MEMBER_CHECKS:
+        ok, _ = _SUITES[kind](r, bound, seed)
         return {"kind": kind, "pass": ok}
-    if kind == "symmetry":
-        ok, _ = verify_symmetry(r, bound, seed)
-        return {"kind": kind, "pass": ok}
-    if kind in ("compact-eq", "flatchar", "rouquier"):
-        cx = complex_from_dict(ce["complex"], ring=r)
-        if kind == "compact-eq":
-            v_p = pdim_complex(cx, bound)
-            v_f = fdim_via_ss(cx, bound)
-            return {"kind": kind, "pdim": v_p.render(), "fdim": v_f.render(),
-                    "pass": v_p.same_verdict(v_f)}
-        if kind == "flatchar":
-            hom = cx.homology()
-            flat = all(is_projective(hom[k].module)[0] for k in cx.degrees())
-            ug = universal_ghost(cx)
-            ghost_null = null_homotopy(ug.ghost) is not None
-            result = {"kind": kind, "flat": flat, "ghost_null": ghost_null,
-                      "pass": flat == ghost_null}
-            if "map" in ce and result["pass"] and flat:
-                f = chain_map_from_dict(module_complex(free_module(r, 1)), cx,
-                                        ce["map"])
-                try:
-                    factor_through_projective(f, ug=ug).validate(f)
-                except GhostdimError as exc:
-                    result["pass"] = False
-                    result["detail"] = str(exc)
-            return result
-        v = pdim_complex(cx, bound)
-        if not v.is_finite:
-            return {"kind": kind, "pass": False, "detail": "pdim not finite"}
-        try:
-            cert = rouquier_build(cx, v.n)
-            cert.validate(cx)
-            return {"kind": kind, "pass": len(cert.steps) <= v.n}
-        except GhostdimError as exc:
-            return {"kind": kind, "pass": False, "detail": str(exc)}
-    raise UnknownCommand(f"cannot replay counterexample of kind {kind!r}")
+    cx = complex_from_dict(ce["complex"], ring=r)
+    a = module_complex(free_module(r, 1))
+    probes = [chain_map_from_dict(a, cx, ce["map"])] if "map" in ce else []
+    entry = _MEMBER_CHECKS[kind][0](cx, bound, probes)
+    return {"kind": kind, "pass": "fail" not in entry, **entry}
 
 
 if __name__ == "__main__":

@@ -419,7 +419,6 @@ class Homotopy:
 def check_null_homotopy(f, h):
     if not h.bounds(f):
         raise ValidationError("claimed null-homotopy fails f = dh + hd")
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -698,13 +697,10 @@ class Triangle:
             cx.validate()
         for mp in (self.f, self.g, self.h):
             mp.validate()
-        if not check_null_homotopy(self.g @ self.f, self.gf_null):
-            raise ValidationError("g.f not null")
-        if not check_null_homotopy(self.h @ self.g, self.hg_null):
-            raise ValidationError("h.g not null")
+        check_null_homotopy(self.g @ self.f, self.gf_null)
+        check_null_homotopy(self.h @ self.g, self.hg_null)
         sf = suspend_between(self.f, self.h.tgt, suspend(self.b), 1)
-        if not check_null_homotopy(sf @ self.h, self.rot_null):
-            raise ValidationError("(Sf).h not null")
+        check_null_homotopy(sf @ self.h, self.rot_null)
 
 
 @dataclass
@@ -876,13 +872,13 @@ def cone_inclusion_model(inner_cd):
     return outer, equiv
 
 
-def cone_desuspension_iso(phi, down_cone_cd, up_cone):
-    """The iso  cone(S^-1 phi) = S^-1 cone(phi)  given both complexes.
+def cone_desuspension_iso(down_cone_cd, up_cone):
+    """The iso  cone(S^-1 phi) = S^-1 cone(phi)  given both cones.
 
     J(b, a) = (b, -a) in the block coordinates of the cone.
     """
     src = down_cone_cd.cone
-    tgt = desuspend(up_cone.cone)
+    tgt = desuspend(up_cone)
     mats = {}
     for k in src.degrees():
         mats[k] = (down_cone_cd.it(k) @ down_cone_cd.pt(k)
@@ -907,8 +903,8 @@ def cone_suspension_twist(cone_of_suspended, plain_cd, times):
     return iso_equivalence(fwd, bwd)
 
 
-def octahedron_equivalence(a_map, v_map, b_map, comparison_cd, right_cd, witness=None):
-    """The equivalence  cone(comparison) ~ cone(v)  for b = v . a (up to witness).
+def octahedron_equivalence(a_map, comparison_cd, right_cd, witness):
+    """The equivalence  cone(comparison) ~ cone(v)  for b ~ v . a via witness.
 
     pi((w, x), (u, x')) = (w + H x, u + a x) with sigma((w, u)) = ((w, 0), (u, 0));
     pi sigma = id exactly and sigma pi ~ id via s((w,x),(u,x')) = ((0,0),(0,x)).
@@ -918,14 +914,12 @@ def octahedron_equivalence(a_map, v_map, b_map, comparison_cd, right_cd, witness
     cd_phi = comparison_cd["phi"]
     cphi = cd_phi.cone
     cv = right_cd.cone
-    h_comp = (witness.component if witness is not None else (lambda k: zeros(
-        b_map.tgt.term(k + 1).ngens, b_map.src.term(k).ngens)))
     pi_mats = {}
     sig_mats = {}
     s_mats = {}
     for k in range(min(cphi.lo, cv.lo), max(cphi.hi, cv.hi) + 1):
         x_of_cb = cd_bot.psh(k) @ cd_phi.pt(k)
-        w_part = right_cd.it(k) @ (cd_bot.pt(k) @ cd_phi.pt(k) + h_comp(k - 1) @ x_of_cb)
+        w_part = right_cd.it(k) @ (cd_bot.pt(k) @ cd_phi.pt(k) + witness.component(k - 1) @ x_of_cb)
         u_part = right_cd.ish(k) @ (cd_top.pt(k - 1) @ cd_phi.psh(k)
                                     + a_map.component(k - 1) @ x_of_cb)
         pi_mats[k] = w_part + u_part
@@ -1107,10 +1101,8 @@ class Equivalence:
     bwd_fwd: Homotopy         # bwd . fwd ~ id_src
 
     def validate(self):
-        if not check_null_homotopy(self.fwd @ self.bwd - identity_chain(self.tgt), self.fwd_bwd):
-            raise ValidationError("fwd.bwd is not homotopic to the identity")
-        if not check_null_homotopy(self.bwd @ self.fwd - identity_chain(self.src), self.bwd_fwd):
-            raise ValidationError("bwd.fwd is not homotopic to the identity")
+        check_null_homotopy(self.fwd @ self.bwd - identity_chain(self.tgt), self.fwd_bwd)
+        check_null_homotopy(self.bwd @ self.fwd - identity_chain(self.src), self.bwd_fwd)
 
 
 def negate_homotopy(h):
@@ -1178,6 +1170,7 @@ class ThreeByThree:
     comparison: ChainMap      # cone(top) -> cone(bottom)
     cofiber_model: Equivalence  # C ~ cone(right)
     witness: Homotopy
+    right_cone: ConeData      # cone(right), the target of cofiber_model
 
 
 def three_by_three(top, bottom, right, witness=None):
@@ -1212,13 +1205,14 @@ def three_by_three(top, bottom, right, witness=None):
     cd_phi = cone(comparison)
     cd_right = cone(right)
     equiv = octahedron_equivalence(
-        top, right, bottom,
+        top,
         {"top": cd_top, "bottom": cd_bot, "phi": cd_phi},
         cd_right,
         witness=witness,
     )
     return ThreeByThree(
-        triangle=cd_phi.triangle, comparison=comparison, cofiber_model=equiv, witness=witness
+        triangle=cd_phi.triangle, comparison=comparison, cofiber_model=equiv, witness=witness,
+        right_cone=cd_right,
     )
 
 

@@ -34,11 +34,11 @@ from .complexes import (
     fiber,
     free_complex,
     identity_chain,
-    octahedron_equivalence,
     resolution_complex,
     section_from_null_homotopy,
     suspend,
     suspend_equivalence,
+    three_by_three,
 )
 from .errors import NoSimplesDeclared, PdimTooLarge, ValidationError
 from .ghosts import (
@@ -192,18 +192,21 @@ def _proper_divisors(n):
     return small + large[::-1]
 
 
-def _cyclic_modules(ring, rng, count=2):
+_CYCLIC_COUNT = 2
+
+
+def _cyclic_modules(ring, rng):
     """A few cyclic test modules R / xR."""
     out = []
     if ring.backend == "zmod":
         divisors = _proper_divisors(ring.modulus)
         rng.shuffle(divisors)
-        for d in divisors[:count]:
+        for d in divisors[:_CYCLIC_COUNT]:
             out.append(make_module(ring, {"orders": [d]}, label=f"Z/{d}"))
         return out
     reg = free_module(ring, 1)
     tries = 0
-    while len(out) < count and tries < 10 * count:
+    while len(out) < _CYCLIC_COUNT and tries < 10 * _CYCLIC_COUNT:
         tries += 1
         x = np.array([rng.randrange(ring.modulus) for _ in range(ring.rank)], dtype=np.int64)
         if not x.any():
@@ -402,9 +405,7 @@ def _base_model(tower, y0):
     st = tower.stage(0)
     _, e4 = cone_inclusion_model(st.ug.cone_data)
     down = suspend_equivalence(e4, -1)
-    model = _redirect_equivalence(down, y0, st.ug.cover)
-    model.validate()
-    return model
+    return _redirect_equivalence(down, y0, st.ug.cover)
 
 
 def _step_model(tower, j, cd_mj):
@@ -412,33 +413,20 @@ def _step_model(tower, j, cd_mj):
 
     Chain of explicit pieces: a desuspension iso onto S^-1 cone(Phi), the
     octahedron equivalence onto S^-1 cone(w_j), the suspension twist onto
-    S^{j-1} cone(delta_j), and the cone-inclusion model onto S^j P_j.
+    S^{j-1} cone(delta_j), and the cone-inclusion model onto S^j P_j.  The
+    square g_j = w_j . g_{j-1} commutes on the nose, so its witness is zero.
     """
     st = tower.stage(j)
-    prev = tower.stage(j - 1)
-    a_map = prev.composite
-    v_map = st.step_map
+    a_map = tower.stage(j - 1).composite
     b_map = st.composite
-    cd_a = cone(a_map)
-    cd_b = cone(b_map)
-    phi_mats = {}
-    for k in range(min(cd_a.cone.lo, cd_b.cone.lo), max(cd_a.cone.hi, cd_b.cone.hi) + 1):
-        phi_mats[k] = (cd_b.it(k) @ v_map.component(k) @ cd_a.pt(k)
-                       + cd_b.ish(k) @ cd_a.psh(k))
-    phi = ChainMap(cd_a.cone, cd_b.cone, phi_mats, check=True)
-    cd_phi = cone(phi)
-    cd_v = cone(v_map)
-    e1 = cone_desuspension_iso(phi, cd_mj, cd_phi)
-    e2 = octahedron_equivalence(a_map, v_map, b_map,
-                                {"top": cd_a, "bottom": cd_b, "phi": cd_phi}, cd_v)
+    sq = three_by_three(a_map, b_map, st.step_map, witness=Homotopy(a_map.src, b_map.tgt, {}))
+    e1 = cone_desuspension_iso(cd_mj, sq.triangle.c)
     outer_cd, e4 = cone_inclusion_model(st.ug.cone_data)
-    e3 = cone_suspension_twist(cd_v, outer_cd, j)
-    total = compose_equivalences(e1, suspend_equivalence(e2, -1))
+    e3 = cone_suspension_twist(sq.right_cone, outer_cd, j)
+    total = compose_equivalences(e1, suspend_equivalence(sq.cofiber_model, -1))
     total = compose_equivalences(total, suspend_equivalence(e3, -1))
     total = compose_equivalences(total, suspend_equivalence(e4, j - 1))
-    model = _redirect_equivalence(total, cd_mj.cone, suspend(st.ug.cover, j))
-    model.validate()
-    return model
+    return _redirect_equivalence(total, cd_mj.cone, suspend(st.ug.cover, j))
 
 
 def rouquier_build(x, n):

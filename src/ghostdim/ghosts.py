@@ -399,8 +399,8 @@ def factor_through_pdim_n(f, n, _verify=True):
 # Random chain maps (battery construction and universality checks)
 # ---------------------------------------------------------------------------
 
-def random_chain_map(src, tgt, rng, gens=None):
-    gens = gens if gens is not None else chain_map_generators(src, tgt)
+def random_chain_map(src, tgt, rng):
+    gens = chain_map_generators(src, tgt)
     if not gens:
         return zero_chain(src, tgt)
     m = src.ring.modulus

@@ -62,8 +62,8 @@ class FgModule:
     def zero_map_to(self, other):
         return ModuleMap(self, other, zeros(other.ngens, self.ngens))
 
-    def elements(self, cap=ENUMERATION_CAP):
-        return linalg.enumerate_group(self.orders, cap=cap)
+    def elements(self):
+        return linalg.enumerate_group(self.orders, cap=ENUMERATION_CAP)
 
     def act(self, t, vec):
         return linalg.reduce_coords(self.actions[t] @ vec, self.orders)
@@ -897,11 +897,11 @@ def module_to_descriptor(module):
     }
 
 
-def is_simple(module, cap=ENUMERATION_CAP):
+def is_simple(module):
     """No proper nonzero submodule: every nonzero element generates."""
     if module.is_zero:
         return False
-    for v in module.elements(cap=cap):
+    for v in module.elements():
         if not v.any():
             continue
         span = submodule_generated(module, v.reshape(-1, 1))

@@ -5,10 +5,11 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from ghostdim.cli import main
+from ghostdim.cli import _MEMBER_CHECKS, _SUITES, main
 from ghostdim.complexes import complex_to_dict, resolution_complex
+from ghostdim.dimensions import standard_battery
 from ghostdim.modules import make_module
-from ghostdim.rings import builtin_ring, ring_to_dict, zmod
+from ghostdim.rings import builtin_ring, make_ring, ring_spec_from_dict, ring_to_dict, zmod
 
 
 runner = CliRunner()
@@ -343,6 +344,34 @@ def test_replay_of_a_malformed_counterexample_exits_2(tmp_path):
     path.write_text(json.dumps(ce))
     res = invoke("replay", str(path))
     assert res.exit_code == 2 and "'bound' must be >= 0" in res.output
+    for data in ([1], {"counterexamples": [1]}, {"counterexamples": "ab"}):
+        path.write_text(json.dumps(data))
+        res = invoke("replay", str(path))
+        assert res.exit_code == 2
+        assert res.output.startswith("error: ") and res.output.count("\n") == 1
+
+
+def test_replay_runs_the_suites_own_member_checks():
+    path = os.path.join(GOLDEN, "replay-kinds.json")
+    res = invoke("replay", path, "--output", "json")
+    assert res.exit_code == 0
+    with open(os.path.join(GOLDEN, "replay-kinds.out.json"), "rb") as fh:
+        assert res.output.encode() == fh.read()
+    replayed = json.loads(res.output)["replayed"]
+    with open(path) as fh:
+        ces = json.load(fh)["counterexamples"]
+    assert [got["kind"] for got in replayed] == ["summary", "symmetry", "compact-eq", "flatchar", "rouquier"]
+    assert all(got["pass"] for got in replayed)
+    assert replayed[3]["factorizations_checked"] == 1
+    for ce, got in zip(ces, replayed):
+        if ce["kind"] not in ("compact-eq", "rouquier"):
+            continue
+        ring = make_ring(ring_spec_from_dict(ce["ring"]))
+        members, _ = standard_battery(ring, ce["bound"], ce["seed"], min_size=_MEMBER_CHECKS[ce["kind"]][1])
+        ident = next(m.ident for m in members if complex_to_dict(m.cx) == ce["complex"])
+        _, report = _SUITES[ce["kind"]](ring, ce["bound"], ce["seed"])
+        row = next(row for row in report["members"] if row["member"] == ident)
+        assert {"kind": ce["kind"], "pass": True, **row} == {"member": ident, **got}
 
 
 # Any JSON value: null, bools, strings, floats (NaN and infinities too),
