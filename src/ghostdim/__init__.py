@@ -39,7 +39,6 @@ from .ghosts import (
     factor_through_pdim_n,
     factor_through_projective,
     ghost_tower,
-    is_ghost,
     pdim_complex,
     universal_ghost,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "gldim_ring",
     "hom_generators",
     "homology_les_exact",
-    "is_ghost",
     "is_projective",
     "kernel_cokernel",
     "load_ring_file",

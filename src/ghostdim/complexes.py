@@ -18,15 +18,17 @@ All homotopy questions (nullity, chain-map solving, factorizations through
 cones) are linear systems over the base arithmetic and go through
 :class:`MapSystem`.
 
-Homology is computed once per content, not once per complex.  Ghost towers
-rebuild the same groups over and over (a stage, the cone it feeds, the
-target of every ghost check), so Complex.homology first looks H_k up by a
-digest of everything _homology_at reads: the ring (name, backend, modulus,
-structure constants, unit and declared simples), the degree k, term k (its
-orders and action matrices), the orders of term k-1, and the shapes and
-bytes of d_k and d_(k+1) (each d_k digested once per complex).  _homology_at
-is deterministic in exactly these inputs, so a shared result is
-bit-identical to a fresh one.  The shared HomologyData lives as long as
+Homology is computed once per content, not once per complex.  A ghost
+tower forms no homology for its checks beyond its stages' own: the ghost
+check of a stage reads the homology of the next stage, the very complex
+the tower goes on with (see ghosts.universal_ghost).  Complexes built apart
+can still have the same content, so Complex.homology first looks H_k up by
+a digest of everything _homology_at reads: the ring (name, backend,
+modulus, structure constants, unit and declared simples), the degree k,
+term k (its orders and action matrices), the orders of term k-1, and the
+shapes and bytes of d_k and d_(k+1) (each d_k digested once per complex).
+_homology_at is deterministic in exactly these inputs, so a shared result
+is bit-identical to a fresh one.  The shared HomologyData lives as long as
 some complex holds it (a weak-valued table, no size limit to tune) and its
 arrays are read-only.
 """

@@ -34,48 +34,28 @@ from .complexes import (
     fiber,
     free_complex,
     identity_chain,
-    induced_map,
     null_homotopy,
     suspend,
     suspend_between,
     zero_chain,
 )
 from .errors import NoFactorization, ValidationError
-from .modules import free_map, image_subgroup_order, minimal_generators
+from .modules import free_map, minimal_generators, subgroup_order_in
 from .verdicts import Verdict
-
-
-def is_ghost(f):
-    """True iff the induced map on every homology degree is zero."""
-    lo = min(f.src.lo, f.tgt.lo)
-    hi = max(f.src.hi, f.tgt.hi)
-    for k in range(lo, hi + 1):
-        if induced_map(f, k).mat.any():
-            return False
-    return True
-
-
-def homology_epi(f):
-    """True iff the induced map on homology is surjective in every degree."""
-    lo = min(f.src.lo, f.tgt.lo)
-    hi = max(f.src.hi, f.tgt.hi)
-    for k in range(lo, hi + 1):
-        ind = induced_map(f, k)
-        if image_subgroup_order(ind) != ind.tgt.size:
-            return False
-    return True
 
 
 @dataclass
 class UniversalGhost:
     """Triangle  P -> X -> Y -> SP  with P free, P -> X onto homology,
-    and the universal ghost g: X -> Y = cone(P -> X)."""
+    and the universal ghost g: X -> Y = cone(P -> X).  nxt = S^-1 Y is the
+    next tower stage; its homology answered the ghost check."""
 
     source: Complex
     cover: Complex
     cover_map: ChainMap
     ghost: ChainMap
     cone_data: object
+    nxt: Complex
 
     @property
     def target(self):
@@ -83,7 +63,22 @@ class UniversalGhost:
 
 
 def universal_ghost(x):
-    """Build the universal ghost out of x from a minimal homology cover."""
+    """Build the universal ghost out of x from a minimal homology cover.
+
+    Two checks run on what is built, each against homology the tower needs
+    anyway rather than homology formed only for the check:
+
+    * the cover P -> X is onto homology.  P has zero differential, so
+      H_k(P) = P_k with the identity as lift, and H_k of the cover is the
+      class of each column of its matrix in H_k(X);
+    * g: X -> Y = cone(P -> X) is a ghost.  S^-1 Y has the cycles and
+      boundaries of Y one degree down (negating d changes no kernel or
+      image, as shift_identification states), so H_k(g) is zero iff every
+      g_k . lift classifies to zero in H_(k-1)(S^-1 Y), which is the next
+      tower stage.
+
+    Each failure raises ValidationError.
+    """
     ring = x.ring
     hom = x.homology()
     ranks = {}
@@ -100,13 +95,36 @@ def universal_ghost(x):
     for k, cols in reps.items():
         mats[k] = free_map(p.term(k), x.term(k), cols).mat
     cover_map = ChainMap(p, x, mats, check=True)
-    if not homology_epi(cover_map):
-        raise ValidationError("homology cover failed to be surjective")
+    _check_onto_homology(cover_map)
     cd = cone(cover_map, name=f"UG({x.name or 'X'})")
     ghost = cd.triangle.g
-    if not is_ghost(ghost):
-        raise ValidationError("cofiber of a homology epi failed the ghost check")
-    return UniversalGhost(source=x, cover=p, cover_map=cover_map, ghost=ghost, cone_data=cd)
+    nxt = desuspend(cd.cone)
+    _check_ghost(ghost, nxt)
+    return UniversalGhost(source=x, cover=p, cover_map=cover_map, ghost=ghost, cone_data=cd, nxt=nxt)
+
+
+def _check_onto_homology(cover_map):
+    """Raise unless the cover P -> X, P free with zero differential, is onto H(X)."""
+    x = cover_map.tgt
+    for k in x.degrees():
+        hk = x.homology_at(k)
+        if hk.module.is_zero:
+            continue
+        # the image of H_k(P) = P_k: the classes of the cover's columns
+        if subgroup_order_in(hk.module, hk.classify(cover_map.component(k))) != hk.module.size:
+            raise ValidationError("homology cover failed to be surjective")
+
+
+def _check_ghost(g, nxt):
+    """Raise unless g: X -> Y induces zero on homology; nxt is S^-1 Y."""
+    x = g.src
+    for k in x.degrees():
+        hk = x.homology_at(k)
+        if hk.module.is_zero:
+            continue
+        pushed = linalg.reduce_coords(g.component(k) @ hk.lift, g.tgt.term(k).orders)
+        if nxt.homology_at(k - 1).classify(pushed).any():
+            raise ValidationError("cofiber of a homology epi failed the ghost check")
 
 
 @dataclass
@@ -146,9 +164,8 @@ class Tower:
             w = suspend(ug.target, i)
             step = suspend_between(delta, prev.shifted_target, w, i)
             composite = step @ prev.composite
-        nxt = desuspend(ug.target)
         self.stages.append(
-            TowerStage(index=i, stage=nxt, ug=ug, delta=delta, shifted_target=w,
+            TowerStage(index=i, stage=ug.nxt, ug=ug, delta=delta, shifted_target=w,
                        composite=composite, step_map=step)
         )
 
@@ -315,7 +332,7 @@ def factor_through_pdim_n(f, n, _verify=True):
     pp = st.ug.cover
     c0 = st.ug.target                       # cone(p) = S X_1
     delta = st.ug.ghost                     # X -> C0, the universal ghost
-    x1 = desuspend(c0)                      # the first tower stage
+    x1 = st.ug.nxt                          # the first tower stage, S^-1 C0
     rprime = ChainMap(x1, pp, {k: st.ug.cone_data.psh(k + 1) for k in x1.degrees()}, check=True)
 
     # 1. recursively factor  delta . f : A -> C0  through pdim <= n-1

@@ -522,18 +522,19 @@ def minimal_generators(module):
             for i in grp:
                 gens[i, c] = 1
         return gens
-    cols = list(range(n))
-    gens = eye(n)
+    # The columns A^t e_i, i in a trial set, generate the submodule that set
+    # spans (see submodule_generated), so one subgroup order per trial
+    # decides whether it still generates.
     total = module.size
-    keep = cols[:]
-    for c in cols:
+    keep = list(range(n))
+    for c in range(n):
         trial = [i for i in keep if i != c]
         if not trial:
             continue
-        span = submodule_generated(module, gens[:, trial])
-        if subgroup_order_in(module, span) == total:
+        moved = np.concatenate([a[:, trial] for a in module.actions], axis=1)
+        if subgroup_order_in(module, moved) == total:
             keep = trial
-    return gens[:, keep]
+    return eye(n)[:, keep]
 
 
 def free_cover(module):

@@ -1,7 +1,8 @@
 """Brute-force oracles used across the test suite.
 
 Everything here works by exhaustive enumeration of small groups, so it is
-independent of the linear-algebra paths it cross-checks.
+independent of the linear-algebra paths it cross-checks.  `ut2_f3` builds
+the one test ring that is not a builtin.
 """
 
 import itertools
@@ -10,6 +11,7 @@ import numpy as np
 
 from ghostdim import linalg
 from ghostdim.modules import ModuleMap
+from ghostdim.rings import make_ring, ring_spec_from_dict
 
 
 def all_group_maps(src_orders, tgt_orders):
@@ -130,3 +132,19 @@ def brute_null_homotopy_exists(f):
         if ok:
             return True
     return False
+
+
+def ut2_f3():
+    """T_2(F_3) on the basis (2 e11, e12, e22): the unit is 2 b_0 + b_2, so
+    unit coefficients other than 0 and 1 and the signs that F_2 hides show."""
+    sc = np.zeros((3, 3, 3), dtype=np.int64)
+    sc[0, 0, 0] = 2       # (2 e11)(2 e11) = e11 = 2 b_0
+    sc[0, 1, 1] = 2       # (2 e11) e12 = 2 e12
+    sc[1, 2, 1] = 1       # e12 e22 = e12
+    sc[2, 2, 2] = 1
+    return make_ring(ring_spec_from_dict({
+        "backend": "fp_algebra", "name": "ut2:f3", "p": 3, "dim": 3,
+        "structure_constants": sc.tolist(), "unit": [2, 0, 1],
+        "simples": [{"dim": 1, "actions": [[[2]], [[0]], [[0]]]},
+                    {"dim": 1, "actions": [[[0]], [[0]], [[1]]]}],
+    }))

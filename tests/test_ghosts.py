@@ -3,31 +3,37 @@ import random
 import numpy as np
 import pytest
 
+import helpers
+from ghost_reference import homology_epi, is_ghost, minimal_generators as reference_generators
+from ghostdim import ghosts, modules
+from ghostdim.cli import verify_summary
 from ghostdim.complexes import (
     ChainMap,
     Complex,
+    desuspend,
     free_complex,
     identity_chain,
     module_complex,
     null_homotopy,
     resolution_complex,
     suspend,
+    zero_chain,
 )
-from ghostdim.errors import NoFactorization
+from ghostdim.dimensions import standard_battery
+from ghostdim.errors import NoFactorization, ValidationError
 from ghostdim.ghosts import (
     Factorization,
+    Tower,
     factor_through_pdim_n,
     factor_through_projective,
     ghost_factors_through_universal,
     ghost_tower,
-    homology_epi,
-    is_ghost,
     pdim_complex,
     random_chain_map,
     universal_ghost,
 )
-from ghostdim.modules import free_module, make_module
-from ghostdim.rings import builtin_ring, zmod
+from ghostdim.modules import free_module, is_free_module, make_module
+from ghostdim.rings import BUILTIN_NAMES, builtin_ring, zmod
 
 Z4 = zmod(4)
 UT2 = builtin_ring("ut2:f2")
@@ -83,6 +89,89 @@ def test_tower_soundness():
     # composite is a strict chain map built from the deltas
     g2 = tower.composite(2)
     g2.validate()
+
+
+# ---------------------------------------------------------------------------
+# The checks inside universal_ghost against the reference checks, which form
+# the homology of the cover and of the cone
+# ---------------------------------------------------------------------------
+
+def _ring(name):
+    if name == "ut2:f3":
+        return helpers.ut2_f3()
+    return zmod(12) if name == "zmod:12" else builtin_ring(name)
+
+
+def _gens(cx):
+    return sum(cx.term(k).ngens for k in cx.degrees())
+
+
+# Stages double in size with depth (ut3:f2's res:R/x3 has 60 generators,
+# its tower stages 162, 372 and 792).  Building and checking the 27 stages
+# of the ut3:f2 battery built on more than this takes over a minute, so the
+# walk stops there.
+STAGE_GENS_CAP = 150
+
+
+@pytest.mark.parametrize("name, least", (("zmod:12", 100), ("ut3:f2", 73),
+                                         ("dual:f2", 104), ("ut2:f3", 104)))
+def test_every_tower_stage_passes_the_reference_checks(name, least):
+    members, _ = standard_battery(_ring(name), 4, seed=0)
+    checked = 0
+    for mem in members:
+        tower = Tower(mem.cx)
+        for i in range(4):
+            built_on = tower.stages[i - 1].stage if i else mem.cx
+            if _gens(built_on) > STAGE_GENS_CAP:
+                break
+            ug = tower.stage(i).ug
+            # the next stage is the complex whose homology the ghost check read
+            assert ug.source is built_on and tower.stages[i].stage is ug.nxt
+            assert homology_epi(ug.cover_map)
+            assert is_ghost(ug.ghost)
+            checked += 1
+    assert checked >= least
+
+
+def test_a_cover_missing_a_generator_fails_the_surjectivity_check(monkeypatch):
+    full = ghosts.minimal_generators
+    monkeypatch.setattr(ghosts, "minimal_generators", lambda mod: full(mod)[:, 1:])
+    two_gens = free_complex(UT2, {0: 2})
+    assert full(two_gens.homology_at(0).module).shape[1] == 2
+    for x in (mult_complex(Z4, 2), resolution_complex(UT2.simples[0], 2), two_gens):
+        with pytest.raises(ValidationError, match="homology cover failed to be surjective"):
+            universal_ghost(x)
+
+
+def test_a_non_ghost_fails_the_ghost_check(monkeypatch):
+    # the identity of a complex with homology, against its own desuspension
+    x = mult_complex(Z4, 2)
+    with pytest.raises(ValidationError, match="failed the ghost check"):
+        ghosts._check_ghost(identity_chain(x), desuspend(x))
+    # inside universal_ghost: the cone of the zero map keeps H(X) as a summand
+    real = ghosts.cone
+    monkeypatch.setattr(ghosts, "cone", lambda f, name="": real(zero_chain(f.src, f.tgt), name=name))
+    with pytest.raises(ValidationError, match="failed the ghost check"):
+        universal_ghost(x)
+
+
+RANK_ABOVE_ONE = tuple(n for n in BUILTIN_NAMES if builtin_ring(n).rank > 1) + ("ut2:f3",)
+
+
+@pytest.mark.parametrize("name", RANK_ABOVE_ONE)
+def test_minimal_generators_match_the_two_elimination_greedy(name, monkeypatch):
+    greedy = []
+
+    def checked(mod, fn=modules.minimal_generators):
+        got = fn(mod)
+        want = reference_generators(mod)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        greedy.append(not is_free_module(mod))
+        return got
+    monkeypatch.setattr(modules, "minimal_generators", checked)
+    monkeypatch.setattr(ghosts, "minimal_generators", checked)
+    ok, _ = verify_summary(_ring(name), 4, 0)
+    assert ok and sum(greedy) >= 50
 
 
 def test_pdim_free_complex_is_zero():

@@ -12,7 +12,7 @@ from ghostdim.dimensions import module_pdim, standard_battery
 from ghostdim.errors import SideMismatch
 from ghostdim.ghosts import ghost_tower, pdim_complex
 from ghostdim.modules import free_module, make_module
-from ghostdim.rings import builtin_ring, make_ring, ring_spec_from_dict, zmod
+from ghostdim.rings import builtin_ring, zmod
 from ghostdim.tensor_ss import (
     fdim_via_ss,
     resolution_filtration,
@@ -207,25 +207,9 @@ def test_filtration_table_json():
 IDENTITY_RINGS = ("zmod:12", "ut3:f2", "dual:f2", "a2:f2")
 
 
-def _ut2_f3():
-    """T_2(F_3) on the basis (2 e11, e12, e22): the unit is 2 b_0 + b_2, so
-    unit coefficients other than 0 and 1 and the signs that F_2 hides show."""
-    sc = np.zeros((3, 3, 3), dtype=np.int64)
-    sc[0, 0, 0] = 2       # (2 e11)(2 e11) = e11 = 2 b_0
-    sc[0, 1, 1] = 2       # (2 e11) e12 = 2 e12
-    sc[1, 2, 1] = 1       # e12 e22 = e12
-    sc[2, 2, 2] = 1
-    return make_ring(ring_spec_from_dict({
-        "backend": "fp_algebra", "name": "ut2:f3", "p": 3, "dim": 3,
-        "structure_constants": sc.tolist(), "unit": [2, 0, 1],
-        "simples": [{"dim": 1, "actions": [[[2]], [[0]], [[0]]]},
-                    {"dim": 1, "actions": [[[0]], [[0]], [[1]]]}],
-    }))
-
-
 def _ring(name):
     if name == "ut2:f3":
-        return _ut2_f3()
+        return helpers.ut2_f3()
     return zmod(12) if name == "zmod:12" else builtin_ring(name)
 
 

@@ -1,12 +1,15 @@
-"""Wall times of the fdim path that no perfbench workload reaches.
+"""Wall times of the acceptance criteria that no perfbench workload reaches.
 
     PYTHONPATH=src python3 tools/bench_timings.py
 
 Prints one JSON object: the environment, the fdim time of the a3:f2 member
 cone2:1 (bound 6, seed 7, on a freshly built battery) and, per builtin
-ring, the wall time of verify_compact_eq(ring, 6, 7) -- acceptance
-criterion 2 -- with a digest of its report, so two commits can be compared
-for both speed and answers.
+ring, the wall time of three verify suites with a digest of each report,
+so two commits can be compared for both speed and answers:
+
+* criterion 1, verify_summary(ring, 8, 0): ghdim = wdim;
+* criterion 2, verify_compact_eq(ring, 6, 7): fdim = pdim on the battery;
+* criterion 5, verify_symmetry(ring, 8, 0): ghdim(R) = ghdim(R^op).
 """
 
 import hashlib
@@ -18,12 +21,16 @@ import time
 
 import numpy as np
 
-from ghostdim.cli import verify_compact_eq
+from ghostdim.cli import verify_compact_eq, verify_summary, verify_symmetry
 from ghostdim.dimensions import standard_battery
 from ghostdim.rings import BUILTIN_NAMES, builtin_ring
 from ghostdim.tensor_ss import fdim_via_ss
 
-BOUND, SEED = 6, 7
+CRITERIA = (
+    ("criterion_1", verify_summary, 8, 0),
+    ("criterion_2", verify_compact_eq, 6, 7),
+    ("criterion_5", verify_symmetry, 8, 0),
+)
 
 
 def _digest(report):
@@ -31,18 +38,18 @@ def _digest(report):
 
 
 def cone2_fdim():
-    members, _ = standard_battery(builtin_ring("a3:f2"), BOUND, SEED, min_size=25)
+    members, _ = standard_battery(builtin_ring("a3:f2"), 6, 7, min_size=25)
     cx = next(m.cx for m in members if m.ident == "cone2:1")
     t0 = time.perf_counter()
-    verdict = fdim_via_ss(cx, BOUND)
+    verdict = fdim_via_ss(cx, 6)
     return {"seconds": round(time.perf_counter() - t0, 2), "fdim": verdict.render()}
 
 
-def criterion_2():
+def per_ring(verify, bound, seed):
     out = {}
     for name in BUILTIN_NAMES:
         t0 = time.perf_counter()
-        ok, report = verify_compact_eq(builtin_ring(name), BOUND, SEED)
+        ok, report = verify(builtin_ring(name), bound, seed)
         out[name] = {"seconds": round(time.perf_counter() - t0, 2), "pass": ok,
                      "report_sha256_16": _digest(report)}
     return out
@@ -53,9 +60,10 @@ def main():
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "cores": os.cpu_count()},
         "cone2:1_fdim": cone2_fdim(),
-        "criterion_2": criterion_2(),
     }
-    result["criterion_2_total_s"] = round(sum(v["seconds"] for v in result["criterion_2"].values()), 2)
+    for key, verify, bound, seed in CRITERIA:
+        result[key] = per_ring(verify, bound, seed)
+        result[f"{key}_total_s"] = round(sum(v["seconds"] for v in result[key].values()), 2)
     json.dump(result, sys.stdout)
     print()
 
