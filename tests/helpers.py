@@ -1,8 +1,8 @@
 """Brute-force oracles used across the test suite.
 
 Everything here works by exhaustive enumeration of small groups, so it is
-independent of the linear-algebra paths it cross-checks.  `ut2_f3` builds
-the one test ring that is not a builtin.
+independent of the linear-algebra paths it cross-checks.  `named_ring`
+also builds zmod:12 and ut2:f3, the test rings that are not builtins.
 """
 
 import itertools
@@ -11,7 +11,7 @@ import numpy as np
 
 from ghostdim import linalg
 from ghostdim.modules import ModuleMap
-from ghostdim.rings import make_ring, ring_spec_from_dict
+from ghostdim.rings import builtin_ring, make_ring, ring_spec_from_dict, zmod
 
 
 def all_group_maps(src_orders, tgt_orders):
@@ -134,7 +134,14 @@ def brute_null_homotopy_exists(f):
     return False
 
 
-def ut2_f3():
+def named_ring(name):
+    """A builtin ring, or zmod:12 or ut2:f3 (see _ut2_f3)."""
+    if name == "ut2:f3":
+        return _ut2_f3()
+    return zmod(12) if name == "zmod:12" else builtin_ring(name)
+
+
+def _ut2_f3():
     """T_2(F_3) on the basis (2 e11, e12, e22): the unit is 2 b_0 + b_2, so
     unit coefficients other than 0 and 1 and the signs that F_2 hides show."""
     sc = np.zeros((3, 3, 3), dtype=np.int64)

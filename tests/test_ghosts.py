@@ -96,12 +96,6 @@ def test_tower_soundness():
 # the homology of the cover and of the cone
 # ---------------------------------------------------------------------------
 
-def _ring(name):
-    if name == "ut2:f3":
-        return helpers.ut2_f3()
-    return zmod(12) if name == "zmod:12" else builtin_ring(name)
-
-
 def _gens(cx):
     return sum(cx.term(k).ngens for k in cx.degrees())
 
@@ -116,7 +110,7 @@ STAGE_GENS_CAP = 150
 @pytest.mark.parametrize("name, least", (("zmod:12", 100), ("ut3:f2", 73),
                                          ("dual:f2", 104), ("ut2:f3", 104)))
 def test_every_tower_stage_passes_the_reference_checks(name, least):
-    members, _ = standard_battery(_ring(name), 4, seed=0)
+    members, _ = standard_battery(helpers.named_ring(name), 4, seed=0)
     checked = 0
     for mem in members:
         tower = Tower(mem.cx)
@@ -170,7 +164,7 @@ def test_minimal_generators_match_the_two_elimination_greedy(name, monkeypatch):
         return got
     monkeypatch.setattr(modules, "minimal_generators", checked)
     monkeypatch.setattr(ghosts, "minimal_generators", checked)
-    ok, _ = verify_summary(_ring(name), 4, 0)
+    ok, _ = verify_summary(helpers.named_ring(name), 4, 0)
     assert ok and sum(greedy) >= 50
 
 

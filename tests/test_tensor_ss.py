@@ -207,12 +207,6 @@ def test_filtration_table_json():
 IDENTITY_RINGS = ("zmod:12", "ut3:f2", "dual:f2", "a2:f2")
 
 
-def _ring(name):
-    if name == "ut2:f3":
-        return helpers.ut2_f3()
-    return zmod(12) if name == "zmod:12" else builtin_ring(name)
-
-
 def _assert_same_complex(got, want):
     assert (got.lo, got.hi) == (want.lo, want.hi)
     for n in range(got.lo - 1, got.hi + 2):
@@ -245,7 +239,7 @@ def _identity_cases(ring):
 
 @pytest.mark.parametrize("name", IDENTITY_RINGS)
 def test_tensor_blocks_match_the_reference_loops(name):
-    ring = _ring(name)
+    ring = helpers.named_ring(name)
     checked = 0
     for x, towered, zs in _identity_cases(ring):
         tower = ghost_tower(x, 1) if towered else None
@@ -265,7 +259,7 @@ def test_tensor_blocks_match_the_reference_loops(name):
 
 @pytest.mark.parametrize("name", IDENTITY_RINGS)
 def test_augmentation_and_columns_match_the_reference_loops(name):
-    ring = _ring(name)
+    ring = helpers.named_ring(name)
     checked = 0
     for s in ring.simples:
         x = resolution_complex(s, 1)
@@ -288,7 +282,7 @@ def test_augmentation_and_columns_match_the_reference_loops(name):
 
 @pytest.mark.parametrize("name", IDENTITY_RINGS)
 def test_free_left_tensor_matches_the_reference_builder(name):
-    ring = _ring(name)
+    ring = helpers.named_ring(name)
     op = ring.opposite()
     base = ring.base_ring()
     checked = 0
@@ -360,7 +354,7 @@ def test_tensor_map_matches_the_pair_cube_during_fdim(name, monkeypatch):
         return got
 
     monkeypatch.setattr(tensor_ss, "tensor_map", checked)
-    members, _ = standard_battery(_ring(name), 2, seed=0, min_size=8)
+    members, _ = standard_battery(helpers.named_ring(name), 2, seed=0, min_size=8)
     # the reference pair cube is slow on the largest duals: the six smallest
     for cx in sorted((m.cx for m in members), key=_total_gens)[:6]:
         fdim_via_ss(cx, 2)
@@ -371,7 +365,7 @@ def test_tensor_map_matches_the_pair_cube_during_fdim(name, monkeypatch):
 def test_tensor_map_matches_the_pair_cube_on_every_kind_of_pair(name):
     """Free-right and free-left pairs take the closed form without building
     proj or lift; mixed pairs and zero blocks take the pair cube."""
-    ring = _ring(name)
+    ring = helpers.named_ring(name)
     op = ring.opposite()
     m = ring.modulus
     rng = np.random.default_rng(0)
@@ -402,7 +396,7 @@ def test_tensor_map_matches_the_pair_cube_on_every_kind_of_pair(name):
 @pytest.mark.parametrize("name,smallest,chains", (("zmod:12", 6, 3), ("ut3:f2", 6, 3),
                                                   ("dual:f2", 6, 3), ("ut2:f3", 8, 2)))
 def test_ucss_orders_match_the_induced_map_route(name, smallest, chains):
-    ring = _ring(name)
+    ring = helpers.named_ring(name)
     members, _ = standard_battery(ring, 3, seed=0, min_size=10)
     checked = 0
     for x in sorted((m.cx for m in members), key=_total_gens)[:smallest]:
