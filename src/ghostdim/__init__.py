@@ -25,7 +25,6 @@ from .complexes import (
 from .dimensions import (
     DimReport,
     ghdim_ring,
-    gldim_ring,
     module_fdim_tor,
     module_pdim,
     rouquier_build,
@@ -92,7 +91,6 @@ __all__ = [
     "free_module",
     "ghdim_ring",
     "ghost_tower",
-    "gldim_ring",
     "hom_generators",
     "homology_les_exact",
     "is_projective",

@@ -27,7 +27,6 @@ from .complexes import (
 from .dimensions import (
     DimReport,
     ghdim_ring,
-    gldim_ring,
     rouquier_build,
     standard_battery,
     symmetry_report,
@@ -159,10 +158,9 @@ def dim_command(quantity, selector, bound, seed, output):
     """Compute a ring-level dimension."""
     try:
         r = resolve_ring(selector)
-        if quantity == "wdim":
+        if quantity in ("wdim", "gldim"):
+            # a finite ring is noetherian on both sides, where gldim = wdim (Auslander)
             verdict, witnesses = wdim_ring(r, bound)
-        elif quantity == "gldim":
-            verdict, witnesses = gldim_ring(r, bound)
         else:
             verdict, witnesses = ghdim_ring(r, bound, seed=seed)
         rep = DimReport(ring=r.name, quantity=quantity, verdict=verdict,

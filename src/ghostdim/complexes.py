@@ -130,12 +130,6 @@ class Complex:
     def is_zero(self):
         return all(self.term(k).is_zero for k in self.degrees())
 
-    def total_order(self):
-        n = 1
-        for k in self.degrees():
-            n *= self.term(k).size
-        return n
-
     def validate(self):
         for k in self.degrees():
             t = self.term(k)

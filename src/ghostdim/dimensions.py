@@ -161,13 +161,6 @@ def wdim_ring(ring, bound):
     return verdict_max(verdicts), witnesses
 
 
-def gldim_ring(ring, bound):
-    """Global dimension: wdim_ring's result, returned unchecked.  A finite ring
-    is noetherian on both sides, where gldim = wdim (Auslander)."""
-    verdict, witnesses = wdim_ring(ring, bound)
-    return verdict, witnesses
-
-
 # ---------------------------------------------------------------------------
 # Battery construction
 # ---------------------------------------------------------------------------

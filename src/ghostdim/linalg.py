@@ -111,7 +111,12 @@ def eye(n):
 
 @dataclass
 class SmithDecomposition:
-    """D = S @ A @ T mod m, D diagonal; s_inv is the mod-m inverse of S."""
+    """D = S @ A @ T mod m, D diagonal; s_inv is the mod-m inverse of S.
+
+    The caller names what it reads (smith_mod's `reads`): a matrix it does
+    not read is None.  pivots lists the pivot columns of the prime path in
+    ascending order (None on the composite path).
+    """
 
     m: int
     diag: np.ndarray        # length min(rows, cols)
@@ -119,6 +124,12 @@ class SmithDecomposition:
     s_inv: np.ndarray
     t: np.ndarray
     shape: tuple
+    pivots: list
+
+
+# What a caller of smith_mod reads: the diagonal alone (orders), S and T as
+# well (solving, kernels), or S^-1 too (spans and quotient presentations).
+READS = ("diag", "solve", "all")
 
 
 def check_exact(m, terms):
@@ -187,7 +198,7 @@ def factorize(n):
 _PRIME_CACHE = {}
 
 
-def _smith_prime(a, m, track_sinv):
+def _smith_prime(a, m, reads):
     """Gauss-Jordan diagonalization over the field Z/m, m prime.
 
     One pass of row operations on D (from A) and S (from I), the same
@@ -200,14 +211,19 @@ def _smith_prime(a, m, track_sinv):
     pivot columns first, so T has a closed form: that permutation, with
     -B (mod m) in the pivot rows of the non-pivot columns.
 
+    The columns are taken in order, so a column gets a pivot iff it is not
+    in the span of the columns before it: the pivots left of any column k
+    count the rank of the first k columns.  With reads="diag" only D is
+    reduced; S, S^-1 and T are not formed.
+
     D and S are two arrays, not one augmented block [A | I]: returning S
     out of the block meant holding both at once, and that raised the peak
     memory of the compact-eq benchmark workload by about 3 MB (5 %).
     """
     d = as_matrix(a) % m
     r, c = d.shape
-    s = eye(r)
-    s_inv = eye(r) if track_sinv else None
+    s = eye(r) if reads != "diag" else None
+    s_inv = eye(r) if reads == "all" else None
     pivot_cols = []
     row = 0
     for col in range(c):
@@ -219,64 +235,74 @@ def _smith_prime(a, m, track_sinv):
         i = row + int(nz[0])
         if i != row:
             d[[row, i], col:] = d[[i, row], col:]
-            s[[row, i]] = s[[i, row]]
-            if track_sinv:
+            if s is not None:
+                s[[row, i]] = s[[i, row]]
+            if s_inv is not None:
                 s_inv[:, [row, i]] = s_inv[:, [i, row]]
-        prow = d[row, col:]
-        srow = s[row]
-        pv = int(prow[0])
+        rows = [(d, d[row, col:], col)] + ([(s, s[row], 0)] if s is not None else [])
+        pv = int(d[row, col])
         if pv != 1:
             inv = modinv(pv, m)
-            for vec in (prow, srow):
+            for _, vec, _ in rows:
                 np.multiply(vec, inv, out=vec)
                 np.remainder(vec, m, out=vec)
-            if track_sinv:
+            if s_inv is not None:
                 s_inv[:, row] = (s_inv[:, row] * pv) % m
         hits = d[:, col].nonzero()[0]
         if hits.size > 1:
             hits = hits[hits != row]
             q = d[hits, col]
-            for mat, vec, first in ((d, prow, col), (s, srow, 0)):
+            for mat, vec, first in rows:
                 cols = vec.nonzero()[0]
                 live = (hits[:, None], first + cols)
                 block = np.multiply.outer(q, vec[cols])
                 np.subtract(mat[live], block, out=block)
                 np.remainder(block, m, out=block)
                 mat[live] = block
-            if track_sinv:
+            if s_inv is not None:
                 s_inv[:, row] = (s_inv[:, row] + s_inv[:, hits] @ q) % m
         pivot_cols.append(col)
         row += 1
     npiv = len(pivot_cols)
-    pivots = set(pivot_cols)
-    non_pivot = [j for j in range(c) if j not in pivots]
-    t = zeros(c, c)
-    t[pivot_cols + non_pivot, np.arange(c)] = 1
-    if npiv and c > npiv:
-        t[pivot_cols, npiv:] = (-d[:npiv, non_pivot]) % m
+    t = None
+    if reads != "diag":
+        pivots = set(pivot_cols)
+        non_pivot = [j for j in range(c) if j not in pivots]
+        t = zeros(c, c)
+        t[pivot_cols + non_pivot, np.arange(c)] = 1
+        if npiv and c > npiv:
+            t[pivot_cols, npiv:] = (-d[:npiv, non_pivot]) % m
     diag = np.zeros(min(r, c), dtype=np.int64)
     diag[:npiv] = 1
-    return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c))
+    return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c),
+                              pivots=pivot_cols)
 
 
-def smith_mod(a, m, track_sinv=True):
+def smith_mod(a, m, reads):
     """Diagonalize a mod m by unimodular row and column operations.
 
     Returns a SmithDecomposition.  No divisibility chain is enforced on the
-    diagonal; none of the callers needs it.  Pass track_sinv=False to skip
-    maintaining S^-1 (solving and kernels never read it).
+    diagonal; none of the callers needs it.  `reads` (one of READS) names
+    what the caller reads, and only that is formed: the diagonal, S and T,
+    or all of S, S^-1 and T.  D is reduced by the same steps whatever is
+    read, so the diagonal does not depend on it.
     """
+    if reads not in READS:
+        raise ValueError(f"reads must be one of {READS}, got {reads!r}")
     a = as_matrix(a)
     check_exact(m, max(a.shape))
     if m not in _PRIME_CACHE:
         _PRIME_CACHE[m] = factorize(m) == {m: 1}
     if _PRIME_CACHE[m]:
-        return _smith_prime(a, m, track_sinv)
+        return _smith_prime(a, m, reads)
     d = a % m
     r, c = d.shape
-    s = eye(r)
-    s_inv = eye(r) if track_sinv else None
-    t = eye(c)
+    # row operations act on D and S, column operations on D and T
+    s = eye(r) if reads != "diag" else None
+    s_inv = eye(r) if reads == "all" else None
+    t = eye(c) if reads != "diag" else None
+    row_mats = [d] + ([s] if s is not None else [])
+    col_mats = [d] + ([t] if t is not None else [])
 
     def row_step(k, i):
         # Zero d[i, k] using row k, keeping S and S^-1 in sync.
@@ -286,20 +312,18 @@ def smith_mod(a, m, track_sinv=True):
             return
         if av != 0 and bv % av == 0:
             q = bv // av
-            d[i] = (d[i] - q * d[k]) % m
-            s[i] = (s[i] - q * s[k]) % m
-            if track_sinv:
+            for mat in row_mats:
+                mat[i] = (mat[i] - q * mat[k]) % m
+            if s_inv is not None:
                 s_inv[:, k] = (s_inv[:, k] + q * s_inv[:, i]) % m
             return
         g, x, y = xgcd(av, bv)
         ag, bg = av // g, bv // g
-        rk = (x * d[k] + y * d[i]) % m
-        ri = (-bg * d[k] + ag * d[i]) % m
-        d[k], d[i] = rk, ri
-        sk = (x * s[k] + y * s[i]) % m
-        si = (-bg * s[k] + ag * s[i]) % m
-        s[k], s[i] = sk, si
-        if track_sinv:
+        for mat in row_mats:
+            rk = (x * mat[k] + y * mat[i]) % m
+            ri = (-bg * mat[k] + ag * mat[i]) % m
+            mat[k], mat[i] = rk, ri
+        if s_inv is not None:
             ck = (ag * s_inv[:, k] + bg * s_inv[:, i]) % m
             ci = (-y * s_inv[:, k] + x * s_inv[:, i]) % m
             s_inv[:, k], s_inv[:, i] = ck, ci
@@ -311,17 +335,15 @@ def smith_mod(a, m, track_sinv=True):
             return
         if av != 0 and bv % av == 0:
             q = bv // av
-            d[:, j] = (d[:, j] - q * d[:, k]) % m
-            t[:, j] = (t[:, j] - q * t[:, k]) % m
+            for mat in col_mats:
+                mat[:, j] = (mat[:, j] - q * mat[:, k]) % m
             return
         g, x, y = xgcd(av, bv)
         ag, bg = av // g, bv // g
-        ck = (x * d[:, k] + y * d[:, j]) % m
-        cj = (-bg * d[:, k] + ag * d[:, j]) % m
-        d[:, k], d[:, j] = ck, cj
-        tk = (x * t[:, k] + y * t[:, j]) % m
-        tj = (-bg * t[:, k] + ag * t[:, j]) % m
-        t[:, k], t[:, j] = tk, tj
+        for mat in col_mats:
+            ck = (x * mat[:, k] + y * mat[:, j]) % m
+            cj = (-bg * mat[:, k] + ag * mat[:, j]) % m
+            mat[:, k], mat[:, j] = ck, cj
 
     for k in range(min(r, c)):
         sub = d[k:, k:]
@@ -338,28 +360,28 @@ def smith_mod(a, m, track_sinv=True):
             pos = int(np.argmin(vals))
         i0, j0 = int(nz[0][pos]) + k, int(nz[1][pos]) + k
         if i0 != k:
-            d[[k, i0]] = d[[i0, k]]
-            s[[k, i0]] = s[[i0, k]]
-            if track_sinv:
+            for mat in row_mats:
+                mat[[k, i0]] = mat[[i0, k]]
+            if s_inv is not None:
                 s_inv[:, [k, i0]] = s_inv[:, [i0, k]]
         if j0 != k:
-            d[:, [k, j0]] = d[:, [j0, k]]
-            t[:, [k, j0]] = t[:, [j0, k]]
+            for mat in col_mats:
+                mat[:, [k, j0]] = mat[:, [j0, k]]
 
         if gcd(int(d[k, k]), m) == 1:
             inv = modinv(d[k, k], m)
             col = d[k + 1:, k]
             if col.any():
                 q = (col * inv) % m
-                d[k + 1:] = (d[k + 1:] - np.outer(q, d[k])) % m
-                s[k + 1:] = (s[k + 1:] - np.outer(q, s[k])) % m
-                if track_sinv:
+                for mat in row_mats:
+                    mat[k + 1:] = (mat[k + 1:] - np.outer(q, mat[k])) % m
+                if s_inv is not None:
                     s_inv[:, k] = (s_inv[:, k] + s_inv[:, k + 1:] @ q) % m
             row = d[k, k + 1:]
             if row.any():
                 q = (row * inv) % m
-                d[:, k + 1:] = (d[:, k + 1:] - np.outer(d[:, k], q)) % m
-                t[:, k + 1:] = (t[:, k + 1:] - np.outer(t[:, k], q)) % m
+                for mat in col_mats:
+                    mat[:, k + 1:] = (mat[:, k + 1:] - np.outer(mat[:, k], q)) % m
             continue
 
         while True:
@@ -373,7 +395,7 @@ def smith_mod(a, m, track_sinv=True):
                 break
 
     diag = np.array([d[i, i] for i in range(min(r, c))], dtype=np.int64)
-    return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c))
+    return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c), pivots=None)
 
 
 class SmithSolver:
@@ -382,7 +404,7 @@ class SmithSolver:
     def __init__(self, a, m):
         self.m = m
         self.a = as_matrix(a) % m
-        self.dec = smith_mod(self.a, m, track_sinv=False)
+        self.dec = smith_mod(self.a, m, "solve")
 
     def solve(self, b):
         """One solution x of A x = b (mod m), or None if none exists."""
@@ -440,7 +462,7 @@ def reduce_generators(gens, m):
     g = as_matrix(gens) % m
     if g.shape[1] == 0 or not g.any():
         return zeros(g.shape[0], 0)
-    dec = smith_mod(g, m)
+    dec = smith_mod(g, m, "all")
     cols = []
     for i, di in enumerate(dec.diag):
         if di % m:
@@ -517,7 +539,7 @@ def quotient_presentation(ambient_orders, relations, m):
     full = np.concatenate([rel, np.diag(np.asarray(ambient_orders, dtype=np.int64)).reshape(k, k)], axis=1) if k else zeros(0, 0)
     if k == 0:
         return QuotientPresentation(orders=(), proj=zeros(0, 0), lift=zeros(0, 0))
-    dec = smith_mod(full, m)
+    dec = smith_mod(full, m, "all")
     new_orders = []
     keep = []
     for i in range(k):
@@ -549,18 +571,29 @@ def enumerate_group(orders, cap=None):
         yield np.array(tup, dtype=np.int64)
 
 
-def subgroup_order(gens, ambient_orders, m):
-    """Order of the subgroup of the mixed group generated by the given columns."""
-    gens = as_matrix(gens, rows=len(ambient_orders))
-    if gens.shape[1] == 0:
-        return 1
-    # |span| = |ambient| / |ambient/span|
-    q = quotient_presentation(ambient_orders, gens, m)
-    return group_size(ambient_orders) // group_size(q.orders)
+def subgroup_order(gens, ambient_orders, m, split=None):
+    """Order of the subgroup of the mixed group generated by the given columns.
+
+    With split, the pair (order of the first split columns, order of all).
+    Scaling row i by m / d_i (scale_rows) embeds the group into (Z/m)^k, and
+    there a span has order prod m / gcd(D_ii, m) over the Smith diagonal, so
+    only the diagonal is formed.  Over a prime the order is m^rank, and one
+    pass gives both orders of a split: the pivots left of the split count
+    the rank of the first split columns.  A composite modulus has no such
+    prefix rule, so the first columns get a pass of their own.
+    """
+    a = scale_rows(gens, ambient_orders, m)
+    dec = smith_mod(a, m, "diag")
+    whole = _diagonal_span_order(dec.diag, m)
+    if split is None:
+        return whole
+    if dec.pivots is not None:
+        return m ** sum(1 for col in dec.pivots if col < split), whole
+    return _diagonal_span_order(smith_mod(a[:, :split], m, "diag").diag, m), whole
 
 
-def in_span(v, gens, ambient_orders, m):
-    """Is v in the subgroup generated by the columns of gens?"""
-    gens = as_matrix(gens, rows=len(ambient_orders))
-    x = solve_hetero(gens, np.asarray(v, dtype=np.int64).reshape(-1, 1), ambient_orders, m)
-    return x is not None
+def _diagonal_span_order(diag, m):
+    n = 1
+    for di in diag:
+        n *= m // gcd(int(di), m)
+    return n

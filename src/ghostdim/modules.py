@@ -197,12 +197,6 @@ def _validate_map(f):
             raise ValidationError(f"matrix does not commute with ring action {t}")
 
 
-def maps_equal(f, g):
-    return np.array_equal(
-        linalg.reduce_coords(f.mat, f.tgt.orders), linalg.reduce_coords(g.mat, g.tgt.orders)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Hom spaces
 # ---------------------------------------------------------------------------
@@ -396,16 +390,8 @@ def submodule_generated(module, cols):
     return _reduce_mixed_generators(new, module.orders, m)
 
 
-def _embed(cols, orders, m):
-    if len(orders) == 0:
-        return as_matrix(cols, rows=0)
-    scale = np.array([m // d for d in orders], dtype=np.int64)
-    return (as_matrix(cols, rows=len(orders)) * scale[:, None]) % m
-
-
 def subgroup_order_in(module, cols):
-    return linalg.subgroup_order(_embed(cols, module.orders, module.ring.modulus),
-                                 [module.ring.modulus] * module.ngens, module.ring.modulus)
+    return linalg.subgroup_order(cols, module.orders, module.ring.modulus)
 
 
 def image_subgroup_order(f):

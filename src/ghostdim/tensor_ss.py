@@ -16,7 +16,9 @@ Every tensor map goes through one block routine, `_tensor_blocks`: the
 total differential, f (x) 1 and 1 (x) g.  What construction proves is not
 certified again, so the total complex, both induced chain maps and the
 column subcomplexes with their inclusions are built without validate();
-the reasons are given at `_tensor_blocks`.
+the reasons are given at `_tensor_blocks`.  The filtration's stage tensors
+W_s (x) Z are held as pieces from the same routine (`_StageTensor`), also
+unchecked, for the reason given there.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ from .complexes import (
     is_free_module,
     module_complex,
     resolution_complex,
+    suspend,
 )
 from .errors import RingMismatch, SideMismatch, ValidationError
 from .ghosts import ghost_tower
 from .linalg import eye, zeros
-from .modules import (FgModule, free_cover, image_subgroup_order, subgroup_order_in, tensor_map,
-                      tensor_modules)
+from .modules import FgModule, free_cover, image_subgroup_order, tensor_map, tensor_modules
 from .verdicts import Verdict
 
 
@@ -100,6 +102,36 @@ def _tensor_blocks(src_blocks, tgt_blocks, shift, parts):
     return mats
 
 
+def _tensor_layout(x, z, degrees):
+    """Blocks n -> [(a, b, TensorModule, offset)] of Tot_n(X (x) Z), n in degrees."""
+    blocks = {}
+    for n in degrees:
+        entry = []
+        off = 0
+        for a in x.degrees():
+            if x.term(a).is_zero or z.term(n - a).is_zero:
+                continue
+            tm = tensor_modules(x.term(a), z.term(n - a))
+            if tm.module.is_zero:
+                continue
+            entry.append((a, n - a, tm, off))
+            off += tm.module.ngens
+        blocks[n] = entry
+    return blocks
+
+
+def _block_orders(entry):
+    return [o for _, _, tm, _ in entry for o in tm.module.orders]
+
+
+def _koszul_dz(x, z):
+    """Factors of (-1)^a 1 (x) d_Z on block (a, b), for _tensor_blocks."""
+    def factors(a, b):
+        sign = -1 if a % 2 else 1
+        return eye(x.term(a).ngens), (sign * z.diff(b)) % x.ring.modulus
+    return factors
+
+
 def tensor_complexes(x, z):
     """X (x)_R Z with Koszul signs; Z is a complex over the opposite ring."""
     ring = x.ring
@@ -107,40 +139,17 @@ def tensor_complexes(x, z):
     base = ring.base_ring()
     lo = x.lo + z.lo
     hi = x.hi + z.hi
-    blocks = {}
+    blocks = _tensor_layout(x, z, range(lo, hi + 1))
     terms = {}
-    tms = {}
-    for a in x.degrees():
-        if x.term(a).is_zero:
-            continue
-        for b in z.degrees():
-            if z.term(b).is_zero:
-                continue
-            tms[(a, b)] = tensor_modules(x.term(a), z.term(b))
-    for n in range(lo, hi + 1):
-        entry = []
-        off = 0
-        orders = []
-        for a in x.degrees():
-            b = n - a
-            tm = tms.get((a, b))
-            if tm is None or tm.module.is_zero:
-                continue
-            entry.append((a, b, tm, off))
-            off += tm.module.ngens
-            orders.extend(tm.module.orders)
-        blocks[n] = entry
+    for n, entry in blocks.items():
+        orders = _block_orders(entry)
         terms[n] = FgModule(ring=base, orders=tuple(orders),
                             actions=(eye(len(orders)),), label=f"T{n}")
 
     def d_x(a, b):
         return x.diff(a), eye(z.term(b).ngens)
 
-    def d_z(a, b):
-        sign = -1 if a % 2 else 1
-        return eye(x.term(a).ngens), (sign * z.diff(b)) % ring.modulus
-
-    diffs = _tensor_blocks(blocks, blocks, -1, [(-1, d_x), (0, d_z)])
+    diffs = _tensor_blocks(blocks, blocks, -1, [(-1, d_x), (0, _koszul_dz(x, z))])
     total = Complex(base, lo, hi, terms, diffs, name=f"({x.name})(x)({z.name})", check=False)
     return TensorComplex(total=total, x=x, z=z, blocks=blocks)
 
@@ -158,13 +167,6 @@ def tor(m_right, n_left, max_degree):
     """Tor_s(M, N) for s <= max_degree, by resolving the right module."""
     res = resolution_complex(m_right, max_degree + 1)
     t = tensor_complexes(res, module_complex(n_left))
-    return {s: t.total.homology_at(s).module for s in range(max_degree + 1)}
-
-
-def tor_via_left(m_right, n_left, max_degree):
-    """The same Tor computed by resolving the left module instead."""
-    res = resolution_complex(n_left, max_degree + 1)
-    t = tensor_complexes(module_complex(m_right), res)
     return {s: t.total.homology_at(s).module for s in range(max_degree + 1)}
 
 
@@ -197,6 +199,73 @@ class FiltrationTable:
         }
 
 
+class _StageTensor:
+    """W_s (x) Z in the total degrees of a range, held as pieces.
+
+    Every tower composite g_s: X -> W_s is the prefix inclusion [I; 0]:
+    W_s = S^s cone(p_s: P_s -> X_s) with X_s = S^-1 W_(s-1), so degreewise
+    W_s = W_(s-1) + S^(s+1) P_s, the new summand last, and
+        d_(W_s) = [d_(W_(s-1))  (-1)^s p_s]
+                  [     0            0    ]
+    as P_s has zero differential.  So W_s (x) Z is held as pieces, X (x) Z
+    in the coordinates of tensor_complexes(X, Z), then (S^(i+1) P_i) (x) Z for
+    i = 0..s, and Tot_n lists the pieces in that order.  A stage appends one
+    block column to each d_n: (-1)^s p_s (x) 1, with p_s's rows cut by the
+    pieces of W_(s-1), and the new piece's own (-1)^a 1 (x) d_Z.  This is
+    cone((-1)^s p_s (x) Z) in the previous stage's coordinates, built
+    unchecked because - (x) Z is additive and preserves the cone of a chain
+    map degreewise; the pieces are built once and no W_s (x) Z is formed
+    whole.  Only the current stage's orders and differentials are kept.
+    """
+
+    def __init__(self, txz, degrees):
+        self.z = txz.z
+        self.degrees = degrees
+        self.pieces = [(txz.x, txz.blocks)]
+        self.orders = {n: list(txz.total.term(n).orders) for n in degrees}
+        self.sizes = {n: [len(self.orders[n])] for n in degrees}
+        self.diffs = {n: txz.total.diff(n) for n in degrees if n - 1 in degrees}
+
+    def add_stage(self, cover):
+        """Append the piece of the stage's cover p_s: P_s -> X_s."""
+        s = len(self.pieces) - 1
+        m = cover.src.ring.modulus
+        z = self.z
+        p = suspend(cover.src, s + 1)       # W-degree a holds P_s in degree a - s - 1
+        blocks = _tensor_layout(p, z, self.degrees)
+        own = _tensor_blocks(blocks, blocks, -1, [(0, _koszul_dz(p, z))])
+        sign = -1 if s % 2 else 1
+        cross = []
+        start = {}                          # W-degree -> first row of the next piece in it
+        for piece, piece_blocks in self.pieces:
+            def factors(a, b, piece=piece):
+                lo = start.get(a - 1, 0)
+                cut = cover.component(a - s - 1)[lo:lo + piece.term(a - 1).ngens]
+                return (sign * cut) % m, eye(z.term(b).ngens)
+            cross.append(_tensor_blocks(blocks, piece_blocks, -1, [(-1, factors)]))
+            for a in p.degrees():
+                start[a - 1] = start.get(a - 1, 0) + piece.term(a - 1).ngens
+        for a in p.degrees():
+            if start.get(a - 1, 0) != cover.tgt.term(a - s - 1).ngens:
+                raise ValidationError("tower stage is not the cone over the previous stage")
+        self.pieces.append((p, blocks))
+        for n in self.degrees:
+            new = _block_orders(blocks[n])
+            self.sizes[n].append(len(new))
+            self.orders[n].extend(new)
+        for n, old in self.diffs.items():
+            d = zeros(len(self.orders[n - 1]), len(self.orders[n]))
+            d[:old.shape[0], :old.shape[1]] = old
+            row = 0
+            for size, mats in zip(self.sizes[n - 1], cross):
+                if n in mats:
+                    d[row:row + size, old.shape[1]:] = mats[n]
+                row += size
+            if n in own:
+                d[old.shape[0]:, old.shape[1]:] = own[n]
+            self.diffs[n] = d
+
+
 def ucss_filtration(x, z, window=None, max_depth=None):
     """Filtration of H(X (x) Z) by kernels of the tower-induced maps.
 
@@ -211,6 +280,12 @@ def ucss_filtration(x, z, window=None, max_depth=None):
         |im H_t(phi)| = |B'_t + phi(L_t)| / |B'_t|,
     because L_t spans the cycles modulo boundaries and the chain map phi sends
     boundaries into B'_t.  Both are subgroup orders in the term of degree t.
+
+    W_s (x) Z is held as pieces (_StageTensor): X (x) Z, built once, and one
+    piece per stage's free cover, so each stage appends to the previous one
+    and g_s is the prefix inclusion, phi(L_t) being L_t padded with zeros.
+    One elimination of [B'_t | phi(L_t)], the B'_t columns first, gives both
+    orders over a prime field (linalg.subgroup_order with a split).
     """
     ring = x.ring
     z = _as_left_complex(ring, z)
@@ -221,25 +296,28 @@ def ucss_filtration(x, z, window=None, max_depth=None):
     degrees = [t for t in range(lo, hi + 1)]
     homs = {t: txz.total.homology_at(t) for t in degrees}
     h_orders = {t: hd.module.size for t, hd in homs.items()}
+    reps = {t: linalg.reduce_coords(hd.lift, txz.total.term(t).orders) for t, hd in homs.items()}
     if max_depth is None:
         max_depth = max(x.length + 1, 1)
     kernel_orders = {t: [] for t in degrees}
     exhausted = all(v == 1 for v in h_orders.values())
+    w = _StageTensor(txz, range(lo, hi + 2))
     s = 0
     while not exhausted:
         if s >= max_depth:
             break
-        gxz = tensor_chain_map(ghost_tower(x, s).composite(s), txz)
-        w = gxz.tgt
+        w.add_stage(ghost_tower(x, s).stage(s).ug.cover_map)
         exhausted = True
         for t in degrees:
-            term = w.term(t)
-            pushed = linalg.reduce_coords(gxz.component(t) @ homs[t].lift, term.orders)
             image = 1
-            if pushed.any():
-                bounds = w.diff(t + 1)
-                image = (subgroup_order_in(term, np.concatenate([bounds, pushed], axis=1))
-                         // subgroup_order_in(term, bounds))
+            if reps[t].any():
+                bounds = w.diffs[t + 1]
+                gens = zeros(len(w.orders[t]), bounds.shape[1] + reps[t].shape[1])
+                gens[:, :bounds.shape[1]] = bounds
+                gens[:reps[t].shape[0], bounds.shape[1]:] = reps[t]
+                b_order, total = linalg.subgroup_order(gens, w.orders[t], ring.modulus,
+                                                       split=bounds.shape[1])
+                image = total // b_order
             k_order = h_orders[t] // image
             prev = kernel_orders[t][-1] if kernel_orders[t] else None
             if prev is not None and k_order % prev:

@@ -74,6 +74,28 @@ def _embed_cols(cols, orders, m):
     return (cols * scale[:, None]) % m
 
 
+def maps_equal(f, g):
+    """Equal as maps: the matrices agree modulo the target's orders."""
+    return np.array_equal(
+        linalg.reduce_coords(f.mat, f.tgt.orders), linalg.reduce_coords(g.mat, g.tgt.orders)
+    )
+
+
+def total_order(cx):
+    """The product of the orders of every term of a complex."""
+    n = 1
+    for k in cx.degrees():
+        n *= cx.term(k).size
+    return n
+
+
+def in_span(v, gens, ambient_orders, m):
+    """Is v in the subgroup generated by the columns of gens?"""
+    gens = linalg.as_matrix(gens, rows=len(ambient_orders))
+    x = linalg.solve_hetero(gens, np.asarray(v, dtype=np.int64).reshape(-1, 1), ambient_orders, m)
+    return x is not None
+
+
 def hom_group_order(src, tgt):
     """|Hom(src, tgt)| by brute enumeration."""
     return len(brute_hom_maps(src, tgt))

@@ -1,7 +1,8 @@
 """Reference elimination for the bit-identity test of linalg._smith_prime.
 
 `_smith_prime` below is the dense Gauss-Jordan elimination that the
-zero-skipping kernel replaced, copied unchanged.  Every basis,
+zero-skipping kernel replaced, copied unchanged but for the `pivots`
+field that SmithDecomposition gained later.  Every basis,
 certificate and report downstream reads the decomposition, so the kernel
 must return exactly what this one returns.
 """
@@ -65,4 +66,5 @@ def _smith_prime(a, m, track_sinv):
             t[:, npiv:] = (t[:, npiv:] - t[:, :npiv] @ b) % m
             d[:npiv, npiv:] = 0
     diag = np.array([d[i, i] for i in range(min(r, c))], dtype=np.int64)
-    return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c))
+    return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c),
+                              pivots=pivot_cols)

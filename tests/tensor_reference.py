@@ -14,6 +14,10 @@ pair of tensor modules before free factors got their closed form, copied
 unchanged; the block loops here use it, so they share no tensor-map code
 with the package.
 
+`tor_via_left` computes Tor by resolving the left module instead of the
+right one, as ghostdim.tensor_ss did beside `tor` until it had no caller
+there; the Tor-balance test compares the two.
+
 `ucss_filtration` is the one ghostdim.tensor_ss ran before it read the
 kernel chain from subgroup orders, copied unchanged: it forms the homology
 of every target W_s (x) Z and takes the kernel of the induced map by
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ghostdim import linalg
-from ghostdim.complexes import ChainMap, Complex, induced_map
+from ghostdim.complexes import ChainMap, Complex, induced_map, module_complex, resolution_complex
 from ghostdim.errors import ValidationError
 from ghostdim.ghosts import ghost_tower
 from ghostdim.linalg import eye, zeros
@@ -228,6 +232,13 @@ def tensor_map(f_mat, g_mat, src_tensor, tgt_tensor):
     moved = np.transpose(t2, (1, 0, 2)).reshape(-1, k)
     mat = (tgt_tensor.proj @ moved) % m
     return ModuleMap(src_tensor.module, tgt_tensor.module, mat, check=False)
+
+
+def tor_via_left(m_right, n_left, max_degree):
+    """The same Tor computed by resolving the left module instead."""
+    res = resolution_complex(n_left, max_degree + 1)
+    t = tensor_complexes(module_complex(m_right), res)
+    return {s: t.total.homology_at(s).module for s in range(max_degree + 1)}
 
 
 def _kernel_order_of(ind):

@@ -2,12 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from ghostdim.cli import main
 from ghostdim.complexes import free_complex, module_complex, resolution_complex, suspend
 from ghostdim.dimensions import (
     DimReport,
     ghdim_ring,
-    gldim_ring,
     module_fdim_tor,
     module_pdim,
     rouquier_build,
@@ -73,10 +74,16 @@ def test_wdim_values():
 
 def test_gldim_equals_wdim():
     for name in ("zmod:6", "ut2:f2", "zmod:4"):
-        ring = builtin_ring(name)
-        v1, _ = wdim_ring(ring, 6)
-        v2, _ = gldim_ring(ring, 6)
-        assert v1.same_verdict(v2)
+        reports = {}
+        for quantity in ("wdim", "gldim"):
+            res = CliRunner().invoke(main, ["dim", quantity, "--ring", name, "--bound", "6",
+                                            "--output", "json"], catch_exceptions=False)
+            assert res.exit_code == 0
+            reports[quantity] = json.loads(res.output)
+            assert reports[quantity].pop("quantity") == quantity
+        assert reports["gldim"] == reports["wdim"]
+        v, _ = wdim_ring(builtin_ring(name), 6)
+        assert reports["gldim"]["verdict"] == v.to_json()
 
 
 def test_ghdim_values_and_certificates():

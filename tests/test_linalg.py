@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 import smith_reference
 from ghostdim import linalg
 from ghostdim.errors import ModulusTooLarge
@@ -56,7 +57,7 @@ def test_xgcd(a, b):
 @given(st.data(), small_modulus)
 def test_smith_decomposition_identities(data, m):
     a = sparse_matrix(data, m, 12, 16)
-    dec = smith_mod(a, m)
+    dec = smith_mod(a, m, "all")
     r, c = a.shape
     # D = S A T and S S^-1 = I, all mod m
     d = np.zeros((r, c), dtype=np.int64)
@@ -65,18 +66,27 @@ def test_smith_decomposition_identities(data, m):
     assert np.array_equal((dec.s @ a @ dec.t) % m, d % m)
     assert np.array_equal((dec.s @ dec.s_inv) % m, np.eye(r, dtype=np.int64) % m)
     assert np.array_equal((dec.s_inv @ dec.s) % m, np.eye(r, dtype=np.int64) % m)
+    # reading less forms less, on the same diagonal
+    for reads, unread in (("solve", ("s_inv",)), ("diag", ("s", "s_inv", "t"))):
+        less = smith_mod(a, m, reads)
+        assert np.array_equal(less.diag, dec.diag), reads
+        for field in ("s", "s_inv", "t"):
+            if field in unread:
+                assert getattr(less, field) is None, (reads, field)
+            else:
+                assert np.array_equal(getattr(less, field), getattr(dec, field)), (reads, field)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.sampled_from([2, 3, 5, 7, 251]), st.booleans())
-def test_smith_prime_is_bit_identical_to_the_reference(data, m, track_sinv):
+@given(st.data(), st.sampled_from([2, 3, 5, 7, 251]), st.sampled_from(linalg.READS))
+def test_smith_prime_is_bit_identical_to_the_reference(data, m, reads):
     a = sparse_matrix(data, m, 40, 60)
-    got = linalg._smith_prime(a, m, track_sinv)
-    want = smith_reference._smith_prime(a, m, track_sinv)
-    assert (got.m, got.shape) == (want.m, want.shape)
+    got = linalg._smith_prime(a, m, reads)
+    want = smith_reference._smith_prime(a, m, reads == "all")
+    assert (got.m, got.shape, got.pivots) == (want.m, want.shape, want.pivots)
     for field in ("diag", "s", "s_inv", "t"):
         g, w = getattr(got, field), getattr(want, field)
-        if w is None:
+        if w is None or (reads == "diag" and field != "diag"):
             assert g is None, field
             continue
         assert g.dtype == w.dtype and g.shape == w.shape, field
@@ -183,7 +193,7 @@ def test_reduce_generators_preserves_span(data, m):
     assert subgroup_order(g, orders, m) == subgroup_order(red, orders, m)
     assert red.shape[1] <= max(g.shape[0], 0)
     for j in range(red.shape[1]):
-        assert linalg.in_span(red[:, j], g, orders, m)
+        assert helpers.in_span(red[:, j], g, orders, m)
 
 
 def divisors(m):
@@ -211,6 +221,29 @@ def test_quotient_presentation_round_trip(data, m):
     assert linalg.group_size(q.orders) * span == linalg.group_size(orders)
 
 
+def _presented_span_order(gens, orders, m):
+    """|span| as |ambient| / |ambient / span|, by quotient_presentation."""
+    return linalg.group_size(orders) // linalg.group_size(quotient_presentation(orders, gens, m).orders)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5, 7, 251, 4, 6, 9, 12]))
+def test_subgroup_order_and_its_split_match_the_quotient_presentation(data, m):
+    prime = m in (2, 3, 5, 7, 251)
+    a = sparse_matrix(data, m, *((40, 60) if prime else (12, 16)))
+    rows, cols = a.shape
+    if prime:
+        orders = [m] * rows
+    else:
+        orders = [data.draw(st.sampled_from([d for d in divisors(m) if d > 1])) for _ in range(rows)]
+        a = linalg.reduce_coords(a, orders)
+    whole = _presented_span_order(a, orders, m)
+    assert subgroup_order(a, orders, m) == whole
+    for split in sorted({0, cols // 2, cols, data.draw(st.integers(0, cols))}):
+        first = _presented_span_order(a[:, :split], orders, m)
+        assert subgroup_order(a, orders, m, split=split) == (first, whole), split
+
+
 def test_solve_hetero_mixed_orders():
     # Z/2 -> Z/4 maps: x -> a*x needs 2a = 0 mod 4, i.e. a in {0, 2}
     m = 4
@@ -230,7 +263,7 @@ def test_kernel_hetero_inclusion_kernel():
 
 def test_empty_shapes():
     m = 4
-    assert smith_mod(np.zeros((0, 0)), m).diag.size == 0
+    assert smith_mod(np.zeros((0, 0)), m, "diag").diag.size == 0
     assert kernel_mod(np.zeros((0, 3)), m).shape == (3, 3)  # no equations: everything
     assert solve_mod(np.zeros((0, 2)), np.zeros((0,)), m) is not None
     q = quotient_presentation((), np.zeros((0, 0)), m)

@@ -22,7 +22,6 @@ from ghostdim.modules import (
     is_simple,
     kernel_cokernel,
     make_module,
-    maps_equal,
     minimal_generators,
     module_to_descriptor,
     submodule_generated,
@@ -154,7 +153,7 @@ def test_is_projective_cases():
     flag, cert = is_projective(s2)
     assert flag
     assert cert.cover is free_cover(s2)[0]
-    assert maps_equal(cert.pi @ cert.section, s2.identity_map())
+    assert helpers.maps_equal(cert.pi @ cert.section, s2.identity_map())
     # non-projective simple over UT2
     s1 = UT2.simples[0]
     assert not is_projective(s1)[0]

@@ -3,7 +3,8 @@
     PYTHONPATH=src python3 tools/bench_timings.py
 
 Prints one JSON object: the environment, the fdim time of the a3:f2 member
-cone2:1 (bound 6, seed 7, on a freshly built battery) and, per builtin
+cone2:1 (bound 6, seed 7, on a freshly built battery) with a digest of each
+filtration table that fdim reads (FiltrationTable.to_json) and, per builtin
 ring, the wall time of three verify suites with a digest of each report,
 so two commits can be compared for both speed and answers:
 
@@ -24,7 +25,7 @@ import numpy as np
 from ghostdim.cli import verify_compact_eq, verify_summary, verify_symmetry
 from ghostdim.dimensions import standard_battery
 from ghostdim.rings import BUILTIN_NAMES, builtin_ring
-from ghostdim.tensor_ss import fdim_via_ss
+from ghostdim.tensor_ss import default_tests, fdim_via_ss, ucss_filtration
 
 CRITERIA = (
     ("criterion_1", verify_summary, 8, 0),
@@ -42,7 +43,10 @@ def cone2_fdim():
     cx = next(m.cx for m in members if m.ident == "cone2:1")
     t0 = time.perf_counter()
     verdict = fdim_via_ss(cx, 6)
-    return {"seconds": round(time.perf_counter() - t0, 2), "fdim": verdict.render()}
+    seconds = round(time.perf_counter() - t0, 2)
+    # the tables fdim read (max_depth = bound + 2), again, untimed
+    tables = [_digest(ucss_filtration(cx, z, max_depth=8).to_json()) for z in default_tests(cx)]
+    return {"seconds": seconds, "fdim": verdict.render(), "tables_sha256_16": tables}
 
 
 def per_ring(verify, bound, seed):
