@@ -15,7 +15,6 @@ from .complexes import (
     cone,
     dual_complex,
     free_complex,
-    homology_les_exact,
     module_complex,
     null_homotopy,
     resolution_complex,
@@ -35,7 +34,6 @@ from .dimensions import (
 from .errors import GhostdimError
 from .ghosts import (
     Tower,
-    factor_through_pdim_n,
     factor_through_projective,
     ghost_tower,
     pdim_complex,
@@ -49,7 +47,6 @@ from .modules import (
     free_module,
     hom_generators,
     is_projective,
-    kernel_cokernel,
     make_module,
     tensor_modules,
 )
@@ -82,7 +79,6 @@ __all__ = [
     "builtin_ring",
     "cone",
     "dual_complex",
-    "factor_through_pdim_n",
     "factor_through_projective",
     "fdim_via_ss",
     "find_isomorphism",
@@ -92,9 +88,7 @@ __all__ = [
     "ghdim_ring",
     "ghost_tower",
     "hom_generators",
-    "homology_les_exact",
     "is_projective",
-    "kernel_cokernel",
     "load_ring_file",
     "make_module",
     "make_ring",

@@ -374,20 +374,25 @@ class RouquierCertificate:
     steps: list
 
     def validate(self, x):
-        comp = self.retract @ self.include
+        """Every complex, chain map and witness the certificate holds."""
         from .complexes import check_null_homotopy
 
-        check_null_homotopy(identity_chain(x) - comp, self.retract_homotopy)
+        self.target.validate()
+        for f in (self.include, self.retract):
+            f.validate()
+        check_null_homotopy(identity_chain(x) - self.retract @ self.include, self.retract_homotopy)
         self.base_model.validate()
         for st in self.steps:
+            for f in (st.step_map, st.incl, st.connecting):
+                f.validate()
             st.model.validate()
             st.cofiber.validate()
 
 
 def _redirect_equivalence(e, new_src, new_tgt):
     """Re-anchor an equivalence between structurally equal complexes."""
-    fwd = ChainMap(new_src, new_tgt, e.fwd.mats, check=False)
-    bwd = ChainMap(new_tgt, new_src, e.bwd.mats, check=False)
+    fwd = ChainMap(new_src, new_tgt, e.fwd.mats)
+    bwd = ChainMap(new_tgt, new_src, e.bwd.mats)
     fb = Homotopy(new_tgt, new_tgt, e.fwd_bwd.mats)
     bf = Homotopy(new_src, new_src, e.bwd_fwd.mats)
     return Equivalence(src=new_src, tgt=new_tgt, fwd=fwd, bwd=bwd, fwd_bwd=fb, bwd_fwd=bf)
@@ -460,7 +465,9 @@ def rouquier_build(x, n):
             mat[:w_next, :w_prev] = top
             mat[w_next:, w_prev:] = eye(x_cols)
             mats[k] = mat
-        m_j = ChainMap(prev_y, y_j, mats, check=True)
+        # [w_step 0; 0 I] on the blocks (W, X) of the fibers: a chain map
+        # since g_j = w_step . g_(j-1)
+        m_j = ChainMap(prev_y, y_j, mats)
         cd = cone(m_j, name=f"C{j}")
         model = _step_model(tower, j, cd)
         steps.append(

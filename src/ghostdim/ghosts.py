@@ -30,8 +30,6 @@ from .complexes import (
     check_null_homotopy,
     cone,
     desuspend,
-    direct_sum_complexes,
-    fiber,
     free_complex,
     identity_chain,
     null_homotopy,
@@ -73,7 +71,7 @@ def universal_ghost(x):
       class of each column of its matrix in H_k(X);
     * g: X -> Y = cone(P -> X) is a ghost.  S^-1 Y has the cycles and
       boundaries of Y one degree down (negating d changes no kernel or
-      image, as shift_identification states), so H_k(g) is zero iff every
+      image), so H_k(g) is zero iff every
       g_k . lift classifies to zero in H_(k-1)(S^-1 Y), which is the next
       tower stage.
 
@@ -91,10 +89,11 @@ def universal_ghost(x):
         ranks[k] = gens.shape[1]
         reps[k] = linalg.reduce_coords(hk.lift @ gens, x.term(k).orders)
     p = free_complex(ring, ranks, name=f"P({x.name or 'X'})")
+    # A chain map: each free_map sends P's generators to cycles, and d_P = 0.
     mats = {}
     for k, cols in reps.items():
         mats[k] = free_map(p.term(k), x.term(k), cols).mat
-    cover_map = ChainMap(p, x, mats, check=True)
+    cover_map = ChainMap(p, x, mats)
     _check_onto_homology(cover_map)
     cd = cone(cover_map, name=f"UG({x.name or 'X'})")
     ghost = cd.triangle.g
@@ -239,6 +238,8 @@ class Factorization:
     witness: Homotopy         # f - out_of . into = d w + w d
 
     def validate(self, f):
+        self.into.validate()
+        self.out_of.validate()
         check_null_homotopy(f - self.out_of @ self.into, self.witness)
 
 
@@ -283,7 +284,8 @@ def _solve_squares(unknown_src, unknown_tgt, squares):
     sol = sys.solve()
     if sol is None:
         return None
-    u = ChainMap(unknown_src, unknown_tgt, sol["u"], check=True)
+    u = ChainMap(unknown_src, unknown_tgt, sol["u"])
+    u.validate()
     hs = {}
     for left, pre, post, hname in squares:
         hs[hname] = Homotopy(left.src, left.tgt, sol[hname])
@@ -291,129 +293,8 @@ def _solve_squares(unknown_src, unknown_tgt, squares):
     return u, hs
 
 
-def _solve_squares_sign_tolerant(unknown_src, unknown_tgt, squares):
-    """Like _solve_squares, retrying with flipped signs on single squares.
-
-    Triangle rotations only determine the fill-in squares up to sign; any
-    solution feeds a construction whose end result is verified outright, so
-    accepting a flipped square is sound.
-    """
-    got = _solve_squares(unknown_src, unknown_tgt, squares)
-    if got is not None:
-        return got
-    for i in range(len(squares)):
-        trial = list(squares)
-        left, pre, post, hname = trial[i]
-        trial[i] = (-left, pre, post, hname)
-        got = _solve_squares(unknown_src, unknown_tgt, trial)
-        if got is not None:
-            return got
-    return None
-
-
-def factor_through_pdim_n(f, n, _verify=True):
-    """Factor f: A -> X through a compact B with pdim B <= n.
-
-    The weak-pushout construction: factor the ghost composite out of X
-    through a lower-dimensional compact recursively, push out along a
-    factorization through a compact projective, and correct the discrepancy
-    through the cover of X.  Precondition: pdim X <= n.
-    """
-    a, x = f.src, f.tgt
-    if f.is_zero:
-        z = Complex.zero(x.ring)
-        return Factorization(through=z, into=zero_chain(a, z), out_of=zero_chain(z, x),
-                             witness=Homotopy(a, x, {}))
-    tower = ghost_tower(x, 0)
-    if n == 0:
-        return factor_through_projective(f, ug=tower.stage(0).ug)
-    st = tower.stage(0)
-    p_map = st.ug.cover_map                 # p: P -> X
-    pp = st.ug.cover
-    c0 = st.ug.target                       # cone(p) = S X_1
-    delta = st.ug.ghost                     # X -> C0, the universal ghost
-    x1 = st.ug.nxt                          # the first tower stage, S^-1 C0
-    rprime = ChainMap(x1, pp, {k: st.ug.cone_data.psh(k + 1) for k in x1.degrees()}, check=True)
-
-    # 1. recursively factor  delta . f : A -> C0  through pdim <= n-1
-    sub = factor_through_pdim_n(delta @ f, n - 1, _verify=False)
-    dtil, h, phi = sub.through, sub.into, sub.out_of
-
-    # 2. Z = fiber(h), with its triangle  S^-1 D -> Z -> A -> D
-    z, z_proj, z_incl, _ = fiber(h)
-    phi_down = suspend_between(phi, desuspend(dtil), x1, -1)
-
-    # 3. fill psi: Z -> P with  p.psi ~ f.z_proj  and  psi.z_incl ~ r'.phi_down
-    got = _solve_squares_sign_tolerant(
-        z,
-        pp,
-        [
-            (f @ z_proj, p_map, identity_chain(z), "sq1"),
-            (rprime @ phi_down, identity_chain(pp), z_incl, "sq2"),
-        ],
-    )
-    if got is None:
-        raise NoFactorization("triangle fill-in for the comparison map failed")
-    psi, _ = got
-
-    # 4. factor psi through the compact projective cover of P
-    proj_fact = factor_through_projective(psi, ug=ghost_tower(pp, 0).stage(0).ug)
-    q_cx, tau, j = proj_fact.through, proj_fact.into, proj_fact.out_of
-
-    # 5. weak pushout: B' = cone(tau . z_incl), with fills sigma and rho
-    c1 = tau @ z_incl                       # S^-1 D -> Q
-    bprime_cd = cone(c1)
-    bprime = bprime_cd.cone
-    iota = bprime_cd.triangle.g             # Q -> B'
-    pi_d = bprime_cd.triangle.h             # B' -> S S^-1 D (same terms as D)
-    dtil_raised = pi_d.tgt
-    h_raised = ChainMap(a, dtil_raised, h.mats, check=True)
-    got = _solve_squares_sign_tolerant(
-        a,
-        bprime,
-        [
-            (iota @ tau, identity_chain(bprime), z_proj, "sq1"),
-            (h_raised, pi_d, identity_chain(a), "sq2"),
-        ],
-    )
-    if got is None:
-        raise NoFactorization("weak-pushout fill-in (sigma) failed")
-    sigma, _ = got
-    phi_raised = ChainMap(dtil_raised, c0, phi.mats, check=True)
-    got = _solve_squares_sign_tolerant(
-        bprime,
-        x,
-        [
-            (p_map @ j, identity_chain(x), iota, "sq1"),
-            (phi_raised @ pi_d, delta, identity_chain(bprime), "sq2"),
-        ],
-    )
-    if got is None:
-        raise NoFactorization("weak-pushout fill-in (rho) failed")
-    rho, _ = got
-
-    # 6. correct the discrepancy through the cover: f - rho.sigma ~ p.qmap
-    eps = f - rho @ sigma
-    got = solve_chain_map_through(eps, p_map)
-    if got is None:
-        raise NoFactorization("correction map through the cover failed")
-    qmap, _ = got
-
-    # 7. assemble B = B' + P
-    b, (inj_b, inj_p), (pr_b, pr_p) = direct_sum_complexes(bprime, pp, name="B")
-    into = inj_b @ sigma + inj_p @ qmap
-    out_of = rho @ pr_b + p_map @ pr_p
-    witness = null_homotopy(f - out_of @ into)
-    if witness is None:
-        raise NoFactorization("assembled factorization is not homotopic to f")
-    fact = Factorization(through=b, into=into, out_of=out_of, witness=witness)
-    if _verify:
-        fact.validate(f)
-    return fact
-
-
 # ---------------------------------------------------------------------------
-# Random chain maps (battery construction and universality checks)
+# Random chain maps (battery construction)
 # ---------------------------------------------------------------------------
 
 def random_chain_map(src, tgt, rng):
@@ -425,15 +306,5 @@ def random_chain_map(src, tgt, rng):
     for g in gens:
         c = rng.randrange(m)
         if c:
-            f = f + ChainMap(src, tgt, {k: c * mat for k, mat in g.mats.items()}, check=False)
+            f = f + ChainMap(src, tgt, {k: c * mat for k, mat in g.mats.items()})
     return f
-
-
-def ghost_factors_through_universal(h, ug):
-    """Does  h ~ t . g  hold for some t out of the universal-ghost target?"""
-    got = _solve_squares(
-        ug.target,
-        h.tgt,
-        [(h, identity_chain(h.tgt), ug.ghost, "sq1")],
-    )
-    return got is not None

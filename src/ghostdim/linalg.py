@@ -445,14 +445,6 @@ class SmithSolver:
         return np.stack(cols, axis=1)
 
 
-def solve_mod(a, b, m):
-    return SmithSolver(a, m).solve(b)
-
-
-def kernel_mod(a, m):
-    return SmithSolver(a, m).kernel()
-
-
 def reduce_generators(gens, m):
     """Replace the columns of gens by at most `rows` columns with the same span.
 

@@ -9,6 +9,15 @@ Matrices act on *group coordinates*: a ModuleMap's column j is the image of
 the j-th group generator of the source.  Two matrices represent the same
 map exactly when they agree entrywise modulo the target row orders, so maps
 are stored in that canonical reduction.
+
+Validation policy.  The constructors of FgModule and ModuleMap normalize
+their input and trust it; validate() checks the axioms in full.  It runs at
+the trust boundary (make_module, rings.make_ring, and in complexes
+complex_from_dict and chain_map_from_dict), in the certificates over every
+map they carry, and on solver outputs that no certificate checks again.
+Every other construction site says in one line why it builds a module or a
+module map.  FgModule keeps one O(1) comparison: check_exact, the bound on
+every product over the module.
 """
 
 from __future__ import annotations
@@ -42,7 +51,9 @@ class FgModule:
         acts = tuple(as_matrix(a, rows=self.ngens, cols=self.ngens) % self.ring.modulus
                      for a in self.actions)
         object.__setattr__(self, "actions", acts)
-        _validate_module(self)
+        if self.orders:
+            # The bound on every product over this module (not a validation).
+            linalg.check_exact(self.ring.modulus, self.ngens + self.ring.rank)
 
     @property
     def ngens(self):
@@ -68,59 +79,58 @@ class FgModule:
     def act(self, t, vec):
         return linalg.reduce_coords(self.actions[t] @ vec, self.orders)
 
+    def validate(self):
+        """Raise ValidationError unless the actions make this a right module."""
+        ring = self.ring
+        m = ring.modulus
+        n = self.ngens
+        for d in self.orders:
+            if d < 2 or m % d:
+                raise ValidationError(f"generator order {d} must divide m = {m} and exceed 1")
+        if len(self.actions) != ring.rank:
+            raise ValidationError(f"need {ring.rank} action matrices, got {len(self.actions)}")
+        ords = np.asarray(self.orders, dtype=np.int64)
+        for t, a in enumerate(self.actions):
+            # well-definedness: a[i, j] * d_j = 0 mod d_i
+            if n and ((a * ords[None, :]) % ords[:, None]).any():
+                raise ValidationError(f"action matrix {t} is not well defined on the group")
+        if n == 0:
+            return
+        unit_combo = sum(int(u) * a for u, a in zip(ring.unit, self.actions)) % m
+        if (linalg.reduce_coords(unit_combo, self.orders) != linalg.reduce_coords(eye(n), self.orders)).any():
+            raise ValidationError("unit does not act as the identity")
+        r = ring.rank
+        if r == 1:
+            # Rank 1 (b_0 b_0 = c b_0, unit u b_0): the ring's unit axiom gives
+            # u c = 1 (mod m), so the unit check (u A = I row-wise) gives A = c I
+            # row-wise, and with well-definedness A A = c A modulo the row
+            # orders.  The relation check below cannot fail.
+            return
+        acts = np.stack(self.actions)                             # rank x n x n
+        # (x . b_s) . b_t = x . (b_s b_t):  A^t A^s = sum_k sc[s,t,k] A^k
+        if n > SPARSE_CHECK_MIN_GENS:
+            # Products keyed (t, s, i, k); the second term is -sc[s,t,:] . A^k
+            # in the same flat layout.
+            keys, sums = linalg.sparse_product_sum([
+                (acts, acts),
+                (-ring.sc.transpose(1, 0, 2).reshape(1, r * r, r), acts.reshape(1, r, n * n)),
+            ])
+            bad = sums % ords[keys // n % n] != 0
+            if bad.any():
+                t, s = np.divmod(keys[bad] // (n * n), r)
+                pair = min(zip(s.tolist(), t.tolist()))
+                raise ValidationError(f"action violates the ring relations at basis pair {pair}")
+            return
+        lhs = np.einsum("tij,sjk->stik", acts, acts)
+        rhs = np.einsum("stk,kij->stij", ring.sc, acts)
+        delta = (lhs - rhs) % ords[None, None, :, None]
+        if delta.any():
+            bad = np.argwhere(delta)[0]
+            raise ValidationError(f"action violates the ring relations at basis pair ({bad[0]}, {bad[1]})")
+
     def __repr__(self):
         tag = self.label or "M"
         return f"{tag}{list(self.orders)}@{self.ring.name}"
-
-
-def _validate_module(mod):
-    ring = mod.ring
-    m = ring.modulus
-    n = mod.ngens
-    for d in mod.orders:
-        if d < 2 or m % d:
-            raise ValidationError(f"generator order {d} must divide m = {m} and exceed 1")
-    if len(mod.actions) != ring.rank:
-        raise ValidationError(f"need {ring.rank} action matrices, got {len(mod.actions)}")
-    ords = np.asarray(mod.orders, dtype=np.int64)
-    for t, a in enumerate(mod.actions):
-        # well-definedness: a[i, j] * d_j = 0 mod d_i
-        if n and ((a * ords[None, :]) % ords[:, None]).any():
-            raise ValidationError(f"action matrix {t} is not well defined on the group")
-    if n == 0:
-        return
-    unit_combo = sum(int(u) * a for u, a in zip(ring.unit, mod.actions)) % m
-    if (linalg.reduce_coords(unit_combo, mod.orders) != linalg.reduce_coords(eye(n), mod.orders)).any():
-        raise ValidationError("unit does not act as the identity")
-    r = ring.rank
-    linalg.check_exact(m, n + r)
-    if r == 1:
-        # Rank 1 (b_0 b_0 = c b_0, unit u b_0): the ring's unit axiom gives
-        # u c = 1 (mod m), so the unit check (u A = I row-wise) gives A = c I
-        # row-wise, and with well-definedness A A = c A modulo the row
-        # orders.  The relation check below cannot fail.
-        return
-    acts = np.stack(mod.actions)                              # rank x n x n
-    # (x . b_s) . b_t = x . (b_s b_t):  A^t A^s = sum_k sc[s,t,k] A^k
-    if n > SPARSE_CHECK_MIN_GENS:
-        # Products keyed (t, s, i, k); the second term is -sc[s,t,:] . A^k
-        # in the same flat layout.
-        keys, sums = linalg.sparse_product_sum([
-            (acts, acts),
-            (-ring.sc.transpose(1, 0, 2).reshape(1, r * r, r), acts.reshape(1, r, n * n)),
-        ])
-        bad = sums % ords[keys // n % n] != 0
-        if bad.any():
-            t, s = np.divmod(keys[bad] // (n * n), r)
-            pair = min(zip(s.tolist(), t.tolist()))
-            raise ValidationError(f"action violates the ring relations at basis pair {pair}")
-        return
-    lhs = np.einsum("tij,sjk->stik", acts, acts)
-    rhs = np.einsum("stk,kij->stij", ring.sc, acts)
-    delta = (lhs - rhs) % np.asarray(mod.orders)[None, None, :, None]
-    if delta.any():
-        bad = np.argwhere(delta)[0]
-        raise ValidationError(f"action violates the ring relations at basis pair ({bad[0]}, {bad[1]})")
 
 
 @dataclass(eq=False)
@@ -128,26 +138,24 @@ class ModuleMap:
     src: FgModule
     tgt: FgModule
     mat: np.ndarray
-    check: bool = True
 
     def __post_init__(self):
         self.mat = as_matrix(self.mat, rows=self.tgt.ngens, cols=self.src.ngens)
         self.mat = linalg.reduce_coords(self.mat % self.tgt.ring.modulus, self.tgt.orders)
-        if self.check:
-            _validate_map(self)
 
+    # Sums, differences and composites of module maps are module maps.
     def __matmul__(self, other):
         # self after other
-        return ModuleMap(other.src, self.tgt, self.mat @ other.mat, check=False)
+        return ModuleMap(other.src, self.tgt, self.mat @ other.mat)
 
     def __add__(self, other):
-        return ModuleMap(self.src, self.tgt, self.mat + other.mat, check=False)
+        return ModuleMap(self.src, self.tgt, self.mat + other.mat)
 
     def __sub__(self, other):
-        return ModuleMap(self.src, self.tgt, self.mat - other.mat, check=False)
+        return ModuleMap(self.src, self.tgt, self.mat - other.mat)
 
     def __neg__(self):
-        return ModuleMap(self.src, self.tgt, -self.mat, check=False)
+        return ModuleMap(self.src, self.tgt, -self.mat)
 
     @property
     def is_zero(self):
@@ -159,42 +167,43 @@ class ModuleMap:
     def apply(self, vec):
         return linalg.reduce_coords(self.mat @ np.asarray(vec, dtype=np.int64), self.tgt.orders)
 
-    def __repr__(self):
-        return f"Map({self.src!r} -> {self.tgt!r})"
-
-
-def _validate_map(f):
-    if not f.src.ring.same_ring(f.tgt.ring):
-        raise RingMismatch(f"{f.src.ring.name} vs {f.tgt.ring.name}")
-    m = f.src.ring.modulus
-    src_ord = np.asarray(f.src.orders, dtype=np.int64)
-    tgt_ord = np.asarray(f.tgt.orders, dtype=np.int64)
-    if f.mat.size:
-        if ((f.mat * src_ord[None, :]) % tgt_ord[:, None]).any():
+    def validate(self):
+        """Raise unless the matrix is a well-defined, equivariant group map."""
+        if not self.src.ring.same_ring(self.tgt.ring):
+            raise RingMismatch(f"{self.src.ring.name} vs {self.tgt.ring.name}")
+        if not self.mat.size:
+            return
+        m = self.src.ring.modulus
+        src_ord = np.asarray(self.src.orders, dtype=np.int64)
+        tgt_ord = np.asarray(self.tgt.orders, dtype=np.int64)
+        if ((self.mat * src_ord[None, :]) % tgt_ord[:, None]).any():
             raise ValidationError("matrix is not well defined on the source group")
-        nt, ns = f.mat.shape
+        nt, ns = self.mat.shape
         linalg.check_exact(m, nt + ns)
-        if f.src.ring.rank == 1:
-            # Both actions are c I modulo their row orders (_validate_module),
+        if self.src.ring.rank == 1:
+            # Both actions are c I modulo their row orders (FgModule.validate),
             # so with well-definedness F A_src = c F = A_tgt F modulo the
             # target orders: equivariance cannot fail.
             return
-        src_acts = np.stack(f.src.actions)
-        tgt_acts = np.stack(f.tgt.actions)
+        src_acts = np.stack(self.src.actions)
+        tgt_acts = np.stack(self.tgt.actions)
         if max(nt, ns) > SPARSE_CHECK_MIN_GENS:
             # F A^t - A^t F, both keyed (t, i, k)
-            keys, sums = linalg.sparse_product_sum([(f.mat[None], src_acts),
-                                                    (-tgt_acts, f.mat[None])])
+            keys, sums = linalg.sparse_product_sum([(self.mat[None], src_acts),
+                                                    (-tgt_acts, self.mat[None])])
             bad = sums % tgt_ord[keys // ns % nt] != 0
             if bad.any():
                 t = int(keys[bad][0] // (nt * ns))
                 raise ValidationError(f"matrix does not commute with ring action {t}")
             return
-        delta = (np.einsum("ij,tjk->tik", f.mat, src_acts)
-                 - np.einsum("tij,jk->tik", tgt_acts, f.mat)) % tgt_ord[None, :, None]
+        delta = (np.einsum("ij,tjk->tik", self.mat, src_acts)
+                 - np.einsum("tij,jk->tik", tgt_acts, self.mat)) % tgt_ord[None, :, None]
         if delta.any():
             t = int(np.argwhere(delta)[0][0])
             raise ValidationError(f"matrix does not commute with ring action {t}")
+
+    def __repr__(self):
+        return f"Map({self.src!r} -> {self.tgt!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +265,7 @@ def hom_generators(src, tgt):
     seen = set()
     for c in range(sols.shape[1]):
         mat = sols[:, c].reshape(ns, nt).T
-        f = ModuleMap(src, tgt, mat, check=False)
+        f = ModuleMap(src, tgt, mat)
         keyb = f.mat.tobytes()
         if f.is_zero or keyb in seen:
             continue
@@ -301,6 +310,8 @@ def submodule_from_generators(ambient, gens, label=""):
             raise ValidationError("vector is not in the submodule")
         return linalg.reduce_coords(pres.proj @ y, sub_orders) if sub_orders else zeros(0, cols.shape[1])
 
+    # The columns are closed under the action, so each A^t . incl is expressed
+    # exactly: sub is the submodule they span and incl is equivariant.
     acts = []
     for t in range(ambient.ring.rank):
         moved = ambient.actions[t] @ incl_mat
@@ -356,6 +367,8 @@ def quotient_by(ambient, rel_cols, label="", closed=False):
     if not closed and rel_cols.size:
         rel_cols = submodule_generated(ambient, rel_cols)
     pres = linalg.quotient_presentation(ambient.orders, rel_cols, m)
+    # The relations span a submodule, so the actions induce the quotient's
+    # and the projection is equivariant.
     acts = []
     for t in range(ambient.ring.rank):
         if pres.orders:
@@ -365,13 +378,6 @@ def quotient_by(ambient, rel_cols, label="", closed=False):
     q = FgModule(ring=ambient.ring, orders=pres.orders, actions=tuple(acts), label=label)
     proj = ModuleMap(ambient, q, pres.proj if pres.orders else zeros(0, ambient.ngens))
     return Quotient(module=q, projection=proj)
-
-
-def kernel_cokernel(f):
-    """(kernel with inclusion, cokernel with projection) of a module map."""
-    ker = kernel_of(f)
-    coker = quotient_by(f.tgt, f.mat, closed=True)
-    return ker, coker
 
 
 def submodule_generated(module, cols):
@@ -432,6 +438,7 @@ def free_module(ring, rank, label=None):
     cached = _free_cache.get(key)
     if cached is not None and cached.ring.same_ring(ring):
         return cached
+    # Copies of the regular module, a module by the ring's associativity.
     orders = tuple([ring.modulus] * (ring.rank * rank))
     regular = ring.regular_actions()
     acts = []
@@ -464,7 +471,8 @@ def module_unit_columns(ring, rank):
 def free_map(free_src, tgt, targets):
     """The module map free_src -> tgt sending the j-th module generator to targets[:, j].
 
-    free_src must come from free_module; there is exactly one such map.
+    free_src must come from free_module; there is exactly one such map, and
+    its column (j, t) is targets[:, j] . b_t, equivariant by tgt's axioms.
     """
     ring = tgt.ring
     targets = as_matrix(targets, rows=tgt.ngens)
@@ -544,7 +552,7 @@ def split_surjection(pi):
     ring = module.ring
     m = ring.modulus
     if module.ngens == 0:
-        return ModuleMap(module, f, zeros(f.ngens, 0), check=False)
+        return ModuleMap(module, f, zeros(f.ngens, 0))
     regular = free_module(ring, 1)
     g = f.ngens // regular.ngens
     homs = hom_generators(module, regular)
@@ -565,6 +573,7 @@ def split_surjection(pi):
     sol = linalg.solve_hetero(a, rhs, moduli, m)
     if sol is None:
         return None
+    # a combination of the module maps inj_i . homs[l]
     smat = zeros(f.ngens, module.ngens)
     for coeff, piece in zip(sol[:, 0], pieces):
         if coeff:
@@ -585,6 +594,8 @@ class ProjectivityCertificate:
     section: ModuleMap
 
     def validate(self):
+        self.pi.validate()
+        self.section.validate()
         comp = self.pi @ self.section
         if not np.array_equal(comp.mat, linalg.reduce_coords(eye(self.pi.tgt.ngens), self.pi.tgt.orders)):
             raise ValidationError("projectivity certificate does not split")
@@ -659,7 +670,7 @@ def find_isomorphism(a, b):
     # single generators (and their unit multiples) catch most real cases
     for g in gens:
         for u in range(1, m):
-            cand = ModuleMap(a, b, (u * g.mat), check=False)
+            cand = ModuleMap(a, b, u * g.mat)
             if is_invertible(cand):
                 return cand
     budget = ISO_MAX_CANDIDATES
@@ -668,7 +679,7 @@ def find_isomorphism(a, b):
         if budget < 0:
             return None
         mat = sum(c * g.mat for c, g in zip(coeffs, gens))
-        cand = ModuleMap(a, b, mat, check=False)
+        cand = ModuleMap(a, b, mat)
         if not cand.is_zero and is_invertible(cand):
             return cand
     return None
@@ -701,7 +712,8 @@ class TensorModule:
 
 def _tensor_free_right(right, left, base, label, swapped):
     """R^a (x) N = N^a: basis copy-c of b_t tensored with n is act_N^t(n) in copy c.
-    Swapped, it is M (x) (R^op)^b = M^b for (right, left) = ((R^op)^b, M)."""
+    Swapped, it is M (x) (R^op)^b = M^b for (right, left) = ((R^op)^b, M).
+    Over the base ring Z/m, any group is a module under the identity action."""
     a = right.ngens // right.ring.rank
     orders = tuple(left.orders) * a
     mod = FgModule(ring=base, orders=orders, actions=(eye(len(orders)),), label=label)
@@ -788,6 +800,7 @@ def tensor_modules(right, left):
     rel_mat = np.stack(rels, axis=1) if rels else zeros(npair, 0)
     rel_mat = linalg.reduce_coords(rel_mat, pair_orders) if npair else rel_mat
     pres = linalg.quotient_presentation(pair_orders, rel_mat, m)
+    # a group over the base ring Z/m: the identity action makes it a module
     mod = FgModule(
         ring=base,
         orders=pres.orders,
@@ -830,7 +843,7 @@ def tensor_map(f_mat, g_mat, src_tensor, tgt_tensor):
         t2 = np.tensordot(g_mat, t1, axes=(1, 1)) % m            # nj_t x ni_t x k
         moved = np.transpose(t2, (1, 0, 2)).reshape(-1, k)
         mat = (tgt_tensor.proj @ moved) % m
-    return ModuleMap(src_tensor.module, tgt_tensor.module, mat, check=False)
+    return ModuleMap(src_tensor.module, tgt_tensor.module, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +851,17 @@ def tensor_map(f_mat, g_mat, src_tensor, tgt_tensor):
 # ---------------------------------------------------------------------------
 
 def make_module(ring, descriptor, label=""):
-    """Build a module from a JSON-style descriptor.
+    """Build a module from a JSON-style descriptor and validate it in full.
 
     zmod: {"orders": [...]} or {"presentation": [[...]]} (columns are relations
     among the generators).  fp_algebra: {"dim": d, "actions": [d x d] * rank}.
     """
+    mod = _module_from_descriptor(ring, descriptor, label)
+    mod.validate()
+    return mod
+
+
+def _module_from_descriptor(ring, descriptor, label):
     if not isinstance(descriptor, dict):
         raise ParseError(f"a module descriptor must be a JSON object, got {descriptor!r}")
     if ring.backend == "zmod":

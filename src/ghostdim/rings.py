@@ -80,6 +80,7 @@ class Ring:
         if self.simples is not None:
             from .modules import FgModule
 
+            # transposed actions reverse products: a module over the opposite ring
             duals = tuple(
                 FgModule(
                     ring=ring,
@@ -159,7 +160,11 @@ def _validate_ring(ring):
 
 
 def make_ring(spec):
-    """Validate a RingSpec and return a Ring with its simple-module list."""
+    """Validate a RingSpec and return a Ring with its simple-module list.
+
+    A trust boundary: the ring axioms and each declared simple (make_module
+    validates it as a module) are checked in full here.
+    """
     if spec.backend == "zmod":
         if spec.n is None or spec.n < 2:
             raise ValidationError("zmod backend needs n >= 2")
@@ -209,6 +214,7 @@ def zmod(n, name=None, allow_large=False):
     )
     from .modules import FgModule
 
+    # Z/p with the identity action, one per prime p | n
     simples = tuple(
         FgModule(ring=ring, orders=(p,), actions=(np.ones((1, 1), dtype=np.int64),), label=f"Z/{p}")
         for p in factorize(n)

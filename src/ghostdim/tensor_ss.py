@@ -13,12 +13,12 @@ numbers from a free resolution of the left module, filtering the total
 complex by resolution degree, with no towers anywhere.
 
 Every tensor map goes through one block routine, `_tensor_blocks`: the
-total differential, f (x) 1 and 1 (x) g.  What construction proves is not
-certified again, so the total complex, both induced chain maps and the
-column subcomplexes with their inclusions are built without validate();
-the reasons are given at `_tensor_blocks`.  The filtration's stage tensors
-W_s (x) Z are held as pieces from the same routine (`_StageTensor`), also
-unchecked, for the reason given there.
+total differential, f (x) 1 and 1 (x) g.  As everywhere in the package,
+constructors do not validate; the total complex, both induced chain maps
+and the column subcomplexes with their inclusions are sound for the
+reasons given at `_tensor_blocks`.  The filtration's stage tensors W_s (x) Z
+are held as pieces from the same routine (`_StageTensor`), for the reason
+given there.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ def _as_left_complex(ring, z):
     return z
 
 
-# Built from blocks, the results need no validate():
+# Built from blocks, the results need no validate() (their terms are groups
+# over the base ring Z/m, modules under the identity action):
 # * d = d_X (x) 1 + (-1)^a 1 (x) d_Z has d.d = 0, since the two mixed terms
 #   through (a-1, b-1) carry the Koszul signs (-1)^(a-1) and (-1)^a;
 # * f (x) 1 and 1 (x) g of chain maps f, g are chain maps: a degree-zero f
@@ -150,7 +151,7 @@ def tensor_complexes(x, z):
         return x.diff(a), eye(z.term(b).ngens)
 
     diffs = _tensor_blocks(blocks, blocks, -1, [(-1, d_x), (0, _koszul_dz(x, z))])
-    total = Complex(base, lo, hi, terms, diffs, name=f"({x.name})(x)({z.name})", check=False)
+    total = Complex(base, lo, hi, terms, diffs, name=f"({x.name})(x)({z.name})")
     return TensorComplex(total=total, x=x, z=z, blocks=blocks)
 
 
@@ -160,7 +161,7 @@ def tensor_chain_map(f, src_tensor):
     tgt_tensor = tensor_complexes(f.tgt, z)
     mats = _tensor_blocks(src_tensor.blocks, tgt_tensor.blocks, 0,
                           [(0, lambda a, b: (f.component(a), eye(z.term(b).ngens)))])
-    return ChainMap(src_tensor.total, tgt_tensor.total, mats, check=False)
+    return ChainMap(src_tensor.total, tgt_tensor.total, mats)
 
 
 def tor(m_right, n_left, max_degree):
@@ -403,16 +404,20 @@ def resolution_filtration(x, z_module):
 
 
 def _augmentation_map(q, z_module):
-    """The chain map from the resolution onto the module in degree zero."""
+    """The chain map from the resolution onto the module in degree zero.
+
+    Its degree-0 matrix is the identity, or the cover that resolution_complex
+    resolved with (free_cover is deterministic), which kills d_1's image.
+    """
     zc = module_complex(z_module)
     f0 = q.term(0)
     if q.hi == 0 and f0 is z_module:
         # projective module: the resolution is the module itself
-        return ChainMap(q, zc, {0: eye(z_module.ngens)}, check=True)
+        return ChainMap(q, zc, {0: eye(z_module.ngens)})
     cover, pi = free_cover(z_module)
     if cover.ngens != f0.ngens:
         raise ValidationError("unexpected resolution shape for augmentation")
-    return ChainMap(q, zc, {0: pi.mat}, check=True)
+    return ChainMap(q, zc, {0: pi.mat})
 
 
 def _tensor_second_map(src_tensor, tgt_tensor, g):
@@ -420,7 +425,7 @@ def _tensor_second_map(src_tensor, tgt_tensor, g):
     x = src_tensor.x
     mats = _tensor_blocks(src_tensor.blocks, tgt_tensor.blocks, 0,
                           [(0, lambda a, b: (eye(x.term(a).ngens), g.component(b)))])
-    return ChainMap(src_tensor.total, tgt_tensor.total, mats, check=False)
+    return ChainMap(src_tensor.total, tgt_tensor.total, mats)
 
 
 def _column_subcomplex(txq, q_max):
@@ -440,8 +445,8 @@ def _column_subcomplex(txq, q_max):
         incl_mats[n] = inc
     diffs = {n: total.diff(n)[np.ix_(keep[n - 1], keep[n])]
              for n in total.degrees() if n - 1 >= total.lo}
-    sub = Complex(base, total.lo, total.hi, terms, diffs, check=False)
-    incl = ChainMap(sub, total, incl_mats, check=False)
+    sub = Complex(base, total.lo, total.hi, terms, diffs)
+    incl = ChainMap(sub, total, incl_mats)
     return sub, incl
 
 

@@ -11,10 +11,14 @@ before it tested each trial set with one elimination, copied unchanged:
 it closes each trial set under the ring action (`submodule_generated`)
 and then orders the closure.  The package must choose exactly the
 generators this one chooses.
+
+`ghost_factors_through_universal` asks whether a ghost factors through the
+universal ghost, the universal property the tests check.
 """
 
 from ghostdim import linalg
-from ghostdim.complexes import induced_map
+from ghostdim.complexes import identity_chain, induced_map
+from ghostdim.ghosts import _solve_squares
 from ghostdim.linalg import eye, zeros
 from ghostdim.modules import (
     image_subgroup_order,
@@ -91,3 +95,13 @@ def minimal_generators(module):
         if subgroup_order_in(module, span) == total:
             keep = trial
     return gens[:, keep]
+
+
+def ghost_factors_through_universal(h, ug):
+    """Does  h ~ t . g  hold for some t out of the universal-ghost target?"""
+    got = _solve_squares(
+        ug.target,
+        h.tgt,
+        [(h, identity_chain(h.tgt), ug.ghost, "sq1")],
+    )
+    return got is not None

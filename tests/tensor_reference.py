@@ -50,6 +50,12 @@ class TensorComplex:
         return {(a, b): (tm, off) for a, b, tm, off in self.blocks.get(n, [])}
 
 
+def _checked(obj):
+    """What a reference builder builds, validated (the package trusts its own)."""
+    obj.validate()
+    return obj
+
+
 def tensor_complexes(x, z):
     """X (x)_R Z with Koszul signs; Z is a complex over the opposite ring."""
     ring = x.ring
@@ -105,7 +111,7 @@ def tensor_complexes(x, z):
                 sub = tensor_map(eye(x.term(a).ngens), (sign * z.diff(b)) % ring.modulus, tm, tmt)
                 mat[toff:toff + tmt.module.ngens, off:off + ncols] = sub.mat
         diffs[n] = mat
-    total = Complex(base, lo, hi, terms, diffs, name=f"({x.name})(x)({z.name})")
+    total = _checked(Complex(base, lo, hi, terms, diffs, name=f"({x.name})(x)({z.name})"))
     return TensorComplex(total=total, x=x, z=z, blocks=blocks)
 
 
@@ -129,7 +135,7 @@ def tensor_chain_map(f, src_tensor):
             sub = tensor_map(comp, eye(z.term(b).ngens), tm, tmt)
             mat[toff:toff + tmt.module.ngens, off:off + tm.module.ngens] = sub.mat
         mats[n] = mat
-    return ChainMap(src_tensor.total, tgt_tensor.total, mats, check=True)
+    return _checked(ChainMap(src_tensor.total, tgt_tensor.total, mats))
 
 
 def _tensor_second_map(src_tensor, tgt_tensor, g):
@@ -150,7 +156,7 @@ def _tensor_second_map(src_tensor, tgt_tensor, g):
             sub = tensor_map(eye(x.term(a).ngens), comp, tm, tmt)
             mat[toff:toff + tmt.module.ngens, off:off + tm.module.ngens] = sub.mat
         mats[n] = mat
-    return ChainMap(src_tensor.total, tgt_tensor.total, mats, check=True)
+    return _checked(ChainMap(src_tensor.total, tgt_tensor.total, mats))
 
 
 def _column_subcomplex(txq, q_max):
@@ -180,8 +186,8 @@ def _column_subcomplex(txq, q_max):
             continue
         proj = incl_mats[n - 1].T if (n - 1) in incl_mats else zeros(0, total.term(n - 1).ngens)
         diffs[n] = proj @ total.diff(n) @ incl_mats[n]
-    sub = Complex(base, total.lo, total.hi, terms, diffs)
-    incl = ChainMap(sub, total, incl_mats, check=True)
+    sub = _checked(Complex(base, total.lo, total.hi, terms, diffs))
+    incl = _checked(ChainMap(sub, total, incl_mats))
     return sub, incl
 
 
@@ -225,13 +231,13 @@ def tensor_map(f_mat, g_mat, src_tensor, tgt_tensor):
     k = lift.shape[1]
     if k == 0 or tgt_tensor.module.is_zero:
         mat = zeros(tgt_tensor.module.ngens, src_tensor.module.ngens)
-        return ModuleMap(src_tensor.module, tgt_tensor.module, mat, check=False)
+        return ModuleMap(src_tensor.module, tgt_tensor.module, mat)
     cube = lift.reshape(ni_s, nj_s, k)
     t1 = np.tensordot(f_mat, cube, axes=(1, 0)) % m          # ni_t x nj_s x k
     t2 = np.tensordot(g_mat, t1, axes=(1, 1)) % m            # nj_t x ni_t x k
     moved = np.transpose(t2, (1, 0, 2)).reshape(-1, k)
     mat = (tgt_tensor.proj @ moved) % m
-    return ModuleMap(src_tensor.module, tgt_tensor.module, mat, check=False)
+    return ModuleMap(src_tensor.module, tgt_tensor.module, mat)
 
 
 def tor_via_left(m_right, n_left, max_degree):

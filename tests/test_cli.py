@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from ghostdim.cli import _MEMBER_CHECKS, _SUITES, main
-from ghostdim.complexes import complex_to_dict, resolution_complex
+from ghostdim.complexes import complex_to_dict, free_complex, resolution_complex
 from ghostdim.dimensions import standard_battery
 from ghostdim.modules import make_module
 from ghostdim.rings import builtin_ring, make_ring, ring_spec_from_dict, ring_to_dict, zmod
@@ -108,6 +108,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     ("verify-rouquier-zmod-6.json", ("verify", "rouquier", "--ring", "zmod:6")),
     ("verify-compact-eq-zmod-12-b4.json", ("verify", "compact-eq", "--ring", "zmod:12", "--bound", "4")),
     ("verify-flatchar-f2-b4.json", ("verify", "flatchar", "--ring", "f2", "--bound", "4")),
+    ("verify-rouquier-ut2-f2-b3.json", ("verify", "rouquier", "--ring", "ut2:f2", "--bound", "3")),
 ])
 def test_json_report_matches_golden_file(golden, args):
     res = invoke(*args, "--output", "json")
@@ -287,10 +288,33 @@ def _break_diff_degree(data):
     data["diffs"]["7"] = [[1]]
 
 
+# Semantic malformations: well-formed JSON that is not a complex, a module
+# map or a ring; validate() at the trust boundary must reject each one.
+_UT3 = builtin_ring("ut3:f2")
+# E_01 on the free ut3:f2-module of rank 1: it does not commute with the action.
+_NOT_A_MODULE_MAP = [[int((i, j) == (0, 1)) for j in range(_UT3.rank)] for i in range(_UT3.rank)]
+
+
+def _break_equivariance(data):
+    data.clear()
+    data.update(complex_to_dict(free_complex(_UT3, {0: 1, 1: 1}, name="r2")))
+    data["diffs"]["1"] = _NOT_A_MODULE_MAP
+
+
+def _break_dd(data):
+    data["diffs"]["1"], data["diffs"]["2"] = [[2]], [[1]]      # over zmod:4, d1 d2 = 2
+
+
+def _ring_with_a_simple_breaking_a_relation():
+    ring = ring_to_dict(builtin_ring("ut2:f2"))
+    ring["simples"][0]["actions"][1] = [[1]]                  # e12 e12 = 0, but 1 . 1 = 1
+    return ring
+
+
 @pytest.mark.parametrize("breaker", [_break_ring, _break_lo, _break_entry, _break_text_entry,
                                      _break_shape, _break_ragged, _break_order, _break_terms,
                                      _break_huge_hi, _break_missing_term, _break_null_term,
-                                     _break_diff_degree])
+                                     _break_diff_degree, _break_equivariance, _break_dd])
 def test_malformed_complex_file_exits_2_with_one_line(tmp_path, breaker):
     data = _good_complex_data()
     breaker(data)
@@ -344,7 +368,11 @@ def test_replay_of_a_malformed_counterexample_exits_2(tmp_path):
     path.write_text(json.dumps(ce))
     res = invoke("replay", str(path))
     assert res.exit_code == 2 and "'bound' must be >= 0" in res.output
-    for data in ([1], {"counterexamples": [1]}, {"counterexamples": "ab"}):
+    probe_on_r = {"kind": "flatchar", "ring": ring_to_dict(_UT3), "bound": 2, "seed": 0,
+                  "complex": complex_to_dict(free_complex(_UT3, {0: 1}, name="r")),
+                  "map": {"0": _NOT_A_MODULE_MAP}}
+    bad_simple = {**ce, "ring": _ring_with_a_simple_breaking_a_relation()}
+    for data in ([1], {"counterexamples": [1]}, {"counterexamples": "ab"}, probe_on_r, bad_simple):
         path.write_text(json.dumps(data))
         res = invoke("replay", str(path))
         assert res.exit_code == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
+from factorization import direct_sum_complexes
 from ghostdim.complexes import (
     ChainMap,
     Complex,
@@ -11,12 +12,10 @@ from ghostdim.complexes import (
     complex_to_dict,
     cone,
     chain_map_generators,
-    direct_sum_complexes,
+    direct_sum_modules,
     dual_complex,
     fiber,
     free_complex,
-    homology_les_exact,
-    homotopic,
     identity_chain,
     induced_map,
     module_complex,
@@ -27,7 +26,7 @@ from ghostdim.complexes import (
     three_by_three,
     zero_chain,
 )
-from ghostdim.errors import ParseError, SquareNotCommuting, ValidationError
+from ghostdim.errors import ModulusTooLarge, ParseError, SquareNotCommuting, ValidationError
 from ghostdim import modules
 from ghostdim.dimensions import module_pdim
 from ghostdim.ghosts import pdim_complex
@@ -37,6 +36,10 @@ from ghostdim.rings import builtin_ring, zmod
 Z4 = zmod(4)
 UT2 = builtin_ring("ut2:f2")
 DUAL = builtin_ring("dual:f2")
+
+
+def homotopic(f, g):
+    return null_homotopy(f - g) is not None
 
 
 def mult_complex(ring, scalar):
@@ -105,7 +108,7 @@ def test_cone_triangle_validates_and_les_holds():
     f = ChainMap(CONE2, CONE2, {0: np.array([[2]]), 1: np.array([[2]])})
     tri = cone(f).triangle
     tri.validate()
-    assert homology_les_exact(tri)
+    assert helpers.homology_les_exact(tri)
 
 
 def test_cone_multiplication_homology():
@@ -140,7 +143,7 @@ def test_null_homotopy_decision_vs_brute():
         f = zero_chain(x, y)
         for g in gens:
             c = rng.randrange(4)
-            f = f + ChainMap(x, y, {k: c * mat for k, mat in g.mats.items()}, check=False)
+            f = f + ChainMap(x, y, {k: c * mat for k, mat in g.mats.items()})
         got = null_homotopy(f)
         brute = helpers.brute_null_homotopy_exists(f)
         assert (got is not None) == brute
@@ -223,7 +226,7 @@ def test_three_by_three_flat_resolution_square():
     t = three_by_three(a, b, v)
     t.triangle.validate()
     t.cofiber_model.validate()
-    assert homology_les_exact(t.triangle)
+    assert helpers.homology_les_exact(t.triangle)
 
 
 def test_three_by_three_rejects_noncommuting():
@@ -284,10 +287,21 @@ def test_malformed_chain_map_is_a_parse_error(data):
         chain_map_from_dict(CONE2, CONE2, data)
 
 
+def test_a_direct_sum_past_the_exactness_bound_is_refused():
+    # 6 * m**2 fits in int64 for m = 2**30, 11 * m**2 does not: FgModule keeps
+    # check_exact although constructors no longer validate.
+    ring = zmod(2**30, allow_large=True)
+    five = make_module(ring, {"orders": [2**30] * 5})
+    assert five.ngens == 5
+    with pytest.raises(ModulusTooLarge):
+        direct_sum_modules(five, five)
+
+
 def test_dd_zero_enforced():
     r = free_module(Z4, 1)
+    cx = Complex(Z4, 0, 2, {0: r, 1: r, 2: r}, {1: np.array([[2]]), 2: np.array([[1]])})
     with pytest.raises(ValidationError):
-        Complex(Z4, 0, 2, {0: r, 1: r, 2: r}, {1: np.array([[2]]), 2: np.array([[1]])})
+        cx.validate()
 
 
 def test_zero_complex_everywhere():
@@ -337,7 +351,7 @@ def _twin(cx):
     terms = {k: FgModule(ring=cx.ring, orders=t.orders, actions=tuple(a.copy() for a in t.actions))
              for k, t in cx._terms.items()}
     diffs = {k: d.copy() for k, d in cx._diffs.items()}
-    return Complex(cx.ring, cx.lo, cx.hi, terms, diffs, certs=cx.certs, check=False)
+    return Complex(cx.ring, cx.lo, cx.hi, terms, diffs, certs=cx.certs)
 
 
 def _random_complexes(ring, rng):
@@ -492,10 +506,11 @@ def test_validate_rejects_a_tampered_section(proj):
         cert = cx.certs[k]
         bad = ProjectivityCertificate(
             cover=cert.cover, pi=cert.pi,
-            section=ModuleMap(cx.term(k), cert.cover, np.zeros_like(cert.section.mat), check=False))
+            section=ModuleMap(cx.term(k), cert.cover, np.zeros_like(cert.section.mat)))
         terms = {j: cx.term(j) for j in cx.degrees()}
+        tampered = Complex(cx.ring, cx.lo, cx.hi, terms, cx._diffs, certs={k: bad})
         with pytest.raises(ValidationError, match="does not split"):
-            Complex(cx.ring, cx.lo, cx.hi, terms, cx._diffs, certs={k: bad})
+            tampered.validate()
 
 
 def test_a_non_projective_term_stays_uncertified():

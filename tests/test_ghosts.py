@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import helpers
-from ghost_reference import homology_epi, is_ghost, minimal_generators as reference_generators
+from factorization import factor_through_pdim_n
+from ghost_reference import (
+    ghost_factors_through_universal,
+    homology_epi,
+    is_ghost,
+    minimal_generators as reference_generators,
+)
 from ghostdim import ghosts, modules
 from ghostdim.cli import verify_summary
 from ghostdim.complexes import (
@@ -24,9 +30,7 @@ from ghostdim.errors import NoFactorization, ValidationError
 from ghostdim.ghosts import (
     Factorization,
     Tower,
-    factor_through_pdim_n,
     factor_through_projective,
-    ghost_factors_through_universal,
     ghost_tower,
     pdim_complex,
     random_chain_map,

@@ -13,18 +13,24 @@ from ghostdim.linalg import (
     SmithSolver,
     enumerate_group,
     kernel_hetero,
-    kernel_mod,
     quotient_presentation,
     reduce_generators,
     smith_mod,
     solve_hetero,
-    solve_mod,
     subgroup_order,
     xgcd,
 )
 
 
 small_modulus = st.integers(min_value=2, max_value=16)
+
+
+def solve_mod(a, b, m):
+    return SmithSolver(a, m).solve(b)
+
+
+def kernel_mod(a, m):
+    return SmithSolver(a, m).kernel()
 
 
 def random_matrix(data, m, max_dim=4):

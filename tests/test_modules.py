@@ -20,10 +20,11 @@ from ghostdim.modules import (
     hom_generators,
     is_projective,
     is_simple,
-    kernel_cokernel,
+    kernel_of,
     make_module,
     minimal_generators,
     module_to_descriptor,
+    quotient_by,
     submodule_generated,
     subgroup_order_in,
     tensor_map,
@@ -87,6 +88,11 @@ def test_hom_to_zero():
     src = zmod_module(Z4, 2)
     zero = make_module(Z4, {"orders": []})
     assert hom_generators(src, zero) == []
+
+
+def kernel_cokernel(f):
+    """(kernel with inclusion, cokernel with projection) of a module map."""
+    return kernel_of(f), quotient_by(f.tgt, f.mat, closed=True)
 
 
 def test_kernel_cokernel_of_doubling():
@@ -172,7 +178,6 @@ def test_find_isomorphism_identity_and_syzygy():
     assert iso is not None
     # syzygy of k over F2[x]/(x2) is k again
     f, pi = free_cover(k)
-    from ghostdim.modules import kernel_of
 
     ker = kernel_of(pi)
     assert ker.module.size == 2
@@ -280,7 +285,7 @@ def test_module_breaking_a_ring_relation_is_rejected(rank):
     acts[1][0, 0] ^= 1
     with pytest.raises(ValidationError, match=re.escape(
             "action violates the ring relations at basis pair (1, 0)")):
-        FgModule(UT3, free.orders, tuple(acts))
+        FgModule(UT3, free.orders, tuple(acts)).validate()
 
 
 @pytest.mark.parametrize("rank", [1, 12])
@@ -289,7 +294,7 @@ def test_map_breaking_equivariance_is_rejected(rank):
     mat = np.eye(free.ngens, dtype=np.int64)
     mat[0, 1] ^= 1
     with pytest.raises(ValidationError, match="matrix does not commute with ring action 0"):
-        ModuleMap(free, free, mat)
+        ModuleMap(free, free, mat).validate()
 
 
 def _outcome(check, arg):
@@ -317,8 +322,8 @@ def test_sparse_and_einsum_checks_report_the_same_failure(ring, monkeypatch):
             mat[i, j] = (mat[i, j] + rng.integers(1, m)) % m
         broken = FgModule.__new__(FgModule)
         broken.ring, broken.orders, broken.actions, broken.label = ring, free.orders, tuple(acts), ""
-        f = ModuleMap(free, free, mat, check=False)
-        for check, arg in ((modules._validate_module, broken), (modules._validate_map, f)):
+        f = ModuleMap(free, free, mat)
+        for check, arg in ((FgModule.validate, broken), (ModuleMap.validate, f)):
             monkeypatch.setattr(modules, "SPARSE_CHECK_MIN_GENS", 0)
             sparse = _outcome(check, arg)
             monkeypatch.setattr(modules, "SPARSE_CHECK_MIN_GENS", 10**9)
@@ -380,7 +385,9 @@ def _rank_one_case(draw):
 
     def checked_module():
         ords = tuple(draw(st.lists(st.sampled_from(divisors), max_size=4)))
-        return FgModule(ring, ords, (valid_action(ords),))
+        mod = FgModule(ring, ords, (valid_action(ords),))
+        mod.validate()
+        return mod
 
     src, tgt = checked_module(), checked_module()
     # multiples of d_i / gcd(d_i, e_j) in entry (i, j) are well defined
@@ -389,7 +396,7 @@ def _rank_one_case(draw):
     valid = (step * matrix(tgt.ngens, src.ngens)) % m
     kind = draw(st.sampled_from(["valid", "corrupted", "random"]))
     mat = valid if kind == "valid" else corrupt(valid) if kind == "corrupted" else matrix(tgt.ngens, src.ngens)
-    return mod, ModuleMap(src, tgt, mat, check=False)
+    return mod, ModuleMap(src, tgt, mat)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -397,5 +404,5 @@ def _rank_one_case(draw):
 def test_rank_one_checks_decide_as_the_full_checks(case):
     """Over a rank-1 ring the unit and well-definedness checks imply the rest."""
     mod, f = case
-    assert _outcome(modules._validate_module, mod) == _outcome(validate_reference._validate_module, mod)
-    assert _outcome(modules._validate_map, f) == _outcome(validate_reference._validate_map, f)
+    assert _outcome(FgModule.validate, mod) == _outcome(validate_reference._validate_module, mod)
+    assert _outcome(ModuleMap.validate, f) == _outcome(validate_reference._validate_map, f)

@@ -6,13 +6,13 @@ import pytest
 import helpers
 import tensor_reference as ref
 from ghostdim import modules, tensor_ss
-from ghostdim.cli import verify_compact_eq
-from ghostdim.complexes import (ChainMap, Complex, desuspend, dual_complex, module_complex,
+from ghostdim.cli import verify_compact_eq, verify_flatchar, verify_rouquier
+from ghostdim.complexes import (ChainMap, Complex, Homotopy, desuspend, dual_complex, module_complex,
                                 resolution_complex, suspend)
 from ghostdim.dimensions import module_pdim, standard_battery
 from ghostdim.errors import SideMismatch
 from ghostdim.ghosts import ghost_tower, pdim_complex
-from ghostdim.modules import FgModule, free_module, make_module
+from ghostdim.modules import FgModule, ModuleMap, free_module, make_module
 from ghostdim.rings import builtin_ring, zmod
 from ghostdim.tensor_ss import (
     fdim_via_ss,
@@ -301,37 +301,33 @@ def test_free_left_tensor_matches_the_reference_builder(name):
     assert checked >= 2
 
 
-def test_unchecked_tensor_constructions_validate(monkeypatch):
-    """Everything the block routine builds, unchecked, passes validate()."""
-    built = {}
-    picks = {
-        "tensor_complexes": lambda t: [t.total],
-        "_tensor_second_map": lambda f: [f],
-        "_column_subcomplex": lambda pair: list(pair),
-    }
-    for name, pick in picks.items():
-        def wrapper(*args, fn=getattr(tensor_ss, name), name=name, pick=pick):
-            out = fn(*args)
-            built.setdefault(name, []).extend(pick(out))
-            return out
-        monkeypatch.setattr(tensor_ss, name, wrapper)
+# The five constructors, which only build; validate() checks what they built.
+CONSTRUCTORS = ((FgModule, "__post_init__"), (ModuleMap, "__post_init__"), (ChainMap, "__init__"),
+                (Homotopy, "__init__"), (Complex, "__init__"))
 
-    def add_stage(w, cover, add=tensor_ss._StageTensor.add_stage):
-        built.setdefault("stage", []).extend(_add_checked_stage(w, cover, add))
 
-    # each stage of W_s (x) Z, with p_s (x) 1 (which replaced tensor_chain_map there)
-    monkeypatch.setattr(tensor_ss._StageTensor, "add_stage", add_stage)
-    ok, _ = verify_compact_eq(zmod(12), 4, 0)
-    assert ok
+def test_everything_the_constructors_build_validates(monkeypatch):
+    """Every object the constructors build in four runs passes validate(): fdim
+    and pdim (tensors, duals, towers), probes and factorizations, Rouquier
+    certificates (cones, fibers, equivalences) over a rank-3 ring, and the
+    tower-free filtration (resolutions, column subcomplexes)."""
+    built = []
+    for cls, name in CONSTRUCTORS:
+        def record(self, *args, build=getattr(cls, name), **kwargs):
+            build(self, *args, **kwargs)
+            built.append(self)
+        monkeypatch.setattr(cls, name, record)
+    assert verify_compact_eq(zmod(12), 4, 0)[0]
+    assert verify_flatchar(builtin_ring("ut3:f2"), 2, 0)[0]
+    assert verify_rouquier(builtin_ring("ut2:f2"), 3, 0)[0]
     ut3 = builtin_ring("ut3:f2")
     members, _ = standard_battery(ut3, 2, seed=0, min_size=4)
     for mem in members[:4]:
         for zm in ut3.opposite().simples:
             resolution_filtration(mem.cx, zm)
-    assert built.keys() == picks.keys() | {"stage"}
-    for objs in built.values():
-        for obj in objs:
-            obj.validate()
+    assert {type(obj) for obj in built} == {cls for cls, _ in CONSTRUCTORS}
+    for obj in built:
+        obj.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +434,9 @@ def _orders_complex(ring, orders, diffs, degrees):
     base = ring.base_ring()
     terms = {n: FgModule(ring=base, orders=tuple(orders[n]),
                          actions=(np.eye(len(orders[n]), dtype=np.int64),)) for n in degrees}
-    return Complex(base, degrees[0], degrees[-1], terms, diffs)
+    cx = Complex(base, degrees[0], degrees[-1], terms, diffs)
+    cx.validate()
+    return cx
 
 
 def _add_checked_stage(w, cover, add_stage=tensor_ss._StageTensor.add_stage):
@@ -454,6 +452,7 @@ def _add_checked_stage(w, cover, add_stage=tensor_ss._StageTensor.add_stage):
                             {n: d[old[n - 1]:, old[n]:] for n, d in w.diffs.items()}, w.degrees)
     p_tensor = ChainMap(desuspend(piece), prev,
                         {n - 1: d[:old[n - 1], old[n]:] for n, d in w.diffs.items()})
+    p_tensor.validate()
     return now, p_tensor
 
 
