@@ -54,7 +54,7 @@ from _blake2 import blake2b
 import numpy as np
 
 from . import linalg
-from .errors import ParseError, SquareNotCommuting, ValidationError
+from .errors import ParseError, ValidationError
 from .linalg import as_matrix, eye, zeros
 from .modules import (
     FgModule,
@@ -857,106 +857,6 @@ def section_from_null_homotopy(g, h, fib, proj):
     return ChainMap(g.src, fib, mats)
 
 
-def cone_inclusion_model(inner_cd):
-    """The equivalence  cone(incl: B -> cone(f)) ~ SA  for f: A -> B.
-
-    Explicit maps: u((b, a), b') = a;  v(a) = ((0, a), -f a);  u v = id and
-    v u ~ id via the witness s((b, a), b') = ((0, 0), b).  u and v are block
-    formulas, chain maps by the cone's d; the Equivalence's validate() checks them.
-    """
-    f = inner_cd.triangle.f
-    delta = inner_cd.triangle.g            # B -> cone(f)
-    outer = cone(delta)
-    c2 = outer.cone
-    sa = suspend(f.src)
-    u_mats = {}
-    v_mats = {}
-    s_mats = {}
-    for k in range(c2.lo, c2.hi + 1):
-        u_mats[k] = inner_cd.psh(k) @ outer.pt(k)
-        v_mats[k] = outer.it(k) @ inner_cd.ish(k) - outer.ish(k) @ f.component(k - 1)
-        s_mats[k] = outer.ish(k + 1) @ inner_cd.pt(k) @ outer.pt(k)
-    u = ChainMap(c2, sa, u_mats)
-    v = ChainMap(sa, c2, v_mats)
-    s = Homotopy(c2, c2, s_mats)
-    check_null_homotopy(identity_chain(c2) - v @ u, s)
-    equiv = Equivalence(src=c2, tgt=sa, fwd=u, bwd=v,
-                        fwd_bwd=Homotopy(sa, sa, {}),
-                        bwd_fwd=negate_homotopy(s))
-    return outer, equiv
-
-
-def cone_desuspension_iso(down_cone_cd, up_cone):
-    """The iso  cone(S^-1 phi) = S^-1 cone(phi)  given both cones.
-
-    J(b, a) = (b, -a) in the block coordinates of the cone, a chain map
-    because the two cones' differentials differ by that sign on the a block.
-    """
-    src = down_cone_cd.cone
-    tgt = desuspend(up_cone)
-    mats = {}
-    for k in src.degrees():
-        mats[k] = (down_cone_cd.it(k) @ down_cone_cd.pt(k)
-                   - down_cone_cd.ish(k) @ down_cone_cd.psh(k))
-    fwd = ChainMap(src, tgt, mats)
-    bwd = ChainMap(tgt, src, mats)
-    return iso_equivalence(fwd, bwd)
-
-
-def cone_suspension_twist(cone_of_suspended, plain_cd, times):
-    """The iso  cone(S^times f) = S^times cone(f): twist the shifted block by (-1)^times.
-
-    The twist matches the sign (-1)^times that S^times puts on each d.
-    """
-    src = cone_of_suspended.cone
-    tgt = suspend(plain_cd.cone, times)
-    sign = -1 if times % 2 else 1
-    m = src.ring.modulus
-    mats = {}
-    for k in src.degrees():
-        mats[k] = (cone_of_suspended.it(k) @ cone_of_suspended.pt(k)
-                   + sign * cone_of_suspended.ish(k) @ cone_of_suspended.psh(k)) % m
-    fwd = ChainMap(src, tgt, mats)
-    bwd = ChainMap(tgt, src, mats)
-    return iso_equivalence(fwd, bwd)
-
-
-def octahedron_equivalence(a_map, comparison_cd, right_cd, witness):
-    """The equivalence  cone(comparison) ~ cone(v)  for b ~ v . a via witness.
-
-    pi((w, x), (u, x')) = (w + H x, u + a x) with sigma((w, u)) = ((w, 0), (u, 0));
-    pi sigma = id exactly and sigma pi ~ id via s((w,x),(u,x')) = ((0,0),(0,x)).
-    sigma is a block inclusion, and pi a chain map as the witness bounds b - v . a.
-    """
-    cd_top = comparison_cd["top"]
-    cd_bot = comparison_cd["bottom"]
-    cd_phi = comparison_cd["phi"]
-    cphi = cd_phi.cone
-    cv = right_cd.cone
-    pi_mats = {}
-    sig_mats = {}
-    s_mats = {}
-    for k in range(min(cphi.lo, cv.lo), max(cphi.hi, cv.hi) + 1):
-        x_of_cb = cd_bot.psh(k) @ cd_phi.pt(k)
-        w_part = right_cd.it(k) @ (cd_bot.pt(k) @ cd_phi.pt(k) + witness.component(k - 1) @ x_of_cb)
-        u_part = right_cd.ish(k) @ (cd_top.pt(k - 1) @ cd_phi.psh(k)
-                                    + a_map.component(k - 1) @ x_of_cb)
-        pi_mats[k] = w_part + u_part
-        sig_mats[k] = (cd_phi.it(k) @ cd_bot.it(k) @ right_cd.pt(k)
-                       + cd_phi.ish(k) @ cd_top.it(k - 1) @ right_cd.psh(k))
-        s_mats[k] = cd_phi.ish(k + 1) @ cd_top.ish(k) @ x_of_cb
-    pi = ChainMap(cphi, cv, pi_mats)
-    sigma = ChainMap(cv, cphi, sig_mats)
-    s = Homotopy(cphi, cphi, s_mats)
-    check_null_homotopy(identity_chain(cphi) - sigma @ pi, s)
-    ps = pi @ sigma - identity_chain(cv)
-    if not ps.is_zero:
-        raise ValidationError("octahedron comparison: pi.sigma is not the identity")
-    return Equivalence(src=cphi, tgt=cv, fwd=pi, bwd=sigma,
-                       fwd_bwd=Homotopy(cv, cv, {}),
-                       bwd_fwd=negate_homotopy(s))
-
-
 # ---------------------------------------------------------------------------
 # Induced maps on homology
 # ---------------------------------------------------------------------------
@@ -1043,7 +943,7 @@ def module_complex(module, degree=0, name=""):
 
 
 # ---------------------------------------------------------------------------
-# The 3x3 / octahedron construction
+# Equivalences
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -1064,115 +964,45 @@ class Equivalence:
         check_null_homotopy(self.bwd @ self.fwd - identity_chain(self.src), self.bwd_fwd)
 
 
-def negate_homotopy(h):
-    return Homotopy(h.src, h.tgt, {k: (-m) % h.tgt.ring.modulus for k, m in h.mats.items()})
+def split_inclusion_model(cd, q):
+    """The equivalence  cone(i) ~ q  for a split inclusion i: A -> B.
 
-
-def add_homotopies(a, b):
-    mats = {}
-    for k in set(a.mats) | set(b.mats):
-        mats[k] = a.component(k) + b.component(k)
-    return Homotopy(a.src, a.tgt, mats)
-
-
-def conjugate_homotopy(post, h, pre):
-    """post . h . pre as a homotopy; post and pre must be chain maps."""
-    mats = {}
-    for k in range(pre.src.lo - 1, pre.src.hi + 1):
-        mats[k] = post.component(k + 1) @ h.component(k) @ pre.component(k)
-    return Homotopy(pre.src, post.tgt, mats)
-
-
-def iso_equivalence(fwd, bwd):
-    """Wrap exact mutually inverse chain maps as an Equivalence."""
-    lo = min(fwd.src.lo, fwd.tgt.lo)
-    hi = max(fwd.src.hi, fwd.tgt.hi)
-    for k in range(lo, hi + 1):
-        if (fwd @ bwd - identity_chain(fwd.tgt)).component(k).any():
-            raise ValidationError("iso_equivalence: fwd.bwd is not the identity")
-        if (bwd @ fwd - identity_chain(fwd.src)).component(k).any():
-            raise ValidationError("iso_equivalence: bwd.fwd is not the identity")
-    return Equivalence(src=fwd.src, tgt=fwd.tgt, fwd=fwd, bwd=bwd,
-                       fwd_bwd=Homotopy(fwd.tgt, fwd.tgt, {}),
-                       bwd_fwd=Homotopy(fwd.src, fwd.src, {}))
-
-
-def compose_equivalences(e1, e2):
-    """The composite equivalence e1.src ~ e2.tgt (e1.tgt and e2.src must be
-    the same complex up to structural equality)."""
-    fwd = e2.fwd @ e1.fwd
-    bwd = e1.bwd @ e2.bwd
-    # fwd.bwd - id = e2.fwd (e1.fwd e1.bwd - id) e2.bwd + (e2.fwd e2.bwd - id)
-    fb = add_homotopies(conjugate_homotopy(e2.fwd, e1.fwd_bwd, e2.bwd), e2.fwd_bwd)
-    bf = add_homotopies(conjugate_homotopy(e1.bwd, e2.bwd_fwd, e1.fwd), e1.bwd_fwd)
-    fb = Homotopy(e2.tgt, e2.tgt, fb.mats)
-    bf = Homotopy(e1.src, e1.src, bf.mats)
-    return Equivalence(src=e1.src, tgt=e2.tgt, fwd=fwd, bwd=bwd, fwd_bwd=fb, bwd_fwd=bf)
-
-
-def suspend_equivalence(e, times):
-    """Suspend an equivalence; homotopy witnesses pick up a sign (-1)^times."""
-    src = suspend(e.src, times)
-    tgt = suspend(e.tgt, times)
-    sign = -1 if times % 2 else 1
-    m = e.src.ring.modulus
-    fwd = ChainMap(src, tgt, {k + times: v for k, v in e.fwd.mats.items()})
-    bwd = ChainMap(tgt, src, {k + times: v for k, v in e.bwd.mats.items()})
-    fb = Homotopy(tgt, tgt, {k + times: (sign * v) % m for k, v in e.fwd_bwd.mats.items()})
-    bf = Homotopy(src, src, {k + times: (sign * v) % m for k, v in e.bwd_fwd.mats.items()})
-    return Equivalence(src=src, tgt=tgt, fwd=fwd, bwd=bwd, fwd_bwd=fb, bwd_fwd=bf)
-
-
-@dataclass
-class ThreeByThree:
-    triangle: Triangle        # cone(top) -> cone(bottom) -> C -> S cone(top)
-    comparison: ChainMap      # cone(top) -> cone(bottom)
-    cofiber_model: Equivalence  # C ~ cone(right)
-    witness: Homotopy
-    right_cone: ConeData      # cone(right), the target of cofiber_model
-
-
-def three_by_three(top, bottom, right, witness=None):
-    """Cofiber triangle of the square  (top: X->U) over (bottom: X->V)  with
-    right leg  right: U -> V  commuting up to homotopy.
-
-    Output: the honest cone triangle on the comparison map
-    cone(top) -> cone(bottom), together with an equivalence of its third
-    vertex with cone(right).
+    cd is cone(i); every component of i is a coordinate inclusion, and q is
+    the complex on B's remaining coordinates, in their order.  With e: q -> B
+    embedding those coordinates and r = i^T:
+        fwd (b, a) = e^T b,   bwd c = (e c, -tau c),   tau = r d_B e;
+    fwd . bwd = id exactly, and bwd . fwd - id = d(-s) + (-s) d for
+    s(b, a) = (0, r b).  fwd and bwd are chain maps because i is one and
+    i r + e e^T = id degreewise (so d_q = e^T d_B e); the Equivalence's
+    validate() checks both maps and both witnesses.
     """
-    x = top.src
-    if bottom.src is not x:
-        raise ValidationError("square legs must share the domain")
-    if witness is None:
-        witness = null_homotopy(bottom - right @ top)
-        if witness is None:
-            raise SquareNotCommuting("bottom is not homotopic to right.top")
-    else:
-        check_null_homotopy(bottom - right @ top, witness)
-    cd_top = cone(top)
-    cd_bot = cone(bottom)
-    ca, cb = cd_top.cone, cd_bot.cone
-    # comparison (u, x) -> (v u - H x, x), a chain map as H bounds bottom - right.top
-    mats = {}
-    for k in range(min(ca.lo, cb.lo), max(ca.hi, cb.hi) + 1):
-        blk = (
-            cd_bot.it(k) @ (right.component(k) @ cd_top.pt(k) - witness.component(k - 1) @ cd_top.psh(k))
-            + cd_bot.ish(k) @ cd_top.psh(k)
-        )
-        mats[k] = blk
-    comparison = ChainMap(ca, cb, mats)
-    cd_phi = cone(comparison)
-    cd_right = cone(right)
-    equiv = octahedron_equivalence(
-        top,
-        {"top": cd_top, "bottom": cd_bot, "phi": cd_phi},
-        cd_right,
-        witness=witness,
-    )
-    return ThreeByThree(
-        triangle=cd_phi.triangle, comparison=comparison, cofiber_model=equiv, witness=witness,
-        right_cone=cd_right,
-    )
+    i, c = cd.triangle.f, cd.cone
+    b = i.tgt
+
+    def split(k):
+        r = i.component(k).T
+        return r, eye(b.term(k).ngens)[:, ~r.any(axis=0)]
+
+    fwd, bwd, minus_s = {}, {}, {}
+    for k in c.degrees():
+        r, e = split(k)
+        tau = split(k - 1)[0] @ b.diff(k) @ e
+        fwd[k] = e.T @ cd.pt(k)
+        bwd[k] = cd.it(k) @ e - cd.ish(k) @ tau
+        minus_s[k] = -cd.ish(k + 1) @ r @ cd.pt(k)
+    return Equivalence(src=c, tgt=q, fwd=ChainMap(c, q, fwd), bwd=ChainMap(q, c, bwd),
+                       fwd_bwd=Homotopy(q, q, {}), bwd_fwd=Homotopy(c, c, minus_s))
+
+
+def suspend_equivalence(e, src, tgt, times):
+    """e suspended `times` times onto caller-supplied (already suspended)
+    endpoints; the homotopy witnesses pick up a sign (-1)^times."""
+    sign = -1 if times % 2 else 1
+    return Equivalence(
+        src=src, tgt=tgt,
+        fwd=suspend_between(e.fwd, src, tgt, times), bwd=suspend_between(e.bwd, tgt, src, times),
+        fwd_bwd=Homotopy(tgt, tgt, {k + times: sign * v for k, v in e.fwd_bwd.mats.items()}),
+        bwd_fwd=Homotopy(src, src, {k + times: sign * v for k, v in e.bwd_fwd.mats.items()}))
 
 
 # ---------------------------------------------------------------------------

@@ -26,19 +26,15 @@ from .complexes import (
     Complex,
     Equivalence,
     Homotopy,
-    compose_equivalences,
     cone,
-    cone_desuspension_iso,
-    cone_inclusion_model,
-    cone_suspension_twist,
     fiber,
     free_complex,
     identity_chain,
     resolution_complex,
     section_from_null_homotopy,
+    split_inclusion_model,
     suspend,
     suspend_equivalence,
-    three_by_three,
 )
 from .errors import NoSimplesDeclared, PdimTooLarge, ValidationError
 from .ghosts import (
@@ -46,7 +42,7 @@ from .ghosts import (
     pdim_complex,
     random_chain_map,
 )
-from .linalg import eye, zeros
+from .linalg import eye
 from .modules import (
     _projectivity,
     find_isomorphism,
@@ -389,44 +385,6 @@ class RouquierCertificate:
             st.cofiber.validate()
 
 
-def _redirect_equivalence(e, new_src, new_tgt):
-    """Re-anchor an equivalence between structurally equal complexes."""
-    fwd = ChainMap(new_src, new_tgt, e.fwd.mats)
-    bwd = ChainMap(new_tgt, new_src, e.bwd.mats)
-    fb = Homotopy(new_tgt, new_tgt, e.fwd_bwd.mats)
-    bf = Homotopy(new_src, new_src, e.bwd_fwd.mats)
-    return Equivalence(src=new_src, tgt=new_tgt, fwd=fwd, bwd=bwd, fwd_bwd=fb, bwd_fwd=bf)
-
-
-def _base_model(tower, y0):
-    """Explicit equivalence  Y_0 ~ P_0  (desuspended cone-inclusion model)."""
-    st = tower.stage(0)
-    _, e4 = cone_inclusion_model(st.ug.cone_data)
-    down = suspend_equivalence(e4, -1)
-    return _redirect_equivalence(down, y0, st.ug.cover)
-
-
-def _step_model(tower, j, cd_mj):
-    """Explicit equivalence  cone(Y_{j-1} -> Y_j) ~ S^j P_j.
-
-    Chain of explicit pieces: a desuspension iso onto S^-1 cone(Phi), the
-    octahedron equivalence onto S^-1 cone(w_j), the suspension twist onto
-    S^{j-1} cone(delta_j), and the cone-inclusion model onto S^j P_j.  The
-    square g_j = w_j . g_{j-1} commutes on the nose, so its witness is zero.
-    """
-    st = tower.stage(j)
-    a_map = tower.stage(j - 1).composite
-    b_map = st.composite
-    sq = three_by_three(a_map, b_map, st.step_map, witness=Homotopy(a_map.src, b_map.tgt, {}))
-    e1 = cone_desuspension_iso(cd_mj, sq.triangle.c)
-    outer_cd, e4 = cone_inclusion_model(st.ug.cone_data)
-    e3 = cone_suspension_twist(sq.right_cone, outer_cd, j)
-    total = compose_equivalences(e1, suspend_equivalence(sq.cofiber_model, -1))
-    total = compose_equivalences(total, suspend_equivalence(e3, -1))
-    total = compose_equivalences(total, suspend_equivalence(e4, j - 1))
-    return _redirect_equivalence(total, cd_mj.cone, suspend(st.ug.cover, j))
-
-
 def rouquier_build(x, n):
     """Realize x as a retract of an n-step extension of finite frees.
 
@@ -434,42 +392,34 @@ def rouquier_build(x, n):
     the chain of triangles, an equivalence of each third term with a
     suspended finite free complex, and the exact retraction coming from the
     null-homotopy of the tower composite.
+
+    Y_j = S^-1 cone(g_j) is S^-1 W_j + X degreewise, and W_j is W_(j-1) +
+    S^(j+1) P_j (the prefix layout of ghosts.Tower).  So g_0 and each step
+    m_j: Y_(j-1) -> Y_j are coordinate inclusions, with cokernels S P_0 and
+    S^j P_j, and split_inclusion_model gives each cone's equivalence.
     """
     tower = ghost_tower(x, n)
     h = tower.nullity(n)
     if h is None:
         raise PdimTooLarge(f"pdim {x.name or 'X'} exceeds {n}")
-    g_n = tower.composite(n)
-    ys = []
-    projs = []
-    for j in range(n + 1):
-        yj, pj, _, _ = fiber(tower.composite(j))
-        ys.append(yj)
-        projs.append(pj)
-    include = section_from_null_homotopy(g_n, h, ys[n], projs[n])
+    fibers = [fiber(tower.composite(j)) for j in range(n + 1)]
+    ys = [fib[0] for fib in fibers]
+    include = section_from_null_homotopy(tower.composite(n), h, ys[n], fibers[n][1])
     # proj . include = id on the nose
     retract_homotopy = Homotopy(x, x, {})
-    base_model = _base_model(tower, ys[0])
+    p0 = tower.ugs[0].cover
+    base_model = suspend_equivalence(split_inclusion_model(fibers[0][3], suspend(p0)), ys[0], p0, -1)
     steps = []
-    prev_y = ys[0]
     for j in range(1, n + 1):
-        y_j = ys[j]
-        w_step = tower.stage(j).step_map
+        prev_y, y_j = ys[j - 1], ys[j]
         mats = {}
         for k in prev_y.degrees():
-            w_prev = tower.stage(j - 1).shifted_target.term(k + 1).ngens
-            x_cols = x.term(k).ngens
-            top = w_step.component(k + 1)
-            mat = zeros(y_j.term(k).ngens, w_prev + x_cols)
-            w_next = tower.stage(j).shifted_target.term(k + 1).ngens
-            mat[:w_next, :w_prev] = top
-            mat[w_next:, w_prev:] = eye(x_cols)
-            mats[k] = mat
-        # [w_step 0; 0 I] on the blocks (W, X) of the fibers: a chain map
-        # since g_j = w_step . g_(j-1)
+            # keep S^-1 W_(j-1) first and X last; a chain map as g_j extends g_(j-1)
+            n_prev, n_next, n_x = prev_y.term(k).ngens, y_j.term(k).ngens, x.term(k).ngens
+            mats[k] = eye(n_next)[:, [*range(n_prev - n_x), *range(n_next - n_x, n_next)]]
         m_j = ChainMap(prev_y, y_j, mats)
         cd = cone(m_j, name=f"C{j}")
-        model = _step_model(tower, j, cd)
+        model = split_inclusion_model(cd, suspend(tower.ugs[j].cover, j))
         steps.append(
             RouquierStep(
                 index=j,
@@ -483,11 +433,10 @@ def rouquier_build(x, n):
                 free_rank_total=sum(model.tgt.term(k).ngens for k in model.tgt.degrees()),
             )
         )
-        prev_y = y_j
     cert = RouquierCertificate(
         target=ys[n],
         include=include,
-        retract=projs[n],
+        retract=fibers[n][1],
         retract_homotopy=retract_homotopy,
         base_model=base_model,
         steps=steps,

@@ -29,10 +29,6 @@ class SideMismatch(GhostdimError):
     """A left module was expected (module over the opposite ring) but a right one was given, or vice versa."""
 
 
-class SquareNotCommuting(GhostdimError):
-    """No homotopy makes the given square commute."""
-
-
 class PdimTooLarge(GhostdimError):
     """rouquier_build precondition failed: the object is not in the requested class."""
 

@@ -34,7 +34,6 @@ from .complexes import (
     identity_chain,
     null_homotopy,
     suspend,
-    suspend_between,
     zero_chain,
 )
 from .errors import NoFactorization, ValidationError
@@ -126,76 +125,51 @@ def _check_ghost(g, nxt):
             raise ValidationError("cofiber of a homology epi failed the ghost check")
 
 
-@dataclass
-class TowerStage:
-    index: int
-    stage: Complex            # X_i
-    ug: UniversalGhost        # built on X_i
-    delta: ChainMap           # X_i -> cone(p_i) = S X_{i+1}
-    shifted_target: Complex   # W_i = S^i cone(p_i) = S^{i+1} X_{i+1}
-    composite: ChainMap       # g_i : X -> W_i
-    step_map: ChainMap = None  # W_{i-1} -> W_i (absent at stage 0)
-
-
 class Tower:
-    """The ghost tower of a complex; stages extend on demand and are cached."""
+    """The ghost tower of a complex: its universal ghosts, extended on demand.
+
+    ugs[i] is the universal ghost out of the stage X_i (X_0 the base,
+    X_(i+1) = ugs[i].nxt = S^-1 cone(p_i: P_i -> X_i)), and g_n: X -> W_n,
+    W_n = S^n cone(p_n) = S^(n+1) X_(n+1), is the composite of the first
+    n+1 ghosts.
+
+    The prefix layout: X_n = S^-n W_(n-1), with W_(-1) = X, so degreewise
+    W_n = W_(n-1) + S^(n+1) P_n, the new summand last, and
+        d_(W_n) = [d_(W_(n-1))  (-1)^n p_n]
+                  [     0            0    ]
+    as P_n has zero differential.  Each ghost X_n -> cone(p_n) is the block
+    inclusion, so g_n is the prefix inclusion [I; 0] of X's coordinates.
+    """
 
     def __init__(self, x):
         self.base = x
-        self.stages = []
+        self.ugs = []
+        self._composites = {}
         self._nullities = {}
 
     def extend_to(self, n):
-        while len(self.stages) <= n:
-            self._add_stage()
+        while len(self.ugs) <= n:
+            self.ugs.append(universal_ghost(self.ugs[-1].nxt if self.ugs else self.base))
 
-    def _add_stage(self):
-        i = len(self.stages)
-        current = self.stages[-1].stage if self.stages else self.base
-        ug = universal_ghost(current)
-        delta = ug.ghost
-        step = None
-        if i == 0:
-            w = ug.target
-            composite = delta
-        else:
-            prev = self.stages[-1]
-            w = suspend(ug.target, i)
-            step = suspend_between(delta, prev.shifted_target, w, i)
-            composite = step @ prev.composite
-        self.stages.append(
-            TowerStage(index=i, stage=ug.nxt, ug=ug, delta=delta, shifted_target=w,
-                       composite=composite, step_map=step)
-        )
-
-    def stage(self, i):
+    def ug(self, i):
         self.extend_to(i)
-        return self.stages[i]
+        return self.ugs[i]
 
     def composite(self, n):
-        """g_n: the composite of n+1 ghosts out of the base."""
-        return self.stage(n).composite
+        """g_n: X -> W_n, built once.  The prefix inclusion is a chain map, as
+        the X columns of every d_(W_n) are [d_X; 0]."""
+        if n not in self._composites:
+            x = self.base
+            w = suspend(self.ug(n).target, n)
+            self._composites[n] = ChainMap(x, w, {k: linalg.eye(w.term(k).ngens)[:, :x.term(k).ngens]
+                                                  for k in x.degrees()})
+        return self._composites[n]
 
     def nullity(self, n):
         """Null-homotopy of g_n, or None; cached."""
-        self.extend_to(n)
         if n not in self._nullities:
             self._nullities[n] = null_homotopy(self.composite(n))
         return self._nullities[n]
-
-    def to_json(self, depth):
-        self.extend_to(depth)
-        out = []
-        for st in self.stages[: depth + 1]:
-            entry = {
-                "index": st.index,
-                "cover_ranks": {str(k): st.ug.cover.term(k).ngens for k in st.ug.cover.degrees()},
-                "ghost_components": {str(k): st.delta.component(k).tolist() for k in sorted(st.delta.mats)},
-            }
-            if st.index in self._nullities:
-                entry["composite_null"] = self._nullities[st.index] is not None
-            out.append(entry)
-        return {"base": self.base.name, "stages": out}
 
 
 def ghost_tower(x, n):
@@ -252,15 +226,14 @@ def solve_chain_map_through(f, p):
     return None if got is None else (got[0], got[1]["s"])
 
 
-def factor_through_projective(f, ug=None):
+def factor_through_projective(f, ug):
     """Factor a map from a compact through a compact projective complex.
 
-    f: A -> X with H*(X) projective.  Returns a Factorization through the
-    free cover complex of X.  Raises NoFactorization when the composite
-    does not lift, which happens exactly when the precondition fails.
+    f: A -> X with H*(X) projective, and ug the universal ghost out of X.
+    Returns a Factorization through the free cover complex of X.  Raises
+    NoFactorization when the composite does not lift, which happens exactly
+    when the precondition fails.
     """
-    if ug is None:
-        ug = universal_ghost(f.tgt)
     got = solve_chain_map_through(f, ug.cover_map)
     if got is None:
         raise NoFactorization("map does not factor through the cover; is H*(X) projective?")

@@ -203,20 +203,17 @@ class FiltrationTable:
 class _StageTensor:
     """W_s (x) Z in the total degrees of a range, held as pieces.
 
-    Every tower composite g_s: X -> W_s is the prefix inclusion [I; 0]:
-    W_s = S^s cone(p_s: P_s -> X_s) with X_s = S^-1 W_(s-1), so degreewise
-    W_s = W_(s-1) + S^(s+1) P_s, the new summand last, and
-        d_(W_s) = [d_(W_(s-1))  (-1)^s p_s]
-                  [     0            0    ]
-    as P_s has zero differential.  So W_s (x) Z is held as pieces, X (x) Z
-    in the coordinates of tensor_complexes(X, Z), then (S^(i+1) P_i) (x) Z for
-    i = 0..s, and Tot_n lists the pieces in that order.  A stage appends one
-    block column to each d_n: (-1)^s p_s (x) 1, with p_s's rows cut by the
-    pieces of W_(s-1), and the new piece's own (-1)^a 1 (x) d_Z.  This is
-    cone((-1)^s p_s (x) Z) in the previous stage's coordinates, built
-    unchecked because - (x) Z is additive and preserves the cone of a chain
-    map degreewise; the pieces are built once and no W_s (x) Z is formed
-    whole.  Only the current stage's orders and differentials are kept.
+    W_s is W_(s-1) + S^(s+1) P_s degreewise, with g_s: X -> W_s the prefix
+    inclusion (the prefix layout of ghosts.Tower).  So W_s (x) Z is held as
+    pieces, X (x) Z in the coordinates of tensor_complexes(X, Z), then
+    (S^(i+1) P_i) (x) Z for i = 0..s, and Tot_n lists the pieces in that
+    order.  A stage appends one block column to each d_n: (-1)^s p_s (x) 1,
+    with p_s's rows cut by the pieces of W_(s-1), and the new piece's own
+    (-1)^a 1 (x) d_Z.  This is cone((-1)^s p_s (x) Z) in the previous
+    stage's coordinates, built unchecked because - (x) Z is additive and
+    preserves the cone of a chain map degreewise; the pieces are built once
+    and no W_s (x) Z is formed whole.  Only the current stage's orders and
+    differentials are kept.
     """
 
     def __init__(self, txz, degrees):
@@ -307,7 +304,7 @@ def ucss_filtration(x, z, window=None, max_depth=None):
     while not exhausted:
         if s >= max_depth:
             break
-        w.add_stage(ghost_tower(x, s).stage(s).ug.cover_map)
+        w.add_stage(ghost_tower(x, s).ugs[s].cover_map)
         exhausted = True
         for t in degrees:
             image = 1

@@ -90,15 +90,15 @@ def factor_through_pdim_n(f, n, _verify=True):
                              witness=Homotopy(a, x, {}))
     tower = ghost_tower(x, 0)
     if n == 0:
-        return factor_through_projective(f, ug=tower.stage(0).ug)
-    st = tower.stage(0)
-    p_map = st.ug.cover_map                 # p: P -> X
-    pp = st.ug.cover
-    c0 = st.ug.target                       # cone(p) = S X_1
-    delta = st.ug.ghost                     # X -> C0, the universal ghost
-    x1 = st.ug.nxt                          # the first tower stage, S^-1 C0
+        return factor_through_projective(f, ug=tower.ug(0))
+    ug = tower.ug(0)
+    p_map = ug.cover_map                 # p: P -> X
+    pp = ug.cover
+    c0 = ug.target                       # cone(p) = S X_1
+    delta = ug.ghost                     # X -> C0, the universal ghost
+    x1 = ug.nxt                          # the first tower stage, S^-1 C0
     # the block projection of S^-1 cone(p) onto P, a chain map as in fiber()
-    rprime = ChainMap(x1, pp, {k: st.ug.cone_data.psh(k + 1) for k in x1.degrees()})
+    rprime = ChainMap(x1, pp, {k: ug.cone_data.psh(k + 1) for k in x1.degrees()})
 
     # 1. recursively factor  delta . f : A -> C0  through pdim <= n-1
     sub = factor_through_pdim_n(delta @ f, n - 1, _verify=False)
@@ -122,7 +122,7 @@ def factor_through_pdim_n(f, n, _verify=True):
     psi, _ = got
 
     # 4. factor psi through the compact projective cover of P
-    proj_fact = factor_through_projective(psi, ug=ghost_tower(pp, 0).stage(0).ug)
+    proj_fact = factor_through_projective(psi, ug=ghost_tower(pp, 0).ug(0))
     q_cx, tau, j = proj_fact.through, proj_fact.into, proj_fact.out_of
 
     # 5. weak pushout: B' = cone(tau . z_incl), with fills sigma and rho

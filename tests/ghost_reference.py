@@ -14,10 +14,15 @@ generators this one chooses.
 
 `ghost_factors_through_universal` asks whether a ghost factors through the
 universal ghost, the universal property the tests check.
+
+`chained_composites` builds each tower composite g_s as the product of the
+suspended ghosts, g_s = S^s delta_s . g_(s-1), the way ghosts.Tower built
+it before it built the prefix inclusion directly; the product is copied
+unchanged.  The package's g_s must equal it bit for bit.
 """
 
 from ghostdim import linalg
-from ghostdim.complexes import identity_chain, induced_map
+from ghostdim.complexes import identity_chain, induced_map, suspend, suspend_between
 from ghostdim.ghosts import _solve_squares
 from ghostdim.linalg import eye, zeros
 from ghostdim.modules import (
@@ -105,3 +110,21 @@ def ghost_factors_through_universal(h, ug):
         [(h, identity_chain(h.tgt), ug.ghost, "sq1")],
     )
     return got is not None
+
+
+def chained_composites(tower, n):
+    """[g_0, ..., g_n] of the tower, each the product of the step maps."""
+    composites = []
+    for i in range(n + 1):
+        ug = tower.ug(i)
+        delta = ug.ghost
+        if i == 0:
+            w = ug.target
+            composite = delta
+        else:
+            w = suspend(ug.target, i)
+            step = suspend_between(delta, prev_w, w, i)
+            composite = step @ composite
+        prev_w = w
+        composites.append(composite)
+    return composites

@@ -312,5 +312,5 @@ def ucss_filtration(x, z, window=None, max_depth=None):
         e_infty=e_infty,
         vanishing_line=line,
         exhausted=exhausted,
-        depth=len(tower.stages),
+        depth=len(tower.ugs),
     )

@@ -109,6 +109,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     ("verify-compact-eq-zmod-12-b4.json", ("verify", "compact-eq", "--ring", "zmod:12", "--bound", "4")),
     ("verify-flatchar-f2-b4.json", ("verify", "flatchar", "--ring", "f2", "--bound", "4")),
     ("verify-rouquier-ut2-f2-b3.json", ("verify", "rouquier", "--ring", "ut2:f2", "--bound", "3")),
+    ("verify-rouquier-zmod-12-b4.json", ("verify", "rouquier", "--ring", "zmod:12", "--bound", "4")),
 ])
 def test_json_report_matches_golden_file(golden, args):
     res = invoke(*args, "--output", "json")

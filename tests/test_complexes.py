@@ -22,11 +22,11 @@ from ghostdim.complexes import (
     null_homotopy,
     resolution_complex,
     section_from_null_homotopy,
+    split_inclusion_model,
     suspend,
-    three_by_three,
     zero_chain,
 )
-from ghostdim.errors import ModulusTooLarge, ParseError, SquareNotCommuting, ValidationError
+from ghostdim.errors import ModulusTooLarge, ParseError, ValidationError
 from ghostdim import modules
 from ghostdim.dimensions import module_pdim
 from ghostdim.ghosts import pdim_complex
@@ -207,35 +207,17 @@ def test_fiber_and_section():
     assert all(np.array_equal(comp.component(k), ident.component(k)) for k in CONE2.degrees())
 
 
-def test_three_by_three_identity_rows():
-    x = CONE2
-    t = three_by_three(identity_chain(x), identity_chain(x), identity_chain(x))
-    t.triangle.validate()
-    t.cofiber_model.validate()
-    # cone of identity is contractible; the third vertex has trivial homology
-    for k in range(-1, 4):
-        assert t.triangle.c.homology_at(k).module.size == t.cofiber_model.tgt.homology_at(k).module.size
-
-
-def test_three_by_three_flat_resolution_square():
-    # over Z/4: X = Z/2's resolution step; square X -> X with right leg 2:R->R style
-    r = module_complex(free_module(Z4, 1))
-    a = ChainMap(r, r, {0: np.array([[2]])})
-    v = ChainMap(r, r, {0: np.array([[2]])})
-    b = v @ a  # zero map
-    t = three_by_three(a, b, v)
-    t.triangle.validate()
-    t.cofiber_model.validate()
-    assert helpers.homology_les_exact(t.triangle)
-
-
-def test_three_by_three_rejects_noncommuting():
-    r = module_complex(free_module(Z4, 1))
-    a = ChainMap(r, r, {0: np.array([[2]])})
-    v = identity_chain(r)
-    bad_bottom = ChainMap(r, r, {0: np.array([[1]])})
-    with pytest.raises(SquareNotCommuting):
-        three_by_three(a, bad_bottom, v)
+def test_split_inclusion_model_puts_the_sign_z4_sees():
+    """cone(i) ~ q for R in degree 0 included into R --1--> R: q is R in
+    degree 1, tau = [1], and bwd c = (c, -c); (c, c) is no chain map mod 4."""
+    r = free_module(Z4, 1)
+    b = Complex(Z4, 0, 1, {0: r, 1: r}, {1: np.array([[1]])})
+    i = ChainMap(free_complex(Z4, {0: 1}), b, {0: np.array([[1]])})
+    model = split_inclusion_model(cone(i), free_complex(Z4, {1: 1}))
+    model.validate()
+    assert model.bwd.component(1).tolist() == [[1], [3]]
+    with pytest.raises(ValidationError):
+        ChainMap(model.tgt, model.src, {1: np.array([[1], [1]])}).validate()
 
 
 def test_direct_sum_complexes_projections():

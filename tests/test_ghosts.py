@@ -6,6 +6,7 @@ import pytest
 import helpers
 from factorization import factor_through_pdim_n
 from ghost_reference import (
+    chained_composites,
     ghost_factors_through_universal,
     homology_epi,
     is_ghost,
@@ -87,12 +88,13 @@ def test_universal_ghost_on_acyclic():
 def test_tower_soundness():
     x = mult_complex(Z4, 2)
     tower = ghost_tower(x, 3)
-    for st in tower.stages[:4]:
-        assert is_ghost(st.delta)
-        assert homology_epi(st.ug.cover_map)
-    # composite is a strict chain map built from the deltas
+    for ug in tower.ugs[:4]:
+        assert is_ghost(ug.ghost)
+        assert homology_epi(ug.cover_map)
+    # the composite is a strict chain map into the suspended stage
     g2 = tower.composite(2)
     g2.validate()
+    assert g2.tgt.term(1).orders == suspend(tower.ugs[2].target, 2).term(1).orders
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +121,36 @@ def test_every_tower_stage_passes_the_reference_checks(name, least):
     for mem in members:
         tower = Tower(mem.cx)
         for i in range(4):
-            built_on = tower.stages[i - 1].stage if i else mem.cx
+            built_on = tower.ugs[i - 1].nxt if i else mem.cx
             if _gens(built_on) > STAGE_GENS_CAP:
                 break
-            ug = tower.stage(i).ug
-            # the next stage is the complex whose homology the ghost check read
-            assert ug.source is built_on and tower.stages[i].stage is ug.nxt
+            ug = tower.ug(i)
+            # the ghost is built on the previous stage's nxt, the complex whose
+            # homology that stage's ghost check read
+            assert ug.source is built_on
             assert homology_epi(ug.cover_map)
             assert is_ghost(ug.ghost)
             checked += 1
     assert checked >= least
+
+
+@pytest.mark.parametrize("name", ("zmod:12", "ut2:f3", "dual:f2"))
+def test_the_prefix_composite_is_the_chained_product(name):
+    """g_s for s <= 3 over the bound-4 battery: the prefix inclusion that the
+    tower builds is the product of the step maps, dtype and values."""
+    members, _ = standard_battery(helpers.named_ring(name), 4, seed=0)
+    checked = 0
+    for mem in members:
+        tower = Tower(mem.cx)
+        for s, want in enumerate(chained_composites(tower, 3)):
+            got = tower.composite(s)
+            assert got.src is mem.cx and got.mats.keys() == want.mats.keys()
+            for k in got.tgt.degrees():
+                assert got.tgt.term(k).orders == want.tgt.term(k).orders
+            for k, mat in want.mats.items():
+                assert got.mats[k].dtype == mat.dtype and np.array_equal(got.mats[k], mat), (s, k)
+            checked += 1
+    assert checked == 4 * len(members)
 
 
 def test_a_cover_missing_a_generator_fails_the_surjectivity_check(monkeypatch):
@@ -258,7 +280,7 @@ def test_factor_through_projective_flat_target():
     done = 0
     for _ in range(10):
         f = random_chain_map(a, x, rng)
-        fact = factor_through_projective(f)
+        fact = factor_through_projective(f, universal_ghost(f.tgt))
         fact.validate(f)
         assert not fact.through.diff(1).any() if fact.through.hi >= 1 else True
         done += 1
@@ -277,7 +299,7 @@ def test_factor_through_projective_fails_on_nonflat():
     # the identity map cannot factor through a projective
     x = mult_complex(Z4, 2)
     with pytest.raises(NoFactorization):
-        factor_through_projective(identity_chain(x))
+        factor_through_projective(identity_chain(x), universal_ghost(x))
 
 
 def test_factor_through_pdim_one_ut2():
@@ -305,11 +327,3 @@ def test_factor_through_pdim_one_cone2():
     fact.validate(f)
     assert pdim_complex(fact.through, 2).n <= 1
 
-
-def test_tower_json_dump():
-    x = mult_complex(Z4, 2)
-    tower = ghost_tower(x, 1)
-    tower.nullity(0)
-    data = tower.to_json(1)
-    assert len(data["stages"]) == 2
-    assert data["stages"][0]["composite_null"] is False

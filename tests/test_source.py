@@ -1,8 +1,11 @@
 """Source checks that need no linter: every module reads what it imports,
-every public function and class has a caller outside the tests, and no
-constructor takes a check switch."""
+every public function and class has a caller outside the tests, no
+constructor takes a check switch, and importing the package loads every
+traced layer."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted(p for p in (ROOT / "src" / "ghostdim").glob("*.py")
-                 if p.name != "__init__.py")       # __init__ only re-exports
+                 if p.name != "__init__.py")       # __init__ only imports the layers
 # Where a caller may live: the package, the tools and the benchmark harness.
 CALLERS = SOURCES + sorted(p for d in ("tools", "perfbench") for p in (ROOT / d).glob("*.py")
                            if not p.name.startswith("test_"))
@@ -88,3 +91,13 @@ def test_no_check_switch(path):
                 if isinstance(n, ast.keyword) and n.arg == "check"
                 or isinstance(n, ast.arg) and n.arg == "check"]
     assert switches == []
+
+
+def test_importing_the_package_loads_every_traced_layer():
+    """perfbench/spans.py finds the namespaces to wrap in sys.modules after
+    `import ghostdim`, so that import alone must load each layer."""
+    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; import ghostdim, spans; "
+            "print(*[layer for layer in spans.LAYERS if f'ghostdim.{layer}' not in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

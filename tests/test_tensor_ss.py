@@ -250,7 +250,7 @@ def test_tensor_blocks_match_the_reference_loops(name):
             for n, blocks in got.blocks.items():
                 assert [(a, b, off) for a, b, _, off in blocks] == \
                     [(a, b, off) for a, b, _, off in want.blocks[n]]
-            for s in range(len(tower.stages) if tower else 0):
+            for s in range(len(tower.ugs) if tower else 0):
                 g = tower.composite(s)
                 _assert_same_chain_map(tensor_chain_map(g, got), ref.tensor_chain_map(g, want))
             checked += 1
@@ -421,7 +421,7 @@ def test_filtration_depth_counts_the_stages_read():
     z = ut3.opposite().simples[0]
     fresh = ucss_filtration(x, z).to_json()
     pdim_complex(x, 4)
-    assert len(ghost_tower(x, 0).stages) > fresh["tower_depth"]
+    assert len(ghost_tower(x, 0).ugs) > fresh["tower_depth"]
     assert ucss_filtration(x, z).to_json() == fresh
 
 
@@ -476,15 +476,15 @@ def test_stage_pieces_match_the_tensor_of_the_whole_stage(name, least):
         x = mem.cx
         tower = ghost_tower(x, 0)
         depth = 0
-        while depth < 4 and _total_gens(tower.stage(depth).shifted_target) <= PIECE_GENS_CAP:
+        while depth < 4 and _total_gens(tower.composite(depth).tgt) <= PIECE_GENS_CAP:
             depth += 1
-        stages = [tower.stage(s).shifted_target for s in range(depth)]
+        stages = [tower.composite(s).tgt for s in range(depth)]
         for z in tensor_ss.default_tests(x):
             lo = min(cx.lo for cx in [x, *stages]) + z.lo - 1
             hi = max(cx.hi for cx in [x, *stages]) + z.hi + 1
             w = tensor_ss._StageTensor(tensor_complexes(x, z), range(lo, hi + 1))
             for s, stage in enumerate(stages):
-                now, _ = _add_checked_stage(w, tower.stage(s).ug.cover_map)
+                now, _ = _add_checked_stage(w, tower.ug(s).cover_map)
                 whole = tensor_complexes(stage, z).total
                 for n in w.degrees:
                     assert sorted(now.term(n).orders) == sorted(whole.term(n).orders), (s, n)
