@@ -60,14 +60,14 @@ from .modules import (
     FgModule,
     ModuleMap,
     ProjectivityCertificate,
+    _cover,
     _hom_constraint_rows,
-    _projectivity,
+    _kept,
     _reduce_mixed_generators,
-    free_cover,
+    _syzygy,
     free_module,
     is_free_module,
     is_projective,
-    kernel_of,
     make_module,
     module_to_descriptor,
     module_unit_columns,
@@ -249,14 +249,12 @@ _SHARED_HOMOLOGY = weakref.WeakValueDictionary()
 
 
 def _digest(obj, build):
-    """A content digest cached on obj (a ring or module, immutable once built)."""
-    cached = getattr(obj, "_digest", None)
-    if cached is None:
+    """A content digest kept on obj (a ring or module, immutable once built)."""
+    def digest():
         h = blake2b(digest_size=32)
         build(h)
-        cached = h.digest()
-        object.__setattr__(obj, "_digest", cached)
-    return cached
+        return h.digest()
+    return _kept(obj, "_digest", digest)
 
 
 def _update_array(h, a):
@@ -858,18 +856,22 @@ def section_from_null_homotopy(g, h, fib, proj):
 
 
 # ---------------------------------------------------------------------------
-# Induced maps on homology
+# Homology orders
 # ---------------------------------------------------------------------------
 
-def induced_map(f, k):
-    """H_k(f) as a ModuleMap between homology modules (a chain map keeps cycles
-    and boundaries, so classifying the pushed cycles is a module map)."""
-    hs = f.src.homology_at(k)
-    ht = f.tgt.homology_at(k)
-    if hs.module.is_zero or ht.module.is_zero:
-        return ModuleMap(hs.module, ht.module, zeros(ht.module.ngens, hs.module.ngens))
-    pushed = linalg.reduce_coords(f.component(k) @ hs.lift, f.tgt.term(k).orders)
-    return ModuleMap(hs.module, ht.module, ht.classify(pushed))
+def homology_order(cx, k):
+    """|H_k| from orders alone: |C_k| / (|im d_k| |im d_(k+1)|).
+
+    Two diagonal-only eliminations (linalg.subgroup_order); no cycle basis,
+    presentation or homology module is formed.
+    """
+    term = cx.term(k)
+    if term.is_zero:
+        return 1
+    m = cx.ring.modulus
+    out = linalg.subgroup_order(cx.diff(k), cx.term(k - 1).orders, m)
+    into = linalg.subgroup_order(cx.diff(k + 1), term.orders, m)
+    return term.size // (out * into)
 
 
 # ---------------------------------------------------------------------------
@@ -884,13 +886,20 @@ def resolution_complex(module, length, name=""):
     resolution.  H_k = 0 for 0 < k < length; H_length is the last syzygy.
     Each d_k is a kernel inclusion after a cover map, so d.d = 0, and the
     certificates are the splits that split_surjection checked.
+
+    The covers, kernel inclusions and certificates are the module's own
+    (modules._syzygy, _cover and is_projective): computed once per module
+    and kept on it for as long as it lives, the chain growing to the longest
+    length asked for.  Every call builds a fresh Complex from them, so no
+    homology or tower cache of a returned complex is tied to the module.
     """
     ring = module.ring
     if module.is_zero:
         return Complex.zero(ring)
-    flag, cert, covered = _projectivity(module)
+    name = name or f"res({module.label})"
+    flag, cert = is_projective(module)
     if flag:
-        return Complex(ring, 0, 0, {0: module}, {}, certs={0: cert}, name=name or f"res({module.label})")
+        return Complex(ring, 0, 0, {0: module}, {}, certs={0: cert}, name=name)
     if length < 1:
         raise ValidationError("a non-projective module needs length >= 1 to resolve")
     terms = {}
@@ -901,26 +910,24 @@ def resolution_complex(module, length, name=""):
     k = 0
     while k <= length:
         if 0 < k < length:
-            flag, certs[k], covered = _projectivity(current)
+            flag, certs[k] = is_projective(current)
             if flag:
                 terms[k] = current
                 diffs[k] = prev_incl.mat
                 break
         # truncation at k == length: the last term is the cover of the current syzygy
-        cover, pi = covered if k < length else free_cover(current)
+        cover, pi = _cover(current)
         terms[k] = cover
         if prev_incl is not None:
             diffs[k] = linalg.reduce_coords(prev_incl.mat @ pi.mat, prev_incl.tgt.orders)
         if k == length:
             break
-        ker = kernel_of(pi, label=f"syz{k + 1}")
-        current = ker.module
-        prev_incl = ker.inclusion
+        syz = _syzygy(module, k + 1)
+        current, prev_incl = syz.module, syz.inclusion
         if current.is_zero:
             break
         k += 1
-    hi = max(terms)
-    return Complex(ring, 0, hi, terms, diffs, certs=certs, name=name or f"res({module.label})")
+    return Complex(ring, 0, max(terms), terms, diffs, certs=certs, name=name)
 
 
 def free_complex(ring, ranks, name=""):

@@ -44,10 +44,10 @@ from .ghosts import (
 )
 from .linalg import eye
 from .modules import (
-    _projectivity,
+    _syzygy,
     find_isomorphism,
     free_module,
-    kernel_of,
+    is_projective,
     make_module,
     quotient_by,
     submodule_generated,
@@ -78,8 +78,7 @@ def module_pdim(module, bound, with_run=False):
     history = [current]
     verdict = None
     for i in range(bound + 1):
-        flag, _, covered = _projectivity(current)
-        if flag:
+        if is_projective(current)[0]:
             verdict = Verdict.finite(i)
             break
         for j in range(len(history) - 1):
@@ -88,8 +87,7 @@ def module_pdim(module, bound, with_run=False):
                 break
         if verdict is not None:
             break
-        ker = kernel_of(covered[1], label=f"syz{i + 1}")
-        current = ker.module
+        current = _syzygy(module, i + 1).module
         history.append(current)
     if verdict is None:
         verdict = Verdict.at_least(bound + 1)
@@ -370,9 +368,19 @@ class RouquierCertificate:
     steps: list
 
     def validate(self, x):
-        """Every complex, chain map and witness the certificate holds."""
+        """Every complex, chain map and witness the certificate holds, and
+        that its pieces form one chain of triangles: the base model starts at
+        Y_0, each step starts where the one before it ends, and the last one
+        ends at the target."""
         from .complexes import check_null_homotopy
 
+        end = self.base_model.src                    # Y_0
+        for st in self.steps:
+            if st.prev_y is not end:
+                raise ValidationError(f"rouquier step {st.index} does not start where the chain ends")
+            end = st.next_y
+        if end is not self.target:
+            raise ValidationError("the chain of rouquier steps does not end at the target")
         self.target.validate()
         for f in (self.include, self.retract):
             f.validate()

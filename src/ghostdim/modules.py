@@ -400,33 +400,34 @@ def subgroup_order_in(module, cols):
     return linalg.subgroup_order(cols, module.orders, module.ring.modulus)
 
 
-def image_subgroup_order(f):
-    """Order of the image subgroup of a module map."""
-    return subgroup_order_in(f.tgt, f.mat)
-
-
 # ---------------------------------------------------------------------------
 # Free modules and covers
 # ---------------------------------------------------------------------------
 
+# Results that depend on a module alone are kept on it (and a ring's digest
+# on the ring, in ghostdim.complexes): a module is immutable once built, so
+# such a result is computed once and lives exactly as long as the module
+# does.  A builtin simple lives for the whole process, and so do its cover,
+# projectivity and syzygy chain, up to the longest length asked for.
+
+def _kept(obj, key, build):
+    """build(), computed once per object and kept on it under key."""
+    found = getattr(obj, key, None)
+    if found is None:
+        found = build()
+        object.__setattr__(obj, key, found)
+    return found
+
+
 def is_free_module(mod):
     """Structurally a free_module output (same orders and block actions)."""
-    cached = getattr(mod, "_is_free", None)
-    if cached is not None:
-        return cached
-    ring = mod.ring
-    result = True
-    if mod.ngens % ring.rank:
-        result = False
-    else:
-        rank = mod.ngens // ring.rank
-        if any(d != ring.modulus for d in mod.orders):
-            result = False
-        else:
-            model = free_module(ring, rank)
-            result = all(np.array_equal(a, b) for a, b in zip(mod.actions, model.actions))
-    object.__setattr__(mod, "_is_free", result)
-    return result
+    def build():
+        ring = mod.ring
+        if mod.ngens % ring.rank or any(d != ring.modulus for d in mod.orders):
+            return False
+        model = free_module(ring, mod.ngens // ring.rank)
+        return all(np.array_equal(a, b) for a, b in zip(mod.actions, model.actions))
+    return _kept(mod, "_is_free", build)
 
 
 _free_cache = {}
@@ -601,27 +602,43 @@ class ProjectivityCertificate:
             raise ValidationError("projectivity certificate does not split")
 
 
+def _cover(module):
+    """free_cover(module), computed once per module and kept on it."""
+    return _kept(module, "_free_cover", lambda: free_cover(module))
+
+
 def is_projective(module):
     """Decide projectivity; returns (flag, certificate or None).
 
     A free module (the zero module included) is projective by construction
     and gets no certificate.  Any other module is projective iff its minimal
-    free cover splits, and the certificate is that split.
+    free cover (_cover) splits, and the certificate is that split.  Computed
+    once per module and kept on it for as long as it lives.
     """
-    return _projectivity(module)[:2]
+    def build():
+        if is_free_module(module):
+            return True, None
+        cover, pi = _cover(module)
+        sec = split_surjection(pi)
+        if sec is None:
+            return False, None
+        return True, ProjectivityCertificate(cover=cover, pi=pi, section=sec)
+    return _kept(module, "_projective", build)
 
 
-def _projectivity(module):
-    """is_projective's (flag, certificate) and the minimal free cover
-    (cover, pi) it built, None for a free module; a resolution goes on
-    with that cover when the module is not projective."""
-    if is_free_module(module):
-        return True, None, None
-    cover, pi = free_cover(module)
-    sec = split_surjection(pi)
-    if sec is None:
-        return False, None, (cover, pi)
-    return True, ProjectivityCertificate(cover=cover, pi=pi, section=sec), (cover, pi)
+def _syzygy(module, i):
+    """The i-th syzygy K_i (i >= 1) of the module as a Submodule (module and
+    kernel inclusion): K_i is the kernel of the cover of K_(i-1), K_0 = module.
+
+    The chain K_1, K_2, ... is kept on the module for as long as it lives
+    and extended on demand, so each syzygy is built and covered once; its
+    labels count from this module, as syz1, syz2, ...
+    """
+    chain = _kept(module, "_syzygy_chain", list)
+    while len(chain) < i:
+        below = chain[-1].module if chain else module
+        chain.append(kernel_of(_cover(below)[1], label=f"syz{len(chain) + 1}"))
+    return chain[i - 1]
 
 
 # ---------------------------------------------------------------------------

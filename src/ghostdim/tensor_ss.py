@@ -10,15 +10,16 @@ projective dimension.
 
 An independent second route (`resolution_filtration`) computes the same
 numbers from a free resolution of the left module, filtering the total
-complex by resolution degree, with no towers anywhere.
+complex by resolution degree, with no towers anywhere.  It is order-only
+as well: it forms no homology module, column subcomplex or induced map,
+and shares no shortcut with the tower route.
 
 Every tensor map goes through one block routine, `_tensor_blocks`: the
 total differential, f (x) 1 and 1 (x) g.  As everywhere in the package,
-constructors do not validate; the total complex, both induced chain maps
-and the column subcomplexes with their inclusions are sound for the
-reasons given at `_tensor_blocks`.  The filtration's stage tensors W_s (x) Z
-are held as pieces from the same routine (`_StageTensor`), for the reason
-given there.
+constructors do not validate; the total complex and both induced chain
+maps are sound for the reasons given at `_tensor_blocks`.  The
+filtration's stage tensors W_s (x) Z are held as pieces from the same
+routine (`_StageTensor`), for the reason given there.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .complexes import (
     ChainMap,
     Complex,
     dual_complex,
-    induced_map,
+    homology_order,
     is_free_module,
     module_complex,
     resolution_complex,
@@ -41,7 +42,7 @@ from .complexes import (
 from .errors import RingMismatch, SideMismatch, ValidationError
 from .ghosts import ghost_tower
 from .linalg import eye, zeros
-from .modules import FgModule, free_cover, image_subgroup_order, tensor_map, tensor_modules
+from .modules import FgModule, _cover, tensor_map, tensor_modules
 from .verdicts import Verdict
 
 
@@ -70,9 +71,7 @@ def _as_left_complex(ring, z):
 # * d = d_X (x) 1 + (-1)^a 1 (x) d_Z has d.d = 0, since the two mixed terms
 #   through (a-1, b-1) carry the Koszul signs (-1)^(a-1) and (-1)^a;
 # * f (x) 1 and 1 (x) g of chain maps f, g are chain maps: a degree-zero f
-#   keeps a, hence the sign;
-# * d never raises the Q-degree b, so the blocks with b <= q_max span a
-#   subcomplex, and picking them out is a chain map.
+#   keeps a, hence the sign.
 def _tensor_blocks(src_blocks, tgt_blocks, shift, parts):
     """Matrices n -> (Tot_n(src) -> Tot_(n+shift)(tgt)) of a sum of tensor maps.
 
@@ -358,6 +357,12 @@ def resolution_filtration(x, z_module):
     Builds Tot(X (x) Q) for Q -> Z a resolution, filters by resolution
     degree, and pushes the column filtration through the augmentation
     quasi-isomorphism onto H(X (x) Z).  Tower-free by construction.
+
+    Only orders are read.  The columns F_s (blocks of Q-degree <= s) span a
+    subcomplex, so with Z_t(F_s) the cycles of F_s and B_t the boundaries of
+    X (x) Z, the image of H_t(F_s) under the augmentation has order
+        |B_t + aug_t Z_t(F_s)| / |B_t|,
+    two subgroup orders in Tot_t(X (x) Z), |B_t| formed once per t.
     """
     zc = module_complex(z_module)
     txz = tensor_complexes(x, zc)
@@ -365,23 +370,29 @@ def resolution_filtration(x, z_module):
     smax = hi - x.lo + 1
     q = resolution_complex(z_module, smax)
     txq = tensor_complexes(x, q)
-    # augmentation: Q -> Z in degree 0
-    aug0 = _augmentation_map(q, z_module)
-    aug = _tensor_second_map(txq, txz, aug0)
-    h_orders = {t: txz.total.homology_at(t).module.size for t in range(lo, hi + 1)}
-    for t in range(lo, hi + 1):
-        got = txq.total.homology_at(t).module.size
+    aug = _tensor_second_map(txq, txz, _augmentation_map(q, z_module))
+    m = x.ring.modulus
+    degrees = range(lo, hi + 1)
+    h_orders = {t: homology_order(txz.total, t) for t in degrees}
+    for t in degrees:
+        got = homology_order(txq.total, t)
         if got != h_orders[t]:
             raise ValidationError(
                 f"augmentation is not a quasi-isomorphism at degree {t}: {got} vs {h_orders[t]}"
             )
+    bounds = {t: txz.total.diff(t + 1) for t in degrees}
+    b_orders = {t: linalg.subgroup_order(bounds[t], txz.total.term(t).orders, m) for t in degrees}
     e_infty = {}
-    images = {t: [] for t in range(lo, hi + 1)}
+    images = {t: [] for t in degrees}
     for s in range(0, smax + 1):
-        sub, incl = _column_subcomplex(txq, s)
-        through = aug @ incl
-        for t in range(lo, hi + 1):
-            images[t].append(image_subgroup_order(induced_map(through, t)))
+        for t in degrees:
+            keep = _column_coords(txq, s, t)
+            cycles = linalg.kernel_hetero(txq.total.diff(t)[:, keep],
+                                          txq.total.term(t - 1).orders, m)
+            pushed = aug.component(t)[:, keep] @ cycles
+            total = linalg.subgroup_order(np.concatenate([bounds[t], pushed], axis=1),
+                                          txz.total.term(t).orders, m)
+            images[t].append(total // b_orders[t])
         if all(images[t][-1] == h_orders[t] for t in images):
             break
     line = 0
@@ -400,18 +411,28 @@ def resolution_filtration(x, z_module):
     return e_infty, line
 
 
+def _column_coords(txq, s, t):
+    """Coordinates in Tot_t(X (x) Q) of F_s, the blocks of Q-degree <= s.
+
+    d never raises the Q-degree, so these blocks span a subcomplex.
+    """
+    return [off + i for _, b, tm, off in txq.blocks.get(t, []) if b <= s
+            for i in range(tm.module.ngens)]
+
+
 def _augmentation_map(q, z_module):
     """The chain map from the resolution onto the module in degree zero.
 
-    Its degree-0 matrix is the identity, or the cover that resolution_complex
-    resolved with (free_cover is deterministic), which kills d_1's image.
+    Its degree-0 matrix is the identity, or the module's cover, the very one
+    resolution_complex resolved with (kept on the module), which kills
+    d_1's image.
     """
     zc = module_complex(z_module)
     f0 = q.term(0)
     if q.hi == 0 and f0 is z_module:
         # projective module: the resolution is the module itself
         return ChainMap(q, zc, {0: eye(z_module.ngens)})
-    cover, pi = free_cover(z_module)
+    cover, pi = _cover(z_module)
     if cover.ngens != f0.ngens:
         raise ValidationError("unexpected resolution shape for augmentation")
     return ChainMap(q, zc, {0: pi.mat})
@@ -423,28 +444,6 @@ def _tensor_second_map(src_tensor, tgt_tensor, g):
     mats = _tensor_blocks(src_tensor.blocks, tgt_tensor.blocks, 0,
                           [(0, lambda a, b: (eye(x.term(a).ngens), g.component(b)))])
     return ChainMap(src_tensor.total, tgt_tensor.total, mats)
-
-
-def _column_subcomplex(txq, q_max):
-    """The subcomplex of Tot(X (x) Q) spanned by blocks with Q-degree <= q_max."""
-    total = txq.total
-    base = total.ring
-    terms = {}
-    incl_mats = {}
-    keep = {}
-    for n in total.degrees():
-        kept = [(tm, off) for a, b, tm, off in txq.blocks.get(n, []) if b <= q_max]
-        orders = tuple(o for tm, _ in kept for o in tm.module.orders)
-        keep[n] = [i for tm, off in kept for i in range(off, off + tm.module.ngens)]
-        terms[n] = FgModule(ring=base, orders=orders, actions=(eye(len(orders)),))
-        inc = zeros(total.term(n).ngens, len(orders))
-        inc[keep[n], range(len(orders))] = 1
-        incl_mats[n] = inc
-    diffs = {n: total.diff(n)[np.ix_(keep[n - 1], keep[n])]
-             for n in total.degrees() if n - 1 >= total.lo}
-    sub = Complex(base, total.lo, total.hi, terms, diffs)
-    incl = ChainMap(sub, total, incl_mats)
-    return sub, incl
 
 
 # ---------------------------------------------------------------------------

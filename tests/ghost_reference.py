@@ -22,16 +22,16 @@ unchanged.  The package's g_s must equal it bit for bit.
 """
 
 from ghostdim import linalg
-from ghostdim.complexes import identity_chain, induced_map, suspend, suspend_between
+from ghostdim.complexes import identity_chain, suspend, suspend_between
 from ghostdim.ghosts import _solve_squares
 from ghostdim.linalg import eye, zeros
 from ghostdim.modules import (
-    image_subgroup_order,
     is_free_module,
     module_unit_columns,
     subgroup_order_in,
     submodule_generated,
 )
+from helpers import image_subgroup_order, induced_map
 
 
 def is_ghost(f):

@@ -4,17 +4,39 @@ Everything here works by exhaustive enumeration of small groups, so it is
 independent of the linear-algebra paths it cross-checks.  `named_ring`
 also builds zmod:12 and ut2:f3, the test rings that are not builtins.
 `homology_les_exact` checks a triangle's long exact sequence by orders.
+`induced_map` and `image_subgroup_order` are the homology-module helpers
+that the package used before its tower-free filtration read orders only.
+`criterion_6_pairs` lists the pairs that acceptance criterion 6 compares;
+tools/bench_timings.py times the same pairs.
 """
 
 import itertools
+import random
 
 import numpy as np
 
 from ghostdim import linalg
-from ghostdim.complexes import induced_map
+from ghostdim.complexes import cone, free_complex, resolution_complex
+from ghostdim.ghosts import random_chain_map
 from ghostdim.linalg import zeros
-from ghostdim.modules import ModuleMap, image_subgroup_order
+from ghostdim.modules import ModuleMap, make_module, subgroup_order_in
 from ghostdim.rings import builtin_ring, make_ring, ring_spec_from_dict, zmod
+
+
+def induced_map(f, k):
+    """H_k(f) as a ModuleMap between homology modules (a chain map keeps cycles
+    and boundaries, so classifying the pushed cycles is a module map)."""
+    hs = f.src.homology_at(k)
+    ht = f.tgt.homology_at(k)
+    if hs.module.is_zero or ht.module.is_zero:
+        return ModuleMap(hs.module, ht.module, zeros(ht.module.ngens, hs.module.ngens))
+    pushed = linalg.reduce_coords(f.component(k) @ hs.lift, f.tgt.term(k).orders)
+    return ModuleMap(hs.module, ht.module, ht.classify(pushed))
+
+
+def image_subgroup_order(f):
+    """Order of the image subgroup of a module map."""
+    return subgroup_order_in(f.tgt, f.mat)
 
 
 def all_group_maps(src_orders, tgt_orders):
@@ -228,3 +250,34 @@ def homology_les_exact(tri):
         if image_subgroup_order(conn) * image_subgroup_order(f_prev) != ha_prev:
             return False
     return True
+
+
+CRITERION_6_RINGS = ("zmod:4", "zmod:6", "zmod:8", "zmod:9", "zmod:12", "ut2:f2", "dual:f2", "a2:f2")
+
+
+def criterion_6_pairs():
+    """(ring name, X, Z) for every pair with a small total complex that
+    acceptance criterion 6 compares: X runs over truncated resolutions of
+    the simples and one random cone, Z over the opposite simples (and one
+    cyclic module over Z/m)."""
+    for name in CRITERION_6_RINGS:
+        ring = builtin_ring(name)
+        xs = []
+        for s in ring.simples:
+            xs.append(resolution_complex(s, 2, name=f"t2:{s.label}"))
+            xs.append(resolution_complex(s, 3, name=f"t3:{s.label}"))
+        rng = random.Random(11)
+        a = free_complex(ring, {0: 1, 1: 1})
+        b = free_complex(ring, {0: 1})
+        xs.append(cone(random_chain_map(a, b, rng), name="rc").cone)
+        zs = list(ring.opposite().simples)
+        if ring.backend == "zmod":
+            zs.append(make_module(ring, {"orders": [ring.modulus // 2]} if ring.modulus % 2 == 0
+                                  else {"orders": [ring.modulus // 3]}))
+        for x in xs:
+            if x.is_zero:
+                continue
+            for z in zs:
+                if total_order(x) * z.size > 2 ** 10:
+                    continue
+                yield name, x, z

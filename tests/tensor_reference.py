@@ -22,6 +22,14 @@ there; the Tor-balance test compares the two.
 kernel chain from subgroup orders, copied unchanged: it forms the homology
 of every target W_s (x) Z and takes the kernel of the induced map by
 `_kernel_order_of`.  Here it runs on these block loops.
+
+`resolution_filtration` is the tower-free route as ghostdim.tensor_ss ran it
+before it read orders only, copied unchanged but for its helpers: it forms
+the homology modules of X (x) Z, of Tot(X (x) Q) and of every column
+subcomplex (`_column_subcomplex` above), and orders the image of each
+induced map.  Its augmentation takes a fresh `free_cover` of the module, as
+`_augmentation_map` did before covers were kept on the module; the tensor
+complexes and id (x) aug are the package's own.
 """
 
 from dataclasses import dataclass
@@ -29,12 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ghostdim import linalg
-from ghostdim.complexes import ChainMap, Complex, induced_map, module_complex, resolution_complex
+from ghostdim import tensor_ss
+from ghostdim.complexes import ChainMap, Complex, module_complex, resolution_complex
 from ghostdim.errors import ValidationError
 from ghostdim.ghosts import ghost_tower
 from ghostdim.linalg import eye, zeros
-from ghostdim.modules import FgModule, ModuleMap, TensorModule, subgroup_order_in, tensor_modules
+from ghostdim.modules import FgModule, ModuleMap, TensorModule, free_cover, subgroup_order_in, tensor_modules
 from ghostdim.tensor_ss import FiltrationTable, _as_left_complex
+from helpers import image_subgroup_order, induced_map
 
 
 @dataclass
@@ -314,3 +324,68 @@ def ucss_filtration(x, z, window=None, max_depth=None):
         exhausted=exhausted,
         depth=len(tower.ugs),
     )
+
+
+def resolution_filtration(x, z_module):
+    """E-infinity orders per (s, t) from a free resolution of the left module.
+
+    Builds Tot(X (x) Q) for Q -> Z a resolution, filters by resolution
+    degree, and pushes the column filtration through the augmentation
+    quasi-isomorphism onto H(X (x) Z).  Tower-free by construction.
+    """
+    zc = module_complex(z_module)
+    txz = tensor_ss.tensor_complexes(x, zc)
+    lo, hi = txz.total.lo, txz.total.hi
+    smax = hi - x.lo + 1
+    q = resolution_complex(z_module, smax)
+    txq = tensor_ss.tensor_complexes(x, q)
+    # augmentation: Q -> Z in degree 0
+    aug0 = _augmentation_map(q, z_module)
+    aug = tensor_ss._tensor_second_map(txq, txz, aug0)
+    h_orders = {t: txz.total.homology_at(t).module.size for t in range(lo, hi + 1)}
+    for t in range(lo, hi + 1):
+        got = txq.total.homology_at(t).module.size
+        if got != h_orders[t]:
+            raise ValidationError(
+                f"augmentation is not a quasi-isomorphism at degree {t}: {got} vs {h_orders[t]}"
+            )
+    e_infty = {}
+    images = {t: [] for t in range(lo, hi + 1)}
+    for s in range(0, smax + 1):
+        sub, incl = _column_subcomplex(txq, s)
+        through = aug @ incl
+        for t in range(lo, hi + 1):
+            images[t].append(image_subgroup_order(induced_map(through, t)))
+        if all(images[t][-1] == h_orders[t] for t in images):
+            break
+    line = 0
+    for t, chain in images.items():
+        prev = 1
+        for s_idx, v in enumerate(chain):
+            if v % prev:
+                raise ValidationError("column filtration failed to be nested")
+            jump = v // prev
+            if jump > 1:
+                e_infty[(s_idx, t)] = jump
+                line = max(line, s_idx)
+            prev = v
+        if chain and chain[-1] != h_orders[t]:
+            raise ValidationError("column filtration failed to exhaust homology")
+    return e_infty, line
+
+
+def _augmentation_map(q, z_module):
+    """The chain map from the resolution onto the module in degree zero.
+
+    Its degree-0 matrix is the identity, or the cover that resolution_complex
+    resolved with (free_cover is deterministic), which kills d_1's image.
+    """
+    zc = module_complex(z_module)
+    f0 = q.term(0)
+    if q.hi == 0 and f0 is z_module:
+        # projective module: the resolution is the module itself
+        return ChainMap(q, zc, {0: eye(z_module.ngens)})
+    cover, pi = free_cover(z_module)
+    if cover.ngens != f0.ngens:
+        raise ValidationError("unexpected resolution shape for augmentation")
+    return ChainMap(q, zc, {0: pi.mat})

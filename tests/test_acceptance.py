@@ -25,12 +25,11 @@ from ghostdim.complexes import (
     free_complex,
     module_complex,
     null_homotopy,
-    resolution_complex,
     suspend,
     zero_chain,
 )
 from ghostdim.ghosts import random_chain_map
-from ghostdim.modules import free_module, make_module
+from ghostdim.modules import free_module
 from ghostdim.rings import BUILTIN_NAMES, builtin_ring, zmod
 from ghostdim.tensor_ss import resolution_filtration, ucss_filtration
 
@@ -135,32 +134,13 @@ def test_criterion_6_spectral_sequence_cross_oracle():
     exactly, per (s, t), on all pairs with small total complexes."""
     t0 = time.time()
     compared = 0
-    for name in ("zmod:4", "zmod:6", "zmod:8", "zmod:9", "zmod:12", "ut2:f2", "dual:f2", "a2:f2"):
-        ring = builtin_ring(name)
-        xs = []
-        for s in ring.simples:
-            xs.append(resolution_complex(s, 2, name=f"t2:{s.label}"))
-            xs.append(resolution_complex(s, 3, name=f"t3:{s.label}"))
-        rng = random.Random(11)
-        a = free_complex(ring, {0: 1, 1: 1})
-        b = free_complex(ring, {0: 1})
-        xs.append(cone(random_chain_map(a, b, rng), name="rc").cone)
-        zs = list(ring.opposite().simples)
-        if ring.backend == "zmod":
-            zs.append(make_module(ring, {"orders": [ring.modulus // 2]} if ring.modulus % 2 == 0
-                                  else {"orders": [ring.modulus // 3]}))
-        for x in xs:
-            if x.is_zero:
-                continue
-            for z in zs:
-                if helpers.total_order(x) * z.size > 2 ** 10:
-                    continue
-                table = ucss_filtration(x, z)
-                assert table.exhausted
-                e2, line2 = resolution_filtration(x, z)
-                assert table.e_infty == e2, (name, x.name, z.label, table.e_infty, e2)
-                assert table.vanishing_line == line2
-                compared += 1
+    for name, x, z in helpers.criterion_6_pairs():
+        table = ucss_filtration(x, z)
+        assert table.exhausted
+        e2, line2 = resolution_filtration(x, z)
+        assert table.e_infty == e2, (name, x.name, z.label, table.e_infty, e2)
+        assert table.vanishing_line == line2
+        compared += 1
     assert compared >= 25
     _stamp("6 (spectral-sequence cross-oracle)", t0, extra=f"[{compared} pairs]")
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,8 +19,8 @@ from ghostdim.complexes import (
     dual_complex,
     fiber,
     free_complex,
+    homology_order,
     identity_chain,
-    induced_map,
     module_complex,
     null_homotopy,
     resolution_complex,
@@ -30,7 +33,14 @@ from ghostdim.errors import ModulusTooLarge, ParseError, ValidationError
 from ghostdim import modules
 from ghostdim.dimensions import module_pdim
 from ghostdim.ghosts import pdim_complex
-from ghostdim.modules import ModuleMap, ProjectivityCertificate, free_module, is_free_module, make_module
+from ghostdim.modules import (
+    ModuleMap,
+    ProjectivityCertificate,
+    free_module,
+    is_free_module,
+    make_module,
+    module_to_descriptor,
+)
 from ghostdim.rings import builtin_ring, zmod
 
 Z4 = zmod(4)
@@ -503,30 +513,72 @@ def test_a_non_projective_term_stays_uncertified():
             pdim_complex(cx, 3)
 
 
+def _fresh(mod):
+    """A new module equal to mod, with nothing computed on it yet."""
+    return make_module(mod.ring, module_to_descriptor(mod))
+
+
 def test_each_projective_non_free_term_is_split_once(monkeypatch):
     calls = []
     split = modules.split_surjection
     monkeypatch.setattr(modules, "split_surjection", lambda pi: calls.append(pi.tgt) or split(pi))
-    cx = module_complex(S2)
-    assert calls == [S2] and cx.certified
-    mixed = _mixed_complexes(S2)[1]
+    s2 = _fresh(S2)
+    cx = module_complex(s2)
+    assert calls == [s2] and cx.certified
+    calls.clear()
+    # the result is kept on the module: a second call splits nothing
+    assert module_complex(s2).certified and calls == []
+    mixed = _mixed_complexes(_fresh(S2))[1]
     calls.clear()
     parsed = complex_from_dict(complex_to_dict(mixed))
     assert len(calls) == 1 and parsed.certified
     calls.clear()
     # S1 is not projective (one split); its first syzygy is S2 (one more)
-    res = resolution_complex(UT2.simples[0], 4)
+    s1 = _fresh(UT2.simples[0])
+    res = resolution_complex(s1, 4)
     assert len(calls) == 2 and res.hi == 1 and res.certified
+    calls.clear()
+    assert resolution_complex(s1, 4).certified and module_pdim(s1, 4).n == 1 and calls == []
 
 
 def test_each_syzygy_is_covered_once(monkeypatch):
     calls = []
     gens = modules.minimal_generators
     monkeypatch.setattr(modules, "minimal_generators", lambda mod: calls.append(mod) or gens(mod))
-    for mod in (make_module(Z4, {"orders": [2]}), DUAL.simples[0]):
+    for mod in (make_module(Z4, {"orders": [2]}), _fresh(DUAL.simples[0])):
         calls.clear()
         resolution_complex(mod, 4)
         assert len(calls) == 5 and len({id(m) for m in calls}) == 5
         calls.clear()
-        assert module_pdim(mod, 4).is_infinite
+        # the syzygy chain is kept on the module: a second call covers nothing
+        resolution_complex(mod, 4)
+        assert module_pdim(mod, 4).is_infinite and calls == []
+        assert module_pdim(_fresh(mod), 4).is_infinite
         assert len(calls) == 2 and len({id(m) for m in calls}) == 2
+
+
+def test_no_module_pins_a_complex():
+    """Each call builds a new complex, so the syzygy chain kept on a builtin
+    module keeps no complex alive, nor the homology and tower cached on it."""
+    a, b = resolution_complex(DUAL.simples[0], 4), resolution_complex(DUAL.simples[0], 4)
+    assert a is not b and (a.lo, a.hi) == (b.lo, b.hi) == (0, 4)
+    for k in range(a.lo, a.hi + 2):
+        assert np.array_equal(a.diff(k), b.diff(k))
+    assert pdim_complex(a, 4).is_finite and a._cache
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("name", ["zmod:12", "ut3:f2", "dual:f2"])
+def test_homology_order_is_the_order_of_the_homology_module(name):
+    import random
+
+    ring = builtin_ring(name)
+    checked = 0
+    for cx in _random_complexes(ring, random.Random(7)):
+        for k in range(cx.lo - 1, cx.hi + 2):
+            assert homology_order(cx, k) == cx.homology_at(k).module.size
+            checked += cx.homology_at(k).module.size > 1
+    assert checked >= 5

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from ghostdim.dimensions import (
     symmetry_report,
     wdim_ring,
 )
-from ghostdim.errors import PdimTooLarge
+from ghostdim.errors import PdimTooLarge, ValidationError
 from ghostdim.ghosts import pdim_complex
 from ghostdim.modules import free_module, make_module
 from ghostdim.rings import builtin_ring, zmod
@@ -147,6 +148,20 @@ def test_rouquier_cone2_over_z4():
     x = Complex(Z4, 0, 1, {0: r, 1: r}, {1: np.array([[2]])}, name="cone2")
     cert = rouquier_build(x, 1)
     assert len(cert.steps) == 1
+    cert.validate(x)
+
+
+def test_a_rouquier_certificate_must_be_one_chain_of_triangles():
+    """Every piece validates on its own, so only the links between them show
+    that a step is out of place or missing."""
+    x = resolution_complex(make_module(zmod(12), {"orders": [2]}, label="Z/2"), 3,
+                           name="trunc:Z/2:3")
+    n = pdim_complex(x, 4).n
+    cert = rouquier_build(x, n)
+    assert len(cert.steps) == 3
+    for steps in (cert.steps[::-1], cert.steps[:-1]):
+        with pytest.raises(ValidationError, match="chain"):
+            dataclasses.replace(cert, steps=steps).validate(x)
     cert.validate(x)
 
 

@@ -271,11 +271,16 @@ def test_augmentation_and_columns_match_the_reference_loops(name):
             _assert_same_complex(got_q.total, want_q.total)
             _assert_same_chain_map(tensor_ss._tensor_second_map(got_q, got_z, aug0),
                                    ref._tensor_second_map(want_q, want_z, aug0))
+            # the coordinates resolution_filtration reads span the column subcomplex
+            total = got_q.total
             for q_max in range(q.lo - 1, q.hi + 1):
-                sub, incl = tensor_ss._column_subcomplex(got_q, q_max)
                 ref_sub, ref_incl = ref._column_subcomplex(want_q, q_max)
-                _assert_same_complex(sub, ref_sub)
-                _assert_same_chain_map(incl, ref_incl)
+                for n in total.degrees():
+                    keep = tensor_ss._column_coords(got_q, q_max, n)
+                    below = tensor_ss._column_coords(got_q, q_max, n - 1)
+                    assert ref_sub.term(n).orders == tuple(total.term(n).orders[i] for i in keep)
+                    assert np.array_equal(ref_incl.component(n), np.eye(total.term(n).ngens)[:, keep])
+                    assert np.array_equal(ref_sub.diff(n), total.diff(n)[np.ix_(below, keep)])
             checked += 1
     assert checked >= len(ring.simples) * len(ring.opposite().simples)
 
@@ -310,7 +315,7 @@ def test_everything_the_constructors_build_validates(monkeypatch):
     """Every object the constructors build in four runs passes validate(): fdim
     and pdim (tensors, duals, towers), probes and factorizations, Rouquier
     certificates (cones, fibers, equivalences) over a rank-3 ring, and the
-    tower-free filtration (resolutions, column subcomplexes)."""
+    tower-free filtration (resolutions, tensor complexes, augmentations)."""
     built = []
     for cls, name in CONSTRUCTORS:
         def record(self, *args, build=getattr(cls, name), **kwargs):
@@ -491,3 +496,25 @@ def test_stage_pieces_match_the_tensor_of_the_whole_stage(name, least):
                     assert now.homology_at(n).module.size == whole.homology_at(n).module.size, (s, n)
                 checked += 1
     assert checked >= least
+
+
+# The batteries of the ss-oracle benchmark workload: bound 4, seed 7.
+SS_ORACLE_RINGS = ("ut3:f2", "dual:f2", "zmod:12", "a3:f2")
+
+
+def test_resolution_orders_match_the_induced_map_route():
+    """The order-only tower-free route gives, (s, t) by (s, t), the E-infinity
+    orders and the line of the homology-module route it replaced: on the
+    pairs of acceptance criterion 6 and on the ss-oracle batteries against
+    every opposite simple."""
+    pairs = [(x, z) for _, x, z in helpers.criterion_6_pairs()]
+    for name in SS_ORACLE_RINGS:
+        ring = builtin_ring(name)
+        members, _ = standard_battery(ring, 4, seed=7, min_size=13)
+        pairs += [(mem.cx, z) for mem in members for z in ring.opposite().simples]
+    deep = 0
+    for x, z in pairs:
+        got, want = resolution_filtration(x, z), ref.resolution_filtration(x, z)
+        assert got == want, (x.name, z.label)
+        deep += got[1] > 0
+    assert len(pairs) >= 170 and deep >= 40

@@ -11,6 +11,11 @@ so two commits can be compared for both speed and answers:
 * criterion 1, verify_summary(ring, 8, 0): ghdim = wdim;
 * criterion 2, verify_compact_eq(ring, 6, 7): fdim = pdim on the battery;
 * criterion 5, verify_symmetry(ring, 8, 0): ghdim(R) = ghdim(R^op).
+
+Criterion 6 runs both filtration routes on the pairs of the acceptance
+test (tests/helpers.py:criterion_6_pairs): its wall time, the part spent in
+resolution_filtration, and per pair whether the routes agree with a digest
+of the pair's E-infinity orders and vanishing line.
 """
 
 import hashlib
@@ -19,13 +24,17 @@ import os
 import platform
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from ghostdim.cli import verify_compact_eq, verify_summary, verify_symmetry
 from ghostdim.dimensions import standard_battery
 from ghostdim.rings import BUILTIN_NAMES, builtin_ring
-from ghostdim.tensor_ss import default_tests, fdim_via_ss, ucss_filtration
+from ghostdim.tensor_ss import default_tests, fdim_via_ss, resolution_filtration, ucss_filtration
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import criterion_6_pairs  # noqa: E402  (the acceptance test's pairs)
 
 CRITERIA = (
     ("criterion_1", verify_summary, 8, 0),
@@ -49,6 +58,23 @@ def cone2_fdim():
     return {"seconds": seconds, "fdim": verdict.render(), "tables_sha256_16": tables}
 
 
+def criterion_6():
+    """(per-pair entries, wall time, time in resolution_filtration)."""
+    pairs = {}
+    oracle_s = 0.0
+    t0 = time.perf_counter()
+    for name, x, z in criterion_6_pairs():
+        table = ucss_filtration(x, z)
+        t1 = time.perf_counter()
+        e_infty, line = resolution_filtration(x, z)
+        oracle_s += time.perf_counter() - t1
+        ok = table.exhausted and table.e_infty == e_infty and table.vanishing_line == line
+        cells = {f"{s},{t}": v for (s, t), v in sorted(e_infty.items())}
+        pairs[f"{name}/{x.name}/{z.label or f'orders{list(z.orders)}'}"] = {
+            "pass": ok, "filtration_sha256_16": _digest({"e_infty": cells, "line": line})}
+    return pairs, round(time.perf_counter() - t0, 2), round(oracle_s, 2)
+
+
 def per_ring(verify, bound, seed):
     out = {}
     for name in BUILTIN_NAMES:
@@ -65,6 +91,8 @@ def main():
                 "cores": os.cpu_count()},
         "cone2:1_fdim": cone2_fdim(),
     }
+    # before the verify suites, which would leave the rings' simples resolved
+    result["criterion_6"], result["criterion_6_total_s"], result["criterion_6_oracle_s"] = criterion_6()
     for key, verify, bound, seed in CRITERIA:
         result[key] = per_ring(verify, bound, seed)
         result[f"{key}_total_s"] = round(sum(v["seconds"] for v in result[key].values()), 2)
