@@ -220,13 +220,9 @@ def _homology_at(cx, k):
     cyc = _reduce_mixed_generators(cyc, term.orders, m)
     if cyc.shape[1] == 0:
         return _zero_homology(cx, k)
-    # One decomposition of the cycle matrix answers every solve and the kernel.
-    cycles = linalg.SmithSolver(linalg.scale_rows(cyc, term.orders, m), m)
-
-    def in_cycles(cols):
-        return cycles.solve_matrix(linalg.scale_rows(cols, term.orders, m))
-
-    yb = in_cycles(linalg.reduce_coords(cx.diff(k + 1), term.orders))
+    # [cyc | d_(k+1)]: the boundaries in cycle coordinates, and the relations among the cycles
+    cycles = linalg.eliminate(cyc, linalg.reduce_coords(cx.diff(k + 1), term.orders), term.orders, m)
+    yb = cycles.solution()
     if yb is None:
         raise ValidationError("boundaries are not cycles; differential is broken")
     rel = np.concatenate([yb, cycles.kernel()], axis=1)
@@ -234,10 +230,12 @@ def _homology_at(cx, k):
     if not pres.orders:
         return _zero_homology(cx, k)
     lift = linalg.reduce_coords(cyc @ pres.lift, term.orders)
-    acts = []
-    for t in range(ring.rank):
-        y = in_cycles(linalg.reduce_coords(term.actions[t] @ lift, term.orders))
-        acts.append(linalg.reduce_coords(pres.proj @ y, pres.orders))
+    # [cyc | A^0 lift | ... | A^(rank-1) lift]: every action in one elimination
+    moved = np.concatenate([linalg.reduce_coords(a @ lift, term.orders) for a in term.actions], axis=1)
+    y = linalg.solve_hetero(cyc, moved, term.orders, m)
+    n = lift.shape[1]
+    acts = [linalg.reduce_coords(pres.proj @ y[:, t * n:(t + 1) * n], pres.orders)
+            for t in range(ring.rank)]
     # cycles and boundaries are submodules, so H_k gets the induced action
     h = FgModule(ring=ring, orders=pres.orders, actions=tuple(acts), label=f"H{k}")
     return HomologyData(degree=k, module=h, lift=lift, _cycles=cyc, _proj=pres.proj, _term=term)
@@ -528,27 +526,54 @@ class MapSystem:
                 total += size
         return offsets, total
 
-    def _term_contribution(self, name, k, pre, post, tgt_term, eq_cols):
-        """Rows (eq entries x block vars) of pre @ U_k @ post for this block."""
+    def _scatter(self, wide, off, name, k, pre, post):
+        """Add pre @ U_k @ post into wide, the equation block's rows, from the nonzeros.
+
+        Entry (a, b) of an equation is row b * pre.rows + a, and the unknown
+        U_k[i, j] is column off + j * t.ngens + i, so the term is kron(post.T,
+        pre) (the column-major vectorization) placed at off: one product per
+        pair of nonzeros.  A map out of a free module is unknown only on
+        module generators, U[:, (j, tt)] = A^tt T[:, j], so there it is the
+        sum over tt of kron(post[tt::rank].T, pre A^tt).  Each product is a
+        residue, and the caller reduces the sums once per block.
+        """
         kind, s, t, size = self._block_info(name, k)
-        pre = as_matrix(pre, rows=tgt_term.ngens, cols=t.ngens)
-        post = as_matrix(post, rows=s.ngens, cols=eq_cols)
+        m = self.m
         if kind == "generic":
-            return np.kron(post.T, pre) % self.m
-        rank = self.ring.rank
-        out = zeros(tgt_term.ngens * eq_cols, size)
-        for tt in range(rank):
-            # U columns (j, tt) equal act^tt @ T[:, j]; collect P_tt
-            p_t = post[tt::rank, :]                    # a x eq_cols
-            pre_a = (pre @ t.actions[tt]) % self.m
-            out = (out + np.kron(p_t.T, pre_a)) % self.m
-        return out
+            pieces = [(pre, post)]
+        else:
+            rank = self.ring.rank
+            pieces = [((pre @ t.actions[tt]) % m, post[tt::rank]) for tt in range(rank)]
+        for left, right in pieces:
+            a, i = left.nonzero()
+            j, b = right.nonzero()
+            rows = (b[:, None] * left.shape[0] + a).ravel()
+            cols = (off + j[:, None] * t.ngens + i).ravel()
+            wide[rows, cols] += (np.multiply.outer(right[j, b], left[a, i]) % m).ravel()
 
     def _assemble(self):
+        """(offsets, matrix, row moduli, right side, solvable), zero rows dropped.
+
+        An all-zero row 0 = b_i (mod e_i) constrains nothing when b_i is
+        zero there, and refutes the system otherwise: solvable is False.
+        """
         offsets, total = self._layout()
         rows = []
         moduli = []
         rhs_rows = []
+        solvable = True
+
+        def add_rows(wide, mods, rhs_col):
+            nonlocal solvable
+            live = wide.any(axis=1)
+            mods = np.asarray(mods, dtype=np.int64)
+            if not live.all():
+                solvable = solvable and not (rhs_col[~live, 0] % mods[~live]).any()
+                wide, mods, rhs_col = wide[live], mods[live], rhs_col[live]
+            rows.append(wide)
+            moduli.append(mods)
+            rhs_rows.append(rhs_col)
+
         for name, (src, tgt, shift, degs) in self.families.items():
             for k in degs:
                 kind, s, t, size = self._block_info(name, k)
@@ -559,9 +584,7 @@ class MapSystem:
                     off = offsets[(name, k)][0]
                     wide = zeros(block_rows.shape[0], total)
                     wide[:, off : off + size] = block_rows
-                    rows.append(wide)
-                    moduli.extend(block_mods)
-                    rhs_rows.append(zeros(block_rows.shape[0], 1))
+                    add_rows(wide, block_mods, zeros(block_rows.shape[0], 1))
         for tgt_term, src_term, rhs, terms in self.equations:
             post_restrict = None
             eq_cols = src_term.ngens
@@ -577,27 +600,28 @@ class MapSystem:
                 if (name, k) not in offsets:
                     continue  # unknown block is identically zero there
                 src, tgt, shift, _ = self.families[name]
+                pre = as_matrix(pre, rows=tgt_term.ngens, cols=tgt.term(k + shift).ngens) % self.m
                 post = as_matrix(post, rows=src.term(k).ngens, cols=src_term.ngens)
                 if post_restrict is not None:
-                    post = (post @ post_restrict) % self.m
-                off, size, kind = offsets[(name, k)]
-                contrib = self._term_contribution(name, k, pre, post, tgt_term, eq_cols)
-                wide[:, off : off + size] = (wide[:, off : off + size] + contrib) % self.m
-            rows.append(wide)
-            moduli.extend(list(tgt_term.orders) * eq_cols)
+                    post = post @ post_restrict
+                self._scatter(wide, offsets[(name, k)][0], name, k, pre, post % self.m)
+            wide %= self.m
             rhs_used = rhs if post_restrict is None else (rhs @ post_restrict) % self.m
-            rhs_rows.append(rhs_used.T.reshape(-1, 1))
+            add_rows(wide, list(tgt_term.orders) * eq_cols, rhs_used.T.reshape(-1, 1))
         if rows:
             big = np.concatenate(rows, axis=0)
             rhs_full = np.concatenate(rhs_rows, axis=0)
+            moduli = np.concatenate(moduli)
         else:
             big = zeros(0, total)
             rhs_full = zeros(0, 1)
-        return offsets, total, big, moduli, rhs_full
+        return offsets, big, moduli, rhs_full, solvable
 
     def solve(self):
         """One solution as {family: {k: matrix}}, or None."""
-        offsets, total, big, moduli, rhs = self._assemble()
+        offsets, big, moduli, rhs, solvable = self._assemble()
+        if not solvable:
+            return None
         sol = linalg.solve_hetero(big, rhs, moduli, self.m)
         if sol is None:
             return None
@@ -605,7 +629,7 @@ class MapSystem:
 
     def kernel(self):
         """Generators of the solution space of the homogeneous system."""
-        offsets, total, big, moduli, _ = self._assemble()
+        offsets, big, moduli, _, _ = self._assemble()
         gens = linalg.kernel_hetero(big, moduli, self.m)
         gens = linalg.reduce_generators(gens, self.m)
         return [self._unpack(gens[:, c], offsets) for c in range(gens.shape[1])]

@@ -17,6 +17,14 @@ add-a-multiple steps likewise.  The result is D = S @ A @ T (mod m) with
 D diagonal and S, T invertible mod m.  Solving, kernels, quotient
 presentations and generating-set reduction all read off D.
 
+A solve forms no S: it eliminates the augmented matrix [A | B] once, the
+pivot search reading only A's columns, so B ends as S @ B mod m.  Over a
+prime it forms no T either: the reduced A is [I C; 0 0] up to the order of
+its columns, so x[pivots] = the first rows of the reduced B, and the
+kernel is e_j - C[:, j] over the non-pivot columns j.  Only quotient
+presentations and generating-set reduction, which read S and S^-1, form
+the r x r matrices.
+
 Entries are kept reduced into [0, m) and all arithmetic is exact int64.
 That is exact only while every sum of products of residues fits, so the
 kernel checks its bound (check_exact) and refuses a larger modulus with
@@ -116,6 +124,11 @@ class SmithDecomposition:
     The caller names what it reads (smith_mod's `reads`): a matrix it does
     not read is None.  pivots lists the pivot columns of the prime path in
     ascending order (None on the composite path).
+
+    A solve (reads="solve") reads no S: rhs is S @ B mod m for the
+    right-hand sides B that rode along the row operations.  Its T is formed
+    on the composite path only; over a prime, `reduced` is the reduced A,
+    whose pivot rows give the solution and the kernel in closed form.
     """
 
     m: int
@@ -125,10 +138,54 @@ class SmithDecomposition:
     t: np.ndarray
     shape: tuple
     pivots: list
+    rhs: np.ndarray
+    reduced: np.ndarray
+
+    def solution(self):
+        """One x with A x = B (mod m), or None if some column of B has none."""
+        m = self.m
+        r, c = self.shape
+        if self.pivots is not None:
+            npiv = len(self.pivots)
+            if self.rhs[npiv:].any():
+                return None
+            x = zeros(c, self.rhs.shape[1])
+            x[self.pivots] = self.rhs[:npiv]
+            return x
+        # D z = rhs row by row: g = gcd(D_ii, m) must divide row i, and then
+        # z_i = (rhs_i / g) (D_ii / g)^-1 mod m / g.  A row past the diagonal
+        # or with D_ii = 0 has g = m, so it must be zero and leaves z_i = 0.
+        d = np.zeros(r, dtype=np.int64)
+        d[:self.diag.size] = self.diag
+        g = np.gcd(d, m)
+        if (self.rhs % g[:, None]).any():
+            return None
+        z = zeros(c, self.rhs.shape[1])
+        live = np.flatnonzero(g[:min(r, c)] != m)
+        if live.size:
+            unit, mod = d[live] // g[live], m // g[live]
+            inv = np.array([pow(int(u), -1, int(q)) for u, q in zip(unit, mod)], dtype=np.int64)
+            z[live] = ((self.rhs[live] // g[live, None]) * inv[:, None]) % mod[:, None]
+        return (self.t @ z) % m
+
+    def kernel(self):
+        """Columns generating {x : A x = 0 (mod m)}."""
+        m = self.m
+        if self.pivots is not None:
+            return _prime_null_columns(self.reduced, self.pivots, m)
+        # ann_j D_jj = 0 mod m: the column T_j scaled by ann_j lies in the
+        # kernel; ann_j = 1 for D_jj = 0 (a free column), and m for a unit.
+        c = self.shape[1]
+        d = np.zeros(c, dtype=np.int64)
+        d[:self.diag.size] = self.diag
+        ann = m // np.gcd(d, m)
+        keep = ann != m
+        return (self.t[:, keep] * ann[keep]) % m
 
 
-# What a caller of smith_mod reads: the diagonal alone (orders), S and T as
-# well (solving, kernels), or S^-1 too (spans and quotient presentations).
+# What a caller of smith_mod reads: the diagonal alone (orders), a solution
+# and the kernel (the right-hand sides carried along, no S), or S, S^-1 and
+# T (spans and quotient presentations).
 READS = ("diag", "solve", "all")
 
 
@@ -137,8 +194,8 @@ def check_exact(m, terms):
 
     terms * m**2 bounds every intermediate of the kernel: the row updates
     q * row, the S^-1 column sums over at most max(rows, cols) products, the
-    products in solving, and the two-term gcd combinations of the composite
-    path (hence at least 2).
+    product T z of a composite solve, and the two-term gcd combinations of
+    the composite path (hence at least 2).
     """
     terms = max(terms, 2)
     if terms * m * m > INT64_MAX:
@@ -198,31 +255,57 @@ def factorize(n):
 _PRIME_CACHE = {}
 
 
-def _smith_prime(a, m, reads):
+def _prime_null_columns(d, pivot_cols, m):
+    """The kernel of a reduced prime-path D, one column per non-pivot column j.
+
+    Column j is e_j with -D[:npiv, j] (mod m) in the pivot rows: the last
+    columns of T.
+    """
+    c = d.shape[1]
+    npiv = len(pivot_cols)
+    pivots = set(pivot_cols)
+    non_pivot = [j for j in range(c) if j not in pivots]
+    null = zeros(c, c - npiv)
+    null[non_pivot, np.arange(c - npiv)] = 1
+    if npiv and c > npiv:
+        null[pivot_cols] = (-d[:npiv, non_pivot]) % m
+    return null
+
+
+def _smith_prime(a, m, reads, rhs):
     """Gauss-Jordan diagonalization over the field Z/m, m prime.
 
-    One pass of row operations on D (from A) and S (from I), the same
-    operations applied to both.  Each pivot updates only the rows with a
+    One pass of row operations on D (from A), and on S (from I) for
+    reads="all".  A solve reduces [A | B] instead, with the right-hand sides
+    B as extra columns that the pivot search never reads, so B ends as
+    S @ B without S being formed.  Each pivot updates only the rows with a
     nonzero in the pivot column, and only the columns where the pivot row
-    is nonzero: the systems the package builds are mostly zeros.  In D these
-    columns all lie at or right of the pivot column, because the pivot row
-    is zero to its left (every earlier column has its pivot above it).  The
-    reduced D is [I B; 0 0] up to the column permutation that puts the
-    pivot columns first, so T has a closed form: that permutation, with
-    -B (mod m) in the pivot rows of the non-pivot columns.
+    is nonzero: the systems the package builds are mostly zeros.  In D
+    these columns all lie at or right of the pivot column, because the
+    pivot row is zero to its left (every earlier column has its pivot
+    above it).  The reduced D is [I C; 0 0] up to the column permutation
+    that puts the pivot columns first, so T has a closed form: that
+    permutation, with -C (mod m) in the pivot rows of the non-pivot
+    columns.  Only reads="all" forms it; a solve reads the solution and
+    the kernel off the reduced D and B.
 
     The columns are taken in order, so a column gets a pivot iff it is not
     in the span of the columns before it: the pivots left of any column k
     count the rank of the first k columns.  With reads="diag" only D is
-    reduced; S, S^-1 and T are not formed.
+    reduced.
 
     D and S are two arrays, not one augmented block [A | I]: returning S
     out of the block meant holding both at once, and that raised the peak
     memory of the compact-eq benchmark workload by about 3 MB (5 %).
     """
-    d = as_matrix(a) % m
-    r, c = d.shape
-    s = eye(r) if reads != "diag" else None
+    a = as_matrix(a)
+    r, c = a.shape
+    # A solve eliminates [A | B]: its pivot row carries B's columns along.
+    d = np.empty((r, c + (0 if rhs is None else rhs.shape[1])), dtype=np.int64)
+    np.remainder(a, m, out=d[:, :c])
+    if rhs is not None:
+        d[:, c:] = rhs
+    s = eye(r) if reads == "all" else None
     s_inv = eye(r) if reads == "all" else None
     pivot_cols = []
     row = 0
@@ -237,7 +320,6 @@ def _smith_prime(a, m, reads):
             d[[row, i], col:] = d[[i, row], col:]
             if s is not None:
                 s[[row, i]] = s[[i, row]]
-            if s_inv is not None:
                 s_inv[:, [row, i]] = s_inv[:, [i, row]]
         rows = [(d, d[row, col:], col)] + ([(s, s[row], 0)] if s is not None else [])
         pv = int(d[row, col])
@@ -265,43 +347,47 @@ def _smith_prime(a, m, reads):
         row += 1
     npiv = len(pivot_cols)
     t = None
-    if reads != "diag":
-        pivots = set(pivot_cols)
-        non_pivot = [j for j in range(c) if j not in pivots]
+    if reads == "all":
         t = zeros(c, c)
-        t[pivot_cols + non_pivot, np.arange(c)] = 1
-        if npiv and c > npiv:
-            t[pivot_cols, npiv:] = (-d[:npiv, non_pivot]) % m
+        t[pivot_cols, np.arange(npiv)] = 1
+        t[:, npiv:] = _prime_null_columns(d, pivot_cols, m)
     diag = np.zeros(min(r, c), dtype=np.int64)
     diag[:npiv] = 1
     return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c),
-                              pivots=pivot_cols)
+                              pivots=pivot_cols, rhs=None if rhs is None else d[:, c:],
+                              reduced=d[:, :c] if reads == "solve" else None)
 
 
-def smith_mod(a, m, reads):
+def smith_mod(a, m, reads, rhs):
     """Diagonalize a mod m by unimodular row and column operations.
 
     Returns a SmithDecomposition.  No divisibility chain is enforced on the
     diagonal; none of the callers needs it.  `reads` (one of READS) names
-    what the caller reads, and only that is formed: the diagonal, S and T,
-    or all of S, S^-1 and T.  D is reduced by the same steps whatever is
-    read, so the diagonal does not depend on it.
+    what the caller reads, and only that is formed: the diagonal; for
+    "solve" the right-hand sides rhs (a matrix with a's rows) carried
+    along the row operations, and T on the composite path; or all of S,
+    S^-1 and T.  rhs is None unless reads is "solve".  D is reduced by the
+    same steps whatever is read, so the diagonal does not depend on it.
     """
     if reads not in READS:
         raise ValueError(f"reads must be one of {READS}, got {reads!r}")
+    if (rhs is None) != (reads != "solve"):
+        raise ValueError("right-hand sides ride along a solve, and only a solve")
     a = as_matrix(a)
     check_exact(m, max(a.shape))
+    if rhs is not None:
+        rhs = as_matrix(rhs, rows=a.shape[0]) % m
     if m not in _PRIME_CACHE:
         _PRIME_CACHE[m] = factorize(m) == {m: 1}
     if _PRIME_CACHE[m]:
-        return _smith_prime(a, m, reads)
+        return _smith_prime(a, m, reads, rhs)
     d = a % m
     r, c = d.shape
-    # row operations act on D and S, column operations on D and T
-    s = eye(r) if reads != "diag" else None
+    # row operations act on D, S and the right-hand sides, column operations on D and T
+    s = eye(r) if reads == "all" else None
     s_inv = eye(r) if reads == "all" else None
     t = eye(c) if reads != "diag" else None
-    row_mats = [d] + ([s] if s is not None else [])
+    row_mats = [mat for mat in (d, s, rhs) if mat is not None]
     col_mats = [d] + ([t] if t is not None else [])
 
     def row_step(k, i):
@@ -395,54 +481,8 @@ def smith_mod(a, m, reads):
                 break
 
     diag = np.array([d[i, i] for i in range(min(r, c))], dtype=np.int64)
-    return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c), pivots=None)
-
-
-class SmithSolver:
-    """Cache one decomposition of A and answer many solve/kernel queries."""
-
-    def __init__(self, a, m):
-        self.m = m
-        self.a = as_matrix(a) % m
-        self.dec = smith_mod(self.a, m, "solve")
-
-    def solve(self, b):
-        """One solution x of A x = b (mod m), or None if none exists."""
-        x = self.solve_matrix(np.asarray(b, dtype=np.int64).reshape(-1, 1))
-        return None if x is None else x[:, 0]
-
-    def solve_matrix(self, b):
-        """Columnwise solve; returns None if any column is unsolvable."""
-        m = self.m
-        b = as_matrix(b, rows=self.a.shape[0]) % m
-        r, c = self.dec.shape
-        cb = (self.dec.s @ b) % m
-        z = zeros(c, b.shape[1])
-        for i in range(r):
-            di = int(self.dec.diag[i]) if i < len(self.dec.diag) else 0
-            g = gcd(di, m)
-            row = cb[i]
-            if (row % g).any():
-                return None
-            if i < c and g != m:
-                inv = modinv(di // g, m // g)
-                z[i] = ((row // g) * inv) % (m // g)
-        return (self.dec.t @ z) % m
-
-    def kernel(self):
-        """Columns generating {x : A x = 0 (mod m)}."""
-        m = self.m
-        r, c = self.dec.shape
-        cols = []
-        for j in range(c):
-            dj = int(self.dec.diag[j]) if j < len(self.dec.diag) else 0
-            ann = m // gcd(dj, m)
-            if ann != m:
-                # ann * d_j = 0 mod m; for d_j = 0 this is ann = 1, a free column.
-                cols.append((self.dec.t[:, j] * ann) % m)
-        if not cols:
-            return zeros(c, 0)
-        return np.stack(cols, axis=1)
+    return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c), pivots=None,
+                              rhs=rhs, reduced=None)
 
 
 def reduce_generators(gens, m):
@@ -454,7 +494,7 @@ def reduce_generators(gens, m):
     g = as_matrix(gens) % m
     if g.shape[1] == 0 or not g.any():
         return zeros(g.shape[0], 0)
-    dec = smith_mod(g, m, "all")
+    dec = smith_mod(g, m, "all", None)
     cols = []
     for i, di in enumerate(dec.diag):
         if di % m:
@@ -490,25 +530,31 @@ def scale_rows(a, row_orders, m):
     return (a * factors[:, None]) % m
 
 
-def solve_hetero(a, b, row_orders, m):
-    """Solve  a @ x = b  where row i is a congruence mod row_orders[i].
+def eliminate(a, b, row_orders, m):
+    """One elimination of [a | b], row i a congruence mod row_orders[i].
 
-    x is only meaningful modulo the column orders of whatever group it
-    parametrizes; any representative mod m is returned.
+    Returns the "solve" SmithDecomposition of the scaled system (see
+    scale_rows): its solution() solves a @ x = b, and its kernel()
+    generates {x : a @ x = 0}.  x is only meaningful modulo the column
+    orders of whatever group it parametrizes; any representative mod m is
+    returned.
     """
-    a2 = scale_rows(a, row_orders, m)
-    b2 = scale_rows(as_matrix(b, rows=len(row_orders)), row_orders, m)
-    if a2.shape[0] == 0:
-        return zeros(a2.shape[1], b2.shape[1])
-    return SmithSolver(a2, m).solve_matrix(b2)
+    b = as_matrix(b, rows=len(row_orders))
+    return smith_mod(scale_rows(a, row_orders, m), m, "solve", scale_rows(b, row_orders, m))
+
+
+def solve_hetero(a, b, row_orders, m):
+    """One solution of  a @ x = b  where row i is a congruence mod row_orders[i], or None."""
+    if len(row_orders) == 0:
+        return zeros(as_matrix(a, rows=0).shape[1], as_matrix(b, rows=0).shape[1])
+    return eliminate(a, b, row_orders, m).solution()
 
 
 def kernel_hetero(a, row_orders, m):
     """Generators of {x : a @ x = 0 (mod row_orders, rowwise)} as columns mod m."""
-    a2 = scale_rows(a, row_orders, m)
-    if a2.shape[0] == 0:
-        return eye(a2.shape[1])
-    return SmithSolver(a2, m).kernel()
+    if len(row_orders) == 0:
+        return eye(as_matrix(a, rows=0).shape[1])
+    return eliminate(a, zeros(len(row_orders), 0), row_orders, m).kernel()
 
 
 @dataclass
@@ -531,7 +577,7 @@ def quotient_presentation(ambient_orders, relations, m):
     full = np.concatenate([rel, np.diag(np.asarray(ambient_orders, dtype=np.int64)).reshape(k, k)], axis=1) if k else zeros(0, 0)
     if k == 0:
         return QuotientPresentation(orders=(), proj=zeros(0, 0), lift=zeros(0, 0))
-    dec = smith_mod(full, m, "all")
+    dec = smith_mod(full, m, "all", None)
     new_orders = []
     keep = []
     for i in range(k):
@@ -575,13 +621,13 @@ def subgroup_order(gens, ambient_orders, m, split=None):
     prefix rule, so the first columns get a pass of their own.
     """
     a = scale_rows(gens, ambient_orders, m)
-    dec = smith_mod(a, m, "diag")
+    dec = smith_mod(a, m, "diag", None)
     whole = _diagonal_span_order(dec.diag, m)
     if split is None:
         return whole
     if dec.pivots is not None:
         return m ** sum(1 for col in dec.pivots if col < split), whole
-    return _diagonal_span_order(smith_mod(a[:, :split], m, "diag").diag, m), whole
+    return _diagonal_span_order(smith_mod(a[:, :split], m, "diag", None).diag, m), whole
 
 
 def _diagonal_span_order(diag, m):

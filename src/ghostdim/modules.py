@@ -311,11 +311,11 @@ def submodule_from_generators(ambient, gens, label=""):
         return linalg.reduce_coords(pres.proj @ y, sub_orders) if sub_orders else zeros(0, cols.shape[1])
 
     # The columns are closed under the action, so each A^t . incl is expressed
-    # exactly: sub is the submodule they span and incl is equivariant.
-    acts = []
-    for t in range(ambient.ring.rank):
-        moved = ambient.actions[t] @ incl_mat
-        acts.append(express(moved))
+    # exactly: sub is the submodule they span and incl is equivariant.  One
+    # elimination expresses [A^0 incl | ... | A^(rank-1) incl].
+    n = incl_mat.shape[1]
+    moved = express(np.concatenate([a @ incl_mat for a in ambient.actions], axis=1))
+    acts = [moved[:, t * n:(t + 1) * n] for t in range(ambient.ring.rank)]
     sub = FgModule(ring=ambient.ring, orders=sub_orders, actions=tuple(acts), label=label)
     incl = ModuleMap(sub, ambient, incl_mat)
     return Submodule(module=sub, inclusion=incl, _gens=gens, _expr=express)
@@ -486,13 +486,22 @@ def free_map(free_src, tgt, targets):
 
 
 def minimal_generators(module):
-    """A minimum-size generating set.
+    """A minimum-size generating set, computed once per module and kept on it.
 
     With a trivial action (Z/n backend) coprime cyclic factors are packed
     into single generators via CRT; otherwise greedy thinning of the group
     basis is used, which is minimum over an F_p-algebra since it maps to an
-    inclusion-minimal spanning set of M / rad M.
+    inclusion-minimal spanning set of M / rad M.  Homology is shared by
+    content, so towers over equal complexes ask again for the same module.
     """
+    def build():
+        gens = _minimal_generators(module)
+        gens.flags.writeable = False
+        return gens
+    return _kept(module, "_minimal_generators", build)
+
+
+def _minimal_generators(module):
     n = module.ngens
     if n == 0:
         return zeros(0, 0)

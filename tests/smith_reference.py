@@ -1,15 +1,35 @@
-"""Reference elimination for the bit-identity test of linalg._smith_prime.
+"""Reference code for the bit-identity tests of linalg and complexes.
 
-`_smith_prime` below is the dense Gauss-Jordan elimination that the
-zero-skipping kernel replaced, copied unchanged but for the `pivots`
-field that SmithDecomposition gained later.  Every basis,
-certificate and report downstream reads the decomposition, so the kernel
-must return exactly what this one returns.
+Every basis, certificate and report downstream reads what these produce,
+so the faster code must return exactly what the reference returns.
+
+* `_smith_prime` is the dense Gauss-Jordan elimination that the
+  zero-skipping kernel replaced, copied unchanged but for the `pivots`,
+  `rhs` and `reduced` fields that SmithDecomposition gained later.
+* `SmithSolver` is the solver that multiplied by the dense r x r row
+  transform S and solved row by row, before a solve carried its
+  right-hand sides along the elimination; it asks smith_mod for S by
+  reads="all", which a solve no longer forms.
+* `homology_at` is complexes._homology_at on one SmithSolver of the cycle
+  matrix, and `assemble` the MapSystem assembly by np.kron of dense
+  blocks (`_term_contribution`), without dropping zero rows.
 """
+
+from math import gcd
 
 import numpy as np
 
-from ghostdim.linalg import SmithDecomposition, as_matrix, eye, modinv
+from ghostdim import linalg
+from ghostdim.complexes import HomologyData, _zero_homology
+from ghostdim.errors import ValidationError
+from ghostdim.linalg import SmithDecomposition, as_matrix, eye, modinv, smith_mod, zeros
+from ghostdim.modules import (
+    FgModule,
+    _hom_constraint_rows,
+    _reduce_mixed_generators,
+    is_free_module,
+    module_unit_columns,
+)
 
 
 def _smith_prime(a, m, track_sinv):
@@ -67,4 +87,171 @@ def _smith_prime(a, m, track_sinv):
             d[:npiv, npiv:] = 0
     diag = np.array([d[i, i] for i in range(min(r, c))], dtype=np.int64)
     return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c),
-                              pivots=pivot_cols)
+                              pivots=pivot_cols, rhs=None, reduced=None)
+
+
+class SmithSolver:
+    """Cache one decomposition of A and answer many solve/kernel queries."""
+
+    def __init__(self, a, m):
+        self.m = m
+        self.a = as_matrix(a) % m
+        self.dec = smith_mod(self.a, m, "all", None)
+
+    def solve(self, b):
+        """One solution x of A x = b (mod m), or None if none exists."""
+        x = self.solve_matrix(np.asarray(b, dtype=np.int64).reshape(-1, 1))
+        return None if x is None else x[:, 0]
+
+    def solve_matrix(self, b):
+        """Columnwise solve; returns None if any column is unsolvable."""
+        m = self.m
+        b = as_matrix(b, rows=self.a.shape[0]) % m
+        r, c = self.dec.shape
+        cb = (self.dec.s @ b) % m
+        z = zeros(c, b.shape[1])
+        for i in range(r):
+            di = int(self.dec.diag[i]) if i < len(self.dec.diag) else 0
+            g = gcd(di, m)
+            row = cb[i]
+            if (row % g).any():
+                return None
+            if i < c and g != m:
+                inv = modinv(di // g, m // g)
+                z[i] = ((row // g) * inv) % (m // g)
+        return (self.dec.t @ z) % m
+
+    def kernel(self):
+        """Columns generating {x : A x = 0 (mod m)}."""
+        m = self.m
+        r, c = self.dec.shape
+        cols = []
+        for j in range(c):
+            dj = int(self.dec.diag[j]) if j < len(self.dec.diag) else 0
+            ann = m // gcd(dj, m)
+            if ann != m:
+                # ann * d_j = 0 mod m; for d_j = 0 this is ann = 1, a free column.
+                cols.append((self.dec.t[:, j] * ann) % m)
+        if not cols:
+            return zeros(c, 0)
+        return np.stack(cols, axis=1)
+
+
+def solve_hetero(a, b, row_orders, m):
+    a2 = linalg.scale_rows(a, row_orders, m)
+    b2 = linalg.scale_rows(as_matrix(b, rows=len(row_orders)), row_orders, m)
+    if a2.shape[0] == 0:
+        return zeros(a2.shape[1], b2.shape[1])
+    return SmithSolver(a2, m).solve_matrix(b2)
+
+
+def kernel_hetero(a, row_orders, m):
+    a2 = linalg.scale_rows(a, row_orders, m)
+    if a2.shape[0] == 0:
+        return eye(a2.shape[1])
+    return SmithSolver(a2, m).kernel()
+
+
+def homology_at(cx, k):
+    ring = cx.ring
+    m = ring.modulus
+    term = cx.term(k)
+    if term.is_zero:
+        return _zero_homology(cx, k)
+    below = cx.term(k - 1)
+    cyc = kernel_hetero(cx.diff(k), below.orders, m)
+    cyc = linalg.reduce_coords(cyc, term.orders)
+    cyc = _reduce_mixed_generators(cyc, term.orders, m)
+    if cyc.shape[1] == 0:
+        return _zero_homology(cx, k)
+    # One decomposition of the cycle matrix answers every solve and the kernel.
+    cycles = SmithSolver(linalg.scale_rows(cyc, term.orders, m), m)
+
+    def in_cycles(cols):
+        return cycles.solve_matrix(linalg.scale_rows(cols, term.orders, m))
+
+    yb = in_cycles(linalg.reduce_coords(cx.diff(k + 1), term.orders))
+    if yb is None:
+        raise ValidationError("boundaries are not cycles; differential is broken")
+    rel = np.concatenate([yb, cycles.kernel()], axis=1)
+    pres = linalg.quotient_presentation([m] * cyc.shape[1], rel, m)
+    if not pres.orders:
+        return _zero_homology(cx, k)
+    lift = linalg.reduce_coords(cyc @ pres.lift, term.orders)
+    acts = []
+    for t in range(ring.rank):
+        y = in_cycles(linalg.reduce_coords(term.actions[t] @ lift, term.orders))
+        acts.append(linalg.reduce_coords(pres.proj @ y, pres.orders))
+    # cycles and boundaries are submodules, so H_k gets the induced action
+    h = FgModule(ring=ring, orders=pres.orders, actions=tuple(acts), label=f"H{k}")
+    return HomologyData(degree=k, module=h, lift=lift, _cycles=cyc, _proj=pres.proj, _term=term)
+
+
+def _term_contribution(self, name, k, pre, post, tgt_term, eq_cols):
+    """Rows (eq entries x block vars) of pre @ U_k @ post for this block."""
+    kind, s, t, size = self._block_info(name, k)
+    pre = as_matrix(pre, rows=tgt_term.ngens, cols=t.ngens)
+    post = as_matrix(post, rows=s.ngens, cols=eq_cols)
+    if kind == "generic":
+        return np.kron(post.T, pre) % self.m
+    rank = self.ring.rank
+    out = zeros(tgt_term.ngens * eq_cols, size)
+    for tt in range(rank):
+        # U columns (j, tt) equal act^tt @ T[:, j]; collect P_tt
+        p_t = post[tt::rank, :]                    # a x eq_cols
+        pre_a = (pre @ t.actions[tt]) % self.m
+        out = (out + np.kron(p_t.T, pre_a)) % self.m
+    return out
+
+
+def assemble(self):
+    """(offsets, total, matrix, row moduli, right side) of a MapSystem, zero rows kept."""
+    offsets, total = self._layout()
+    rows = []
+    moduli = []
+    rhs_rows = []
+    for name, (src, tgt, shift, degs) in self.families.items():
+        for k in degs:
+            kind, s, t, size = self._block_info(name, k)
+            if kind != "generic":
+                continue
+            block_rows, block_mods = _hom_constraint_rows(s, t)
+            if block_rows.shape[0]:
+                off = offsets[(name, k)][0]
+                wide = zeros(block_rows.shape[0], total)
+                wide[:, off : off + size] = block_rows
+                rows.append(wide)
+                moduli.extend(block_mods)
+                rhs_rows.append(zeros(block_rows.shape[0], 1))
+    for tgt_term, src_term, rhs, terms in self.equations:
+        post_restrict = None
+        eq_cols = src_term.ngens
+        if is_free_module(src_term) and self.ring.rank > 1:
+            # maps out of a free module agree iff they agree on generators
+            post_restrict = module_unit_columns(self.ring, src_term.ngens // self.ring.rank)
+            eq_cols = post_restrict.shape[1]
+        nr = tgt_term.ngens * eq_cols
+        if nr == 0:
+            continue
+        wide = zeros(nr, total)
+        for name, k, pre, post in terms:
+            if (name, k) not in offsets:
+                continue  # unknown block is identically zero there
+            src, tgt, shift, _ = self.families[name]
+            post = as_matrix(post, rows=src.term(k).ngens, cols=src_term.ngens)
+            if post_restrict is not None:
+                post = (post @ post_restrict) % self.m
+            off, size, kind = offsets[(name, k)]
+            contrib = _term_contribution(self, name, k, pre, post, tgt_term, eq_cols)
+            wide[:, off : off + size] = (wide[:, off : off + size] + contrib) % self.m
+        rows.append(wide)
+        moduli.extend(list(tgt_term.orders) * eq_cols)
+        rhs_used = rhs if post_restrict is None else (rhs @ post_restrict) % self.m
+        rhs_rows.append(rhs_used.T.reshape(-1, 1))
+    if rows:
+        big = np.concatenate(rows, axis=0)
+        rhs_full = np.concatenate(rhs_rows, axis=0)
+    else:
+        big = zeros(0, total)
+        rhs_full = zeros(0, 1)
+    return offsets, total, big, moduli, rhs_full

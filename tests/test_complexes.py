@@ -3,8 +3,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
+import smith_reference
 from factorization import direct_sum_complexes
 from ghostdim.complexes import (
     ChainMap,
@@ -30,10 +32,11 @@ from ghostdim.complexes import (
     zero_chain,
 )
 from ghostdim.errors import ModulusTooLarge, ParseError, ValidationError
-from ghostdim import modules
-from ghostdim.dimensions import module_pdim
+from ghostdim import complexes, linalg, modules
+from ghostdim.dimensions import module_pdim, standard_battery
 from ghostdim.ghosts import pdim_complex
 from ghostdim.modules import (
+    FgModule,
     ModuleMap,
     ProjectivityCertificate,
     free_module,
@@ -582,3 +585,82 @@ def test_homology_order_is_the_order_of_the_homology_module(name):
             assert homology_order(cx, k) == cx.homology_at(k).module.size
             checked += cx.homology_at(k).module.size > 1
     assert checked >= 5
+
+
+def _same_homology(got, want):
+    assert got.module.orders == want.module.orders
+    pairs = [(got.lift, want.lift), (got._cycles, want._cycles), (got._proj, want._proj),
+             *zip(got.module.actions, want.module.actions)]
+    assert len(got.module.actions) == len(want.module.actions)
+    for g, w in pairs:
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+def _random_hom(rng, src_orders, tgt_orders):
+    """A random group map Z/d_j -> Z/e_i: entry (i, j) a multiple of e_i / gcd(e_i, d_j)."""
+    e = np.array(tgt_orders, dtype=np.int64).reshape(-1, 1)
+    d = np.array(src_orders, dtype=np.int64).reshape(1, -1)
+    step = e // np.gcd(e, d)
+    return (rng.integers(0, 1 << 20, size=step.shape) * step) % e
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5, 7, 251, 4, 6, 12]))
+def test_homology_matches_the_s_based_reference(data, m):
+    """C_2 -> C_1 -> C_0 over Z/m, mixed orders over a composite m, empty
+    and one-generator terms included: every H_k equals the reference's."""
+    ring = zmod(m)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    divs = [d for d in range(2, m + 1) if m % d == 0]
+    orders = [tuple(int(rng.choice(divs)) for _ in range(data.draw(st.integers(0, 5))))
+              for _ in range(2)]
+    d1 = _random_hom(rng, orders[1], orders[0])
+    if data.draw(st.booleans()):
+        d1[rng.random(d1.shape) < 0.6] = 0
+    # C_2 free over Z/m, onto random combinations of the cycles of d_1
+    cyc = linalg.kernel_hetero(d1, orders[0], m)
+    n2 = data.draw(st.integers(0, 4))
+    d2 = linalg.reduce_coords(cyc @ rng.integers(0, m, size=(cyc.shape[1], n2)), orders[1])
+    terms = {k: FgModule(ring=ring, orders=o, actions=(np.eye(len(o), dtype=np.int64),))
+             for k, o in ((0, orders[0]), (1, orders[1]), (2, (m,) * n2)) if o}
+    cx = Complex(ring, 0, 2, terms, {1: d1, 2: d2})
+    cx.validate()
+    for k in (0, 1, 2):
+        _same_homology(complexes._homology_at(cx, k), smith_reference.homology_at(cx, k))
+
+
+@pytest.mark.parametrize("name", ["ut3:f2", "zmod:12"])
+def test_assembly_and_homology_match_the_dense_reference_on_a_battery(name, monkeypatch):
+    """Every MapSystem of the bound-4 battery and its pdim (null-homotopy and
+    chain-map systems) assembles to the np.kron reference with its zero rows
+    dropped, and every H_k formed equals the S-based reference's."""
+    systems = []
+    homologies = []
+    assemble, homology_at = complexes.MapSystem._assemble, complexes._homology_at
+
+    def checked_assemble(self):
+        got = assemble(self)
+        offsets, big, moduli, rhs, solvable = got
+        ref_offsets, total, ref_big, ref_moduli, ref_rhs = smith_reference.assemble(self)
+        live = ref_big.any(axis=1)
+        ref_moduli = np.asarray(ref_moduli, dtype=np.int64).reshape(-1)
+        assert offsets == ref_offsets and big.shape == (int(live.sum()), total)
+        assert big.dtype == ref_big.dtype and np.array_equal(big, ref_big[live])
+        assert np.array_equal(moduli, ref_moduli[live]) and np.array_equal(rhs, ref_rhs[live])
+        assert solvable == (not (ref_rhs[~live, 0] % ref_moduli[~live]).any())
+        systems.append(big.shape)
+        return got
+
+    def checked_homology_at(cx, k):
+        got = homology_at(cx, k)
+        _same_homology(got, smith_reference.homology_at(cx, k))
+        homologies.append(k)
+        return got
+
+    monkeypatch.setattr(complexes.MapSystem, "_assemble", checked_assemble)
+    monkeypatch.setattr(complexes, "_homology_at", checked_homology_at)
+    ring = helpers.named_ring(name)
+    members, _ = standard_battery(ring, 4, seed=0)
+    for mem in members:
+        pdim_complex(mem.cx, 4)
+    assert len(systems) >= 50 and len(homologies) >= 50

@@ -10,7 +10,6 @@ import smith_reference
 from ghostdim import linalg
 from ghostdim.errors import ModulusTooLarge
 from ghostdim.linalg import (
-    SmithSolver,
     enumerate_group,
     kernel_hetero,
     quotient_presentation,
@@ -26,11 +25,12 @@ small_modulus = st.integers(min_value=2, max_value=16)
 
 
 def solve_mod(a, b, m):
-    return SmithSolver(a, m).solve(b)
+    x = solve_hetero(a, np.asarray(b, dtype=np.int64).reshape(-1, 1), [m] * len(a), m)
+    return None if x is None else x[:, 0]
 
 
 def kernel_mod(a, m):
-    return SmithSolver(a, m).kernel()
+    return kernel_hetero(a, [m] * len(a), m)
 
 
 def random_matrix(data, m, max_dim=4):
@@ -63,7 +63,7 @@ def test_xgcd(a, b):
 @given(st.data(), small_modulus)
 def test_smith_decomposition_identities(data, m):
     a = sparse_matrix(data, m, 12, 16)
-    dec = smith_mod(a, m, "all")
+    dec = smith_mod(a, m, "all", None)
     r, c = a.shape
     # D = S A T and S S^-1 = I, all mod m
     d = np.zeros((r, c), dtype=np.int64)
@@ -73,30 +73,43 @@ def test_smith_decomposition_identities(data, m):
     assert np.array_equal((dec.s @ dec.s_inv) % m, np.eye(r, dtype=np.int64) % m)
     assert np.array_equal((dec.s_inv @ dec.s) % m, np.eye(r, dtype=np.int64) % m)
     # reading less forms less, on the same diagonal
-    for reads, unread in (("solve", ("s_inv",)), ("diag", ("s", "s_inv", "t"))):
-        less = smith_mod(a, m, reads)
-        assert np.array_equal(less.diag, dec.diag), reads
-        for field in ("s", "s_inv", "t"):
-            if field in unread:
-                assert getattr(less, field) is None, (reads, field)
-            else:
-                assert np.array_equal(getattr(less, field), getattr(dec, field)), (reads, field)
+    diag = smith_mod(a, m, "diag", None)
+    assert np.array_equal(diag.diag, dec.diag)
+    assert diag.s is None and diag.s_inv is None and diag.t is None
+    # a solve carries B along the row operations in place of forming S: it
+    # ends as S B; T is formed on the composite path only
+    b = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, m, size=(r, 3))
+    solve = smith_mod(a, m, "solve", b)
+    assert np.array_equal(solve.diag, dec.diag)
+    assert solve.s is None and solve.s_inv is None
+    assert np.array_equal(solve.rhs, (dec.s @ b) % m)
+    if solve.pivots is None:
+        assert np.array_equal(solve.t, dec.t)
+    else:
+        assert solve.t is None
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.sampled_from([2, 3, 5, 7, 251]), st.sampled_from(linalg.READS))
 def test_smith_prime_is_bit_identical_to_the_reference(data, m, reads):
+    """A solve forms neither S nor T: its right-hand sides end as the
+    reference's S B, and its kernel is the reference's last columns of T."""
     a = sparse_matrix(data, m, 40, 60)
-    got = linalg._smith_prime(a, m, reads)
+    b = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, m, size=(a.shape[0], 2))
+    got = linalg._smith_prime(a, m, reads, b.copy() if reads == "solve" else None)
     want = smith_reference._smith_prime(a, m, reads == "all")
     assert (got.m, got.shape, got.pivots) == (want.m, want.shape, want.pivots)
     for field in ("diag", "s", "s_inv", "t"):
         g, w = getattr(got, field), getattr(want, field)
-        if w is None or (reads == "diag" and field != "diag"):
+        if w is None or (reads != "all" and field != "diag"):
             assert g is None, field
             continue
         assert g.dtype == w.dtype and g.shape == w.shape, field
         assert np.array_equal(g, w), field
+    if reads == "solve":
+        assert np.array_equal(got.rhs, (want.s @ b) % m)
+        null = got.kernel()
+        assert null.dtype == want.t.dtype and np.array_equal(null, want.t[:, len(want.pivots):])
 
 
 @lru_cache(maxsize=None)
@@ -269,7 +282,7 @@ def test_kernel_hetero_inclusion_kernel():
 
 def test_empty_shapes():
     m = 4
-    assert smith_mod(np.zeros((0, 0)), m, "diag").diag.size == 0
+    assert smith_mod(np.zeros((0, 0)), m, "diag", None).diag.size == 0
     assert kernel_mod(np.zeros((0, 3)), m).shape == (3, 3)  # no equations: everything
     assert solve_mod(np.zeros((0, 2)), np.zeros((0,)), m) is not None
     q = quotient_presentation((), np.zeros((0, 0)), m)
@@ -277,11 +290,68 @@ def test_empty_shapes():
 
 
 def test_solver_reuse():
+    """Every right-hand side of a composite system is solved, one at a time
+    and all at once, and the batch solves each column as a single solve does."""
     m = 6
     a = np.array([[2, 3], [0, 3]], dtype=np.int64)
-    solver = SmithSolver(a, m)
-    for x in enumerate_group([6, 6]):
-        b = (a @ x) % m
-        got = solver.solve(b)
+    bs = np.stack([(a @ x) % m for x in enumerate_group([6, 6])], axis=1)
+    for j in range(bs.shape[1]):
+        got = solve_hetero(a, bs[:, j:j + 1], [m, m], m)
         assert got is not None
-        assert np.array_equal((a @ got) % m, b)
+        assert np.array_equal((a @ got[:, 0]) % m, bs[:, j])
+        assert np.array_equal(got, smith_reference.solve_hetero(a, bs[:, j:j + 1], [m, m], m))
+    batch = solve_hetero(a, bs, [m, m], m)
+    assert np.array_equal((a @ batch) % m, bs)
+    assert np.array_equal(batch, np.concatenate(
+        [solve_hetero(a, bs[:, j:j + 1], [m, m], m) for j in range(bs.shape[1])], axis=1))
+
+
+PRIMES = (2, 3, 5, 7, 251)
+COMPOSITES = (4, 6, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(PRIMES + COMPOSITES))
+def test_solve_and_kernel_match_the_s_based_reference(data, m):
+    """Empty, one-row, unsolvable and mixed-order systems included."""
+    prime = m in PRIMES
+    a = sparse_matrix(data, m, *((40, 60) if prime else (12, 16)))
+    rows, cols = a.shape
+    if prime:
+        orders = [m] * rows
+    else:
+        orders = [data.draw(st.sampled_from([d for d in divisors(m) if d > 1])) for _ in range(rows)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    nb = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        b = a @ rng.integers(0, m, size=(cols, nb))          # solvable
+    else:
+        b = rng.integers(0, m, size=(rows, nb))               # mostly not, past the rank
+    b = linalg.reduce_coords(b, orders)
+    got = solve_hetero(a, b, orders, m)
+    want = smith_reference.solve_hetero(a, b, orders, m)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    got = kernel_hetero(a, orders, m)
+    want = smith_reference.kernel_hetero(a, orders, m)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_solve_and_kernel_of_a_tall_system_form_no_square_matrix():
+    """A dense r x r S of a 6 000-row system would take 288 MB."""
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    a = (rng.random((6000, 4)) < 0.5).astype(np.int64)
+    b = a @ np.array([[1], [0], [1], [1]]) % 2
+    tracemalloc.start()
+    try:
+        x = solve_hetero(a, b, [2] * 6000, 2)
+        k = kernel_hetero(a, [2] * 6000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x is not None and np.array_equal((a @ x) % 2, b)
+    assert not ((a @ k) % 2).any()
+    assert peak < 20 * 2**20, peak
