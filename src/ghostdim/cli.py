@@ -3,7 +3,8 @@
 Reports are deterministic: the same (ring, command, bound, seed, window)
 produces byte-identical JSON.  Exit codes: 0 for PASS / computed values,
 1 for a verification FAIL, 2 for errors.  FAIL reports embed replayable
-counterexamples.
+counterexamples.  Every error, bad input or running out of memory, ends in
+one place (_Main.invoke): one `error:` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -119,7 +120,18 @@ def parse_window(text):
     return (lo, hi)
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (GhostdimError, json.JSONDecodeError) as exc:
+            click.echo(f"error: {exc}", err=True)
+        except MemoryError as exc:
+            click.echo(f"error: out of memory: {exc}", err=True)
+        sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Homological dimension calculator for derived categories of finite rings."""
 
@@ -140,12 +152,7 @@ def ring_list(output):
 @click.option("--ring", "selector", required=True)
 @click.option("--output", type=click.Choice(["text", "json"]), default="text")
 def ring_describe(selector, output):
-    try:
-        r = resolve_ring(selector)
-    except GhostdimError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    emit(r.describe(), output)
+    emit(resolve_ring(selector).describe(), output)
 
 
 @main.command("dim")
@@ -156,18 +163,14 @@ def ring_describe(selector, output):
 @click.option("--output", type=click.Choice(["text", "json"]), default="text")
 def dim_command(quantity, selector, bound, seed, output):
     """Compute a ring-level dimension."""
-    try:
-        r = resolve_ring(selector)
-        if quantity in ("wdim", "gldim"):
-            # a finite ring is noetherian on both sides, where gldim = wdim (Auslander)
-            verdict, witnesses = wdim_ring(r, bound)
-        else:
-            verdict, witnesses = ghdim_ring(r, bound, seed=seed)
-        rep = DimReport(ring=r.name, quantity=quantity, verdict=verdict,
-                        bound=bound, seed=seed, witnesses=witnesses)
-    except GhostdimError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    r = resolve_ring(selector)
+    if quantity in ("wdim", "gldim"):
+        # a finite ring is noetherian on both sides, where gldim = wdim (Auslander)
+        verdict, witnesses = wdim_ring(r, bound)
+    else:
+        verdict, witnesses = ghdim_ring(r, bound, seed=seed)
+    rep = DimReport(ring=r.name, quantity=quantity, verdict=verdict,
+                    bound=bound, seed=seed, witnesses=witnesses)
     emit(rep.to_json(), output)
 
 
@@ -179,18 +182,14 @@ def dim_command(quantity, selector, bound, seed, output):
 @click.option("--output", type=click.Choice(["text", "json"]), default="text")
 def complex_command(quantity, path, bound, window, output):
     """Compute the projective or flat dimension of a serialized complex."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        cx = complex_from_dict(data)
-        win = parse_window(window)
-        if quantity == "pdim":
-            verdict = pdim_complex(cx, bound)
-        else:
-            verdict = fdim_via_ss(cx, bound, window=win)
-    except (GhostdimError, json.JSONDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    with open(path) as fh:
+        data = json.load(fh)
+    cx = complex_from_dict(data)
+    win = parse_window(window)
+    if quantity == "pdim":
+        verdict = pdim_complex(cx, bound)
+    else:
+        verdict = fdim_via_ss(cx, bound, window=win)
     emit({"file": os.path.basename(path), "quantity": quantity, "bound": bound,
           "value": verdict.render(), "verdict": verdict.to_json()}, output)
 
@@ -381,12 +380,7 @@ _SUITES = {
 @click.option("--output", type=click.Choice(["text", "json"]), default="text")
 def verify_command(suite, selector, bound, seed, output):
     """Run a theorem-verification suite against one ring."""
-    try:
-        r = resolve_ring(selector)
-        ok, report = _SUITES[suite](r, bound, seed)
-    except GhostdimError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    ok, report = _SUITES[suite](resolve_ring(selector), bound, seed)
     report["result"] = "PASS" if ok else "FAIL"
     emit(report, output, exit_code=0 if ok else 1)
 
@@ -396,20 +390,19 @@ def verify_command(suite, selector, bound, seed, output):
 @click.option("--output", type=click.Choice(["text", "json"]), default="text")
 def replay_command(path, output):
     """Re-run the checks recorded in a FAIL report or counterexample file."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ParseError("a replay file must hold a JSON object")
+    ces = data.get("counterexamples", [data] if "kind" in data else [])
+    if not isinstance(ces, list) or not all(isinstance(ce, dict) for ce in ces):
+        raise ParseError("'counterexamples' must be a list of objects")
+    if not ces:
+        raise ParseError("no counterexamples found in file")
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ParseError("a replay file must hold a JSON object")
-        ces = data.get("counterexamples", [data] if "kind" in data else [])
-        if not isinstance(ces, list) or not all(isinstance(ce, dict) for ce in ces):
-            raise ParseError("'counterexamples' must be a list of objects")
-        if not ces:
-            raise ParseError("no counterexamples found in file")
         results = [_replay_one(ce) for ce in ces]
-    except (GhostdimError, json.JSONDecodeError, KeyError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    except KeyError as exc:
+        raise ParseError(f"counterexample missing field {exc}") from None
     ok = all(res["pass"] for res in results)
     emit({"replayed": results, "result": "PASS" if ok else "FAIL"}, output,
          exit_code=0 if ok else 1)

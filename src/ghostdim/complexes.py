@@ -16,7 +16,8 @@ Sign conventions (fixed once, used everywhere):
 
 All homotopy questions (nullity, chain-map solving, factorizations through
 cones) are linear systems over the base arithmetic and go through
-:class:`MapSystem`.
+:class:`MapSystem`, which poses each one as sparse triples on the one
+system builder, linalg.Congruences.
 
 Complex, ChainMap and Homotopy follow the validation policy of
 :mod:`ghostdim.modules`: constructors only build, and validate() checks in
@@ -61,11 +62,12 @@ from .modules import (
     ModuleMap,
     ProjectivityCertificate,
     _cover,
-    _hom_constraint_rows,
     _kept,
     _reduce_mixed_generators,
     _syzygy,
+    free_map,
     free_module,
+    hom_congruences,
     is_free_module,
     is_projective,
     make_module,
@@ -526,65 +528,25 @@ class MapSystem:
                 total += size
         return offsets, total
 
-    def _scatter(self, wide, off, name, k, pre, post):
-        """Add pre @ U_k @ post into wide, the equation block's rows, from the nonzeros.
-
-        Entry (a, b) of an equation is row b * pre.rows + a, and the unknown
-        U_k[i, j] is column off + j * t.ngens + i, so the term is kron(post.T,
-        pre) (the column-major vectorization) placed at off: one product per
-        pair of nonzeros.  A map out of a free module is unknown only on
-        module generators, U[:, (j, tt)] = A^tt T[:, j], so there it is the
-        sum over tt of kron(post[tt::rank].T, pre A^tt).  Each product is a
-        residue, and the caller reduces the sums once per block.
-        """
-        kind, s, t, size = self._block_info(name, k)
-        m = self.m
-        if kind == "generic":
-            pieces = [(pre, post)]
-        else:
-            rank = self.ring.rank
-            pieces = [((pre @ t.actions[tt]) % m, post[tt::rank]) for tt in range(rank)]
-        for left, right in pieces:
-            a, i = left.nonzero()
-            j, b = right.nonzero()
-            rows = (b[:, None] * left.shape[0] + a).ravel()
-            cols = (off + j[:, None] * t.ngens + i).ravel()
-            wide[rows, cols] += (np.multiply.outer(right[j, b], left[a, i]) % m).ravel()
-
     def _assemble(self):
         """(offsets, matrix, row moduli, right side, solvable), zero rows dropped.
 
-        An all-zero row 0 = b_i (mod e_i) constrains nothing when b_i is
-        zero there, and refutes the system otherwise: solvable is False.
+        Entry (a, b) of an equation is row b * pre.rows + a of its block, and
+        the unknown U_k[i, j] is column off + j * t.ngens + i, so a term
+        pre @ U_k @ post adds the triples of kron(post.T, pre) (the
+        column-major vectorization) at off.  A map out of a free module is
+        unknown only on module generators, U[:, (j, tt)] = A^tt T[:, j], so
+        there it is the sum over tt of kron(post[tt::rank].T, pre A^tt).
+        linalg.Congruences sums the triples and drops the zero rows: one
+        with a nonzero right side makes solvable False.
         """
         offsets, total = self._layout()
-        rows = []
-        moduli = []
-        rhs_rows = []
-        solvable = True
-
-        def add_rows(wide, mods, rhs_col):
-            nonlocal solvable
-            live = wide.any(axis=1)
-            mods = np.asarray(mods, dtype=np.int64)
-            if not live.all():
-                solvable = solvable and not (rhs_col[~live, 0] % mods[~live]).any()
-                wide, mods, rhs_col = wide[live], mods[live], rhs_col[live]
-            rows.append(wide)
-            moduli.append(mods)
-            rhs_rows.append(rhs_col)
-
-        for name, (src, tgt, shift, degs) in self.families.items():
-            for k in degs:
-                kind, s, t, size = self._block_info(name, k)
-                if kind != "generic":
-                    continue
-                block_rows, block_mods = _hom_constraint_rows(s, t)
-                if block_rows.shape[0]:
-                    off = offsets[(name, k)][0]
-                    wide = zeros(block_rows.shape[0], total)
-                    wide[:, off : off + size] = block_rows
-                    add_rows(wide, block_mods, zeros(block_rows.shape[0], 1))
+        m = self.m
+        eqs = linalg.Congruences(total, m)
+        for (name, k), (off, size, kind) in offsets.items():
+            if kind == "generic":
+                _, s, t, _ = self._block_info(name, k)
+                hom_congruences(eqs, s, t, off)
         for tgt_term, src_term, rhs, terms in self.equations:
             post_restrict = None
             eq_cols = src_term.ngens
@@ -592,30 +554,28 @@ class MapSystem:
                 # maps out of a free module agree iff they agree on generators
                 post_restrict = module_unit_columns(self.ring, src_term.ngens // self.ring.rank)
                 eq_cols = post_restrict.shape[1]
-            nr = tgt_term.ngens * eq_cols
-            if nr == 0:
+            if tgt_term.ngens * eq_cols == 0:
                 continue
-            wide = zeros(nr, total)
+            rhs_used = rhs if post_restrict is None else (rhs @ post_restrict) % m
+            eqs.block(np.tile(tgt_term.orders, eq_cols), rhs_used.T)
             for name, k, pre, post in terms:
                 if (name, k) not in offsets:
                     continue  # unknown block is identically zero there
+                off, _, kind = offsets[(name, k)]
                 src, tgt, shift, _ = self.families[name]
-                pre = as_matrix(pre, rows=tgt_term.ngens, cols=tgt.term(k + shift).ngens) % self.m
+                t = tgt.term(k + shift)
+                pre = as_matrix(pre, rows=tgt_term.ngens, cols=t.ngens) % m
                 post = as_matrix(post, rows=src.term(k).ngens, cols=src_term.ngens)
-                if post_restrict is not None:
-                    post = post @ post_restrict
-                self._scatter(wide, offsets[(name, k)][0], name, k, pre, post % self.m)
-            wide %= self.m
-            rhs_used = rhs if post_restrict is None else (rhs @ post_restrict) % self.m
-            add_rows(wide, list(tgt_term.orders) * eq_cols, rhs_used.T.reshape(-1, 1))
-        if rows:
-            big = np.concatenate(rows, axis=0)
-            rhs_full = np.concatenate(rhs_rows, axis=0)
-            moduli = np.concatenate(moduli)
-        else:
-            big = zeros(0, total)
-            rhs_full = zeros(0, 1)
-        return offsets, big, moduli, rhs_full, solvable
+                post = (post if post_restrict is None else post @ post_restrict) % m
+                if kind == "generic":
+                    pieces = [(pre, post)]
+                else:
+                    rank = self.ring.rank
+                    pieces = [((pre @ t.actions[tt]) % m, post[tt::rank]) for tt in range(rank)]
+                for left, right in pieces:
+                    rows, cols, vals = linalg.kron_nonzeros(right.T, left)
+                    eqs.add(rows, off + cols, vals)
+        return (offsets, *eqs.matrix())
 
     def solve(self):
         """One solution as {family: {k: matrix}}, or None."""
@@ -639,16 +599,9 @@ class MapSystem:
         for (name, k), (off, size, kind) in offsets.items():
             _, s, t, _ = self._block_info(name, k)
             if kind == "generic":
-                block = flat[off : off + size].reshape(s.ngens, t.ngens).T
+                result[name][k] = flat[off : off + size].reshape(s.ngens, t.ngens).T
             else:
-                rank = self.ring.rank
-                a = s.ngens // rank
-                targets = flat[off : off + size].reshape(a, t.ngens).T
-                block = zeros(t.ngens, s.ngens)
-                for j in range(a):
-                    for tt in range(rank):
-                        block[:, j * rank + tt] = (t.actions[tt] @ targets[:, j]) % self.m
-            result[name][k] = block
+                result[name][k] = free_map(s, t, flat[off : off + size].reshape(-1, t.ngens).T).mat
         return result
 
 

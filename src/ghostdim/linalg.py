@@ -25,6 +25,9 @@ kernel is e_j - C[:, j] over the non-pivot columns j.  Only quotient
 presentations and generating-set reduction, which read S and S^-1, form
 the r x r matrices.
 
+Every system matrix of the package is built by Congruences, from (row,
+col, value) triples such as kron_nonzeros gives for a Kronecker product.
+
 Entries are kept reduced into [0, m) and all arithmetic is exact int64.
 That is exact only while every sum of products of residues fits, so the
 kernel checks its bound (check_exact) and refuses a larger modulus with
@@ -204,6 +207,16 @@ def check_exact(m, terms):
             f"(needs {terms} * m**2 <= 2**63 - 1)")
 
 
+def sum_by_key(keys, vals):
+    """The sorted distinct keys and the exact sum of vals at each."""
+    if keys.size == 0:
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[start], np.add.reduceat(vals[order], start)
+
+
 def sparse_product_sum(terms):
     """Sum the products x[p] @ y[q] of stacked matrices, at a cost set by their nonzeros.
 
@@ -226,13 +239,60 @@ def sparse_product_sum(terms):
         py = np.arange(px.size) - np.repeat(np.cumsum(count) - count - first, count)
         keys.append(((p[px] * y.shape[0] + q[py]) * x.shape[1] + i[px]) * y.shape[2] + k[py])
         vals.append(x[p, i, j][px] * y[q, yj, k][py])
-    keys = np.concatenate(keys)
-    if keys.size == 0:
-        return keys, keys
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[start], np.add.reduceat(np.concatenate(vals)[order], start)
+    return sum_by_key(np.concatenate(keys), np.concatenate(vals))
+
+
+def kron_nonzeros(x, y):
+    """The (row, col, value) triples of the nonzeros of kron(x, y), one per
+    pair of nonzeros of x and y."""
+    a, b = x.nonzero()
+    c, d = y.nonzero()
+    rows = (a[:, None] * y.shape[0] + c).ravel()
+    cols = (b[:, None] * y.shape[1] + d).ravel()
+    return rows, cols, np.multiply.outer(x[a, b], y[c, d]).ravel()
+
+
+class Congruences:
+    """Congruences mod m in ncols unknowns, posed block by block as sparse triples.
+
+    block(row_orders, rhs) opens a block of rows (row i a congruence mod
+    row_orders[i] with right side rhs[i]), and add(rows, cols, vals) adds
+    entries to it, rows counted from its first row.  matrix() sums the
+    entries and reduces them mod m before it allocates the dense matrix of
+    the rows left nonzero, once.  A zero row refutes the system iff its
+    right side is nonzero.
+    """
+
+    def __init__(self, ncols, m):
+        self.ncols, self.m = ncols, m
+        self.nrows = self.first = 0
+        self.orders, self.rhs, self.keys, self.vals = [], [], [], []
+
+    def block(self, row_orders, rhs):
+        self.first = self.nrows
+        self.nrows += len(row_orders)
+        self.orders.append(np.asarray(row_orders, dtype=np.int64))
+        self.rhs.append(np.asarray(rhs, dtype=np.int64).reshape(-1))
+
+    def add(self, rows, cols, vals):
+        self.keys.append((self.first + rows) * self.ncols + cols)
+        self.vals.append(vals % self.m)
+
+    def matrix(self):
+        """(matrix, row orders, right side as one column, solvable), zero rows dropped."""
+        keys, sums = sum_by_key(_concat(self.keys), _concat(self.vals))
+        sums %= self.m
+        nonzero = sums != 0
+        rows, cols = np.divmod(keys[nonzero], self.ncols)
+        live = np.bincount(rows, minlength=self.nrows) > 0
+        orders, rhs = _concat(self.orders), _concat(self.rhs)
+        a = zeros(int(live.sum()), self.ncols)
+        a[(np.cumsum(live) - 1)[rows], cols] = sums[nonzero]
+        return a, orders[live], rhs[live, None], not (rhs[~live] % orders[~live]).any()
+
+
+def _concat(parts):
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def factorize(n):
@@ -522,12 +582,18 @@ def reduce_coords(v, orders):
 
 
 def scale_rows(a, row_orders, m):
-    """Embed row congruences mod e_i into congruences mod m."""
+    """Embed row congruences mod e_i into congruences mod m.
+
+    Rows mod m already come back unreduced and uncopied: smith_mod reduces
+    into an array of its own, so a solve copies such a system once, not twice.
+    """
     a = as_matrix(a, rows=len(row_orders))
-    if a.shape[0] == 0:
-        return a % m
     factors = np.array([m // e for e in row_orders], dtype=np.int64)
-    return (a * factors[:, None]) % m
+    if (factors == 1).all():
+        return a
+    out = a * factors[:, None]
+    out %= m
+    return out
 
 
 def eliminate(a, b, row_orders, m):

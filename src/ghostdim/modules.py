@@ -210,40 +210,34 @@ class ModuleMap:
 # Hom spaces
 # ---------------------------------------------------------------------------
 
-def _hom_constraint_rows(src, tgt):
-    """Rows (matrix, row_orders) cutting out Hom(src, tgt) inside all matrices.
+def hom_congruences(eqs, src, tgt, off):
+    """Pose on eqs (a linalg.Congruences) the rows cutting Hom(src, tgt) out of
+    all tgt.ngens x src.ngens matrices U, entry U[i, j] being unknown
+    off + j * tgt.ngens + i (column-major).
 
-    Unknowns are the entries of a tgt.ngens x src.ngens matrix, vectorized
-    column-major.  Returns (rows, moduli); rows may be empty.
+    Well-definedness is d_j U[i, j] = 0 (mod e_i) wherever the target order
+    e_i does not divide the source order d_j.  Over a ring of rank > 1,
+    equivariance is U A_t - A'_t U = 0 for each t, which on vec(U) is
+    kron(A_t^T, I) - kron(I, A'_t).
     """
-    m = src.ring.modulus
     ns, nt = src.ngens, tgt.ngens
-    nvar = ns * nt
-    blocks = []
-    moduli = []
-    # well-definedness rows, one per entry whose source order is not killed
-    wd_rows = []
-    wd_mods = []
-    for j, dj in enumerate(src.orders):
-        for i, ei in enumerate(tgt.orders):
-            if dj % ei:
-                row = zeros(1, nvar)
-                row[0, j * nt + i] = dj
-                wd_rows.append(row)
-                wd_mods.append(ei)
-    if wd_rows:
-        blocks.append(np.concatenate(wd_rows, axis=0))
-        moduli.extend(wd_mods)
-    if src.ring.rank > 1:
-        ident_t = eye(nt)
-        for t in range(src.ring.rank):
-            # U @ actS - actT @ U = 0, vectorized column-major
-            block = (np.kron(src.actions[t].T, ident_t) - np.kron(eye(ns), tgt.actions[t])) % m
-            blocks.append(block)
-            moduli.extend(list(tgt.orders) * ns)
-    if not blocks:
-        return zeros(0, nvar), []
-    return np.concatenate(blocks, axis=0), moduli
+    d = np.asarray(src.orders, dtype=np.int64)
+    e = np.asarray(tgt.orders, dtype=np.int64)
+    j, i = np.nonzero(d[:, None] % e[None, :])
+    if j.size:
+        eqs.block(e[i], zeros(j.size, 1))
+        eqs.add(np.arange(j.size), off + j * nt + i, d[j])
+    rank = src.ring.rank
+    if rank > 1:
+        # One block for all t, row t * ns * nt + j * nt + i.  Stacked over t,
+        # kron(A_t^T, I) is the kron of the stacked A_t^T, and kron(I, A'_t)
+        # is kron(I, stacked A'_t) with its rows reordered.
+        eqs.block(np.tile(e, rank * ns), zeros(rank * ns * nt, 1))
+        rows, cols, vals = linalg.kron_nonzeros(np.concatenate([a.T for a in src.actions]), eye(nt))
+        eqs.add(rows, off + cols, vals)
+        rows, cols, vals = linalg.kron_nonzeros(eye(ns), np.concatenate(tgt.actions))
+        j, t, i = rows // (rank * nt), rows // nt % rank, rows % nt      # row (j, t, i) of that kron
+        eqs.add((t * ns + j) * nt + i, off + cols, -vals)
 
 
 def hom_generators(src, tgt):
@@ -258,7 +252,9 @@ def hom_generators(src, tgt):
     ns, nt = src.ngens, tgt.ngens
     if ns == 0 or nt == 0:
         return []
-    rows, moduli = _hom_constraint_rows(src, tgt)
+    eqs = linalg.Congruences(ns * nt, m)
+    hom_congruences(eqs, src, tgt, 0)
+    rows, moduli, _, _ = eqs.matrix()
     sols = linalg.kernel_hetero(rows, moduli, m)
     sols = linalg.reduce_generators(sols, m)
     out = []
@@ -475,14 +471,9 @@ def free_map(free_src, tgt, targets):
     free_src must come from free_module; there is exactly one such map, and
     its column (j, t) is targets[:, j] . b_t, equivariant by tgt's axioms.
     """
-    ring = tgt.ring
-    targets = as_matrix(targets, rows=tgt.ngens)
-    r = free_rank(free_src)
-    mat = zeros(tgt.ngens, free_src.ngens)
-    for j in range(r):
-        for t in range(ring.rank):
-            mat[:, j * ring.rank + t] = (tgt.actions[t] @ targets[:, j]) % ring.modulus
-    return ModuleMap(free_src, tgt, mat)
+    targets = as_matrix(targets, rows=tgt.ngens, cols=free_rank(free_src))
+    moved = np.stack(tgt.actions) @ targets                  # [t, :, j] = A^t targets[:, j]
+    return ModuleMap(free_src, tgt, moved.transpose(1, 2, 0).reshape(tgt.ngens, free_src.ngens))
 
 
 def minimal_generators(module):
@@ -553,44 +544,43 @@ def free_cover(module):
 def split_surjection(pi):
     """A section s with pi . s = id exactly, or None.
 
-    Sections M -> R^g are found through Hom(M, R)^g: a generating set of
-    Hom(M, R) is computed once and the section is a combination of copies,
-    which keeps the linear system small over high-rank algebras.
+    Sections M -> R^g are found through Hom(M, R)^g: a generating set
+    phi_1, ..., phi_L of Hom(M, R) is computed once and the section is a
+    combination s = sum c[i, l] inj_i . phi_l of copies, which keeps the
+    linear system small over high-rank algebras.  pi . s and id are module
+    maps, so they agree once they agree on gens, the images under pi of
+    the free generators, which generate M when pi is onto: the unknowns
+    c[i, l] solve sum c[i, l] pi[:, copy i] . phi_l . gens = gens.
     """
     module = pi.tgt
     f = pi.src
     ring = module.ring
     m = ring.modulus
-    if module.ngens == 0:
+    n = module.ngens
+    if n == 0:
         return ModuleMap(module, f, zeros(f.ngens, 0))
-    regular = free_module(ring, 1)
-    g = f.ngens // regular.ngens
-    homs = hom_generators(module, regular)
+    homs = hom_generators(module, free_module(ring, 1))
     if not homs:
         return None
-    # unknown coefficients c[i, l]: s = sum c[i, l] inj_i . homs[l]
-    cols = []
-    pieces = []
-    for i in range(g):
-        for phi in homs:
-            smat = zeros(f.ngens, module.ngens)
-            smat[i * regular.ngens:(i + 1) * regular.ngens] = phi.mat
-            pieces.append(smat)
-            cols.append((pi.mat @ smat).T.reshape(-1))
-    a = np.stack(cols, axis=1) % m
-    rhs = eye(module.ngens).T.reshape(-1, 1)
-    moduli = list(module.orders) * module.ngens
-    sol = linalg.solve_hetero(a, rhs, moduli, m)
+    g, rank, nh = f.ngens // ring.rank, ring.rank, len(homs)
+    gens = (pi.mat @ module_unit_columns(ring, g)) % m                 # n x g
+    phis = np.stack([phi.mat for phi in homs])                         # nh x rank x n
+    # Entry (a, b) of pi[:, copy i] . phi_l . gens has key ((i nh + l) n + a) g + b;
+    # it is row b n + a (column-major) of column i nh + l.
+    keys, vals = linalg.sparse_product_sum([(pi.mat.reshape(n, g, rank).transpose(1, 0, 2),
+                                             (phis @ gens) % m)])
+    col, a, b = keys // (n * g), keys // g % n, keys % g
+    eqs = linalg.Congruences(g * nh, m)
+    eqs.block(np.tile(module.orders, g), gens.T)
+    eqs.add(b * n + a, col, vals)
+    mat, moduli, rhs, solvable = eqs.matrix()
+    sol = linalg.solve_hetero(mat, rhs, moduli, m) if solvable else None
     if sol is None:
         return None
-    # a combination of the module maps inj_i . homs[l]
-    smat = zeros(f.ngens, module.ngens)
-    for coeff, piece in zip(sol[:, 0], pieces):
-        if coeff:
-            smat = smat + int(coeff) * piece
+    smat = (sol[:, 0].reshape(g, nh) @ phis.reshape(nh, rank * n)).reshape(f.ngens, n)
     sec = ModuleMap(module, f, smat)
     comp = pi @ sec
-    if not np.array_equal(comp.mat, linalg.reduce_coords(eye(module.ngens), module.orders)):
+    if not np.array_equal(comp.mat, linalg.reduce_coords(eye(n), module.orders)):
         raise ValidationError("section failed verification")
     return sec
 
@@ -807,24 +797,18 @@ def tensor_modules(right, left):
     # gcd(d_i, e_j), row-major pairs (i, j)
     pair_orders = tuple(int(np.gcd(d, e)) for d in right.orders for e in left.orders)
     npair = ni * nj
-    rels = []
+    rel_mat = zeros(npair, 0)
     if ring.rank > 1:
-        for t in range(ring.rank):
-            am = right.actions[t]          # action of b_t on the right module
-            an = left.actions[t]           # right action of b_t in R^op = left action of b_t
-            for i in range(ni):
-                for j in range(nj):
-                    vec = np.zeros(npair, dtype=np.int64)
-                    for k in range(ni):
-                        if am[k, i]:
-                            vec[k * nj + j] += am[k, i]
-                    for l in range(nj):
-                        if an[l, j]:
-                            vec[i * nj + l] -= an[l, j]
-                    if vec.any():
-                        rels.append(vec % m)
-    rel_mat = np.stack(rels, axis=1) if rels else zeros(npair, 0)
-    rel_mat = linalg.reduce_coords(rel_mat, pair_orders) if npair else rel_mat
+        # The balanced relations (m . b_t) (x) n - m (x) (b_t . n): the nonzero
+        # columns of kron(A_t, I) - kron(I, A'_t), column (i, j) of t posed as
+        # row t * npair + i * nj + j; stacked over t as in hom_congruences.
+        rels = linalg.Congruences(npair, m)
+        rels.block(np.full(ring.rank * npair, m), zeros(ring.rank * npair, 1))
+        rels.add(*linalg.kron_nonzeros(np.concatenate([a.T for a in right.actions]), eye(nj)))
+        rows, cols, vals = linalg.kron_nonzeros(eye(ni), np.concatenate([a.T for a in left.actions]))
+        i, t, j = rows // (ring.rank * nj), rows // nj % ring.rank, rows % nj   # row (i, t, j) of that kron
+        rels.add((t * ni + i) * nj + j, cols, -vals)
+        rel_mat = linalg.reduce_coords(rels.matrix()[0].T, pair_orders)
     pres = linalg.quotient_presentation(pair_orders, rel_mat, m)
     # a group over the base ring Z/m: the identity action makes it a module
     mod = FgModule(

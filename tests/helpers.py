@@ -7,7 +7,8 @@ also builds zmod:12 and ut2:f3, the test rings that are not builtins.
 `induced_map` and `image_subgroup_order` are the homology-module helpers
 that the package used before its tower-free filtration read orders only.
 `criterion_6_pairs` lists the pairs that acceptance criterion 6 compares;
-tools/bench_timings.py times the same pairs.
+tools/bench_timings.py times the same pairs.  `radical_square_zero_spec`
+builds the ring specs committed under tests/rings.
 """
 
 import itertools
@@ -182,10 +183,38 @@ def brute_null_homotopy_exists(f):
 
 
 def named_ring(name):
-    """A builtin ring, or zmod:12 or ut2:f3 (see _ut2_f3)."""
+    """A builtin ring, zmod:12, ut2:f3 (see _ut2_f3), or a<n>rad2:f2 (see
+    radical_square_zero_spec)."""
     if name == "ut2:f3":
         return _ut2_f3()
+    if name.endswith("rad2:f2"):
+        return make_ring(ring_spec_from_dict(radical_square_zero_spec(int(name[1:-7]))))
     return zmod(12) if name == "zmod:12" else builtin_ring(name)
+
+
+def radical_square_zero_spec(n):
+    """The F_2 ring spec of A_n/rad^2, named a<n>rad2:f2: the linear quiver
+    1 -> ... -> n with every path of length 2 set to zero.
+
+    The basis is e_1, ..., e_n and then the arrows v -> v + 1, so dim = 2n - 1.
+    Products concatenate paths ("first this one, then that one"), as in the
+    builtin a<n>:f2, and a product of two arrows is zero.  A Nakayama algebra
+    of global dimension n - 1; the simple at v is 1 on e_v and 0 elsewhere.
+    """
+    paths = [(v, v) for v in range(n)] + [(v, v + 1) for v in range(n - 1)]
+    index = {pth: t for t, pth in enumerate(paths)}
+    dim = len(paths)
+    sc = np.zeros((dim, dim, dim), dtype=np.int64)
+    for (a_s, a_t), a in index.items():
+        for (b_s, b_t), b in index.items():
+            if a_t == b_s and (a_s, b_t) in index:
+                sc[a, b, index[(a_s, b_t)]] = 1
+    return {
+        "backend": "fp_algebra", "name": f"a{n}rad2:f2", "p": 2, "dim": dim,
+        "structure_constants": sc.tolist(), "unit": [1] * n + [0] * (n - 1),
+        "simples": [{"dim": 1, "actions": [[[int(t == v)]] for t in range(dim)]}
+                    for v in range(n)],
+    }
 
 
 def _ut2_f3():

@@ -13,6 +13,11 @@ so the faster code must return exactly what the reference returns.
 * `homology_at` is complexes._homology_at on one SmithSolver of the cycle
   matrix, and `assemble` the MapSystem assembly by np.kron of dense
   blocks (`_term_contribution`), without dropping zero rows.
+* `_hom_constraint_rows` builds the rows of a hom space densely, by np.kron
+  and a loop over entries; `hom_generators` solves them as
+  modules.hom_generators did.  `tensor_relations` is the loop that built
+  the balanced relations of modules.tensor_modules, and `tensor_modules`
+  presents the tensor product by it.
 """
 
 from math import gcd
@@ -25,11 +30,108 @@ from ghostdim.errors import ValidationError
 from ghostdim.linalg import SmithDecomposition, as_matrix, eye, modinv, smith_mod, zeros
 from ghostdim.modules import (
     FgModule,
-    _hom_constraint_rows,
+    ModuleMap,
     _reduce_mixed_generators,
     is_free_module,
     module_unit_columns,
 )
+
+
+def _hom_constraint_rows(src, tgt):
+    """Rows (matrix, row_orders) cutting out Hom(src, tgt) inside all matrices.
+
+    Unknowns are the entries of a tgt.ngens x src.ngens matrix, vectorized
+    column-major.  Returns (rows, moduli); rows may be empty.
+    """
+    m = src.ring.modulus
+    ns, nt = src.ngens, tgt.ngens
+    nvar = ns * nt
+    blocks = []
+    moduli = []
+    # well-definedness rows, one per entry whose source order is not killed
+    wd_rows = []
+    wd_mods = []
+    for j, dj in enumerate(src.orders):
+        for i, ei in enumerate(tgt.orders):
+            if dj % ei:
+                row = zeros(1, nvar)
+                row[0, j * nt + i] = dj
+                wd_rows.append(row)
+                wd_mods.append(ei)
+    if wd_rows:
+        blocks.append(np.concatenate(wd_rows, axis=0))
+        moduli.extend(wd_mods)
+    if src.ring.rank > 1:
+        ident_t = eye(nt)
+        for t in range(src.ring.rank):
+            # U @ actS - actT @ U = 0, vectorized column-major
+            block = (np.kron(src.actions[t].T, ident_t) - np.kron(eye(ns), tgt.actions[t])) % m
+            blocks.append(block)
+            moduli.extend(list(tgt.orders) * ns)
+    if not blocks:
+        return zeros(0, nvar), []
+    return np.concatenate(blocks, axis=0), moduli
+
+
+def hom_generators(src, tgt):
+    """modules.hom_generators on the dense rows of _hom_constraint_rows."""
+    m = src.ring.modulus
+    ns, nt = src.ngens, tgt.ngens
+    if ns == 0 or nt == 0:
+        return []
+    rows, moduli = _hom_constraint_rows(src, tgt)
+    sols = linalg.kernel_hetero(rows, moduli, m)
+    sols = linalg.reduce_generators(sols, m)
+    out = []
+    seen = set()
+    for c in range(sols.shape[1]):
+        mat = sols[:, c].reshape(ns, nt).T
+        f = ModuleMap(src, tgt, mat)
+        keyb = f.mat.tobytes()
+        if f.is_zero or keyb in seen:
+            continue
+        seen.add(keyb)
+        out.append(f)
+    return out
+
+
+def tensor_relations(right, left):
+    """The balanced relations of right (x) left, one column each, by the loop."""
+    ring = right.ring
+    m = ring.modulus
+    ni, nj = right.ngens, left.ngens
+    npair = ni * nj
+    rels = []
+    if ring.rank > 1:
+        for t in range(ring.rank):
+            am = right.actions[t]          # action of b_t on the right module
+            an = left.actions[t]           # right action of b_t in R^op = left action of b_t
+            for i in range(ni):
+                for j in range(nj):
+                    vec = np.zeros(npair, dtype=np.int64)
+                    for k in range(ni):
+                        if am[k, i]:
+                            vec[k * nj + j] += am[k, i]
+                    for l in range(nj):
+                        if an[l, j]:
+                            vec[i * nj + l] -= an[l, j]
+                    if vec.any():
+                        rels.append(vec % m)
+    return np.stack(rels, axis=1) if rels else zeros(npair, 0)
+
+
+def tensor_modules(right, left):
+    """(orders, proj, lift) of the balanced quotient of modules.tensor_modules,
+    its relations built by tensor_relations."""
+    m = right.ring.modulus
+    npair = right.ngens * left.ngens
+    pair_orders = tuple(int(np.gcd(d, e)) for d in right.orders for e in left.orders)
+    rel_mat = tensor_relations(right, left)
+    rel_mat = linalg.reduce_coords(rel_mat, pair_orders) if npair else rel_mat
+    pres = linalg.quotient_presentation(pair_orders, rel_mat, m)
+    proj = pres.proj if pres.orders else zeros(0, npair)
+    lift = pres.lift if pres.orders else zeros(npair, 0)
+    return pres.orders, proj, lift
 
 
 def _smith_prime(a, m, track_sinv):

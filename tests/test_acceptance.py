@@ -129,6 +129,23 @@ def test_criterion_5_symmetry():
     _stamp("5 (left-right symmetry of ghdim, bound 8)", t0)
 
 
+def test_the_theorem_at_global_dimension_2():
+    """On A_3/rad^2, of global dimension 2, ghdim = wdim = 2 (summary, bound 8),
+    and criteria 2, 4 and 5 pass there: the theorem checked at a finite value
+    above 1, which no builtin ring reaches."""
+    t0 = time.time()
+    ring = helpers.named_ring("a3rad2:f2")
+    ok, report = verify_summary(ring, 8, 0)
+    assert ok and report["ghdim"] == report["wdim"] == "2", report
+    ok, report = verify_compact_eq(ring, 6, 7)
+    assert ok and report["battery_size"] >= 25, report.get("counterexamples")
+    ok, report = verify_rouquier(ring, 6, 0)
+    assert ok and any(not row.get("skipped") for row in report["members"])
+    ok, report = verify_symmetry(ring, 8, 0)
+    assert ok and report["ghdim"] == report["ghdim_op"] == "2", report
+    _stamp("A_3/rad^2 (ghdim = wdim = 2; compact-eq, Rouquier, symmetry)", t0)
+
+
 def test_criterion_6_spectral_sequence_cross_oracle():
     """Tower-kernel filtration matches the tower-free resolution filtration
     exactly, per (s, t), on all pairs with small total complexes."""

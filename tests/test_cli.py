@@ -1,5 +1,8 @@
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -100,6 +103,7 @@ def test_verify_determinism():
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+RINGS = os.path.join(os.path.dirname(__file__), "rings")
 
 
 @pytest.mark.parametrize("golden, args", [
@@ -110,6 +114,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     ("verify-flatchar-f2-b4.json", ("verify", "flatchar", "--ring", "f2", "--bound", "4")),
     ("verify-rouquier-ut2-f2-b3.json", ("verify", "rouquier", "--ring", "ut2:f2", "--bound", "3")),
     ("verify-rouquier-zmod-12-b4.json", ("verify", "rouquier", "--ring", "zmod:12", "--bound", "4")),
+    ("dim-ghdim-a3rad2-f2.json",
+     ("dim", "ghdim", "--ring", os.path.join(RINGS, "a3rad2-f2.json"), "--bound", "8")),
 ])
 def test_json_report_matches_golden_file(golden, args):
     res = invoke(*args, "--output", "json")
@@ -234,6 +240,24 @@ def test_dim_ghdim_on_a_huge_prime_modulus_returns_quickly(tmp_path):
     res = invoke("dim", "ghdim", "--ring", str(path), "--bound", "3")
     assert time.perf_counter() - start < 20
     assert res.exit_code in (0, 2)
+
+
+def test_running_out_of_memory_is_one_error_line_and_exit_2():
+    """ghdim of A_4/rad^2 at bound 8 needs a 10 201 x 37 639 system (2.9 GiB);
+    under a 1.5 GiB address-space cap, set on the child alone, it is refused
+    with one error line and exit 2, not a traceback and exit 1 (FAIL)."""
+    cap = 3 << 29
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("ghostdim").__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    res = subprocess.run([sys.executable, "-m", "ghostdim.cli", "dim", "ghdim", "--ring",
+                          os.path.join(RINGS, "a4rad2-f2.json"), "--bound", "8"],
+                         env=env, preexec_fn=limit, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: out of memory") and res.stderr.count("\n") == 1
 
 
 def _good_complex_data():

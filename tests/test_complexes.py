@@ -44,7 +44,7 @@ from ghostdim.modules import (
     make_module,
     module_to_descriptor,
 )
-from ghostdim.rings import builtin_ring, zmod
+from ghostdim.rings import BUILTIN_NAMES, builtin_ring, make_ring, ring_spec_from_dict, ring_to_dict, zmod
 
 Z4 = zmod(4)
 UT2 = builtin_ring("ut2:f2")
@@ -629,14 +629,26 @@ def test_homology_matches_the_s_based_reference(data, m):
         _same_homology(complexes._homology_at(cx, k), smith_reference.homology_at(cx, k))
 
 
-@pytest.mark.parametrize("name", ["ut3:f2", "zmod:12"])
+def _identical(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["ut3:f2", "zmod:12",
+                                  *(n for n in BUILTIN_NAMES if n not in ("ut3:f2", "zmod:12")),
+                                  "a3rad2:f2"])
 def test_assembly_and_homology_match_the_dense_reference_on_a_battery(name, monkeypatch):
     """Every MapSystem of the bound-4 battery and its pdim (null-homotopy and
     chain-map systems) assembles to the np.kron reference with its zero rows
-    dropped, and every H_k formed equals the S-based reference's."""
+    dropped, and every H_k formed equals the S-based reference's.  Every hom
+    generator set, and the tensor presentation of every term and homology
+    module with every simple left module, equals the reference's built from
+    dense np.kron rows and from the relation loop."""
     systems = []
     homologies = []
+    homs = []
+    tensors = []
     assemble, homology_at = complexes.MapSystem._assemble, complexes._homology_at
+    hom_generators, tensor_modules = modules.hom_generators, modules.tensor_modules
 
     def checked_assemble(self):
         got = assemble(self)
@@ -657,10 +669,36 @@ def test_assembly_and_homology_match_the_dense_reference_on_a_battery(name, monk
         homologies.append(k)
         return got
 
+    def checked_hom_generators(src, tgt):
+        got = hom_generators(src, tgt)
+        want = smith_reference.hom_generators(src, tgt)
+        assert len(got) == len(want) and all(_identical(g.mat, w.mat) for g, w in zip(got, want))
+        homs.append(len(got))
+        return got
+
+    def checked_tensor_modules(right, left):
+        got = tensor_modules(right, left)
+        if got.free is None:    # a free factor has no balanced relations
+            orders, proj, lift = smith_reference.tensor_modules(right, left)
+            assert got.module.orders == orders
+            assert _identical(got.proj, proj) and _identical(got.lift, lift)
+            tensors.append(orders)
+        return got
+
     monkeypatch.setattr(complexes.MapSystem, "_assemble", checked_assemble)
     monkeypatch.setattr(complexes, "_homology_at", checked_homology_at)
-    ring = helpers.named_ring(name)
+    monkeypatch.setattr(modules, "hom_generators", checked_hom_generators)
+    # a fresh copy of the ring: results kept on a builtin's simples by earlier
+    # tests would skip the hom spaces of their sections here
+    ring = make_ring(ring_spec_from_dict(ring_to_dict(helpers.named_ring(name))))
     members, _ = standard_battery(ring, 4, seed=0)
     for mem in members:
         pdim_complex(mem.cx, 4)
-    assert len(systems) >= 50 and len(homologies) >= 50
+        for k in mem.cx.degrees():
+            for mod in (mem.cx.term(k), mem.cx.homology_at(k).module):
+                for simple in ring.opposite().simples:
+                    checked_tensor_modules(mod, simple)
+    # the rings added after ut3:f2 and zmod:12 form 46 to 79 systems here
+    assert len(systems) >= (50 if name in ("ut3:f2", "zmod:12") else 40) and len(homologies) >= 50
+    # over the fields every module is free, so no section is sought
+    assert tensors and (homs or name in ("f2", "f3", "zmod:2", "zmod:3"))

@@ -164,6 +164,35 @@ def test_sparse_product_sum_matches_einsum(dims, density, seed):
     assert np.array_equal(dense, np.einsum("pij,qjk->pqik", x, y).reshape(-1))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=4, max_size=4),
+       st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2**32 - 1))
+def test_kron_nonzeros_are_the_nonzeros_of_kron(dims, density, seed):
+    rng = np.random.default_rng(seed)
+    x, y = (np.where(rng.random(shape) < density, rng.integers(-6, 7, size=shape), 0)
+            for shape in (dims[:2], dims[2:]))
+    rows, cols, vals = linalg.kron_nonzeros(x, y)
+    dense = np.zeros((dims[0] * dims[2], dims[1] * dims[3]), dtype=np.int64)
+    dense[rows, cols] = vals
+    assert np.array_equal(dense, np.kron(x, y)) and vals.all()
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+
+
+def test_congruences_sum_entries_and_keep_the_live_rows():
+    eqs = linalg.Congruences(3, 6)
+    eqs.block([6, 3, 2], [1, 0, 5])
+    eqs.add(np.array([0, 0, 1, 1]), np.array([2, 2, 0, 1]), np.array([4, 3, 6, 12]))
+    eqs.block([6], [0])
+    eqs.add(np.array([0]), np.array([1]), np.array([-1]))
+    a, orders, rhs, solvable = eqs.matrix()
+    # rows 1 and 2 sum to zero mod 6; row 2's right side 5 is not 0 mod 2
+    assert np.array_equal(a, [[0, 0, 1], [0, 5, 0]]) and a.dtype == np.int64
+    assert orders.tolist() == [6, 6] and rhs.tolist() == [[1], [0]] and not solvable
+    eqs = linalg.Congruences(2, 5)
+    a, orders, rhs, solvable = eqs.matrix()
+    assert a.shape == (0, 2) and orders.shape == (0,) and rhs.shape == (0, 1) and solvable
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(min_value=2, max_value=9))
 def test_solve_matches_brute_force(data, m):

@@ -1,5 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import helpers
 
 from ghostdim.errors import BadUnit, NonAssociative, NonSimpleDeclared, ParseError, ValidationError
 from ghostdim.rings import (
@@ -125,3 +130,14 @@ def test_declared_isomorphic_simples_are_rejected():
     data["simples"] = data["simples"] + data["simples"][:1]
     with pytest.raises(NonSimpleDeclared, match="#0 and #2 of ut2:f2 are isomorphic"):
         make_ring(ring_spec_from_dict(data))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_committed_radical_square_zero_specs_are_the_helpers(n):
+    """tests/rings/a<n>rad2-f2.json is radical_square_zero_spec(n), a ring of
+    dimension 2n - 1 with n simples."""
+    path = Path(__file__).parent / "rings" / f"a{n}rad2-f2.json"
+    spec = helpers.radical_square_zero_spec(n)
+    assert json.loads(path.read_text()) == spec
+    ring = make_ring(ring_spec_from_dict(spec))
+    assert ring.rank == 2 * n - 1 and len(ring.simples) == n and ring.size <= 2 ** 8

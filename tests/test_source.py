@@ -1,7 +1,7 @@
 """Source checks that need no linter: every module reads what it imports,
 every public function and class has a caller outside the tests, no
-constructor takes a check switch, and importing the package loads every
-traced layer."""
+constructor takes a check switch, no module forms a dense Kronecker
+product, and importing the package loads every traced layer."""
 
 import ast
 import subprocess
@@ -91,6 +91,14 @@ def test_no_check_switch(path):
                 if isinstance(n, ast.keyword) and n.arg == "check"
                 or isinstance(n, ast.arg) and n.arg == "check"]
     assert switches == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dense_kronecker_product(path):
+    """Kronecker-structured systems are posed as the triples of
+    linalg.kron_nonzeros, never as a dense np.kron."""
+    tree = ast.parse(path.read_text())
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "kron"] == []
 
 
 def test_importing_the_package_loads_every_traced_layer():
