@@ -47,6 +47,7 @@ from .rings import (
     builtin_ring,
     load_ring_file,
     make_ring,
+    read_json_file,
     ring_spec_from_dict,
     ring_to_dict,
 )
@@ -124,7 +125,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (GhostdimError, json.JSONDecodeError) as exc:
+        except GhostdimError as exc:
             click.echo(f"error: {exc}", err=True)
         except MemoryError as exc:
             click.echo(f"error: out of memory: {exc}", err=True)
@@ -182,8 +183,7 @@ def dim_command(quantity, selector, bound, seed, output):
 @click.option("--output", type=click.Choice(["text", "json"]), default="text")
 def complex_command(quantity, path, bound, window, output):
     """Compute the projective or flat dimension of a serialized complex."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json_file(path, "complex file")
     cx = complex_from_dict(data)
     win = parse_window(window)
     if quantity == "pdim":
@@ -390,8 +390,7 @@ def verify_command(suite, selector, bound, seed, output):
 @click.option("--output", type=click.Choice(["text", "json"]), default="text")
 def replay_command(path, output):
     """Re-run the checks recorded in a FAIL report or counterexample file."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json_file(path, "replay file")
     if not isinstance(data, dict):
         raise ParseError("a replay file must hold a JSON object")
     ces = data.get("counterexamples", [data] if "kind" in data else [])

@@ -38,9 +38,9 @@ modulus, structure constants, unit and declared simples), the degree k,
 term k (its orders and action matrices), the orders of term k-1, and the
 shapes and bytes of d_k and d_(k+1) (each d_k digested once per complex).
 _homology_at is deterministic in exactly these inputs, so a shared result
-is bit-identical to a fresh one.  The shared HomologyData lives as long as
-some complex holds it (a weak-valued table, no size limit to tune) and its
-arrays are read-only.
+is bit-identical to a fresh one.  A shared H_k (a modules.Subquotient)
+lives as long as some complex holds it (a weak-valued table, no size limit
+to tune) and its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -61,18 +61,20 @@ from .modules import (
     FgModule,
     ModuleMap,
     ProjectivityCertificate,
+    Subquotient,
     _cover,
     _kept,
-    _reduce_mixed_generators,
     _syzygy,
     free_map,
     free_module,
     hom_congruences,
     is_free_module,
     is_projective,
+    kernel_generators,
     make_module,
     module_to_descriptor,
     module_unit_columns,
+    subquotient,
 )
 from .rings import ring_to_dict
 
@@ -178,69 +180,24 @@ class Complex:
         return f"{nm}[{self.lo}..{self.hi}]@{self.ring.name}"
 
 
-@dataclass
-class HomologyData:
-    """H_k of a complex: the module, chosen cycle representatives and the cycle group.
-
-    Shared between complexes with the same content (see _shared_homology),
-    so its arrays are read-only.
-    """
-
-    degree: int
-    module: FgModule          # the homology module (over the same ring)
-    lift: np.ndarray          # term coordinates of chosen cycle representatives
-    _cycles: np.ndarray
-    _proj: np.ndarray
-    _term: FgModule
-
-    def classify(self, cols):
-        """Coordinates in homology of the given cycle columns."""
-        cols = as_matrix(cols, rows=self._term.ngens)
-        if self.module.is_zero:
-            return zeros(0, cols.shape[1])
-        y = linalg.solve_hetero(self._cycles, cols, self._term.orders, self._term.ring.modulus)
-        if y is None:
-            raise ValidationError("classify() got a non-cycle")
-        return linalg.reduce_coords(self._proj @ y, self.module.orders)
-
-
 def _zero_homology(cx, k):
-    z = zero_module(cx.ring)
-    return HomologyData(degree=k, module=z, lift=zeros(cx.term(k).ngens, 0),
-                        _cycles=zeros(cx.term(k).ngens, 0), _proj=zeros(0, 0), _term=cx.term(k))
+    term = cx.term(k)
+    return Subquotient(module=zero_module(cx.ring), lift=zeros(term.ngens, 0),
+                       _gens=zeros(term.ngens, 0), _proj=zeros(0, 0), _ambient=term)
 
 
 def _homology_at(cx, k):
-    ring = cx.ring
-    m = ring.modulus
+    """H_k = cycles / boundaries, a Subquotient of term k over cx.ring."""
     term = cx.term(k)
     if term.is_zero:
         return _zero_homology(cx, k)
-    below = cx.term(k - 1)
-    cyc = linalg.kernel_hetero(cx.diff(k), below.orders, m)
-    cyc = linalg.reduce_coords(cyc, term.orders)
-    cyc = _reduce_mixed_generators(cyc, term.orders, m)
+    cyc = kernel_generators(cx.diff(k), term, cx.term(k - 1))
     if cyc.shape[1] == 0:
         return _zero_homology(cx, k)
-    # [cyc | d_(k+1)]: the boundaries in cycle coordinates, and the relations among the cycles
-    cycles = linalg.eliminate(cyc, linalg.reduce_coords(cx.diff(k + 1), term.orders), term.orders, m)
-    yb = cycles.solution()
-    if yb is None:
-        raise ValidationError("boundaries are not cycles; differential is broken")
-    rel = np.concatenate([yb, cycles.kernel()], axis=1)
-    pres = linalg.quotient_presentation([m] * cyc.shape[1], rel, m)
-    if not pres.orders:
-        return _zero_homology(cx, k)
-    lift = linalg.reduce_coords(cyc @ pres.lift, term.orders)
-    # [cyc | A^0 lift | ... | A^(rank-1) lift]: every action in one elimination
-    moved = np.concatenate([linalg.reduce_coords(a @ lift, term.orders) for a in term.actions], axis=1)
-    y = linalg.solve_hetero(cyc, moved, term.orders, m)
-    n = lift.shape[1]
-    acts = [linalg.reduce_coords(pres.proj @ y[:, t * n:(t + 1) * n], pres.orders)
-            for t in range(ring.rank)]
     # cycles and boundaries are submodules, so H_k gets the induced action
-    h = FgModule(ring=ring, orders=pres.orders, actions=tuple(acts), label=f"H{k}")
-    return HomologyData(degree=k, module=h, lift=lift, _cycles=cyc, _proj=pres.proj, _term=term)
+    h = subquotient(cx.ring, term, cyc, linalg.reduce_coords(cx.diff(k + 1), term.orders), f"H{k}")
+    # a zero H_k keeps no cycles
+    return h if h.module.ngens else _zero_homology(cx, k)
 
 
 # H_k of every complex built in this process, by content digest.  An entry
@@ -310,7 +267,7 @@ def _shared_homology(cx, k, diffs):
     if found is not None:
         return found
     hd = _homology_at(cx, k)
-    for a in (hd.lift, hd._cycles, hd._proj, *hd.module.actions):
+    for a in (hd.lift, hd._gens, hd._proj, *hd.module.actions):
         a.flags.writeable = False
     return _SHARED_HOMOLOGY.setdefault(key, hd)
 
@@ -899,8 +856,8 @@ def resolution_complex(module, length, name=""):
             diffs[k] = linalg.reduce_coords(prev_incl.mat @ pi.mat, prev_incl.tgt.orders)
         if k == length:
             break
-        syz = _syzygy(module, k + 1)
-        current, prev_incl = syz.module, syz.inclusion
+        prev_incl = _syzygy(module, k + 1)
+        current = prev_incl.src
         if current.is_zero:
             break
         k += 1

@@ -87,7 +87,7 @@ def module_pdim(module, bound, with_run=False):
                 break
         if verdict is not None:
             break
-        current = _syzygy(module, i + 1).module
+        current = _syzygy(module, i + 1).src
         history.append(current)
     if verdict is None:
         verdict = Verdict.at_least(bound + 1)

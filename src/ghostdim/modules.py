@@ -271,59 +271,79 @@ def hom_generators(src, tgt):
 
 
 # ---------------------------------------------------------------------------
-# Submodules, kernels, cokernels
+# Subquotients, kernels, cokernels
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Submodule:
-    module: FgModule          # abstract presentation of the submodule
-    inclusion: ModuleMap      # into the ambient module
-    _gens: np.ndarray         # ambient coordinates of the chosen generators
-    _expr: object             # callable: ambient columns -> submodule coordinates
+class Subquotient:
+    """span(gens) / span(bounds) inside an ambient module: H_k of a complex
+    (cycles over boundaries) or a kernel (no bounds).
 
-    def express(self, cols):
-        return self._expr(cols)
-
-
-def submodule_from_generators(ambient, gens, label=""):
-    """The submodule generated (as a group) by the given ambient columns.
-
-    The columns must already be closed under the ring action, as kernels and
-    action-closures are; use :func:`submodule_generated` first otherwise.
+    lift holds ambient representatives of the module's generators, and
+    classify gives the module coordinates of columns in span(gens).  H_k is
+    shared between complexes with the same content, so its arrays are made
+    read-only (complexes._shared_homology).
     """
-    m = ambient.ring.modulus
-    gens = as_matrix(gens, rows=ambient.ngens)
-    g = gens.shape[1]
-    rel = linalg.kernel_hetero(gens, ambient.orders, m)
-    pres = linalg.quotient_presentation([m] * g, rel, m)
-    sub_orders = pres.orders
-    incl_mat = linalg.reduce_coords(gens @ pres.lift, ambient.orders) if sub_orders else zeros(ambient.ngens, 0)
 
-    def express(cols):
-        cols = as_matrix(cols, rows=ambient.ngens)
-        y = linalg.solve_hetero(gens, cols, ambient.orders, m)
+    module: FgModule
+    lift: np.ndarray
+    _gens: np.ndarray         # ambient columns spanning the numerator
+    _proj: np.ndarray         # gens coordinates -> module coordinates
+    _ambient: FgModule
+
+    def classify(self, cols):
+        """Module coordinates of ambient columns that lie in span(gens)."""
+        cols = as_matrix(cols, rows=self._ambient.ngens)
+        if self.module.is_zero:
+            return zeros(0, cols.shape[1])
+        y = linalg.solve_hetero(self._gens, cols, self._ambient.orders, self.module.ring.modulus)
         if y is None:
-            raise ValidationError("vector is not in the submodule")
-        return linalg.reduce_coords(pres.proj @ y, sub_orders) if sub_orders else zeros(0, cols.shape[1])
+            raise ValidationError("classify() got a column outside span(gens)")
+        return linalg.reduce_coords(self._proj @ y, self.module.orders)
 
-    # The columns are closed under the action, so each A^t . incl is expressed
-    # exactly: sub is the submodule they span and incl is equivariant.  One
-    # elimination expresses [A^0 incl | ... | A^(rank-1) incl].
-    n = incl_mat.shape[1]
-    moved = express(np.concatenate([a @ incl_mat for a in ambient.actions], axis=1))
-    acts = [moved[:, t * n:(t + 1) * n] for t in range(ambient.ring.rank)]
-    sub = FgModule(ring=ambient.ring, orders=sub_orders, actions=tuple(acts), label=label)
-    incl = ModuleMap(sub, ambient, incl_mat)
-    return Submodule(module=sub, inclusion=incl, _gens=gens, _expr=express)
+
+def kernel_generators(mat, src, tgt):
+    """Generators of the kernel of the group map mat: src -> tgt, reduced mod
+    the orders of src.  There are at most src.ngens of them (kernel_hetero
+    gives at most one per unknown), so there is nothing to thin."""
+    return linalg.reduce_coords(linalg.kernel_hetero(mat, tgt.orders, src.ring.modulus), src.orders)
+
+
+def subquotient(ring, ambient, gens, bounds, label):
+    """span(gens) / span(bounds) inside ambient, as a module over ring.
+
+    The columns of gens must span a submodule, and those of bounds must lie
+    in it.  One elimination of [gens | bounds | A^0 gens | ... |
+    A^(rank-1) gens] expresses the bounds and the moved generators in gens
+    coordinates (Y_b, Y_t), and its kernel gives the relations among the
+    gens; the quotient presentation of (Z/m)^g by [Y_b | kernel] gives the
+    module.  A^t maps gens . lift to gens . Y_t . lift, so the action on the
+    module is proj . Y_t . lift: another solution Y_t differs by a relation,
+    which proj kills.
+    """
+    m = ring.modulus
+    g, nb = gens.shape[1], bounds.shape[1]
+    moved = [linalg.reduce_coords(a @ gens, ambient.orders) for a in ambient.actions]
+    dec = linalg.eliminate(gens, np.concatenate([bounds, *moved], axis=1), ambient.orders, m)
+    y = dec.solution()
+    if y is None:
+        raise ValidationError("the bounds or the moved generators leave span(gens)")
+    pres = linalg.quotient_presentation([m] * g, np.concatenate([y[:, :nb], dec.kernel()], axis=1), m)
+    # reduced between the two products, each a sum of g products of residues (check_exact)
+    acts = [linalg.reduce_coords(pres.proj @ ((y[:, nb + t * g:nb + (t + 1) * g] @ pres.lift) % m),
+                                 pres.orders)
+            for t in range(ring.rank)]
+    module = FgModule(ring=ring, orders=pres.orders, actions=tuple(acts), label=label)
+    lift = linalg.reduce_coords(gens @ pres.lift, ambient.orders)
+    return Subquotient(module=module, lift=lift, _gens=gens, _proj=pres.proj, _ambient=ambient)
 
 
 def kernel_of(f, label=""):
-    """Kernel of a module map, with its inclusion."""
-    m = f.src.ring.modulus
-    kg = linalg.kernel_hetero(f.mat, f.tgt.orders, m)
-    kg = linalg.reduce_coords(kg, f.src.orders)
-    kg = _reduce_mixed_generators(kg, f.src.orders, m)
-    return submodule_from_generators(f.src, kg, label=label)
+    """Kernel of a module map, as its inclusion: a module map into f.src."""
+    ker = subquotient(f.src.ring, f.src, kernel_generators(f.mat, f.src, f.tgt), zeros(f.src.ngens, 0),
+                      label)
+    # the lift of a kernel is the inclusion of a submodule
+    return ModuleMap(ker.module, f.src, ker.lift)
 
 
 def _reduce_mixed_generators(gens, orders, m):
@@ -332,18 +352,13 @@ def _reduce_mixed_generators(gens, orders, m):
     if gens.shape[1] <= gens.shape[0]:
         return gens
     # work in (Z/m)^k via the embedding x_i -> (m/d_i) x_i, which is injective
-    scale = np.array([m // d for d in orders], dtype=np.int64)
-    emb = (gens * scale[:, None]) % m
-    red = linalg.reduce_generators(emb, m)
-    # pull back: columns of red are divisible by the scales again
-    out = zeros(len(orders), red.shape[1])
-    for c in range(red.shape[1]):
-        col = red[:, c]
-        if ((col % scale) != 0).any():
-            # mixing happened across coordinates of unequal order; fall back
-            return gens
-        out[:, c] = col // scale
-    return linalg.reduce_coords(out, orders)
+    scale = np.array([m // d for d in orders], dtype=np.int64)[:, None]
+    red = linalg.reduce_generators((gens * scale) % m, m)
+    # pull back: the columns of red lie in the span of the embedded gens, so
+    # the scales divide them; fall back to gens should one not be divisible
+    if (red % scale).any():
+        return gens
+    return linalg.reduce_coords(red // scale, orders)
 
 
 @dataclass
@@ -626,8 +641,8 @@ def is_projective(module):
 
 
 def _syzygy(module, i):
-    """The i-th syzygy K_i (i >= 1) of the module as a Submodule (module and
-    kernel inclusion): K_i is the kernel of the cover of K_(i-1), K_0 = module.
+    """The inclusion K_i -> K_(i-1) of the i-th syzygy (i >= 1) of the module:
+    K_i is the kernel of the cover of K_(i-1), K_0 = module.
 
     The chain K_1, K_2, ... is kept on the module for as long as it lives
     and extended on demand, so each syzygy is built and covered once; its
@@ -635,7 +650,7 @@ def _syzygy(module, i):
     """
     chain = _kept(module, "_syzygy_chain", list)
     while len(chain) < i:
-        below = chain[-1].module if chain else module
+        below = chain[-1].src if chain else module
         chain.append(kernel_of(_cover(below)[1], label=f"syz{len(chain) + 1}"))
     return chain[i - 1]
 

@@ -379,13 +379,17 @@ def ring_spec_from_dict(data):
     raise ParseError(f"unknown backend {backend!r}")
 
 
-def load_ring_file(path):
+def read_json_file(path, what):
+    """The JSON value in a file; ParseError if it cannot be read, decoded or parsed."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read ring spec {path}: {exc}") from None
-    return make_ring(ring_spec_from_dict(data))
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from None
+
+
+def load_ring_file(path):
+    return make_ring(ring_spec_from_dict(read_json_file(path, "ring spec")))
 
 
 def ring_to_dict(ring):

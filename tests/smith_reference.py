@@ -13,6 +13,11 @@ so the faster code must return exactly what the reference returns.
 * `homology_at` is complexes._homology_at on one SmithSolver of the cycle
   matrix, and `assemble` the MapSystem assembly by np.kron of dense
   blocks (`_term_contribution`), without dropping zero rows.
+* `kernel_of` is the kernel of a module map as the package built it before
+  kernels and homology became one subquotient: a kernel elimination, a
+  quotient presentation and a second elimination for the actions
+  (`submodule_from_generators`), on generators thinned by the per-column
+  pull-back loop of `_reduce_mixed_generators`.
 * `_hom_constraint_rows` builds the rows of a hom space densely, by np.kron
   and a loop over entries; `hom_generators` solves them as
   modules.hom_generators did.  `tensor_relations` is the loop that built
@@ -25,13 +30,15 @@ from math import gcd
 import numpy as np
 
 from ghostdim import linalg
-from ghostdim.complexes import HomologyData, _zero_homology
+from dataclasses import dataclass
+
+from ghostdim.complexes import _zero_homology
 from ghostdim.errors import ValidationError
 from ghostdim.linalg import SmithDecomposition, as_matrix, eye, modinv, smith_mod, zeros
 from ghostdim.modules import (
     FgModule,
     ModuleMap,
-    _reduce_mixed_generators,
+    Subquotient,
     is_free_module,
     module_unit_columns,
 )
@@ -286,7 +293,79 @@ def homology_at(cx, k):
         acts.append(linalg.reduce_coords(pres.proj @ y, pres.orders))
     # cycles and boundaries are submodules, so H_k gets the induced action
     h = FgModule(ring=ring, orders=pres.orders, actions=tuple(acts), label=f"H{k}")
-    return HomologyData(degree=k, module=h, lift=lift, _cycles=cyc, _proj=pres.proj, _term=term)
+    return Subquotient(module=h, lift=lift, _gens=cyc, _proj=pres.proj, _ambient=term)
+
+
+@dataclass
+class Submodule:
+    module: FgModule          # abstract presentation of the submodule
+    inclusion: ModuleMap      # into the ambient module
+    _gens: np.ndarray         # ambient coordinates of the chosen generators
+    _expr: object             # callable: ambient columns -> submodule coordinates
+
+    def express(self, cols):
+        return self._expr(cols)
+
+
+def submodule_from_generators(ambient, gens, label=""):
+    """The submodule generated (as a group) by the given ambient columns.
+
+    The columns must already be closed under the ring action, as kernels and
+    action-closures are; use :func:`submodule_generated` first otherwise.
+    """
+    m = ambient.ring.modulus
+    gens = as_matrix(gens, rows=ambient.ngens)
+    g = gens.shape[1]
+    rel = linalg.kernel_hetero(gens, ambient.orders, m)
+    pres = linalg.quotient_presentation([m] * g, rel, m)
+    sub_orders = pres.orders
+    incl_mat = linalg.reduce_coords(gens @ pres.lift, ambient.orders) if sub_orders else zeros(ambient.ngens, 0)
+
+    def express(cols):
+        cols = as_matrix(cols, rows=ambient.ngens)
+        y = linalg.solve_hetero(gens, cols, ambient.orders, m)
+        if y is None:
+            raise ValidationError("vector is not in the submodule")
+        return linalg.reduce_coords(pres.proj @ y, sub_orders) if sub_orders else zeros(0, cols.shape[1])
+
+    # The columns are closed under the action, so each A^t . incl is expressed
+    # exactly: sub is the submodule they span and incl is equivariant.  One
+    # elimination expresses [A^0 incl | ... | A^(rank-1) incl].
+    n = incl_mat.shape[1]
+    moved = express(np.concatenate([a @ incl_mat for a in ambient.actions], axis=1))
+    acts = [moved[:, t * n:(t + 1) * n] for t in range(ambient.ring.rank)]
+    sub = FgModule(ring=ambient.ring, orders=sub_orders, actions=tuple(acts), label=label)
+    incl = ModuleMap(sub, ambient, incl_mat)
+    return Submodule(module=sub, inclusion=incl, _gens=gens, _expr=express)
+
+
+def kernel_of(f, label=""):
+    """Kernel of a module map, with its inclusion."""
+    m = f.src.ring.modulus
+    kg = linalg.kernel_hetero(f.mat, f.tgt.orders, m)
+    kg = linalg.reduce_coords(kg, f.src.orders)
+    kg = _reduce_mixed_generators(kg, f.src.orders, m)
+    return submodule_from_generators(f.src, kg, label=label)
+
+
+def _reduce_mixed_generators(gens, orders, m):
+    """Thin a generating set of a subgroup of a mixed-order group."""
+    gens = as_matrix(gens, rows=len(orders))
+    if gens.shape[1] <= gens.shape[0]:
+        return gens
+    # work in (Z/m)^k via the embedding x_i -> (m/d_i) x_i, which is injective
+    scale = np.array([m // d for d in orders], dtype=np.int64)
+    emb = (gens * scale[:, None]) % m
+    red = linalg.reduce_generators(emb, m)
+    # pull back: columns of red are divisible by the scales again
+    out = zeros(len(orders), red.shape[1])
+    for c in range(red.shape[1]):
+        col = red[:, c]
+        if ((col % scale) != 0).any():
+            # mixing happened across coordinates of unequal order; fall back
+            return gens
+        out[:, c] = col // scale
+    return linalg.reduce_coords(out, orders)
 
 
 def _term_contribution(self, name, k, pre, post, tgt_term, eq_cols):

@@ -350,6 +350,23 @@ def test_malformed_complex_file_exits_2_with_one_line(tmp_path, breaker):
     assert res.output.startswith("error: ") and res.output.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ("complex", "pdim", "--file", "noise.bin"),
+    ("replay", "noise.bin"),
+    ("dim", "wdim", "--ring", "noise.bin"),
+    ("complex", "pdim", "--file", "folder"),
+    ("replay", "folder"),
+], ids=["complex-bytes", "replay-bytes", "ring-bytes", "complex-dir", "replay-dir"])
+def test_an_unreadable_input_file_exits_2_with_one_line(tmp_path, args):
+    import random
+
+    (tmp_path / "noise.bin").write_bytes(random.Random(0).randbytes(256))
+    (tmp_path / "folder").mkdir()
+    res = invoke(*(str(tmp_path / a) if a in ("noise.bin", "folder") else a for a in args))
+    assert res.exit_code == 2
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+
+
 def test_window_and_bound_are_checked(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(_good_complex_data()))

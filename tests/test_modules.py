@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import smith_reference
 import validate_reference
 from ghostdim import linalg, modules
 from ghostdim.errors import RingMismatch, SideMismatch, ValidationError
@@ -30,7 +31,7 @@ from ghostdim.modules import (
     tensor_map,
     tensor_modules,
 )
-from ghostdim.rings import _upper_triangular, builtin_ring, zmod
+from ghostdim.rings import BUILTIN_NAMES, _upper_triangular, builtin_ring, zmod
 
 
 Z4 = zmod(4)
@@ -91,7 +92,7 @@ def test_hom_to_zero():
 
 
 def kernel_cokernel(f):
-    """(kernel with inclusion, cokernel with projection) of a module map."""
+    """(kernel inclusion, cokernel with projection) of a module map."""
     return kernel_of(f), quotient_by(f.tgt, f.mat, closed=True)
 
 
@@ -99,14 +100,14 @@ def test_kernel_cokernel_of_doubling():
     r = free_module(Z4, 1)
     f = ModuleMap(r, r, np.array([[2]]))
     ker, coker = kernel_cokernel(f)
-    assert ker.module.orders == (2,)
+    assert ker.src.orders == (2,)
     assert coker.module.orders == (2,)
     # exactness element-wise: image of inclusion = set of kernel elements
     kernel_elements = {
         tuple(v) for v in linalg.enumerate_group(r.orders) if (2 * v[0]) % 4 == 0
     }
     included = {
-        tuple(ker.inclusion.apply(w)) for w in linalg.enumerate_group(ker.module.orders)
+        tuple(ker.apply(w)) for w in linalg.enumerate_group(ker.src.orders)
     }
     assert included == kernel_elements
     # coker projection kills the image
@@ -116,11 +117,11 @@ def test_kernel_cokernel_of_doubling():
 def test_kernel_cokernel_identity_and_zero():
     r = free_module(Z4, 1)
     ker, coker = kernel_cokernel(r.identity_map())
-    assert ker.module.is_zero and coker.module.is_zero
+    assert ker.src.is_zero and coker.module.is_zero
     z = zmod_module(Z4, 2)
     f = r.zero_map_to(z)
     ker, coker = kernel_cokernel(f)
-    assert ker.module.size == r.size
+    assert ker.src.size == r.size
     assert coker.module.size == z.size
 
 
@@ -172,6 +173,49 @@ def test_projective_z3_over_z12():
     assert flag
 
 
+def _identical(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "a3rad2:f2"])
+def test_kernels_of_syzygy_chains_match_the_reference(name):
+    """Each kernel of the syzygy chain of every simple, to length 4, has the
+    orders, actions and inclusion of the kernel built by separate
+    eliminations for the kernel and for the actions."""
+    simples = helpers.named_ring(name).simples
+    checked = 0
+    for simple in simples:
+        below = simple
+        for i in range(1, 5):
+            pi = free_cover(below)[1]
+            got, want = kernel_of(pi, f"syz{i}"), smith_reference.kernel_of(pi, f"syz{i}")
+            assert got.src.orders == want.module.orders and got.src.label == want.module.label
+            assert len(got.src.actions) == len(want.module.actions)
+            for g, w in [(got.mat, want.inclusion.mat), *zip(got.src.actions, want.module.actions)]:
+                assert _identical(g, w)
+            checked += 1
+            below = got.src
+            if below.is_zero:
+                break
+    assert checked >= len(simples)
+
+
+def test_reduce_mixed_generators_matches_the_per_column_loop():
+    """The vectorized pull-back equals the reference loop."""
+    rng = np.random.default_rng(5)
+    for m in (4, 6, 8, 9, 12):
+        divs = [d for d in range(2, m + 1) if m % d == 0]
+        for _ in range(60):
+            orders = [int(rng.choice(divs)) for _ in range(rng.integers(1, 5))]
+            gens = rng.integers(0, m, size=(len(orders), len(orders) + rng.integers(0, 4)))
+            gens = linalg.reduce_coords(gens, orders)
+            got = modules._reduce_mixed_generators(gens, orders, m)
+            assert _identical(got, smith_reference._reduce_mixed_generators(gens, orders, m))
+    empty = np.zeros((0, 2), dtype=np.int64)
+    assert _identical(modules._reduce_mixed_generators(empty, [], 6),
+                      smith_reference._reduce_mixed_generators(empty, [], 6))
+
+
 def test_find_isomorphism_identity_and_syzygy():
     k = DUAL.simples[0]
     iso = find_isomorphism(k, k)
@@ -179,9 +223,9 @@ def test_find_isomorphism_identity_and_syzygy():
     # syzygy of k over F2[x]/(x2) is k again
     f, pi = free_cover(k)
 
-    ker = kernel_of(pi)
-    assert ker.module.size == 2
-    iso = find_isomorphism(ker.module, k)
+    ker = kernel_of(pi).src
+    assert ker.size == 2
+    iso = find_isomorphism(ker, k)
     assert iso is not None
 
 

@@ -12,6 +12,10 @@ so two commits can be compared for both speed and answers:
 * criterion 2, verify_compact_eq(ring, 6, 7): fdim = pdim on the battery;
 * criterion 5, verify_symmetry(ring, 8, 0): ghdim(R) = ghdim(R^op).
 
+The three suites also run on A_3/rad^2 (ghdim = wdim = 2), loaded from its
+spec under tests/rings, and wdim (bound 8) is timed on A_4/rad^2 (wdim 3),
+with a digest of its report: rings past the builtin sizes, not builtins.
+
 Criterion 6 runs both filtration routes on the pairs of the acceptance
 test (tests/helpers.py:criterion_6_pairs): its wall time, the part spent in
 resolution_filtration, and per pair whether the routes agree with a digest
@@ -29,11 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from ghostdim.cli import verify_compact_eq, verify_summary, verify_symmetry
-from ghostdim.dimensions import standard_battery
-from ghostdim.rings import BUILTIN_NAMES, builtin_ring
+from ghostdim.dimensions import DimReport, standard_battery, wdim_ring
+from ghostdim.rings import BUILTIN_NAMES, builtin_ring, load_ring_file
 from ghostdim.tensor_ss import default_tests, fdim_via_ss, resolution_filtration, ucss_filtration
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+sys.path.insert(0, str(TESTS))
 from helpers import criterion_6_pairs  # noqa: E402  (the acceptance test's pairs)
 
 CRITERIA = (
@@ -75,11 +80,20 @@ def criterion_6():
     return pairs, round(time.perf_counter() - t0, 2), round(oracle_s, 2)
 
 
-def per_ring(verify, bound, seed):
+def a4rad2_wdim():
+    ring = load_ring_file(TESTS / "rings" / "a4rad2-f2.json")
+    t0 = time.perf_counter()
+    verdict, witnesses = wdim_ring(ring, 8)
+    seconds = round(time.perf_counter() - t0, 2)
+    report = DimReport(ring=ring.name, quantity="wdim", verdict=verdict, bound=8, witnesses=witnesses)
+    return {"seconds": seconds, "wdim": verdict.render(), "report_sha256_16": _digest(report.to_json())}
+
+
+def per_ring(rings, verify, bound, seed):
     out = {}
-    for name in BUILTIN_NAMES:
+    for name, ring in rings.items():
         t0 = time.perf_counter()
-        ok, report = verify(builtin_ring(name), bound, seed)
+        ok, report = verify(ring, bound, seed)
         out[name] = {"seconds": round(time.perf_counter() - t0, 2), "pass": ok,
                      "report_sha256_16": _digest(report)}
     return out
@@ -93,9 +107,13 @@ def main():
     }
     # before the verify suites, which would leave the rings' simples resolved
     result["criterion_6"], result["criterion_6_total_s"], result["criterion_6_oracle_s"] = criterion_6()
+    rings = {name: builtin_ring(name) for name in BUILTIN_NAMES}
+    a3rad2 = load_ring_file(TESTS / "rings" / "a3rad2-f2.json")
+    rings[a3rad2.name] = a3rad2
     for key, verify, bound, seed in CRITERIA:
-        result[key] = per_ring(verify, bound, seed)
+        result[key] = per_ring(rings, verify, bound, seed)
         result[f"{key}_total_s"] = round(sum(v["seconds"] for v in result[key].values()), 2)
+    result["a4rad2:f2_wdim"] = a4rad2_wdim()
     json.dump(result, sys.stdout)
     print()
 
