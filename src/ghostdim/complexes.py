@@ -23,10 +23,11 @@ Complex, ChainMap and Homotopy follow the validation policy of
 :mod:`ghostdim.modules`: constructors only build, and validate() checks in
 full (Complex.validate checks its terms too).  It runs at the trust boundary
 (complex_from_dict, chain_map_from_dict), in the certificates
-(check_null_homotopy checks each h_k as a module map; Equivalence and
-Triangle check their chain maps), and on the solutions of
-chain_map_generators.  Cones, fibers, sums, suspensions and the
-equivalences below are formulas on blocks, proved at each site.
+(check_null_homotopy checks each h_k as a module map; Equivalence checks
+its chain maps), and on the solutions of chain_map_generators.  Cones,
+fibers, sums, suspensions and the equivalences below are formulas on
+blocks, proved at each site.  A cone is its complex and the split of each
+term: its block maps are slices of the identity, formed when read.
 
 Homology is computed once per content, not once per complex.  A ghost
 tower forms no homology for its checks beyond its stages' own: the ghost
@@ -592,7 +593,7 @@ def chain_map_generators(src, tgt):
 
 
 # ---------------------------------------------------------------------------
-# Suspension, cones, triangles
+# Suspension and cones
 # ---------------------------------------------------------------------------
 
 def suspend(cx, times=1):
@@ -612,89 +613,69 @@ def suspend_between(f, src, tgt, times):
     return ChainMap(src, tgt, {k + times: m for k, m in f.mats.items()})
 
 
-@dataclass
-class Triangle:
-    """A -> B -> C -> SA with stored null-homotopies of consecutive composites."""
+def prefix_inclusion(x, w):
+    """The chain map x -> w onto the leading coordinates of each term of w.
 
-    a: object
-    b: object
-    c: object
-    f: ChainMap
-    g: ChainMap
-    h: ChainMap
-    gf_null: Homotopy
-    hg_null: Homotopy
-    rot_null: Homotopy          # (Sf) . h ~ 0
-    kind: str = "cone"
-
-    def validate(self):
-        for cx in (self.a, self.b, self.c):
-            cx.validate()
-        for mp in (self.f, self.g, self.h):
-            mp.validate()
-        check_null_homotopy(self.g @ self.f, self.gf_null)
-        check_null_homotopy(self.h @ self.g, self.hg_null)
-        sf = suspend_between(self.f, self.h.tgt, suspend(self.b), 1)
-        check_null_homotopy(sf @ self.h, self.rot_null)
+    A chain map whenever the x columns of every d_w are [d_x; 0]: the
+    inclusion of Y into cone(f: X -> Y), the universal ghost, and the tower
+    composite g_n (the prefix layout of ghosts.Tower).
+    """
+    return ChainMap(x, w, {k: np.eye(w.term(k).ngens, x.term(k).ngens, dtype=np.int64)
+                           for k in x.degrees()})
 
 
 @dataclass
 class ConeData:
-    triangle: Triangle
-    cone: object
-    # per-degree block injections/projections as raw matrices
-    inj_target: dict      # Y_k -> C_k
-    inj_shift: dict       # X_{k-1} -> C_k
-    pr_target: dict       # C_k -> Y_k
-    pr_shift: dict        # C_k -> X_{k-1}
+    """cone(f: X -> Y) and its block maps.  C_k = Y_k + X_(k-1) splits at
+    n_Y(k) = Y_k.ngens, so each block injection and projection is a slice of
+    the identity there (zero-sized outside the cone's support)."""
 
-    # shape-safe accessors (zero blocks outside the cone's support)
+    f: ChainMap
+    cone: Complex
+
+    def _split(self, k):
+        return self.f.tgt.term(k).ngens, self.cone.term(k).ngens
+
     def it(self, k):
-        got = self.inj_target.get(k)
-        return got if got is not None else zeros(self.cone.term(k).ngens, self.triangle.b.term(k).ngens)
+        """Y_k -> C_k."""
+        ny, n = self._split(k)
+        return np.eye(n, ny, dtype=np.int64)
 
     def ish(self, k):
-        got = self.inj_shift.get(k)
-        return got if got is not None else zeros(self.cone.term(k).ngens, self.triangle.a.term(k - 1).ngens)
+        """X_(k-1) -> C_k."""
+        ny, n = self._split(k)
+        return np.eye(n, n - ny, -ny, dtype=np.int64)
 
     def pt(self, k):
-        got = self.pr_target.get(k)
-        return got if got is not None else zeros(self.triangle.b.term(k).ngens, self.cone.term(k).ngens)
+        """C_k -> Y_k."""
+        ny, n = self._split(k)
+        return np.eye(ny, n, dtype=np.int64)
 
     def psh(self, k):
-        got = self.pr_shift.get(k)
-        return got if got is not None else zeros(self.triangle.a.term(k - 1).ngens, self.cone.term(k).ngens)
+        """C_k -> X_(k-1)."""
+        ny, n = self._split(k)
+        return np.eye(n - ny, n, ny, dtype=np.int64)
+
+    def inclusion(self):
+        """Y -> C, a chain map as d_C restricted to Y is d_Y."""
+        return prefix_inclusion(self.f.tgt, self.cone)
+
+    def connecting(self):
+        """C -> S X, (y, x) -> x: a chain map as d_(SX) = -d_X."""
+        return ChainMap(self.cone, suspend(self.f.src), {k: self.psh(k) for k in self.cone.degrees()})
 
 
 def cone(f, name=""):
-    """Mapping cone with its triangle  X -> Y -> C -> SX  and homotopies.
+    """Mapping cone of f: X -> Y, with its block maps (ConeData).
 
-    Built unchecked: the terms are direct sums, d = [[d, f], [0, -d]] has
-    d.d = [[0, d f - f d], [0, 0]] = 0 for a chain map f, and the block
-    injections and projections (so incl, proj and the homotopies) are
-    module maps that commute with these d as the sign rules say.
+    Built unchecked: the terms are direct sums, and d = [[d, f], [0, -d]]
+    has d.d = [[0, d f - f d], [0, 0]] = 0 for a chain map f.
     """
     x, y = f.src, f.tgt
     ring = x.ring
     lo = min(y.lo, x.lo + 1)
     hi = max(y.hi, x.hi + 1)
-    terms = {}
-    inj_t, inj_s, pr_t, pr_s = {}, {}, {}, {}
-    for k in range(lo, hi + 1):
-        yk = y.term(k)
-        xk1 = x.term(k - 1)
-        terms[k] = direct_sum_modules(yk, xk1, label=f"C{k}")
-        n = yk.ngens + xk1.ngens
-        it = zeros(n, yk.ngens)
-        it[: yk.ngens] = eye(yk.ngens)
-        js = zeros(n, xk1.ngens)
-        js[yk.ngens :] = eye(xk1.ngens)
-        inj_t[k], inj_s[k] = it, js
-        pt = zeros(yk.ngens, n)
-        pt[:, : yk.ngens] = eye(yk.ngens)
-        ps = zeros(xk1.ngens, n)
-        ps[:, yk.ngens :] = eye(xk1.ngens)
-        pr_t[k], pr_s[k] = pt, ps
+    terms = {k: direct_sum_modules(y.term(k), x.term(k - 1), label=f"C{k}") for k in range(lo, hi + 1)}
     diffs = {}
     for k in range(lo, hi + 1):
         # d(y, x) = (dy + fx, -dx)
@@ -706,17 +687,7 @@ def cone(f, name=""):
     certs = {k: _sum_certificate(terms[k], y.term(k), y.certs.get(k), x.term(k - 1), x.certs.get(k - 1))
              for k in range(lo, hi + 1)}
     c = Complex(ring, lo, hi, terms, diffs, certs=certs, name=name or f"cone({x.name or 'X'})")
-    incl = ChainMap(y, c, {k: inj_t[k] for k in c.degrees()})
-    sx = suspend(x)
-    proj = ChainMap(c, sx, {k: pr_s[k] for k in c.degrees()})
-    # i.f ~ 0 via h(x) = (0, x)
-    h1 = Homotopy(x, c, {k: inj_s[k + 1] for k in range(x.lo, x.hi + 1) if (k + 1) in inj_s})
-    # proj.incl = 0 exactly
-    h2 = Homotopy(y, sx, {})
-    # (Sf).proj ~ 0 via H(y, x) = y
-    h3 = Homotopy(c, suspend(y), {k: pr_t[k] for k in c.degrees() if not c.term(k).is_zero})
-    tri = Triangle(a=x, b=y, c=c, f=f, g=incl, h=proj, gf_null=h1, hg_null=h2, rot_null=h3)
-    return ConeData(triangle=tri, cone=c, inj_target=inj_t, inj_shift=inj_s, pr_target=pr_t, pr_shift=pr_s)
+    return ConeData(f=f, cone=c)
 
 
 def _sum_certificate(total, a, cert_a, b, cert_b):
@@ -758,17 +729,15 @@ def desuspend(cx, times=1):
 
 
 def fiber(g):
-    """F = S^-1 cone(g: X -> W), with projection F -> X and inclusion S^-1 W -> F.
+    """F = S^-1 cone(g: X -> W), with its projection F -> X.
 
-    Returns (F, proj_to_src, incl_from_desusp_target, cone_data).  F has
-    d(w, x) = (-dw - gx, dx), so the block projection and injection are chain maps.
+    Returns (F, proj_to_src, cone_data).  F has d(w, x) = (-dw - gx, dx), so
+    the block projection is a chain map.
     """
     cd = cone(g)
     f = desuspend(cd.cone)
     proj = ChainMap(f, g.src, {k: cd.psh(k + 1) for k in f.degrees()})
-    wdown = desuspend(g.tgt)
-    incl = ChainMap(wdown, f, {k: cd.it(k + 1) for k in f.degrees()})
-    return f, proj, incl, cd
+    return f, proj, cd
 
 
 def section_from_null_homotopy(g, h, fib, proj):
@@ -917,7 +886,7 @@ def split_inclusion_model(cd, q):
     i r + e e^T = id degreewise (so d_q = e^T d_B e); the Equivalence's
     validate() checks both maps and both witnesses.
     """
-    i, c = cd.triangle.f, cd.cone
+    i, c = cd.f, cd.cone
     b = i.tgt
 
     def split(k):

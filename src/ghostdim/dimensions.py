@@ -416,7 +416,7 @@ def rouquier_build(x, n):
     # proj . include = id on the nose
     retract_homotopy = Homotopy(x, x, {})
     p0 = tower.ugs[0].cover
-    base_model = suspend_equivalence(split_inclusion_model(fibers[0][3], suspend(p0)), ys[0], p0, -1)
+    base_model = suspend_equivalence(split_inclusion_model(fibers[0][2], suspend(p0)), ys[0], p0, -1)
     steps = []
     for j in range(1, n + 1):
         prev_y, y_j = ys[j - 1], ys[j]
@@ -435,8 +435,8 @@ def rouquier_build(x, n):
                 next_y=y_j,
                 step_map=m_j,
                 cofiber=cd.cone,
-                incl=cd.triangle.g,
-                connecting=cd.triangle.h,
+                incl=cd.inclusion(),
+                connecting=cd.connecting(),
                 model=model,
                 free_rank_total=sum(model.tgt.term(k).ngens for k in model.tgt.degrees()),
             )

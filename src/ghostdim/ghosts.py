@@ -33,6 +33,7 @@ from .complexes import (
     free_complex,
     identity_chain,
     null_homotopy,
+    prefix_inclusion,
     suspend,
     zero_chain,
 )
@@ -44,19 +45,22 @@ from .verdicts import Verdict
 @dataclass
 class UniversalGhost:
     """Triangle  P -> X -> Y -> SP  with P free, P -> X onto homology,
-    and the universal ghost g: X -> Y = cone(P -> X).  nxt = S^-1 Y is the
-    next tower stage; its homology answered the ghost check."""
+    and the universal ghost g: X -> Y = cone(P -> X).  Only the next tower
+    stage nxt = S^-1 Y is kept (its homology answered the ghost check); Y
+    and g, the prefix inclusion of X's coordinates, are formed when read."""
 
     source: Complex
     cover: Complex
     cover_map: ChainMap
-    ghost: ChainMap
-    cone_data: object
     nxt: Complex
 
     @property
     def target(self):
-        return self.cone_data.cone
+        return suspend(self.nxt)
+
+    @property
+    def ghost(self):
+        return prefix_inclusion(self.source, self.target)
 
 
 def universal_ghost(x):
@@ -94,11 +98,9 @@ def universal_ghost(x):
         mats[k] = free_map(p.term(k), x.term(k), cols).mat
     cover_map = ChainMap(p, x, mats)
     _check_onto_homology(cover_map)
-    cd = cone(cover_map, name=f"UG({x.name or 'X'})")
-    ghost = cd.triangle.g
-    nxt = desuspend(cd.cone)
-    _check_ghost(ghost, nxt)
-    return UniversalGhost(source=x, cover=p, cover_map=cover_map, ghost=ghost, cone_data=cd, nxt=nxt)
+    nxt = desuspend(cone(cover_map, name=f"UG({x.name or 'X'})").cone)
+    _check_ghost(x, nxt)
+    return UniversalGhost(source=x, cover=p, cover_map=cover_map, nxt=nxt)
 
 
 def _check_onto_homology(cover_map):
@@ -113,14 +115,16 @@ def _check_onto_homology(cover_map):
             raise ValidationError("homology cover failed to be surjective")
 
 
-def _check_ghost(g, nxt):
-    """Raise unless g: X -> Y induces zero on homology; nxt is S^-1 Y."""
-    x = g.src
+def _check_ghost(x, nxt):
+    """Raise unless the prefix inclusion g: X -> Y = S nxt induces zero on
+    homology.  g_k . lift is the lift padded with zeros, already reduced, as
+    the leading orders of Y_k are X_k's."""
     for k in x.degrees():
         hk = x.homology_at(k)
         if hk.module.is_zero:
             continue
-        pushed = linalg.reduce_coords(g.component(k) @ hk.lift, g.tgt.term(k).orders)
+        pushed = linalg.zeros(nxt.term(k - 1).ngens, hk.lift.shape[1])
+        pushed[:hk.lift.shape[0]] = hk.lift
         if nxt.homology_at(k - 1).classify(pushed).any():
             raise ValidationError("cofiber of a homology epi failed the ghost check")
 
@@ -131,7 +135,7 @@ class Tower:
     ugs[i] is the universal ghost out of the stage X_i (X_0 the base,
     X_(i+1) = ugs[i].nxt = S^-1 cone(p_i: P_i -> X_i)), and g_n: X -> W_n,
     W_n = S^n cone(p_n) = S^(n+1) X_(n+1), is the composite of the first
-    n+1 ghosts.
+    n+1 ghosts.  A stage keeps its cover and the next stage only, no cone.
 
     The prefix layout: X_n = S^-n W_(n-1), with W_(-1) = X, so degreewise
     W_n = W_(n-1) + S^(n+1) P_n, the new summand last, and
@@ -156,13 +160,10 @@ class Tower:
         return self.ugs[i]
 
     def composite(self, n):
-        """g_n: X -> W_n, built once.  The prefix inclusion is a chain map, as
-        the X columns of every d_(W_n) are [d_X; 0]."""
+        """g_n: X -> W_n = S^(n+1) X_(n+1), built once.  The prefix inclusion
+        is a chain map, as the X columns of every d_(W_n) are [d_X; 0]."""
         if n not in self._composites:
-            x = self.base
-            w = suspend(self.ug(n).target, n)
-            self._composites[n] = ChainMap(x, w, {k: linalg.eye(w.term(k).ngens)[:, :x.term(k).ngens]
-                                                  for k in x.degrees()})
+            self._composites[n] = prefix_inclusion(self.base, suspend(self.ug(n).nxt, n + 1))
         return self._composites[n]
 
     def nullity(self, n):

@@ -21,9 +21,9 @@ A solve forms no S: it eliminates the augmented matrix [A | B] once, the
 pivot search reading only A's columns, so B ends as S @ B mod m.  Over a
 prime it forms no T either: the reduced A is [I C; 0 0] up to the order of
 its columns, so x[pivots] = the first rows of the reduced B, and the
-kernel is e_j - C[:, j] over the non-pivot columns j.  Only quotient
-presentations and generating-set reduction, which read S and S^-1, form
-the r x r matrices.
+kernel is e_j - C[:, j] over the non-pivot columns j.  Generating-set
+reduction reads G T off the same pass (S^-1 D = G T), so only quotient
+presentations, which read S and S^-1, form the r x r matrices.
 
 Every system matrix of the package is built by Congruences, from (row,
 col, value) triples such as kron_nonzeros gives for a Kronecker product.
@@ -188,7 +188,7 @@ class SmithDecomposition:
 
 # What a caller of smith_mod reads: the diagonal alone (orders), a solution
 # and the kernel (the right-hand sides carried along, no S), or S, S^-1 and
-# T (spans and quotient presentations).
+# T (quotient presentations).
 READS = ("diag", "solve", "all")
 
 
@@ -548,20 +548,18 @@ def smith_mod(a, m, reads, rhs):
 def reduce_generators(gens, m):
     """Replace the columns of gens by at most `rows` columns with the same span.
 
-    Uses colspan(G) = S^-1 @ colspan(D): the nonzero diagonal entries give
-    scaled columns of S^-1 generating the same subgroup of (Z/m)^rows.
+    D = S G T gives S^-1 D = G T (mod m), and colspan(G) = S^-1 colspan(D):
+    the columns G T_i with D_ii != 0 generate it.  So one "solve" pass, with
+    no S or S^-1, gives them: over a prime the pivot columns of G, and on
+    the composite path G T_i over the live diagonal.
     """
     g = as_matrix(gens) % m
     if g.shape[1] == 0 or not g.any():
         return zeros(g.shape[0], 0)
-    dec = smith_mod(g, m, "all", None)
-    cols = []
-    for i, di in enumerate(dec.diag):
-        if di % m:
-            cols.append((dec.s_inv[:, i] * int(di)) % m)
-    if not cols:
-        return zeros(g.shape[0], 0)
-    return np.stack(cols, axis=1)
+    dec = smith_mod(g, m, "solve", zeros(g.shape[0], 0))
+    if dec.pivots is not None:
+        return g[:, dec.pivots]
+    return (g @ dec.t[:, np.flatnonzero(dec.diag % m)]) % m
 
 
 # ---------------------------------------------------------------------------

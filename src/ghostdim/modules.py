@@ -354,10 +354,8 @@ def _reduce_mixed_generators(gens, orders, m):
     # work in (Z/m)^k via the embedding x_i -> (m/d_i) x_i, which is injective
     scale = np.array([m // d for d in orders], dtype=np.int64)[:, None]
     red = linalg.reduce_generators((gens * scale) % m, m)
-    # pull back: the columns of red lie in the span of the embedded gens, so
-    # the scales divide them; fall back to gens should one not be divisible
-    if (red % scale).any():
-        return gens
+    # pull back: the columns of red are columns of G T (reduce_generators),
+    # so combinations of the embedded gens, and the scales divide them
     return linalg.reduce_coords(red // scale, orders)
 
 

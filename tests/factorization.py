@@ -14,6 +14,7 @@ import numpy as np
 from ghostdim.complexes import (
     ChainMap,
     Complex,
+    ConeData,
     Homotopy,
     _sum_certificate,
     cone,
@@ -98,14 +99,17 @@ def factor_through_pdim_n(f, n, _verify=True):
     delta = ug.ghost                     # X -> C0, the universal ghost
     x1 = ug.nxt                          # the first tower stage, S^-1 C0
     # the block projection of S^-1 cone(p) onto P, a chain map as in fiber()
-    rprime = ChainMap(x1, pp, {k: ug.cone_data.psh(k + 1) for k in x1.degrees()})
+    c0_blocks = ConeData(p_map, c0)
+    rprime = ChainMap(x1, pp, {k: c0_blocks.psh(k + 1) for k in x1.degrees()})
 
     # 1. recursively factor  delta . f : A -> C0  through pdim <= n-1
     sub = factor_through_pdim_n(delta @ f, n - 1, _verify=False)
     dtil, h, phi = sub.through, sub.into, sub.out_of
 
-    # 2. Z = fiber(h), with its triangle  S^-1 D -> Z -> A -> D
-    z, z_proj, z_incl, _ = fiber(h)
+    # 2. Z = fiber(h), with its triangle  S^-1 D -> Z -> A -> D; the block
+    # inclusion S^-1 D -> Z is a chain map as d_Z(w, 0) = (-dw, 0)
+    z, z_proj, z_cd = fiber(h)
+    z_incl = ChainMap(desuspend(h.tgt), z, {k: z_cd.it(k + 1) for k in z.degrees()})
     phi_down = suspend_between(phi, desuspend(dtil), x1, -1)
 
     # 3. fill psi: Z -> P with  p.psi ~ f.z_proj  and  psi.z_incl ~ r'.phi_down
@@ -129,8 +133,8 @@ def factor_through_pdim_n(f, n, _verify=True):
     c1 = tau @ z_incl                       # S^-1 D -> Q
     bprime_cd = cone(c1)
     bprime = bprime_cd.cone
-    iota = bprime_cd.triangle.g             # Q -> B'
-    pi_d = bprime_cd.triangle.h             # B' -> S S^-1 D (same terms as D)
+    iota = bprime_cd.inclusion()            # Q -> B'
+    pi_d = bprime_cd.connecting()           # B' -> S S^-1 D (same terms as D)
     dtil_raised = pi_d.tgt                  # S S^-1 D: D's terms and differentials
     h_raised = ChainMap(a, dtil_raised, h.mats)
     got = _solve_squares_sign_tolerant(

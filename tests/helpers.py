@@ -3,7 +3,10 @@
 Everything here works by exhaustive enumeration of small groups, so it is
 independent of the linear-algebra paths it cross-checks.  `named_ring`
 also builds zmod:12 and ut2:f3, the test rings that are not builtins.
-`homology_les_exact` checks a triangle's long exact sequence by orders.
+`cone_triangle` builds the triangle X -> Y -> cone(f) -> SX with its three
+homotopies, which only the tests read, and `homology_les_exact` checks its
+long exact sequence by orders.  `random_small_complex` draws the random
+complexes of acceptance criterion 7.
 `induced_map` and `image_subgroup_order` are the homology-module helpers
 that the package used before its tower-free filtration read orders only.
 `criterion_6_pairs` lists the pairs that acceptance criterion 6 compares;
@@ -13,11 +16,21 @@ builds the ring specs committed under tests/rings.
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
 from ghostdim import linalg
-from ghostdim.complexes import cone, free_complex, resolution_complex
+from ghostdim.complexes import (
+    ChainMap,
+    Homotopy,
+    check_null_homotopy,
+    cone,
+    free_complex,
+    resolution_complex,
+    suspend,
+    suspend_between,
+)
 from ghostdim.ghosts import random_chain_map
 from ghostdim.linalg import zeros
 from ghostdim.modules import ModuleMap, make_module, subgroup_order_in
@@ -245,6 +258,62 @@ def shift_identification(sa, a, k, times=1):
     if hs.module.is_zero:
         return ModuleMap(hs.module, ht.module, zeros(ht.module.ngens, 0))
     return ModuleMap(hs.module, ht.module, ht.classify(hs.lift))
+
+
+@dataclass
+class Triangle:
+    """A -> B -> C -> SA with stored null-homotopies of consecutive composites."""
+
+    a: object
+    b: object
+    c: object
+    f: ChainMap
+    g: ChainMap
+    h: ChainMap
+    gf_null: Homotopy
+    hg_null: Homotopy
+    rot_null: Homotopy          # (Sf) . h ~ 0
+
+    def validate(self):
+        for cx in (self.a, self.b, self.c):
+            cx.validate()
+        for mp in (self.f, self.g, self.h):
+            mp.validate()
+        check_null_homotopy(self.g @ self.f, self.gf_null)
+        check_null_homotopy(self.h @ self.g, self.hg_null)
+        sf = suspend_between(self.f, self.h.tgt, suspend(self.b), 1)
+        check_null_homotopy(sf @ self.h, self.rot_null)
+
+
+def cone_triangle(f):
+    """The triangle  X -> Y -> C -> SX  of C = cone(f), with its homotopies:
+    i.f ~ 0 via h(x) = (0, x), proj.i = 0 exactly, and (Sf).proj ~ 0 via
+    H(y, x) = y."""
+    cd = cone(f)
+    x, y, c = f.src, f.tgt, cd.cone
+    proj = cd.connecting()
+    return Triangle(
+        a=x, b=y, c=c, f=f, g=cd.inclusion(), h=proj,
+        gf_null=Homotopy(x, c, {k: cd.ish(k + 1) for k in x.degrees()}),
+        hg_null=Homotopy(y, proj.tgt, {}),
+        rot_null=Homotopy(c, suspend(y), {k: cd.pt(k) for k in c.degrees() if not c.term(k).is_zero}),
+    )
+
+
+def random_small_complex(ring, rng):
+    """A free complex of length at most 1, or the cone of a random map
+    between free complexes, sometimes suspended: the random complexes of
+    acceptance criterion 7."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return free_complex(ring, {k: 1 for k in range(rng.choice([1, 2]))})
+    a = free_complex(ring, {0: 1, 1: 1} if rng.random() < 0.5 else {0: 1})
+    b = free_complex(ring, {0: 1})
+    f = random_chain_map(a, b, rng)
+    cx = cone(f).cone
+    if rng.random() < 0.3:
+        cx = suspend(cx, rng.choice([-1, 1]))
+    return cx
 
 
 def homology_les_exact(tri):

@@ -18,6 +18,9 @@ so the faster code must return exactly what the reference returns.
   quotient presentation and a second elimination for the actions
   (`submodule_from_generators`), on generators thinned by the per-column
   pull-back loop of `_reduce_mixed_generators`.
+* `reduce_generators` read the generators off S^-1 as the columns
+  S^-1[:, i] * D_ii of a reads="all" decomposition, before they were read
+  off one solve pass as the columns G T_i (S^-1 D = G T mod m).
 * `_hom_constraint_rows` builds the rows of a hom space densely, by np.kron
   and a loop over entries; `hom_generators` solves them as
   modules.hom_generators did.  `tensor_relations` is the loop that built
@@ -348,6 +351,25 @@ def kernel_of(f, label=""):
     return submodule_from_generators(f.src, kg, label=label)
 
 
+def reduce_generators(gens, m):
+    """Replace the columns of gens by at most `rows` columns with the same span.
+
+    Uses colspan(G) = S^-1 @ colspan(D): the nonzero diagonal entries give
+    scaled columns of S^-1 generating the same subgroup of (Z/m)^rows.
+    """
+    g = as_matrix(gens) % m
+    if g.shape[1] == 0 or not g.any():
+        return zeros(g.shape[0], 0)
+    dec = smith_mod(g, m, "all", None)
+    cols = []
+    for i, di in enumerate(dec.diag):
+        if di % m:
+            cols.append((dec.s_inv[:, i] * int(di)) % m)
+    if not cols:
+        return zeros(g.shape[0], 0)
+    return np.stack(cols, axis=1)
+
+
 def _reduce_mixed_generators(gens, orders, m):
     """Thin a generating set of a subgroup of a mixed-order group."""
     gens = as_matrix(gens, rows=len(orders))
@@ -356,7 +378,7 @@ def _reduce_mixed_generators(gens, orders, m):
     # work in (Z/m)^k via the embedding x_i -> (m/d_i) x_i, which is injective
     scale = np.array([m // d for d in orders], dtype=np.int64)
     emb = (gens * scale[:, None]) % m
-    red = linalg.reduce_generators(emb, m)
+    red = reduce_generators(emb, m)
     # pull back: columns of red are divisible by the scales again
     out = zeros(len(orders), red.shape[1])
     for c in range(red.shape[1]):

@@ -21,11 +21,8 @@ from ghostdim.cli import (
 from ghostdim.complexes import (
     ChainMap,
     Complex,
-    cone,
-    free_complex,
     module_complex,
     null_homotopy,
-    suspend,
     zero_chain,
 )
 from ghostdim.ghosts import random_chain_map
@@ -162,19 +159,6 @@ def test_criterion_6_spectral_sequence_cross_oracle():
     _stamp("6 (spectral-sequence cross-oracle)", t0, extra=f"[{compared} pairs]")
 
 
-def _random_small_complex(ring, rng):
-    kind = rng.randrange(3)
-    if kind == 0:
-        return free_complex(ring, {k: 1 for k in range(rng.choice([1, 2]))})
-    a = free_complex(ring, {0: 1, 1: 1} if rng.random() < 0.5 else {0: 1})
-    b = free_complex(ring, {0: 1})
-    f = random_chain_map(a, b, rng)
-    cx = cone(f).cone
-    if rng.random() < 0.3:
-        cx = suspend(cx, rng.choice([-1, 1]))
-    return cx
-
-
 def test_criterion_7_les_and_homotopy_soundness():
     """1000 seeded random triangles per backend pass homology LES exactness;
     null-homotopy decisions agree with exhaustive search."""
@@ -188,10 +172,10 @@ def test_criterion_7_les_and_homotopy_soundness():
         checked = 0
         while checked < 1000:
             ring = rings[checked % len(rings)]
-            a = _random_small_complex(ring, rng)
-            b = _random_small_complex(ring, rng)
+            a = helpers.random_small_complex(ring, rng)
+            b = helpers.random_small_complex(ring, rng)
             f = random_chain_map(a, b, rng)
-            tri = cone(f).triangle
+            tri = helpers.cone_triangle(f)
             assert helpers.homology_les_exact(tri), f"{backend}: LES failed for seed state {checked}"
             checked += 1
         assert checked == 1000
@@ -202,8 +186,8 @@ def test_criterion_7_les_and_homotopy_soundness():
         found = missing = 0
         while agreements < 120:
             ring = rings[agreements % len(rings)]
-            a = _random_small_complex(ring, rng)
-            b = _random_small_complex(ring, rng)
+            a = helpers.random_small_complex(ring, rng)
+            b = helpers.random_small_complex(ring, rng)
             from ghostdim.complexes import chain_map_generators
 
             gens = chain_map_generators(a, b)

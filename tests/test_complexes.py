@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cone_reference
 import helpers
 import smith_reference
 from factorization import direct_sum_complexes
@@ -102,24 +103,24 @@ def test_homology_matches_brute_on_random_zmod_complexes():
 
 
 def test_cone_of_identity_is_contractible():
-    tri = cone(identity_chain(CONE2)).triangle
-    h = null_homotopy(identity_chain(tri.c))
+    c = cone(identity_chain(CONE2)).cone
+    h = null_homotopy(identity_chain(c))
     assert h is not None
 
 
 def test_cone_of_zero_splits():
     x = mult_complex(Z4, 0)
     y = module_complex(free_module(Z4, 1))
-    tri = cone(zero_chain(x, y)).triangle
+    c = cone(zero_chain(x, y)).cone
     # homology splits: H(cone) = H(y) + H(SX)
     sx = suspend(x)
     for k in range(-1, 4):
-        assert tri.c.homology_at(k).module.size == y.homology_at(k).module.size * sx.homology_at(k).module.size
+        assert c.homology_at(k).module.size == y.homology_at(k).module.size * sx.homology_at(k).module.size
 
 
 def test_cone_triangle_validates_and_les_holds():
     f = ChainMap(CONE2, CONE2, {0: np.array([[2]]), 1: np.array([[2]])})
-    tri = cone(f).triangle
+    tri = helpers.cone_triangle(f)
     tri.validate()
     assert helpers.homology_les_exact(tri)
 
@@ -128,9 +129,9 @@ def test_cone_multiplication_homology():
     # cone(2: R -> R) in degree 0 has H0 = H1 = Z/2
     r = module_complex(free_module(Z4, 1))
     f = ChainMap(r, r, {0: np.array([[2]])})
-    tri = cone(f).triangle
-    assert tri.c.homology_at(0).module.orders == (2,)
-    assert tri.c.homology_at(1).module.orders == (2,)
+    c = cone(f).cone
+    assert c.homology_at(0).module.orders == (2,)
+    assert c.homology_at(1).module.orders == (2,)
 
 
 def test_null_homotopy_zero_map():
@@ -211,7 +212,7 @@ def test_fiber_and_section():
     f = ChainMap(CONE2, CONE2, {0: np.array([[2]]), 1: np.array([[2]])})
     h = null_homotopy(f)
     assert h is not None  # 2*id on this complex is null-homotopic (h=[1] works)
-    fib, proj, incl, cd = fiber(f)
+    fib, proj, cd = fiber(f)
     s = section_from_null_homotopy(f, h, fib, proj)
     comp = proj @ s
     assert homotopic(comp, identity_chain(CONE2))
@@ -303,7 +304,7 @@ def test_zero_complex_everywhere():
     z = Complex.zero(Z4)
     assert z.is_zero
     assert null_homotopy(zero_chain(z, z)) is not None
-    tri = cone(zero_chain(z, CONE2)).triangle
+    tri = helpers.cone_triangle(zero_chain(z, CONE2))
     tri.validate()
     assert suspend(z).is_zero
 
@@ -722,3 +723,90 @@ def test_assembly_and_homology_match_the_dense_reference_on_a_battery(name, monk
     assert len(systems) >= (50 if name in ("ut3:f2", "zmod:12") else 40) and len(homologies) >= 50
     # over the fields every module is free, so no section is sought
     assert tensors and (homs or name in ("f2", "f3", "zmod:2", "zmod:3"))
+
+
+# ---------------------------------------------------------------------------
+# The lean cone: block maps formed when read, no triangle
+# ---------------------------------------------------------------------------
+
+CRITERION_7_RINGS = {
+    "zmod": [zmod(4), zmod(6), zmod(8), zmod(9)],
+    "fp_algebra": [builtin_ring("dual:f2"), builtin_ring("ut2:f2"), builtin_ring("f2")],
+}
+
+
+def _same_maps(got, want):
+    return (got.src.lo, got.src.hi, got.tgt.lo, got.tgt.hi) == (want.src.lo, want.src.hi, want.tgt.lo, want.tgt.hi) \
+        and got.mats.keys() == want.mats.keys() and all(_identical(got.mats[k], want.mats[k]) for k in want.mats)
+
+
+@pytest.mark.parametrize("backend", sorted(CRITERION_7_RINGS))
+def test_lean_cone_is_bit_identical_to_the_dict_built_reference(backend):
+    """The random cones of acceptance criterion 7 (its rings and draws, 300
+    per backend): the cone, every block map at every degree, inclusion(),
+    connecting() and the test triangle's homotopies equal the reference's."""
+    import random
+
+    from ghostdim.ghosts import random_chain_map
+
+    rings = CRITERION_7_RINGS[backend]
+    rng = random.Random(2026)
+    for count in range(300):
+        ring = rings[count % len(rings)]
+        f = random_chain_map(helpers.random_small_complex(ring, rng), helpers.random_small_complex(ring, rng), rng)
+        got, want = cone(f), cone_reference.cone(f)
+        assert (got.cone.lo, got.cone.hi) == (want.cone.lo, want.cone.hi)
+        for k in range(got.cone.lo - 1, got.cone.hi + 2):
+            assert got.cone.term(k).orders == want.cone.term(k).orders
+            assert _identical(got.cone.diff(k), want.cone.diff(k))
+            for block in ("it", "ish", "pt", "psh"):
+                assert _identical(getattr(got, block)(k), getattr(want, block)(k)), (count, k, block)
+        assert _same_maps(got.inclusion(), want.triangle.g)
+        assert _same_maps(got.connecting(), want.triangle.h)
+        tri = helpers.cone_triangle(f)
+        for name in ("gf_null", "hg_null", "rot_null"):
+            mine, theirs = getattr(tri, name), getattr(want.triangle, name)
+            assert mine.mats.keys() == theirs.mats.keys()
+            assert all(_identical(mine.mats[k], theirs.mats[k]) for k in theirs.mats)
+
+
+def test_pdim_builds_no_triangle_and_no_homotopy_outside_null_homotopy(monkeypatch):
+    """Over a battery, pdim_complex constructs no Homotopy other than the
+    solutions of null_homotopy, no cone inclusion or connecting map, and no
+    suspension inside cone(); a tower stage keeps no cone."""
+    import sys
+    from collections import Counter
+    from dataclasses import fields
+
+    from ghostdim.ghosts import UniversalGhost
+
+    def caller():
+        return sys._getframe(2).f_code.co_name
+
+    homotopies, suspensions, triangles = Counter(), Counter(), Counter()
+    init, susp = complexes.Homotopy.__init__, complexes.suspend
+
+    def counted_init(self, *args, **kwargs):
+        homotopies[caller()] += 1
+        init(self, *args, **kwargs)
+
+    def counted_suspend(*args, **kwargs):
+        suspensions[caller()] += 1
+        return susp(*args, **kwargs)
+
+    monkeypatch.setattr(complexes.Homotopy, "__init__", counted_init)
+    monkeypatch.setattr(complexes, "suspend", counted_suspend)
+    for name in ("inclusion", "connecting"):
+        monkeypatch.setattr(complexes.ConeData, name, lambda self, name=name: triangles.update([name]))
+    monkeypatch.setattr(helpers.Triangle, "__init__", lambda self, *a, **kw: triangles.update(["Triangle"]))
+    ring = helpers.named_ring("zmod:12")
+    members, _ = standard_battery(ring, 4, seed=0)
+    for mem in members:
+        pdim_complex(mem.cx, 4)
+    assert set(homotopies) == {"null_homotopy"}
+    assert suspensions["desuspend"] and "cone" not in suspensions
+    assert not triangles
+    assert [f.name for f in fields(UniversalGhost)] == ["source", "cover", "cover_map", "nxt"]
+    stages = [ug for mem in members if "tower" in mem.cx._cache for ug in mem.cx._cache["tower"].ugs]
+    assert len(stages) >= len(members) - 1
+    assert not [v for ug in stages for v in vars(ug).values() if isinstance(v, complexes.ConeData)]

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import cone_reference
 import helpers
 from factorization import factor_through_pdim_n
 from ghost_reference import (
@@ -153,6 +154,23 @@ def test_the_prefix_composite_is_the_chained_product(name):
     assert checked == 4 * len(members)
 
 
+@pytest.mark.parametrize("name", ("zmod:12", "ut3:f2"))
+def test_the_composite_target_is_the_suspended_cone_mod_m(name):
+    """W_s = S^(s+1) X_(s+1), built from the kept stage, has the terms of
+    S^s cone(p_s) and its differentials mod m (s <= 2, bound-4 battery)."""
+    members, _ = standard_battery(helpers.named_ring(name), 4, seed=0)
+    for mem in members:
+        tower = Tower(mem.cx)
+        m = mem.cx.ring.modulus
+        for s in range(3):
+            got = tower.composite(s).tgt
+            want = suspend(cone_reference.cone(tower.ug(s).cover_map).cone, s)
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+            for k in range(want.lo - 1, want.hi + 2):
+                assert got.term(k).orders == want.term(k).orders
+                assert np.array_equal(got.diff(k) % m, want.diff(k) % m)
+
+
 def test_a_cover_missing_a_generator_fails_the_surjectivity_check(monkeypatch):
     full = ghosts.minimal_generators
     monkeypatch.setattr(ghosts, "minimal_generators", lambda mod: full(mod)[:, 1:])
@@ -164,10 +182,11 @@ def test_a_cover_missing_a_generator_fails_the_surjectivity_check(monkeypatch):
 
 
 def test_a_non_ghost_fails_the_ghost_check(monkeypatch):
-    # the identity of a complex with homology, against its own desuspension
+    # the identity of a complex with homology (the prefix inclusion of x into
+    # S S^-1 x), against its own desuspension
     x = mult_complex(Z4, 2)
     with pytest.raises(ValidationError, match="failed the ghost check"):
-        ghosts._check_ghost(identity_chain(x), desuspend(x))
+        ghosts._check_ghost(x, desuspend(x))
     # inside universal_ghost: the cone of the zero map keeps H(X) as a summand
     real = ghosts.cone
     monkeypatch.setattr(ghosts, "cone", lambda f, name="": real(zero_chain(f.src, f.tgt), name=name))

@@ -248,6 +248,27 @@ def divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 4, 6, 8, 9, 12]), st.sampled_from(["random", "zero", "full"]))
+def test_reduce_generators_matches_the_s_inverse_reference(data, m, kind):
+    """One solve pass gives the columns G T_i that the reference read off
+    S^-1 D: random matrices, zero matrices, and full row rank ones (a unit
+    upper-triangular block among random columns)."""
+    g = sparse_matrix(data, m, 12, 16)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "zero":
+        g = np.zeros_like(g)
+    elif kind == "full":
+        rows = g.shape[0]
+        units = [u for u in range(1, m) if np.gcd(u, m) == 1]
+        tri = np.triu(rng.integers(0, m, size=(rows, rows)), 1) + np.diag(rng.choice(units, size=rows))
+        g = np.concatenate([tri, g], axis=1)[:, rng.permutation(rows + g.shape[1])]
+    got, want = reduce_generators(g, m), smith_reference.reduce_generators(g, m)
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+    if kind == "full":
+        assert got.shape[1] == g.shape[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.sampled_from([2, 3, 4, 6, 8, 9, 12]))
 def test_quotient_presentation_round_trip(data, m):
