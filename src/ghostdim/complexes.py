@@ -926,25 +926,14 @@ def dual_free_map(ring, mat, src_rank, tgt_rank):
     free_{R^op}(tgt_rank) -> free_{R^op}(src_rank).
     """
     rk = ring.rank
-    op = ring.opposite()
-    out = zeros(src_rank * rk, tgt_rank * rk)
     units = zeros(src_rank * rk, src_rank)
     for j in range(src_rank):
         units[j * rk : (j + 1) * rk, j] = ring.unit
     values = (mat @ units) % ring.modulus   # column i: image of module generator i
-    for j in range(tgt_rank):
-        for t in range(rk):
-            # functional phi with phi(e_j) = b_t, zero on other copies
-            col = zeros(src_rank * rk, 1)
-            for i in range(src_rank):
-                v = values[j * rk : (j + 1) * rk, i]
-                prod = np.zeros(rk, dtype=np.int64)
-                for s in range(rk):
-                    if v[s]:
-                        prod = (prod + int(v[s]) * ring.sc[t, s, :]) % ring.modulus
-                col[i * rk : (i + 1) * rk, 0] = prod
-            out[:, j * rk + t] = col[:, 0]
-    return out
+    # functional phi_(j,t) with phi(e_j) = b_t, zero on other copies, sends
+    # generator i to sum_s values[j, s, i] b_t b_s = sum_(s,k) values[j, s, i] sc[t, s, k] b_k
+    out = np.einsum("jsi,tsk->ikjt", values.reshape(tgt_rank, rk, src_rank), ring.sc) % ring.modulus
+    return out.reshape(src_rank * rk, tgt_rank * rk)
 
 
 def dual_complex(cx, name=""):

@@ -412,7 +412,7 @@ def rouquier_build(x, n):
         raise PdimTooLarge(f"pdim {x.name or 'X'} exceeds {n}")
     fibers = [fiber(tower.composite(j)) for j in range(n + 1)]
     ys = [fib[0] for fib in fibers]
-    include = section_from_null_homotopy(tower.composite(n), h, ys[n], fibers[n][1])
+    include = section_from_null_homotopy(fibers[n][2].f, h, ys[n], fibers[n][1])
     # proj . include = id on the nose
     retract_homotopy = Homotopy(x, x, {})
     p0 = tower.ugs[0].cover

@@ -148,7 +148,6 @@ class Tower:
     def __init__(self, x):
         self.base = x
         self.ugs = []
-        self._composites = {}
         self._nullities = {}
 
     def extend_to(self, n):
@@ -160,11 +159,10 @@ class Tower:
         return self.ugs[i]
 
     def composite(self, n):
-        """g_n: X -> W_n = S^(n+1) X_(n+1), built once.  The prefix inclusion
-        is a chain map, as the X columns of every d_(W_n) are [d_X; 0]."""
-        if n not in self._composites:
-            self._composites[n] = prefix_inclusion(self.base, suspend(self.ug(n).nxt, n + 1))
-        return self._composites[n]
+        """g_n: X -> W_n = S^(n+1) X_(n+1), built on every call; the tower
+        keeps none.  The prefix inclusion is a chain map, as the X columns
+        of every d_(W_n) are [d_X; 0]."""
+        return prefix_inclusion(self.base, suspend(self.ug(n).nxt, n + 1))
 
     def nullity(self, n):
         """Null-homotopy of g_n, or None; cached."""

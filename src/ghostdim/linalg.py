@@ -17,13 +17,15 @@ add-a-multiple steps likewise.  The result is D = S @ A @ T (mod m) with
 D diagonal and S, T invertible mod m.  Solving, kernels, quotient
 presentations and generating-set reduction all read off D.
 
-A solve forms no S: it eliminates the augmented matrix [A | B] once, the
-pivot search reading only A's columns, so B ends as S @ B mod m.  Over a
-prime it forms no T either: the reduced A is [I C; 0 0] up to the order of
-its columns, so x[pivots] = the first rows of the reduced B, and the
-kernel is e_j - C[:, j] over the non-pivot columns j.  Generating-set
-reduction reads G T off the same pass (S^-1 D = G T), so only quotient
-presentations, which read S and S^-1, form the r x r matrices.
+The kernel's one operation is to row-reduce one array [A mod m | B mod m]:
+the pivot search and the column operations read A's columns only, so B
+ends as S @ B mod m and S is never formed.  Over a prime no T is formed
+either: the reduced A is [I C; 0 0] up to the order of its columns, so
+x[pivots] = the first rows of the reduced B, and the kernel is
+e_j - C[:, j] over the non-pivot columns j.  Generating-set reduction reads
+G T off the same pass (S^-1 D = G T).  A quotient presentation, which
+reads S, eliminates [F | I], so S is its reduced right-hand side, and
+solves S X = I for the columns of S^-1 it reads.
 
 Every system matrix of the package is built by Congruences, from (row,
 col, value) triples such as kron_nonzeros gives for a Kronecker product.
@@ -122,22 +124,18 @@ def eye(n):
 
 @dataclass
 class SmithDecomposition:
-    """D = S @ A @ T mod m, D diagonal; s_inv is the mod-m inverse of S.
+    """One elimination of [A | B] mod m: D = S @ A @ T with D diagonal.
 
-    The caller names what it reads (smith_mod's `reads`): a matrix it does
-    not read is None.  pivots lists the pivot columns of the prime path in
-    ascending order (None on the composite path).
-
-    A solve (reads="solve") reads no S: rhs is S @ B mod m for the
-    right-hand sides B that rode along the row operations.  Its T is formed
-    on the composite path only; over a prime, `reduced` is the reduced A,
-    whose pivot rows give the solution and the kernel in closed form.
+    S is never formed: rhs is S @ B mod m for the right-hand sides B that
+    rode along the row operations (None when smith_mod was given none).
+    T is formed on the composite path of a solve only; over a prime,
+    `reduced` is the reduced A, whose pivot rows give the solution and the
+    kernel in closed form, and pivots lists its pivot columns in ascending
+    order (None on the composite path).
     """
 
     m: int
     diag: np.ndarray        # length min(rows, cols)
-    s: np.ndarray
-    s_inv: np.ndarray
     t: np.ndarray
     shape: tuple
     pivots: list
@@ -186,19 +184,13 @@ class SmithDecomposition:
         return (self.t[:, keep] * ann[keep]) % m
 
 
-# What a caller of smith_mod reads: the diagonal alone (orders), a solution
-# and the kernel (the right-hand sides carried along, no S), or S, S^-1 and
-# T (quotient presentations).
-READS = ("diag", "solve", "all")
-
-
 def check_exact(m, terms):
     """Refuse m unless a sum of `terms` products of residues mod m fits in int64.
 
     terms * m**2 bounds every intermediate of the kernel: the row updates
-    q * row, the S^-1 column sums over at most max(rows, cols) products, the
-    product T z of a composite solve, and the two-term gcd combinations of
-    the composite path (hence at least 2).
+    q * row, the product T z of a composite solve over at most
+    max(rows, cols) products, and the two-term gcd combinations of the
+    composite path (hence at least 2).
     """
     terms = max(terms, 2)
     if terms * m * m > INT64_MAX:
@@ -332,41 +324,25 @@ def _prime_null_columns(d, pivot_cols, m):
     return null
 
 
-def _smith_prime(a, m, reads, rhs):
-    """Gauss-Jordan diagonalization over the field Z/m, m prime.
+def _smith_prime(d, c, m):
+    """Gauss-Jordan reduction of d = [A | B] over the field Z/m, m prime.
 
-    One pass of row operations on D (from A), and on S (from I) for
-    reads="all".  A solve reduces [A | B] instead, with the right-hand sides
-    B as extra columns that the pivot search never reads, so B ends as
-    S @ B without S being formed.  Each pivot updates only the rows with a
-    nonzero in the pivot column, and only the columns where the pivot row
-    is nonzero: the systems the package builds are mostly zeros.  In D
-    these columns all lie at or right of the pivot column, because the
-    pivot row is zero to its left (every earlier column has its pivot
-    above it).  The reduced D is [I C; 0 0] up to the column permutation
-    that puts the pivot columns first, so T has a closed form: that
-    permutation, with -C (mod m) in the pivot rows of the non-pivot
-    columns.  Only reads="all" forms it; a solve reads the solution and
-    the kernel off the reduced D and B.
+    A is the first c columns; the pivot search reads only those, and each
+    row operation acts on the whole row, so B ends as S @ B without S
+    being formed.  Each pivot updates only the rows with a nonzero in the
+    pivot column, and only the columns where the pivot row is nonzero: the
+    systems the package builds are mostly zeros.  These columns all lie at
+    or right of the pivot column, because the pivot row is zero to its
+    left (every earlier column has its pivot above it).  The reduced A is
+    [I C; 0 0] up to the column permutation that puts the pivot columns
+    first, so a solve reads the solution and the kernel off it and forms
+    no T.
 
     The columns are taken in order, so a column gets a pivot iff it is not
     in the span of the columns before it: the pivots left of any column k
-    count the rank of the first k columns.  With reads="diag" only D is
-    reduced.
-
-    D and S are two arrays, not one augmented block [A | I]: returning S
-    out of the block meant holding both at once, and that raised the peak
-    memory of the compact-eq benchmark workload by about 3 MB (5 %).
+    count the rank of the first k columns.  Returns the pivot columns.
     """
-    a = as_matrix(a)
-    r, c = a.shape
-    # A solve eliminates [A | B]: its pivot row carries B's columns along.
-    d = np.empty((r, c + (0 if rhs is None else rhs.shape[1])), dtype=np.int64)
-    np.remainder(a, m, out=d[:, :c])
-    if rhs is not None:
-        d[:, c:] = rhs
-    s = eye(r) if reads == "all" else None
-    s_inv = eye(r) if reads == "all" else None
+    r = d.shape[0]
     pivot_cols = []
     row = 0
     for col in range(c):
@@ -378,105 +354,53 @@ def _smith_prime(a, m, reads, rhs):
         i = row + int(nz[0])
         if i != row:
             d[[row, i], col:] = d[[i, row], col:]
-            if s is not None:
-                s[[row, i]] = s[[i, row]]
-                s_inv[:, [row, i]] = s_inv[:, [i, row]]
-        rows = [(d, d[row, col:], col)] + ([(s, s[row], 0)] if s is not None else [])
+        vec = d[row, col:]
         pv = int(d[row, col])
         if pv != 1:
-            inv = modinv(pv, m)
-            for _, vec, _ in rows:
-                np.multiply(vec, inv, out=vec)
-                np.remainder(vec, m, out=vec)
-            if s_inv is not None:
-                s_inv[:, row] = (s_inv[:, row] * pv) % m
+            np.multiply(vec, modinv(pv, m), out=vec)
+            np.remainder(vec, m, out=vec)
         hits = d[:, col].nonzero()[0]
         if hits.size > 1:
             hits = hits[hits != row]
-            q = d[hits, col]
-            for mat, vec, first in rows:
-                cols = vec.nonzero()[0]
-                live = (hits[:, None], first + cols)
-                block = np.multiply.outer(q, vec[cols])
-                np.subtract(mat[live], block, out=block)
-                np.remainder(block, m, out=block)
-                mat[live] = block
-            if s_inv is not None:
-                s_inv[:, row] = (s_inv[:, row] + s_inv[:, hits] @ q) % m
+            cols = vec.nonzero()[0]
+            live = (hits[:, None], col + cols)
+            block = np.multiply.outer(d[hits, col], vec[cols])
+            np.subtract(d[live], block, out=block)
+            np.remainder(block, m, out=block)
+            d[live] = block
         pivot_cols.append(col)
         row += 1
-    npiv = len(pivot_cols)
-    t = None
-    if reads == "all":
-        t = zeros(c, c)
-        t[pivot_cols, np.arange(npiv)] = 1
-        t[:, npiv:] = _prime_null_columns(d, pivot_cols, m)
-    diag = np.zeros(min(r, c), dtype=np.int64)
-    diag[:npiv] = 1
-    return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c),
-                              pivots=pivot_cols, rhs=None if rhs is None else d[:, c:],
-                              reduced=d[:, :c] if reads == "solve" else None)
+    return pivot_cols
 
 
-def smith_mod(a, m, reads, rhs):
-    """Diagonalize a mod m by unimodular row and column operations.
+def _smith_composite(d, c, m, t):
+    """Diagonalize the first c columns of d = [A | B] mod m, m composite, in place.
 
-    Returns a SmithDecomposition.  No divisibility chain is enforced on the
-    diagonal; none of the callers needs it.  `reads` (one of READS) names
-    what the caller reads, and only that is formed: the diagonal; for
-    "solve" the right-hand sides rhs (a matrix with a's rows) carried
-    along the row operations, and T on the composite path; or all of S,
-    S^-1 and T.  rhs is None unless reads is "solve".  D is reduced by the
-    same steps whatever is read, so the diagonal does not depend on it.
+    Row operations act on whole rows of d, so B ends as S @ B; column
+    operations act on A's columns and on T, if one is given (the identity).
     """
-    if reads not in READS:
-        raise ValueError(f"reads must be one of {READS}, got {reads!r}")
-    if (rhs is None) != (reads != "solve"):
-        raise ValueError("right-hand sides ride along a solve, and only a solve")
-    a = as_matrix(a)
-    check_exact(m, max(a.shape))
-    if rhs is not None:
-        rhs = as_matrix(rhs, rows=a.shape[0]) % m
-    if m not in _PRIME_CACHE:
-        _PRIME_CACHE[m] = factorize(m) == {m: 1}
-    if _PRIME_CACHE[m]:
-        return _smith_prime(a, m, reads, rhs)
-    d = a % m
-    r, c = d.shape
-    # row operations act on D, S and the right-hand sides, column operations on D and T
-    s = eye(r) if reads == "all" else None
-    s_inv = eye(r) if reads == "all" else None
-    t = eye(c) if reads != "diag" else None
-    row_mats = [mat for mat in (d, s, rhs) if mat is not None]
-    col_mats = [d] + ([t] if t is not None else [])
+    r = d.shape[0]
+    a = d[:, :c]
+    col_mats = [a] if t is None else [a, t]
 
     def row_step(k, i):
-        # Zero d[i, k] using row k, keeping S and S^-1 in sync.
-        av = int(d[k, k])
-        bv = int(d[i, k])
+        # Zero a[i, k] using row k.
+        av = int(a[k, k])
+        bv = int(a[i, k])
         if bv == 0:
             return
         if av != 0 and bv % av == 0:
-            q = bv // av
-            for mat in row_mats:
-                mat[i] = (mat[i] - q * mat[k]) % m
-            if s_inv is not None:
-                s_inv[:, k] = (s_inv[:, k] + q * s_inv[:, i]) % m
+            d[i] = (d[i] - (bv // av) * d[k]) % m
             return
         g, x, y = xgcd(av, bv)
         ag, bg = av // g, bv // g
-        for mat in row_mats:
-            rk = (x * mat[k] + y * mat[i]) % m
-            ri = (-bg * mat[k] + ag * mat[i]) % m
-            mat[k], mat[i] = rk, ri
-        if s_inv is not None:
-            ck = (ag * s_inv[:, k] + bg * s_inv[:, i]) % m
-            ci = (-y * s_inv[:, k] + x * s_inv[:, i]) % m
-            s_inv[:, k], s_inv[:, i] = ck, ci
+        rk = (x * d[k] + y * d[i]) % m
+        ri = (-bg * d[k] + ag * d[i]) % m
+        d[k], d[i] = rk, ri
 
     def col_step(k, j):
-        av = int(d[k, k])
-        bv = int(d[k, j])
+        av = int(a[k, k])
+        bv = int(a[k, j])
         if bv == 0:
             return
         if av != 0 and bv % av == 0:
@@ -492,7 +416,7 @@ def smith_mod(a, m, reads, rhs):
             mat[:, k], mat[:, j] = ck, cj
 
     for k in range(min(r, c)):
-        sub = d[k:, k:]
+        sub = a[k:, k:]
         nz = np.nonzero(sub)
         if nz[0].size == 0:
             break
@@ -506,24 +430,18 @@ def smith_mod(a, m, reads, rhs):
             pos = int(np.argmin(vals))
         i0, j0 = int(nz[0][pos]) + k, int(nz[1][pos]) + k
         if i0 != k:
-            for mat in row_mats:
-                mat[[k, i0]] = mat[[i0, k]]
-            if s_inv is not None:
-                s_inv[:, [k, i0]] = s_inv[:, [i0, k]]
+            d[[k, i0]] = d[[i0, k]]
         if j0 != k:
             for mat in col_mats:
                 mat[:, [k, j0]] = mat[:, [j0, k]]
 
-        if gcd(int(d[k, k]), m) == 1:
-            inv = modinv(d[k, k], m)
-            col = d[k + 1:, k]
+        if gcd(int(a[k, k]), m) == 1:
+            inv = modinv(a[k, k], m)
+            col = a[k + 1:, k]
             if col.any():
                 q = (col * inv) % m
-                for mat in row_mats:
-                    mat[k + 1:] = (mat[k + 1:] - np.outer(q, mat[k])) % m
-                if s_inv is not None:
-                    s_inv[:, k] = (s_inv[:, k] + s_inv[:, k + 1:] @ q) % m
-            row = d[k, k + 1:]
+                d[k + 1:] = (d[k + 1:] - np.outer(q, d[k])) % m
+            row = a[k, k + 1:]
             if row.any():
                 q = (row * inv) % m
                 for mat in col_mats:
@@ -533,30 +451,57 @@ def smith_mod(a, m, reads, rhs):
         while True:
             for i in range(k + 1, r):
                 row_step(k, i)
-            if not d[k, k + 1:].any():
+            if not a[k, k + 1:].any():
                 break
             for j in range(k + 1, c):
                 col_step(k, j)
-            if not d[k + 1:, k].any():
+            if not a[k + 1:, k].any():
                 break
 
-    diag = np.array([d[i, i] for i in range(min(r, c))], dtype=np.int64)
-    return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c), pivots=None,
-                              rhs=rhs, reduced=None)
+
+def smith_mod(a, m, rhs):
+    """Row-reduce the one array [A mod m | B mod m], B = rhs, to D = S @ A @ T.
+
+    The pivot search and the column operations read A's columns only; the
+    row operations act on whole rows, so B ends as S @ B (the decomposition's
+    rhs) and no S is formed.  rhs is None for the diagonal alone, or a
+    matrix with a's rows for a solve (solution(), kernel()); a solve forms
+    T on the composite path, where the kernel and the solution read it.
+    No divisibility chain is enforced on the diagonal; none of the callers
+    needs it, and D is reduced by the same steps whatever B is.
+    """
+    a = as_matrix(a)
+    r, c = a.shape
+    check_exact(m, max(r, c))
+    d = np.concatenate([a] if rhs is None else [a, as_matrix(rhs, rows=r)], axis=1)
+    np.remainder(d, m, out=d)
+    if m not in _PRIME_CACHE:
+        _PRIME_CACHE[m] = factorize(m) == {m: 1}
+    t = None if rhs is None or _PRIME_CACHE[m] else eye(c)
+    if _PRIME_CACHE[m]:
+        pivots = _smith_prime(d, c, m)
+        diag = np.zeros(min(r, c), dtype=np.int64)
+        diag[:len(pivots)] = 1
+    else:
+        pivots = None
+        _smith_composite(d, c, m, t)
+        diag = d.diagonal()[:min(r, c)].copy()
+    return SmithDecomposition(m=m, diag=diag, t=t, shape=(r, c), pivots=pivots,
+                              rhs=None if rhs is None else d[:, c:], reduced=d[:, :c])
 
 
 def reduce_generators(gens, m):
     """Replace the columns of gens by at most `rows` columns with the same span.
 
     D = S G T gives S^-1 D = G T (mod m), and colspan(G) = S^-1 colspan(D):
-    the columns G T_i with D_ii != 0 generate it.  So one "solve" pass, with
-    no S or S^-1, gives them: over a prime the pivot columns of G, and on
-    the composite path G T_i over the live diagonal.
+    the columns G T_i with D_ii != 0 generate it.  So one solve pass, with
+    no right-hand side and no S, gives them: over a prime the pivot columns
+    of G, and on the composite path G T_i over the live diagonal.
     """
     g = as_matrix(gens) % m
     if g.shape[1] == 0 or not g.any():
         return zeros(g.shape[0], 0)
-    dec = smith_mod(g, m, "solve", zeros(g.shape[0], 0))
+    dec = smith_mod(g, m, zeros(g.shape[0], 0))
     if dec.pivots is not None:
         return g[:, dec.pivots]
     return (g @ dec.t[:, np.flatnonzero(dec.diag % m)]) % m
@@ -597,14 +542,14 @@ def scale_rows(a, row_orders, m):
 def eliminate(a, b, row_orders, m):
     """One elimination of [a | b], row i a congruence mod row_orders[i].
 
-    Returns the "solve" SmithDecomposition of the scaled system (see
+    Returns the SmithDecomposition of the scaled system (see
     scale_rows): its solution() solves a @ x = b, and its kernel()
     generates {x : a @ x = 0}.  x is only meaningful modulo the column
     orders of whatever group it parametrizes; any representative mod m is
     returned.
     """
     b = as_matrix(b, rows=len(row_orders))
-    return smith_mod(scale_rows(a, row_orders, m), m, "solve", scale_rows(b, row_orders, m))
+    return smith_mod(scale_rows(a, row_orders, m), m, scale_rows(b, row_orders, m))
 
 
 def solve_hetero(a, b, row_orders, m):
@@ -635,13 +580,20 @@ class QuotientPresentation:
 
 
 def quotient_presentation(ambient_orders, relations, m):
-    """Present the quotient of a mixed-order group by a relation subgroup."""
+    """Present the quotient of a mixed-order group by a relation subgroup.
+
+    F = [relations | diag(ambient_orders)] presents the quotient, and one
+    elimination of [F | I] gives D = S F T with S as its right-hand side.
+    proj is the kept rows of S; lift is the kept columns of S^-1, solved for
+    from S X = I[:, keep], whose solution is unique as S is invertible mod
+    m.  Most presentations end with S = I and skip that solve.
+    """
     k = len(ambient_orders)
-    rel = as_matrix(relations, rows=k, cols=0) % m
-    full = np.concatenate([rel, np.diag(np.asarray(ambient_orders, dtype=np.int64)).reshape(k, k)], axis=1) if k else zeros(0, 0)
     if k == 0:
         return QuotientPresentation(orders=(), proj=zeros(0, 0), lift=zeros(0, 0))
-    dec = smith_mod(full, m, "all", None)
+    full = np.concatenate([as_matrix(relations, rows=k, cols=0),
+                           np.diag(np.asarray(ambient_orders, dtype=np.int64))], axis=1)
+    dec = smith_mod(full, m, eye(k))
     new_orders = []
     keep = []
     for i in range(k):
@@ -652,8 +604,13 @@ def quotient_presentation(ambient_orders, relations, m):
             keep.append(i)
     if not keep:
         return QuotientPresentation(orders=(), proj=zeros(0, k), lift=zeros(k, 0))
-    proj = dec.s[keep] % np.array(new_orders, dtype=np.int64)[:, None]
-    lift = reduce_coords(dec.s_inv[:, keep], ambient_orders)
+    s = dec.rhs
+    proj = s[keep] % np.array(new_orders, dtype=np.int64)[:, None]
+    if np.count_nonzero(s) == k and (s.diagonal() == 1).all():
+        lift = eye(k)[:, keep]
+    else:
+        lift = smith_mod(s, m, eye(k)[:, keep]).solution()
+    lift = reduce_coords(lift, ambient_orders)
     return QuotientPresentation(orders=tuple(int(o) for o in new_orders), proj=proj, lift=lift)
 
 
@@ -685,13 +642,13 @@ def subgroup_order(gens, ambient_orders, m, split=None):
     prefix rule, so the first columns get a pass of their own.
     """
     a = scale_rows(gens, ambient_orders, m)
-    dec = smith_mod(a, m, "diag", None)
+    dec = smith_mod(a, m, None)
     whole = _diagonal_span_order(dec.diag, m)
     if split is None:
         return whole
     if dec.pivots is not None:
         return m ** sum(1 for col in dec.pivots if col < split), whole
-    return _diagonal_span_order(smith_mod(a[:, :split], m, "diag", None).diag, m), whole
+    return _diagonal_span_order(smith_mod(a[:, :split], m, None).diag, m), whole
 
 
 def _diagonal_span_order(diag, m):

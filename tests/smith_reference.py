@@ -3,13 +3,17 @@
 Every basis, certificate and report downstream reads what these produce,
 so the faster code must return exactly what the reference returns.
 
-* `_smith_prime` is the dense Gauss-Jordan elimination that the
-  zero-skipping kernel replaced, copied unchanged but for the `pivots`,
-  `rhs` and `reduced` fields that SmithDecomposition gained later.
+* `smith_mod` (with `_smith_prime`, `_prime_null_columns` and its own
+  `SmithDecomposition`) is the kernel as it was while it tracked the row
+  transform S, its inverse S^-1 and the column transform T on both paths,
+  chosen by a `reads` argument ("diag", "solve" or "all"), copied
+  unchanged.  linalg.smith_mod now reduces one array [A | B] and forms
+  neither S nor S^-1, nor T over a prime; `quotient_presentation` is the
+  presentation that read S and S^-1 off a reads="all" decomposition.
 * `SmithSolver` is the solver that multiplied by the dense r x r row
   transform S and solved row by row, before a solve carried its
-  right-hand sides along the elimination; it asks smith_mod for S by
-  reads="all", which a solve no longer forms.
+  right-hand sides along the elimination; it asks the reference smith_mod
+  for S by reads="all".
 * `homology_at` is complexes._homology_at on one SmithSolver of the cycle
   matrix, and `assemble` the MapSystem assembly by np.kron of dense
   blocks (`_term_contribution`), without dropping zero rows.
@@ -37,7 +41,17 @@ from dataclasses import dataclass
 
 from ghostdim.complexes import _zero_homology
 from ghostdim.errors import ValidationError
-from ghostdim.linalg import SmithDecomposition, as_matrix, eye, modinv, smith_mod, zeros
+from ghostdim.linalg import (
+    _PRIME_CACHE,
+    QuotientPresentation,
+    as_matrix,
+    check_exact,
+    eye,
+    factorize,
+    modinv,
+    xgcd,
+    zeros,
+)
 from ghostdim.modules import (
     FgModule,
     ModuleMap,
@@ -144,62 +158,291 @@ def tensor_modules(right, left):
     return pres.orders, proj, lift
 
 
-def _smith_prime(a, m, track_sinv):
+@dataclass
+class SmithDecomposition:
+    """D = S @ A @ T mod m, D diagonal; s_inv is the mod-m inverse of S.
+
+    The fields of the reference smith_mod's decomposition; it answers no
+    solve or kernel query of its own (SmithSolver does).
+
+    The caller names what it reads (smith_mod's `reads`): a matrix it does
+    not read is None.  pivots lists the pivot columns of the prime path in
+    ascending order (None on the composite path).
+
+    A solve (reads="solve") reads no S: rhs is S @ B mod m for the
+    right-hand sides B that rode along the row operations.  Its T is formed
+    on the composite path only; over a prime, `reduced` is the reduced A,
+    whose pivot rows give the solution and the kernel in closed form.
+    """
+
+    m: int
+    diag: np.ndarray        # length min(rows, cols)
+    s: np.ndarray
+    s_inv: np.ndarray
+    t: np.ndarray
+    shape: tuple
+    pivots: list
+    rhs: np.ndarray
+    reduced: np.ndarray
+
+
+# What a caller of smith_mod reads: the diagonal alone (orders), a solution
+# and the kernel (the right-hand sides carried along, no S), or S, S^-1 and
+# T (quotient presentations).
+READS = ("diag", "solve", "all")
+
+
+def _prime_null_columns(d, pivot_cols, m):
+    """The kernel of a reduced prime-path D, one column per non-pivot column j.
+
+    Column j is e_j with -D[:npiv, j] (mod m) in the pivot rows: the last
+    columns of T.
+    """
+    c = d.shape[1]
+    npiv = len(pivot_cols)
+    pivots = set(pivot_cols)
+    non_pivot = [j for j in range(c) if j not in pivots]
+    null = zeros(c, c - npiv)
+    null[non_pivot, np.arange(c - npiv)] = 1
+    if npiv and c > npiv:
+        null[pivot_cols] = (-d[:npiv, non_pivot]) % m
+    return null
+
+
+def _smith_prime(a, m, reads, rhs):
     """Gauss-Jordan diagonalization over the field Z/m, m prime.
 
-    One vectorized clearing pass per pivot, then a single column sweep,
-    which is substantially faster than the generic gcd walk.
+    One pass of row operations on D (from A), and on S (from I) for
+    reads="all".  A solve reduces [A | B] instead, with the right-hand sides
+    B as extra columns that the pivot search never reads, so B ends as
+    S @ B without S being formed.  Each pivot updates only the rows with a
+    nonzero in the pivot column, and only the columns where the pivot row
+    is nonzero: the systems the package builds are mostly zeros.  In D
+    these columns all lie at or right of the pivot column, because the
+    pivot row is zero to its left (every earlier column has its pivot
+    above it).  The reduced D is [I C; 0 0] up to the column permutation
+    that puts the pivot columns first, so T has a closed form: that
+    permutation, with -C (mod m) in the pivot rows of the non-pivot
+    columns.  Only reads="all" forms it; a solve reads the solution and
+    the kernel off the reduced D and B.
+
+    The columns are taken in order, so a column gets a pivot iff it is not
+    in the span of the columns before it: the pivots left of any column k
+    count the rank of the first k columns.  With reads="diag" only D is
+    reduced.
+
+    D and S are two arrays, not one augmented block [A | I]: returning S
+    out of the block meant holding both at once, and that raised the peak
+    memory of the compact-eq benchmark workload by about 3 MB (5 %).
     """
-    d = as_matrix(a).copy() % m
-    r, c = d.shape
-    s = eye(r)
-    s_inv = eye(r) if track_sinv else None
-    t = eye(c)
+    a = as_matrix(a)
+    r, c = a.shape
+    # A solve eliminates [A | B]: its pivot row carries B's columns along.
+    d = np.empty((r, c + (0 if rhs is None else rhs.shape[1])), dtype=np.int64)
+    np.remainder(a, m, out=d[:, :c])
+    if rhs is not None:
+        d[:, c:] = rhs
+    s = eye(r) if reads == "all" else None
+    s_inv = eye(r) if reads == "all" else None
     pivot_cols = []
     row = 0
     for col in range(c):
         if row == r:
             break
-        nz = np.nonzero(d[row:, col])[0]
+        nz = d[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         i = row + int(nz[0])
         if i != row:
-            d[[row, i]] = d[[i, row]]
-            s[[row, i]] = s[[i, row]]
-            if track_sinv:
+            d[[row, i], col:] = d[[i, row], col:]
+            if s is not None:
+                s[[row, i]] = s[[i, row]]
                 s_inv[:, [row, i]] = s_inv[:, [i, row]]
+        rows = [(d, d[row, col:], col)] + ([(s, s[row], 0)] if s is not None else [])
         pv = int(d[row, col])
         if pv != 1:
             inv = modinv(pv, m)
-            d[row] = (d[row] * inv) % m
-            s[row] = (s[row] * inv) % m
-            if track_sinv:
+            for _, vec, _ in rows:
+                np.multiply(vec, inv, out=vec)
+                np.remainder(vec, m, out=vec)
+            if s_inv is not None:
                 s_inv[:, row] = (s_inv[:, row] * pv) % m
-        colvals = d[:, col].copy()
-        colvals[row] = 0
-        hits = np.nonzero(colvals)[0]
-        if hits.size:
-            q = colvals[hits]
-            d[hits] = (d[hits] - np.outer(q, d[row])) % m
-            s[hits] = (s[hits] - np.outer(q, s[row])) % m
-            if track_sinv:
+        hits = d[:, col].nonzero()[0]
+        if hits.size > 1:
+            hits = hits[hits != row]
+            q = d[hits, col]
+            for mat, vec, first in rows:
+                cols = vec.nonzero()[0]
+                live = (hits[:, None], first + cols)
+                block = np.multiply.outer(q, vec[cols])
+                np.subtract(mat[live], block, out=block)
+                np.remainder(block, m, out=block)
+                mat[live] = block
+            if s_inv is not None:
                 s_inv[:, row] = (s_inv[:, row] + s_inv[:, hits] @ q) % m
         pivot_cols.append(col)
         row += 1
     npiv = len(pivot_cols)
-    non_pivot = [j for j in range(c) if j not in set(pivot_cols)]
-    perm = pivot_cols + non_pivot
-    d = d[:, perm]
-    t = t[:, perm]
-    if npiv and c > npiv:
-        b = d[:npiv, npiv:]
-        if b.any():
-            t[:, npiv:] = (t[:, npiv:] - t[:, :npiv] @ b) % m
-            d[:npiv, npiv:] = 0
-    diag = np.array([d[i, i] for i in range(min(r, c))], dtype=np.int64)
+    t = None
+    if reads == "all":
+        t = zeros(c, c)
+        t[pivot_cols, np.arange(npiv)] = 1
+        t[:, npiv:] = _prime_null_columns(d, pivot_cols, m)
+    diag = np.zeros(min(r, c), dtype=np.int64)
+    diag[:npiv] = 1
     return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c),
-                              pivots=pivot_cols, rhs=None, reduced=None)
+                              pivots=pivot_cols, rhs=None if rhs is None else d[:, c:],
+                              reduced=d[:, :c] if reads == "solve" else None)
+
+
+def smith_mod(a, m, reads, rhs):
+    """Diagonalize a mod m by unimodular row and column operations.
+
+    Returns a SmithDecomposition.  No divisibility chain is enforced on the
+    diagonal; none of the callers needs it.  `reads` (one of READS) names
+    what the caller reads, and only that is formed: the diagonal; for
+    "solve" the right-hand sides rhs (a matrix with a's rows) carried
+    along the row operations, and T on the composite path; or all of S,
+    S^-1 and T.  rhs is None unless reads is "solve".  D is reduced by the
+    same steps whatever is read, so the diagonal does not depend on it.
+    """
+    if reads not in READS:
+        raise ValueError(f"reads must be one of {READS}, got {reads!r}")
+    if (rhs is None) != (reads != "solve"):
+        raise ValueError("right-hand sides ride along a solve, and only a solve")
+    a = as_matrix(a)
+    check_exact(m, max(a.shape))
+    if rhs is not None:
+        rhs = as_matrix(rhs, rows=a.shape[0]) % m
+    if m not in _PRIME_CACHE:
+        _PRIME_CACHE[m] = factorize(m) == {m: 1}
+    if _PRIME_CACHE[m]:
+        return _smith_prime(a, m, reads, rhs)
+    d = a % m
+    r, c = d.shape
+    # row operations act on D, S and the right-hand sides, column operations on D and T
+    s = eye(r) if reads == "all" else None
+    s_inv = eye(r) if reads == "all" else None
+    t = eye(c) if reads != "diag" else None
+    row_mats = [mat for mat in (d, s, rhs) if mat is not None]
+    col_mats = [d] + ([t] if t is not None else [])
+
+    def row_step(k, i):
+        # Zero d[i, k] using row k, keeping S and S^-1 in sync.
+        av = int(d[k, k])
+        bv = int(d[i, k])
+        if bv == 0:
+            return
+        if av != 0 and bv % av == 0:
+            q = bv // av
+            for mat in row_mats:
+                mat[i] = (mat[i] - q * mat[k]) % m
+            if s_inv is not None:
+                s_inv[:, k] = (s_inv[:, k] + q * s_inv[:, i]) % m
+            return
+        g, x, y = xgcd(av, bv)
+        ag, bg = av // g, bv // g
+        for mat in row_mats:
+            rk = (x * mat[k] + y * mat[i]) % m
+            ri = (-bg * mat[k] + ag * mat[i]) % m
+            mat[k], mat[i] = rk, ri
+        if s_inv is not None:
+            ck = (ag * s_inv[:, k] + bg * s_inv[:, i]) % m
+            ci = (-y * s_inv[:, k] + x * s_inv[:, i]) % m
+            s_inv[:, k], s_inv[:, i] = ck, ci
+
+    def col_step(k, j):
+        av = int(d[k, k])
+        bv = int(d[k, j])
+        if bv == 0:
+            return
+        if av != 0 and bv % av == 0:
+            q = bv // av
+            for mat in col_mats:
+                mat[:, j] = (mat[:, j] - q * mat[:, k]) % m
+            return
+        g, x, y = xgcd(av, bv)
+        ag, bg = av // g, bv // g
+        for mat in col_mats:
+            ck = (x * mat[:, k] + y * mat[:, j]) % m
+            cj = (-bg * mat[:, k] + ag * mat[:, j]) % m
+            mat[:, k], mat[:, j] = ck, cj
+
+    for k in range(min(r, c)):
+        sub = d[k:, k:]
+        nz = np.nonzero(sub)
+        if nz[0].size == 0:
+            break
+        # Prefer a unit pivot: with one, a single vectorized sweep clears
+        # everything, which is the common (field) case.
+        vals = sub[nz]
+        unit_mask = np.gcd(vals, m) == 1
+        if unit_mask.any():
+            pos = int(np.argmax(unit_mask))
+        else:
+            pos = int(np.argmin(vals))
+        i0, j0 = int(nz[0][pos]) + k, int(nz[1][pos]) + k
+        if i0 != k:
+            for mat in row_mats:
+                mat[[k, i0]] = mat[[i0, k]]
+            if s_inv is not None:
+                s_inv[:, [k, i0]] = s_inv[:, [i0, k]]
+        if j0 != k:
+            for mat in col_mats:
+                mat[:, [k, j0]] = mat[:, [j0, k]]
+
+        if gcd(int(d[k, k]), m) == 1:
+            inv = modinv(d[k, k], m)
+            col = d[k + 1:, k]
+            if col.any():
+                q = (col * inv) % m
+                for mat in row_mats:
+                    mat[k + 1:] = (mat[k + 1:] - np.outer(q, mat[k])) % m
+                if s_inv is not None:
+                    s_inv[:, k] = (s_inv[:, k] + s_inv[:, k + 1:] @ q) % m
+            row = d[k, k + 1:]
+            if row.any():
+                q = (row * inv) % m
+                for mat in col_mats:
+                    mat[:, k + 1:] = (mat[:, k + 1:] - np.outer(mat[:, k], q)) % m
+            continue
+
+        while True:
+            for i in range(k + 1, r):
+                row_step(k, i)
+            if not d[k, k + 1:].any():
+                break
+            for j in range(k + 1, c):
+                col_step(k, j)
+            if not d[k + 1:, k].any():
+                break
+
+    diag = np.array([d[i, i] for i in range(min(r, c))], dtype=np.int64)
+    return SmithDecomposition(m=m, diag=diag, s=s, s_inv=s_inv, t=t, shape=(r, c), pivots=None,
+                              rhs=rhs, reduced=None)
+
+
+def quotient_presentation(ambient_orders, relations, m):
+    """Present the quotient of a mixed-order group by a relation subgroup."""
+    k = len(ambient_orders)
+    rel = as_matrix(relations, rows=k, cols=0) % m
+    full = np.concatenate([rel, np.diag(np.asarray(ambient_orders, dtype=np.int64)).reshape(k, k)], axis=1) if k else zeros(0, 0)
+    if k == 0:
+        return QuotientPresentation(orders=(), proj=zeros(0, 0), lift=zeros(0, 0))
+    dec = smith_mod(full, m, "all", None)
+    new_orders = []
+    keep = []
+    for i in range(k):
+        di = int(dec.diag[i]) if i < len(dec.diag) else 0
+        delta = gcd(di, m)  # gcd(0, m) = m: a free Z/m coordinate
+        if delta > 1:
+            new_orders.append(delta)
+            keep.append(i)
+    if not keep:
+        return QuotientPresentation(orders=(), proj=zeros(0, k), lift=zeros(k, 0))
+    proj = dec.s[keep] % np.array(new_orders, dtype=np.int64)[:, None]
+    lift = linalg.reduce_coords(dec.s_inv[:, keep], ambient_orders)
+    return QuotientPresentation(orders=tuple(int(o) for o in new_orders), proj=proj, lift=lift)
 
 
 class SmithSolver:

@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -460,22 +461,25 @@ def test_shared_homology_arrays_are_read_only():
 
 def test_homology_eliminates_its_cycle_matrix_once(monkeypatch):
     """H_k != 0 with a nonzero term k - 1: one solve finds the cycles (the
-    kernel of d_k) and one more eliminates [cycles | d_(k+1) | A^t cycles]."""
+    kernel of d_k) and one more eliminates [cycles | d_(k+1) | A^t cycles],
+    besides the solves of quotient_presentation."""
     k_dual = DUAL.simples[0]
     cover, pi = modules.free_cover(k_dual)
     cover_cx = Complex(DUAL, 0, 1, {0: k_dual, 1: cover}, {1: pi.mat})
     smith_mod = linalg.smith_mod
-    reads = []
+    solves = []
 
-    def counted(a, m, read, rhs):
-        reads.append(read)
-        return smith_mod(a, m, read, rhs)
+    def counted(a, m, rhs):
+        # quotient_presentation's own solves present the quotient, not H_k
+        if rhs is not None and sys._getframe(1).f_code.co_name != "quotient_presentation":
+            solves.append(rhs)
+        return smith_mod(a, m, rhs)
 
     monkeypatch.setattr(linalg, "smith_mod", counted)
     for cx in (CONE2, cover_cx):
-        reads.clear()
+        solves.clear()
         assert not complexes._homology_at(cx, 1).module.is_zero
-        assert reads.count("solve") == 2
+        assert len(solves) == 2
 
 
 # -- the certificate rule: a term is free or carries a validated certificate

@@ -62,8 +62,11 @@ def test_xgcd(a, b):
 @settings(max_examples=200, deadline=None)
 @given(st.data(), small_modulus)
 def test_smith_decomposition_identities(data, m):
+    """The reference's D = S A T and S S^-1 = I; smith_mod reduces [A | B] to
+    the same diagonal with B ending as S B, and forms T on the composite
+    path of a solve only."""
     a = sparse_matrix(data, m, 12, 16)
-    dec = smith_mod(a, m, "all", None)
+    dec = smith_reference.smith_mod(a, m, "all", None)
     r, c = a.shape
     # D = S A T and S S^-1 = I, all mod m
     d = np.zeros((r, c), dtype=np.int64)
@@ -72,16 +75,15 @@ def test_smith_decomposition_identities(data, m):
     assert np.array_equal((dec.s @ a @ dec.t) % m, d % m)
     assert np.array_equal((dec.s @ dec.s_inv) % m, np.eye(r, dtype=np.int64) % m)
     assert np.array_equal((dec.s_inv @ dec.s) % m, np.eye(r, dtype=np.int64) % m)
-    # reading less forms less, on the same diagonal
-    diag = smith_mod(a, m, "diag", None)
+    # no right-hand side: the diagonal alone
+    diag = smith_mod(a, m, None)
     assert np.array_equal(diag.diag, dec.diag)
-    assert diag.s is None and diag.s_inv is None and diag.t is None
+    assert diag.t is None and diag.rhs is None
     # a solve carries B along the row operations in place of forming S: it
     # ends as S B; T is formed on the composite path only
     b = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, m, size=(r, 3))
-    solve = smith_mod(a, m, "solve", b)
+    solve = smith_mod(a, m, b)
     assert np.array_equal(solve.diag, dec.diag)
-    assert solve.s is None and solve.s_inv is None
     assert np.array_equal(solve.rhs, (dec.s @ b) % m)
     if solve.pivots is None:
         assert np.array_equal(solve.t, dec.t)
@@ -90,26 +92,24 @@ def test_smith_decomposition_identities(data, m):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.sampled_from([2, 3, 5, 7, 251]), st.sampled_from(linalg.READS))
-def test_smith_prime_is_bit_identical_to_the_reference(data, m, reads):
-    """A solve forms neither S nor T: its right-hand sides end as the
-    reference's S B, and its kernel is the reference's last columns of T."""
+@given(st.data(), st.sampled_from([2, 3, 5, 7, 251]), st.booleans())
+def test_smith_prime_is_bit_identical_to_the_reference(data, m, with_rhs):
+    """Over a prime smith_mod forms neither S nor T: its right-hand sides end
+    as the reference's S B, and its kernel is the reference's last columns
+    of T."""
     a = sparse_matrix(data, m, 40, 60)
     b = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, m, size=(a.shape[0], 2))
-    got = linalg._smith_prime(a, m, reads, b.copy() if reads == "solve" else None)
-    want = smith_reference._smith_prime(a, m, reads == "all")
+    got = smith_mod(a, m, b if with_rhs else None)
+    want = smith_reference.smith_mod(a, m, "all", None)
     assert (got.m, got.shape, got.pivots) == (want.m, want.shape, want.pivots)
-    for field in ("diag", "s", "s_inv", "t"):
-        g, w = getattr(got, field), getattr(want, field)
-        if w is None or (reads != "all" and field != "diag"):
-            assert g is None, field
-            continue
-        assert g.dtype == w.dtype and g.shape == w.shape, field
-        assert np.array_equal(g, w), field
-    if reads == "solve":
+    assert got.diag.dtype == want.diag.dtype and np.array_equal(got.diag, want.diag)
+    assert got.t is None
+    if with_rhs:
         assert np.array_equal(got.rhs, (want.s @ b) % m)
         null = got.kernel()
         assert null.dtype == want.t.dtype and np.array_equal(null, want.t[:, len(want.pivots):])
+    else:
+        assert got.rhs is None
 
 
 @lru_cache(maxsize=None)
@@ -290,6 +290,38 @@ def test_quotient_presentation_round_trip(data, m):
     assert linalg.group_size(q.orders) * span == linalg.group_size(orders)
 
 
+def _same_presentation(got, want):
+    assert got.orders == want.orders
+    for field in ("proj", "lift"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w), field
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 12]), st.sampled_from(["zero", "sparse", "dense"]))
+def test_quotient_presentation_matches_the_s_inverse_reference(data, m, kind):
+    """S from the right-hand side of [F | I] and S^-1 solved for are the
+    reference's tracked S and S^-1: orders from the divisors of m, 1
+    included, and zero, sparse or dense relations."""
+    k = data.draw(st.integers(0, 8))
+    orders = [data.draw(st.sampled_from(divisors(m))) for _ in range(k)]
+    nrel = data.draw(st.integers(0, 10))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    density = {"zero": 0.0, "sparse": 0.15, "dense": 1.0}[kind]
+    rel = np.where(rng.random((k, nrel)) < density, rng.integers(0, m, size=(k, nrel)), 0)
+    rel = linalg.reduce_coords(rel.astype(np.int64), orders)
+    _same_presentation(quotient_presentation(orders, rel, m),
+                       smith_reference.quotient_presentation(orders, rel, m))
+
+
+def test_quotient_presentation_without_relations_is_not_the_identity():
+    """With no relations the elimination still permutes and combines the
+    coordinates: (2, 4, 2, 4) mod 4 is presented as the reference presents it."""
+    orders, rel = (2, 4, 2, 4), np.zeros((4, 0), dtype=np.int64)
+    _same_presentation(quotient_presentation(orders, rel, 4),
+                       smith_reference.quotient_presentation(orders, rel, 4))
+
+
 def _presented_span_order(gens, orders, m):
     """|span| as |ambient| / |ambient / span|, by quotient_presentation."""
     return linalg.group_size(orders) // linalg.group_size(quotient_presentation(orders, gens, m).orders)
@@ -332,7 +364,7 @@ def test_kernel_hetero_inclusion_kernel():
 
 def test_empty_shapes():
     m = 4
-    assert smith_mod(np.zeros((0, 0)), m, "diag", None).diag.size == 0
+    assert smith_mod(np.zeros((0, 0)), m, None).diag.size == 0
     assert kernel_mod(np.zeros((0, 3)), m).shape == (3, 3)  # no equations: everything
     assert solve_mod(np.zeros((0, 2)), np.zeros((0,)), m) is not None
     q = quotient_presentation((), np.zeros((0, 0)), m)
