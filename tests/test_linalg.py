@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 from math import isqrt
 
@@ -110,6 +111,52 @@ def test_smith_prime_is_bit_identical_to_the_reference(data, m, with_rhs):
         assert null.dtype == want.t.dtype and np.array_equal(null, want.t[:, len(want.pivots):])
     else:
         assert got.rhs is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(["wide", "tall", "both", "zero", "row"]), st.sampled_from([0, 1, 2, 70]),
+       st.booleans())
+def test_f2_bit_rows_are_bit_identical_across_word_widths(data, kind, width, zero_cols):
+    """Over F_2 smith_mod packs [A | B] into bit rows: draws past one 64-bit
+    word in either direction, a zero matrix, a single row, all-zero columns,
+    and unreduced entries, with B of width 0, 1, 2 and 70, give the
+    reference's pivots, S B and kernel."""
+    rows = {"wide": (1, 40), "tall": (65, 150), "both": (65, 120), "zero": (0, 150), "row": (1, 1)}[kind]
+    cols = {"wide": (65, 200), "tall": (1, 40), "both": (65, 120), "zero": (0, 150), "row": (1, 200)}[kind]
+    r, c = data.draw(st.integers(*rows)), data.draw(st.integers(*cols))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    density = 0.0 if kind == "zero" else data.draw(st.sampled_from([0.01, 0.05, 0.2, 0.5]))
+    a = np.where(rng.random((r, c)) < density, rng.integers(-3, 4, size=(r, c)), 0)
+    if zero_cols:
+        a[:, rng.random(c) < 0.3] = 0
+    b = rng.integers(-3, 4, size=(r, width))
+    got = smith_mod(a, 2, b)
+    want = smith_reference.smith_mod(a, 2, "all", None)
+    assert got.pivots == want.pivots and np.array_equal(got.diag, want.diag)
+    rhs = got.rhs
+    assert rhs.dtype == np.int64 and np.array_equal(rhs, (want.s @ b) % 2)
+    null = got.kernel()
+    assert null.dtype == np.int64 and np.array_equal(null, want.t[:, len(want.pivots):])
+    x = got.solution()
+    solvable = not rhs[len(want.pivots):].any()
+    assert (x is not None) == solvable
+    if solvable:
+        assert x.shape == (c, width) and not ((a @ x - b) % 2).any()
+
+
+def test_f2_solve_makes_no_dense_copy_of_the_system():
+    """The F_2 path packs A and B from the caller's arrays: a sparse solve's
+    peak allocation stays far below the size of the dense A."""
+    rng = np.random.default_rng(7)
+    a = (rng.random((2000, 4000)) < 0.001).astype(np.int64)
+    b = rng.integers(0, 2, size=(2000, 1))
+    tracemalloc.start()
+    try:
+        smith_mod(a, 2, b).solution()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 4
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,12 @@ Criterion 6 runs both filtration routes on the pairs of the acceptance
 test (tests/helpers.py:criterion_6_pairs): its wall time, the part spent in
 resolution_filtration, and per pair whether the routes agree with a digest
 of the pair's E-infinity orders and vanishing line.
+
+The host's speed drifts, so raw wall times of two runs are not comparable.
+After every timed call the script runs units of the benchmark's reference
+computation (perfbench/calibrate.py) for about a fifth of the call's time,
+and `scaled_s` gives each suite's time rescaled to the reference machine
+speed by the units run beside it, as perfbench rescales its own times.
 """
 
 import hashlib
@@ -41,6 +47,9 @@ TESTS = Path(__file__).resolve().parent.parent / "tests"
 sys.path.insert(0, str(TESTS))
 from helpers import criterion_6_pairs  # noqa: E402  (the acceptance test's pairs)
 
+sys.path.insert(0, str(TESTS.parent / "perfbench"))
+import calibrate  # noqa: E402  (the benchmark's reference units)
+
 CRITERIA = (
     ("criterion_1", verify_summary, 8, 0),
     ("criterion_2", verify_compact_eq, 6, 7),
@@ -48,72 +57,90 @@ CRITERIA = (
 )
 
 
+class Clock:
+    """Times calls, runs reference units beside each, and files both under a suite."""
+
+    def __init__(self):
+        self.reference = calibrate.Reference()
+        self.seconds, self.units = {}, {}
+
+    def time(self, suite, fn, *args):
+        """fn(*args) and its wall time; the time counts towards suite."""
+        t0 = time.perf_counter()
+        out = fn(*args)
+        seconds = time.perf_counter() - t0
+        first = len(self.reference.units)
+        self.reference.after(seconds)
+        self.seconds[suite] = self.seconds.get(suite, 0.0) + seconds
+        self.units.setdefault(suite, []).extend(self.reference.units[first:])
+        return out, seconds
+
+    def scaled(self):
+        """Each suite's time at the reference machine speed."""
+        return {suite: round(s * calibrate.scale(self.units[suite]), 2) for suite, s in self.seconds.items()}
+
+
 def _digest(report):
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def cone2_fdim():
+def cone2_fdim(clock):
     members, _ = standard_battery(builtin_ring("a3:f2"), 6, 7, min_size=25)
     cx = next(m.cx for m in members if m.ident == "cone2:1")
-    t0 = time.perf_counter()
-    verdict = fdim_via_ss(cx, 6)
-    seconds = round(time.perf_counter() - t0, 2)
+    verdict, seconds = clock.time("cone2:1_fdim", fdim_via_ss, cx, 6)
     # the tables fdim read (max_depth = bound + 2), again, untimed
     tables = [_digest(ucss_filtration(cx, z, max_depth=8).to_json()) for z in default_tests(cx)]
-    return {"seconds": seconds, "fdim": verdict.render(), "tables_sha256_16": tables}
+    return {"seconds": round(seconds, 2), "fdim": verdict.render(), "tables_sha256_16": tables}
 
 
-def criterion_6():
+def criterion_6(clock):
     """(per-pair entries, wall time, time in resolution_filtration)."""
     pairs = {}
-    oracle_s = 0.0
-    t0 = time.perf_counter()
+    total_s = oracle_s = 0.0
     for name, x, z in criterion_6_pairs():
-        table = ucss_filtration(x, z)
-        t1 = time.perf_counter()
-        e_infty, line = resolution_filtration(x, z)
-        oracle_s += time.perf_counter() - t1
+        table, ucss_s = clock.time("criterion_6", ucss_filtration, x, z)
+        (e_infty, line), seconds = clock.time("criterion_6", resolution_filtration, x, z)
+        total_s += ucss_s + seconds
+        oracle_s += seconds
         ok = table.exhausted and table.e_infty == e_infty and table.vanishing_line == line
         cells = {f"{s},{t}": v for (s, t), v in sorted(e_infty.items())}
         pairs[f"{name}/{x.name}/{z.label or f'orders{list(z.orders)}'}"] = {
             "pass": ok, "filtration_sha256_16": _digest({"e_infty": cells, "line": line})}
-    return pairs, round(time.perf_counter() - t0, 2), round(oracle_s, 2)
+    return pairs, round(total_s, 2), round(oracle_s, 2)
 
 
-def a4rad2_wdim():
+def a4rad2_wdim(clock):
     ring = load_ring_file(TESTS / "rings" / "a4rad2-f2.json")
-    t0 = time.perf_counter()
-    verdict, witnesses = wdim_ring(ring, 8)
-    seconds = round(time.perf_counter() - t0, 2)
+    (verdict, witnesses), seconds = clock.time("a4rad2:f2_wdim", wdim_ring, ring, 8)
     report = DimReport(ring=ring.name, quantity="wdim", verdict=verdict, bound=8, witnesses=witnesses)
-    return {"seconds": seconds, "wdim": verdict.render(), "report_sha256_16": _digest(report.to_json())}
+    return {"seconds": round(seconds, 2), "wdim": verdict.render(), "report_sha256_16": _digest(report.to_json())}
 
 
-def per_ring(rings, verify, bound, seed):
+def per_ring(clock, suite, rings, verify, bound, seed):
     out = {}
     for name, ring in rings.items():
-        t0 = time.perf_counter()
-        ok, report = verify(ring, bound, seed)
-        out[name] = {"seconds": round(time.perf_counter() - t0, 2), "pass": ok,
-                     "report_sha256_16": _digest(report)}
+        (ok, report), seconds = clock.time(suite, verify, ring, bound, seed)
+        out[name] = {"seconds": round(seconds, 2), "pass": ok, "report_sha256_16": _digest(report)}
     return out
 
 
 def main():
+    clock = Clock()
     result = {
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "cores": os.cpu_count()},
-        "cone2:1_fdim": cone2_fdim(),
+        "cone2:1_fdim": cone2_fdim(clock),
     }
     # before the verify suites, which would leave the rings' simples resolved
-    result["criterion_6"], result["criterion_6_total_s"], result["criterion_6_oracle_s"] = criterion_6()
+    result["criterion_6"], result["criterion_6_total_s"], result["criterion_6_oracle_s"] = criterion_6(clock)
     rings = {name: builtin_ring(name) for name in BUILTIN_NAMES}
     a3rad2 = load_ring_file(TESTS / "rings" / "a3rad2-f2.json")
     rings[a3rad2.name] = a3rad2
     for key, verify, bound, seed in CRITERIA:
-        result[key] = per_ring(rings, verify, bound, seed)
+        result[key] = per_ring(clock, key, rings, verify, bound, seed)
         result[f"{key}_total_s"] = round(sum(v["seconds"] for v in result[key].values()), 2)
-    result["a4rad2:f2_wdim"] = a4rad2_wdim()
+    result["a4rad2:f2_wdim"] = a4rad2_wdim(clock)
+    result["scaled_s"] = clock.scaled()
     json.dump(result, sys.stdout)
     print()
 
