@@ -16,8 +16,12 @@ Sign conventions (fixed once, used everywhere):
 
 All homotopy questions (nullity, chain-map solving, factorizations through
 cones) are linear systems over the base arithmetic and go through
-:class:`MapSystem`, which poses each one as sparse triples on the one
-system builder, linalg.Congruences.
+:class:`MapSystem`, which poses each block of unknowns and each equation as
+sparse triples on one linalg.Congruences as it is described, and asks it
+for a solution or the kernel.  The system's format stays in linalg.
+
+The zero terms of every complex over a ring, and its zero homology, are
+one module kept on the ring (zero_module).
 
 Complex, ChainMap and Homotopy follow the validation policy of
 :mod:`ghostdim.modules`: constructors only build, and validate() checks in
@@ -47,6 +51,7 @@ to tune) and its arrays are read-only.
 from __future__ import annotations
 
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 
 # The blake2b that hashlib re-exports.  Importing hashlib would also load
@@ -81,7 +86,9 @@ from .rings import ring_to_dict
 
 
 def zero_module(ring):
-    return FgModule(ring=ring, orders=(), actions=tuple(zeros(0, 0) for _ in range(ring.rank)), label="0")
+    """The zero module over ring: one per ring, kept on it."""
+    return _kept(ring, "_zero_module", lambda: FgModule(
+        ring=ring, orders=(), actions=tuple(zeros(0, 0) for _ in range(ring.rank)), label="0"))
 
 
 def direct_sum_modules(a, b, label=""):
@@ -387,6 +394,12 @@ def check_null_homotopy(f, h):
 # The linear-system engine for maps between complexes
 # ---------------------------------------------------------------------------
 
+# The unknowns of U_k: src -> tgt for one (family, degree), columns off..off+size:
+# U[i, j] at off + j * tgt.ngens + i (column-major), or, out of a free source,
+# the images T of its module generators, U[:, (j, tt)] = A^tt T[:, j].
+_Block = namedtuple("_Block", "off size src tgt free")
+
+
 class MapSystem:
     """Joint linear system over unknown families of degreewise module maps.
 
@@ -394,6 +407,11 @@ class MapSystem:
     for every degree where both ends are nonzero.  Equations are matrix
     identities  sum_i  pre_i @ U_{k_i} @ post_i = rhs,  read entrywise as
     congruences modulo the target row orders.
+
+    The system is posed on one linalg.Congruences while it is described:
+    add_family lays out a block of unknowns per degree (the block table
+    `blocks`, {family: {k: _Block}}) and poses its Hom rows, and
+    add_equation poses its rows, so the rows follow the order of the calls.
 
     Every homotopy question is posed through two builders, which hold the
     sign and degree conventions once:
@@ -413,19 +431,56 @@ class MapSystem:
     def __init__(self, ring):
         self.ring = ring
         self.m = ring.modulus
-        self.families = {}
-        self.equations = []
+        self.eqs = linalg.Congruences(0, ring.modulus)
+        self.blocks = {}
 
     def add_family(self, name, src, tgt, shift=0):
-        degs = []
+        """Lay out the blocks of a family; a block out of a non-free source poses its Hom rows."""
+        rank = self.ring.rank
+        blocks = self.blocks[name] = {}
         for k in range(min(src.lo, tgt.lo - shift), max(src.hi, tgt.hi - shift) + 1):
-            if not src.term(k).is_zero and not tgt.term(k + shift).is_zero:
-                degs.append(k)
-        self.families[name] = (src, tgt, shift, degs)
+            s, t = src.term(k), tgt.term(k + shift)
+            if s.is_zero or t.is_zero:
+                continue
+            free = is_free_module(s)
+            size = (s.ngens // rank if free else s.ngens) * t.ngens
+            off = self.eqs.unknowns(size)
+            blocks[k] = _Block(off, size, s, t, free)
+            if not free:
+                hom_congruences(self.eqs, s, t, off)
 
     def add_equation(self, tgt_term, src_term, rhs, terms):
-        """terms: list of (family_name, degree, pre_matrix, post_matrix)."""
-        self.equations.append((tgt_term, src_term, as_matrix(rhs, rows=tgt_term.ngens, cols=src_term.ngens), terms))
+        """Pose sum pre @ U_k @ post = rhs; terms: list of (family_name, degree, pre, post).
+
+        Entry (a, b) is row b * pre.rows + a of the equation's block, so a
+        term pre @ U_k @ post adds the triples of kron(post.T, pre) (the
+        column-major vectorization) at the block's columns; out of a free
+        source it is the sum over tt of kron(post[tt::rank].T, pre A^tt).
+        """
+        m, rank = self.m, self.ring.rank
+        rhs = as_matrix(rhs, rows=tgt_term.ngens, cols=src_term.ngens)
+        restrict = None
+        if is_free_module(src_term) and rank > 1:
+            # maps out of a free module agree iff they agree on generators
+            restrict = module_unit_columns(self.ring, src_term.ngens // rank)
+            rhs = (rhs @ restrict) % m
+        if rhs.size == 0:
+            return
+        self.eqs.block(np.tile(tgt_term.orders, rhs.shape[1]), rhs.T)
+        for name, k, pre, post in terms:
+            blk = self.blocks[name].get(k)
+            if blk is None:
+                continue  # unknown block is identically zero there
+            pre = as_matrix(pre, rows=tgt_term.ngens, cols=blk.tgt.ngens) % m
+            post = as_matrix(post, rows=blk.src.ngens, cols=src_term.ngens)
+            post = (post if restrict is None else post @ restrict) % m
+            if blk.free:
+                pieces = [((pre @ blk.tgt.actions[tt]) % m, post[tt::rank]) for tt in range(rank)]
+            else:
+                pieces = [(pre, post)]
+            for left, right in pieces:
+                rows, cols, vals = linalg.kron_nonzeros(right.T, left)
+                self.eqs.add(rows, blk.off + cols, vals)
 
     def add_chain_map_equations(self, name, src, tgt):
         """A family U: src -> tgt of degree 0 that commutes with d."""
@@ -468,99 +523,25 @@ class MapSystem:
                 ],
             )
 
-    def _block_info(self, name, k):
-        src, tgt, shift, _ = self.families[name]
-        s, t = src.term(k), tgt.term(k + shift)
-        if is_free_module(s):
-            rank = self.ring.rank
-            return ("free", s, t, (s.ngens // rank) * t.ngens)
-        return ("generic", s, t, s.ngens * t.ngens)
-
-    def _layout(self):
-        offsets = {}
-        total = 0
-        for name, (src, tgt, shift, degs) in self.families.items():
-            for k in degs:
-                kind, s, t, size = self._block_info(name, k)
-                offsets[(name, k)] = (total, size, kind)
-                total += size
-        return offsets, total
-
-    def _assemble(self):
-        """(offsets, matrix, row moduli, right side, solvable), zero rows dropped.
-
-        Entry (a, b) of an equation is row b * pre.rows + a of its block, and
-        the unknown U_k[i, j] is column off + j * t.ngens + i, so a term
-        pre @ U_k @ post adds the triples of kron(post.T, pre) (the
-        column-major vectorization) at off.  A map out of a free module is
-        unknown only on module generators, U[:, (j, tt)] = A^tt T[:, j], so
-        there it is the sum over tt of kron(post[tt::rank].T, pre A^tt).
-        linalg.Congruences sums the triples and drops the zero rows: one
-        with a nonzero right side makes solvable False.
-        """
-        offsets, total = self._layout()
-        m = self.m
-        eqs = linalg.Congruences(total, m)
-        for (name, k), (off, size, kind) in offsets.items():
-            if kind == "generic":
-                _, s, t, _ = self._block_info(name, k)
-                hom_congruences(eqs, s, t, off)
-        for tgt_term, src_term, rhs, terms in self.equations:
-            post_restrict = None
-            eq_cols = src_term.ngens
-            if is_free_module(src_term) and self.ring.rank > 1:
-                # maps out of a free module agree iff they agree on generators
-                post_restrict = module_unit_columns(self.ring, src_term.ngens // self.ring.rank)
-                eq_cols = post_restrict.shape[1]
-            if tgt_term.ngens * eq_cols == 0:
-                continue
-            rhs_used = rhs if post_restrict is None else (rhs @ post_restrict) % m
-            eqs.block(np.tile(tgt_term.orders, eq_cols), rhs_used.T)
-            for name, k, pre, post in terms:
-                if (name, k) not in offsets:
-                    continue  # unknown block is identically zero there
-                off, _, kind = offsets[(name, k)]
-                src, tgt, shift, _ = self.families[name]
-                t = tgt.term(k + shift)
-                pre = as_matrix(pre, rows=tgt_term.ngens, cols=t.ngens) % m
-                post = as_matrix(post, rows=src.term(k).ngens, cols=src_term.ngens)
-                post = (post if post_restrict is None else post @ post_restrict) % m
-                if kind == "generic":
-                    pieces = [(pre, post)]
-                else:
-                    rank = self.ring.rank
-                    pieces = [((pre @ t.actions[tt]) % m, post[tt::rank]) for tt in range(rank)]
-                for left, right in pieces:
-                    rows, cols, vals = linalg.kron_nonzeros(right.T, left)
-                    eqs.add(rows, off + cols, vals)
-        return (offsets, *eqs.matrix())
-
     def solve(self):
         """One solution as {family: {k: matrix}}, or None."""
-        offsets, big, moduli, rhs, solvable = self._assemble()
-        if not solvable:
-            return None
-        sol = linalg.solve_hetero(big, rhs, moduli, self.m)
-        if sol is None:
-            return None
-        return self._unpack(sol[:, 0], offsets)
+        flat = self.eqs.solve()
+        return None if flat is None else self._unpack(flat)
 
     def kernel(self):
         """Generators of the solution space of the homogeneous system."""
-        offsets, big, moduli, _, _ = self._assemble()
-        gens = linalg.kernel_hetero(big, moduli, self.m)
-        gens = linalg.reduce_generators(gens, self.m)
-        return [self._unpack(gens[:, c], offsets) for c in range(gens.shape[1])]
+        gens = self.eqs.kernel()
+        return [self._unpack(gens[:, c]) for c in range(gens.shape[1])]
 
-    def _unpack(self, flat, offsets):
-        result = {name: {} for name in self.families}
-        for (name, k), (off, size, kind) in offsets.items():
-            _, s, t, _ = self._block_info(name, k)
-            if kind == "generic":
-                result[name][k] = flat[off : off + size].reshape(s.ngens, t.ngens).T
-            else:
-                result[name][k] = free_map(s, t, flat[off : off + size].reshape(-1, t.ngens).T).mat
-        return result
+    def _unpack(self, flat):
+        out = {}
+        for name, blocks in self.blocks.items():
+            out[name] = {}
+            for k, (off, size, s, t, free) in blocks.items():
+                x = flat[off : off + size]
+                out[name][k] = (free_map(s, t, x.reshape(-1, t.ngens).T).mat if free
+                                else x.reshape(s.ngens, t.ngens).T)
+        return out
 
 
 def null_homotopy(f):

@@ -165,9 +165,12 @@ class Tower:
         return prefix_inclusion(self.base, suspend(self.ug(n).nxt, n + 1))
 
     def nullity(self, n):
-        """Null-homotopy of g_n, or None; cached."""
+        """The matrices {k: h_k} of a null-homotopy of g_n, or None; cached.
+
+        Only the matrices are kept: a Homotopy would keep its target W_n."""
         if n not in self._nullities:
-            self._nullities[n] = null_homotopy(self.composite(n))
+            h = null_homotopy(self.composite(n))
+            self._nullities[n] = None if h is None else h.mats
         return self._nullities[n]
 
 

@@ -27,8 +27,9 @@ G T off the same pass (S^-1 D = G T).  A quotient presentation, which
 reads S, eliminates [F | I], so S is its reduced right-hand side, and
 solves S X = I for the columns of S^-1 it reads.
 
-Every system matrix of the package is built by Congruences, from (row,
-col, value) triples such as kron_nonzeros gives for a Kronecker product.
+Every system of the package is posed on Congruences, from (row, col,
+value) triples such as kron_nonzeros gives for a Kronecker product, and
+solved by it, so the format of a system stays in this module.
 
 Over F_2, where most systems of the package live, the kernel reduces bit
 rows: each row of [A | B] is one Python int, packed from the nonzeros of
@@ -283,20 +284,27 @@ def kron_nonzeros(x, y):
 
 
 class Congruences:
-    """Congruences mod m in ncols unknowns, posed block by block as sparse triples.
+    """Congruences mod m, posed block by block as sparse triples.
 
-    block(row_orders, rhs) opens a block of rows (row i a congruence mod
-    row_orders[i] with right side rhs[i]), and add(rows, cols, vals) adds
-    entries to it, rows counted from its first row.  matrix() sums the
-    entries and reduces them mod m before it allocates the dense matrix of
-    the rows left nonzero, once.  A zero row refutes the system iff its
-    right side is nonzero.
+    unknowns(n) adds n unknowns and returns the index of the first, so
+    unknowns can be added while rows are posed.  block(row_orders, rhs)
+    opens a block of rows (row i a congruence mod row_orders[i] with right
+    side rhs[i]), and add(rows, cols, vals) adds entries to it, rows counted
+    from its first row.  Nothing is keyed or allocated until the system is
+    read: matrix() sums the entries and reduces them mod m before it
+    allocates the dense matrix of the rows left nonzero, once, and solve()
+    and kernel() answer from that matrix.  A zero row refutes the system
+    iff its right side is nonzero.
     """
 
     def __init__(self, ncols, m):
         self.ncols, self.m = ncols, m
         self.nrows = self.first = 0
-        self.orders, self.rhs, self.keys, self.vals = [], [], [], []
+        self.orders, self.rhs, self.rows, self.cols, self.vals = [], [], [], [], []
+
+    def unknowns(self, n):
+        self.ncols += n
+        return self.ncols - n
 
     def block(self, row_orders, rhs):
         self.first = self.nrows
@@ -305,12 +313,14 @@ class Congruences:
         self.rhs.append(np.asarray(rhs, dtype=np.int64).reshape(-1))
 
     def add(self, rows, cols, vals):
-        self.keys.append((self.first + rows) * self.ncols + cols)
+        self.rows.append(self.first + rows)
+        self.cols.append(cols)
         self.vals.append(vals % self.m)
 
     def matrix(self):
         """(matrix, row orders, right side as one column, solvable), zero rows dropped."""
-        keys, sums = sum_by_key(_concat(self.keys), _concat(self.vals))
+        keys = _concat(self.rows) * self.ncols + _concat(self.cols)
+        keys, sums = sum_by_key(keys, _concat(self.vals))
         sums %= self.m
         nonzero = sums != 0
         rows, cols = np.divmod(keys[nonzero], self.ncols)
@@ -319,6 +329,17 @@ class Congruences:
         a = zeros(int(live.sum()), self.ncols)
         a[(np.cumsum(live) - 1)[rows], cols] = sums[nonzero]
         return a, orders[live], rhs[live, None], not (rhs[~live] % orders[~live]).any()
+
+    def solve(self):
+        """One solution x, a vector of ncols, or None."""
+        a, orders, rhs, solvable = self.matrix()
+        x = solve_hetero(a, rhs, orders, self.m) if solvable else None
+        return None if x is None else x[:, 0]
+
+    def kernel(self):
+        """Generators of the solutions of the homogeneous system, reduced: one column each."""
+        a, orders, _, _ = self.matrix()
+        return reduce_generators(kernel_hetero(a, orders, self.m), self.m)
 
 
 def _concat(parts):

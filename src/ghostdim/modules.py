@@ -67,12 +67,6 @@ class FgModule:
     def is_zero(self):
         return self.ngens == 0
 
-    def identity_map(self):
-        return ModuleMap(self, self, eye(self.ngens))
-
-    def zero_map_to(self, other):
-        return ModuleMap(self, other, zeros(other.ngens, self.ngens))
-
     def elements(self):
         return linalg.enumerate_group(self.orders, cap=ENUMERATION_CAP)
 
@@ -161,12 +155,6 @@ class ModuleMap:
     def is_zero(self):
         return not self.mat.any()
 
-    def equal(self, other):
-        return self.src is other.src and self.tgt is other.tgt and np.array_equal(self.mat, other.mat)
-
-    def apply(self, vec):
-        return linalg.reduce_coords(self.mat @ np.asarray(vec, dtype=np.int64), self.tgt.orders)
-
     def validate(self):
         """Raise unless the matrix is a well-defined, equivariant group map."""
         if not self.src.ring.same_ring(self.tgt.ring):
@@ -248,15 +236,12 @@ def hom_generators(src, tgt):
     """
     if not src.ring.same_ring(tgt.ring):
         raise RingMismatch(f"{src.ring.name} vs {tgt.ring.name}")
-    m = src.ring.modulus
     ns, nt = src.ngens, tgt.ngens
     if ns == 0 or nt == 0:
         return []
-    eqs = linalg.Congruences(ns * nt, m)
+    eqs = linalg.Congruences(ns * nt, src.ring.modulus)
     hom_congruences(eqs, src, tgt, 0)
-    rows, moduli, _, _ = eqs.matrix()
-    sols = linalg.kernel_hetero(rows, moduli, m)
-    sols = linalg.reduce_generators(sols, m)
+    sols = eqs.kernel()
     out = []
     seen = set()
     for c in range(sols.shape[1]):
@@ -586,11 +571,10 @@ def split_surjection(pi):
     eqs = linalg.Congruences(g * nh, m)
     eqs.block(np.tile(module.orders, g), gens.T)
     eqs.add(b * n + a, col, vals)
-    mat, moduli, rhs, solvable = eqs.matrix()
-    sol = linalg.solve_hetero(mat, rhs, moduli, m) if solvable else None
+    sol = eqs.solve()
     if sol is None:
         return None
-    smat = (sol[:, 0].reshape(g, nh) @ phis.reshape(nh, rank * n)).reshape(f.ngens, n)
+    smat = (sol.reshape(g, nh) @ phis.reshape(nh, rank * n)).reshape(f.ngens, n)
     sec = ModuleMap(module, f, smat)
     comp = pi @ sec
     if not np.array_equal(comp.mat, linalg.reduce_coords(eye(n), module.orders)):

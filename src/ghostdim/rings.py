@@ -54,10 +54,6 @@ class Ring:
         # (x . b_t)_k = sum_i sc[i, t, k] x_i
         return self.sc[:, t, :].T % self.modulus
 
-    def left_mult(self, t):
-        """Matrix of left multiplication by basis element t."""
-        return self.sc[t, :, :].T % self.modulus
-
     def regular_actions(self):
         return tuple(self.right_mult(t) for t in range(self.rank))
 

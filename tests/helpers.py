@@ -9,6 +9,8 @@ long exact sequence by orders.  `random_small_complex` draws the random
 complexes of acceptance criterion 7.
 `induced_map` and `image_subgroup_order` are the homology-module helpers
 that the package used before its tower-free filtration read orders only.
+`apply_map` and `left_mult` are the image of a vector under a module map
+and the left regular action, which only the tests read.
 `criterion_6_pairs` lists the pairs that acceptance criterion 6 compares;
 tools/bench_timings.py times the same pairs.  `radical_square_zero_spec`
 builds the ring specs committed under tests/rings.
@@ -111,6 +113,16 @@ def _embed_cols(cols, orders, m):
         return cols
     scale = np.array([m // d for d in orders], dtype=np.int64)
     return (cols * scale[:, None]) % m
+
+
+def apply_map(f, vec):
+    """The image of a coordinate vector under a module map."""
+    return linalg.reduce_coords(f.mat @ np.asarray(vec, dtype=np.int64), f.tgt.orders)
+
+
+def left_mult(ring, t):
+    """Matrix of left multiplication by basis element t on the regular module."""
+    return ring.sc[t].T % ring.modulus
 
 
 def maps_equal(f, g):

@@ -633,66 +633,97 @@ def _reduce_mixed_generators(gens, orders, m):
     return linalg.reduce_coords(out, orders)
 
 
-def _term_contribution(self, name, k, pre, post, tgt_term, eq_cols):
+def _layout(ring, described):
+    """{(name, k): (offset, size, source term, target term, free)} of the
+    families described, in the order they were added, and the number of
+    unknowns.  A block out of a free source has an unknown per module
+    generator image, any other block one per matrix entry."""
+    layout = {}
+    total = 0
+    for what, call in described:
+        if what != "family":
+            continue
+        name, src, tgt, shift = call
+        for k in range(min(src.lo, tgt.lo - shift), max(src.hi, tgt.hi - shift) + 1):
+            s, t = src.term(k), tgt.term(k + shift)
+            if s.is_zero or t.is_zero:
+                continue
+            free = is_free_module(s)
+            size = (s.ngens // ring.rank if free else s.ngens) * t.ngens
+            layout[(name, k)] = (total, size, s, t, free)
+            total += size
+    return layout, total
+
+
+def _term_contribution(ring, block, pre, post, tgt_term, eq_cols):
     """Rows (eq entries x block vars) of pre @ U_k @ post for this block."""
-    kind, s, t, size = self._block_info(name, k)
+    _, size, s, t, free = block
+    m = ring.modulus
     pre = as_matrix(pre, rows=tgt_term.ngens, cols=t.ngens)
     post = as_matrix(post, rows=s.ngens, cols=eq_cols)
-    if kind == "generic":
-        return np.kron(post.T, pre) % self.m
-    rank = self.ring.rank
+    if not free:
+        return np.kron(post.T, pre) % m
+    rank = ring.rank
     out = zeros(tgt_term.ngens * eq_cols, size)
     for tt in range(rank):
         # U columns (j, tt) equal act^tt @ T[:, j]; collect P_tt
         p_t = post[tt::rank, :]                    # a x eq_cols
-        pre_a = (pre @ t.actions[tt]) % self.m
-        out = (out + np.kron(p_t.T, pre_a)) % self.m
+        pre_a = (pre @ t.actions[tt]) % m
+        out = (out + np.kron(p_t.T, pre_a)) % m
     return out
 
 
-def assemble(self):
-    """(offsets, total, matrix, row moduli, right side) of a MapSystem, zero rows kept."""
-    offsets, total = self._layout()
+def assemble(ring, described):
+    """(layout, total, matrix, row moduli, right side) of a MapSystem, zero rows kept.
+
+    described lists the calls that built the system, in order: ("family",
+    (name, src, tgt, shift)) and ("equation", (tgt_term, src_term, rhs,
+    terms)).  A family's Hom rows and an equation's rows are posed where the
+    call stands.
+    """
+    m = ring.modulus
+    layout, total = _layout(ring, described)
     rows = []
     moduli = []
     rhs_rows = []
-    for name, (src, tgt, shift, degs) in self.families.items():
-        for k in degs:
-            kind, s, t, size = self._block_info(name, k)
-            if kind != "generic":
-                continue
-            block_rows, block_mods = _hom_constraint_rows(s, t)
-            if block_rows.shape[0]:
-                off = offsets[(name, k)][0]
-                wide = zeros(block_rows.shape[0], total)
-                wide[:, off : off + size] = block_rows
-                rows.append(wide)
-                moduli.extend(block_mods)
-                rhs_rows.append(zeros(block_rows.shape[0], 1))
-    for tgt_term, src_term, rhs, terms in self.equations:
+    for what, call in described:
+        if what == "family":
+            for (name, k), (off, size, s, t, free) in layout.items():
+                if name != call[0] or free:
+                    continue
+                block_rows, block_mods = _hom_constraint_rows(s, t)
+                if block_rows.shape[0]:
+                    wide = zeros(block_rows.shape[0], total)
+                    wide[:, off : off + size] = block_rows
+                    rows.append(wide)
+                    moduli.extend(block_mods)
+                    rhs_rows.append(zeros(block_rows.shape[0], 1))
+            continue
+        tgt_term, src_term, rhs, terms = call
+        rhs = as_matrix(rhs, rows=tgt_term.ngens, cols=src_term.ngens)
         post_restrict = None
         eq_cols = src_term.ngens
-        if is_free_module(src_term) and self.ring.rank > 1:
+        if is_free_module(src_term) and ring.rank > 1:
             # maps out of a free module agree iff they agree on generators
-            post_restrict = module_unit_columns(self.ring, src_term.ngens // self.ring.rank)
+            post_restrict = module_unit_columns(ring, src_term.ngens // ring.rank)
             eq_cols = post_restrict.shape[1]
         nr = tgt_term.ngens * eq_cols
         if nr == 0:
             continue
         wide = zeros(nr, total)
         for name, k, pre, post in terms:
-            if (name, k) not in offsets:
+            if (name, k) not in layout:
                 continue  # unknown block is identically zero there
-            src, tgt, shift, _ = self.families[name]
-            post = as_matrix(post, rows=src.term(k).ngens, cols=src_term.ngens)
+            block = layout[(name, k)]
+            off, size = block[:2]
+            post = as_matrix(post, rows=block[2].ngens, cols=src_term.ngens)
             if post_restrict is not None:
-                post = (post @ post_restrict) % self.m
-            off, size, kind = offsets[(name, k)]
-            contrib = _term_contribution(self, name, k, pre, post, tgt_term, eq_cols)
-            wide[:, off : off + size] = (wide[:, off : off + size] + contrib) % self.m
+                post = (post @ post_restrict) % m
+            contrib = _term_contribution(ring, block, pre, post, tgt_term, eq_cols)
+            wide[:, off : off + size] = (wide[:, off : off + size] + contrib) % m
         rows.append(wide)
         moduli.extend(list(tgt_term.orders) * eq_cols)
-        rhs_used = rhs if post_restrict is None else (rhs @ post_restrict) % self.m
+        rhs_used = rhs if post_restrict is None else (rhs @ post_restrict) % m
         rhs_rows.append(rhs_used.T.reshape(-1, 1))
     if rows:
         big = np.concatenate(rows, axis=0)
@@ -700,4 +731,4 @@ def assemble(self):
     else:
         big = zeros(0, total)
         rhs_full = zeros(0, 1)
-    return offsets, total, big, moduli, rhs_full
+    return layout, total, big, moduli, rhs_full

@@ -116,6 +116,7 @@ RINGS = os.path.join(os.path.dirname(__file__), "rings")
     ("verify-rouquier-zmod-12-b4.json", ("verify", "rouquier", "--ring", "zmod:12", "--bound", "4")),
     ("dim-ghdim-a3rad2-f2.json",
      ("dim", "ghdim", "--ring", os.path.join(RINGS, "a3rad2-f2.json"), "--bound", "8")),
+    ("verify-flatchar-ut2-f2-b3.json", ("verify", "flatchar", "--ring", "ut2:f2", "--bound", "3")),
 ])
 def test_json_report_matches_golden_file(golden, args):
     res = invoke(*args, "--output", "json")

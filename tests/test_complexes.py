@@ -36,13 +36,14 @@ from ghostdim.complexes import (
 from ghostdim.errors import ModulusTooLarge, ParseError, ValidationError
 from ghostdim import complexes, linalg, modules
 from ghostdim.dimensions import module_pdim, standard_battery
-from ghostdim.ghosts import pdim_complex
+from ghostdim.ghosts import _solve_squares, pdim_complex, universal_ghost
 from ghostdim.modules import (
     FgModule,
     ModuleMap,
     ProjectivityCertificate,
     free_module,
     is_free_module,
+    is_projective,
     make_module,
     module_to_descriptor,
 )
@@ -253,10 +254,20 @@ def test_dual_complex_is_valid_and_involutive_on_homology_size():
     assert dx.homology_at(-1).module.size == 2
 
 
+def test_complexes_over_one_ring_share_its_zero_module():
+    """The zero term of every complex over a ring, and its zero homology, is
+    one module kept on the ring."""
+    a = resolution_complex(UT2.simples[0], 2)
+    b = Complex(UT2, 0, -1, {}, {})
+    zero = complexes.zero_module(UT2)
+    assert a.term(-5) is b.term(3) is zero and a.homology_at(-5).module is zero
+    assert Complex(DUAL, 0, -1, {}, {}).term(0) is not zero
+
+
 def test_dual_complex_ut2():
     # differential = left multiplication by e12 (nilpotent, so d.d = 0)
     r = free_module(UT2, 1)
-    cx = Complex(UT2, 0, 1, {0: r, 1: r}, {1: UT2.left_mult(1)})
+    cx = Complex(UT2, 0, 1, {0: r, 1: r}, {1: helpers.left_mult(UT2, 1)})
     dx = dual_complex(cx)
     dx.validate()
 
@@ -658,35 +669,73 @@ def _identical(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
 
 
+def _check_map_systems(monkeypatch):
+    """Record the add_family and add_equation calls that describe each
+    MapSystem, and before each solve or kernel compare the system posed
+    with smith_reference.assemble of those calls, in full: the block table
+    against the reference's own layout, and the matrix, row orders, right
+    side and solvable flag against the np.kron rows with the zero rows
+    dropped.  Returns the list, which grows, of (shape, families with Hom
+    rows) of each system compared."""
+    systems = []
+    calls = weakref.WeakKeyDictionary()
+    cls = complexes.MapSystem
+    add_family, add_equation, solve, kernel = cls.add_family, cls.add_equation, cls.solve, cls.kernel
+
+    def recorded_family(self, name, src, tgt, shift=0):
+        calls.setdefault(self, []).append(("family", (name, src, tgt, shift)))
+        add_family(self, name, src, tgt, shift)
+
+    def recorded_equation(self, *args):
+        calls.setdefault(self, []).append(("equation", args))
+        add_equation(self, *args)
+
+    def compare(self):
+        big, moduli, rhs, solvable = self.eqs.matrix()
+        layout, total, ref_big, ref_moduli, ref_rhs = smith_reference.assemble(self.ring, calls[self])
+        blocks = {(name, k): (b.off, b.size, b.src, b.tgt, b.free)
+                  for name, fam in self.blocks.items() for k, b in fam.items()}
+        assert list(blocks.items()) == list(layout.items())
+        live = ref_big.any(axis=1)
+        ref_moduli = np.asarray(ref_moduli, dtype=np.int64).reshape(-1)
+        assert big.shape == (int(live.sum()), total)
+        assert big.dtype == ref_big.dtype and np.array_equal(big, ref_big[live])
+        assert np.array_equal(moduli, ref_moduli[live]) and np.array_equal(rhs, ref_rhs[live])
+        assert solvable == (not (ref_rhs[~live, 0] % ref_moduli[~live]).any())
+        systems.append((big.shape, [name for name, fam in self.blocks.items()
+                                    if any(not b.free for b in fam.values())]))
+
+    def checked_solve(self):
+        compare(self)
+        return solve(self)
+
+    def checked_kernel(self):
+        compare(self)
+        return kernel(self)
+
+    monkeypatch.setattr(cls, "add_family", recorded_family)
+    monkeypatch.setattr(cls, "add_equation", recorded_equation)
+    monkeypatch.setattr(cls, "solve", checked_solve)
+    monkeypatch.setattr(cls, "kernel", checked_kernel)
+    return systems
+
+
 @pytest.mark.parametrize("name", ["ut3:f2", "zmod:12",
                                   *(n for n in BUILTIN_NAMES if n not in ("ut3:f2", "zmod:12")),
                                   "a3rad2:f2"])
 def test_assembly_and_homology_match_the_dense_reference_on_a_battery(name, monkeypatch):
     """Every MapSystem of the bound-4 battery and its pdim (null-homotopy and
-    chain-map systems) assembles to the np.kron reference with its zero rows
-    dropped, and every H_k formed equals the S-based reference's.  Every hom
-    generator set, and the tensor presentation of every term and homology
-    module with every simple left module, equals the reference's built from
-    dense np.kron rows and from the relation loop."""
-    systems = []
+    chain-map systems) equals the np.kron reference posed from the calls
+    that described it, with its zero rows dropped, and every H_k formed
+    equals the S-based reference's.  Every hom generator set, and the
+    tensor presentation of every term and homology module with every simple
+    left module, equals the reference's built from dense np.kron rows and
+    from the relation loop."""
     homologies = []
     homs = []
     tensors = []
-    assemble, homology_at = complexes.MapSystem._assemble, complexes._homology_at
+    homology_at = complexes._homology_at
     hom_generators, tensor_modules = modules.hom_generators, modules.tensor_modules
-
-    def checked_assemble(self):
-        got = assemble(self)
-        offsets, big, moduli, rhs, solvable = got
-        ref_offsets, total, ref_big, ref_moduli, ref_rhs = smith_reference.assemble(self)
-        live = ref_big.any(axis=1)
-        ref_moduli = np.asarray(ref_moduli, dtype=np.int64).reshape(-1)
-        assert offsets == ref_offsets and big.shape == (int(live.sum()), total)
-        assert big.dtype == ref_big.dtype and np.array_equal(big, ref_big[live])
-        assert np.array_equal(moduli, ref_moduli[live]) and np.array_equal(rhs, ref_rhs[live])
-        assert solvable == (not (ref_rhs[~live, 0] % ref_moduli[~live]).any())
-        systems.append(big.shape)
-        return got
 
     def checked_homology_at(cx, k):
         got = homology_at(cx, k)
@@ -710,7 +759,7 @@ def test_assembly_and_homology_match_the_dense_reference_on_a_battery(name, monk
             tensors.append(orders)
         return got
 
-    monkeypatch.setattr(complexes.MapSystem, "_assemble", checked_assemble)
+    systems = _check_map_systems(monkeypatch)
     monkeypatch.setattr(complexes, "_homology_at", checked_homology_at)
     monkeypatch.setattr(modules, "hom_generators", checked_hom_generators)
     # a fresh copy of the ring: results kept on a builtin's simples by earlier
@@ -727,6 +776,26 @@ def test_assembly_and_homology_match_the_dense_reference_on_a_battery(name, monk
     assert len(systems) >= (50 if name in ("ut3:f2", "zmod:12") else 40) and len(homologies) >= 50
     # over the fields every module is free, so no section is sought
     assert tensors and (homs or name in ("f2", "f3", "zmod:2", "zmod:3"))
+
+
+def test_a_later_family_with_hom_rows_matches_the_reference(monkeypatch):
+    """A factorization whose source has non-free terms: the homotopy family
+    added after the chain-map family has Hom rows, posed after the chain
+    map's equations, and the system still equals the reference posed in the
+    order of the calls.  X is S in degree 0 and R in degree 1 with d = 0,
+    for each simple S of ut2:f2, so s_0: S -> R has nonzero Hom rows; the
+    identity of X lifts through the cover of its homology iff S is
+    projective."""
+    systems = _check_map_systems(monkeypatch)
+    lifts = []
+    for simple in UT2.simples:
+        x = Complex(UT2, 0, 1, {0: simple, 1: free_module(UT2, 1)}, {})
+        cover = universal_ghost(x).cover_map
+        got = _solve_squares(x, cover.src, [(identity_chain(x), cover, identity_chain(x), "s")])
+        lifts.append(got is not None)
+    # u: X -> P first, then the homotopy family s: X -> X of degree +1
+    assert [families for _, families in systems] == [["u", "s"]] * len(UT2.simples)
+    assert lifts == [is_projective(simple)[0] for simple in UT2.simples] and sorted(lifts) == [False, True]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -235,6 +237,25 @@ def test_pdim_resolution_of_ut2_simple_is_one():
     assert tower.nullity(1) is not None
 
 
+def test_a_cached_nullity_keeps_no_composite_target(monkeypatch):
+    """Tower.nullity keeps the matrices of a null-homotopy of g_n, not a
+    Homotopy, whose target W_n the tower would otherwise keep alive."""
+    made = []
+    suspend = ghosts.suspend
+
+    def recorded(cx, times=1):
+        out = suspend(cx, times)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(ghosts, "suspend", recorded)
+    tower = Tower(resolution_complex(UT2.simples[0], 4))
+    assert tower.nullity(0) is None and tower.nullity(1) is not None
+    gc.collect()
+    assert len(made) == 2 and all(ref() is None for ref in made)
+    assert tower.nullity(1) is not None and len(made) == 2     # cached
+
+
 def test_pdim_cone2_is_one():
     # cone(2) over Z/4 is built from two frees in one step, so pdim = 1
     # even though H* has infinite projective dimension as a module.
@@ -278,7 +299,7 @@ def test_ghost_universality_random_search():
         module_complex(free_module(DUAL, 1)),
     ]
     dual_r = free_module(DUAL, 1)
-    dual_x_complex = Complex(DUAL, 0, 1, {0: dual_r, 1: dual_r}, {1: DUAL.left_mult(1)})
+    dual_x_complex = Complex(DUAL, 0, 1, {0: dual_r, 1: dual_r}, {1: helpers.left_mult(DUAL, 1)})
     targets_by_ring = {
         id(Z4): [mult_complex(Z4, 2), suspend(mult_complex(Z4, 2)), module_complex(free_module(Z4, 1))],
         id(UT2): [resolution_complex(UT2.simples[0], 2), module_complex(UT2.simples[1])],

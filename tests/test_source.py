@@ -1,5 +1,5 @@
 """Source checks that need no linter: every module reads what it imports,
-every public function and class has a caller outside the tests, no
+every public function, class and method has a caller outside the tests, no
 constructor takes a check switch, no module forms a dense Kronecker
 product, and importing the package loads every traced layer."""
 
@@ -49,11 +49,13 @@ def names_read(tree):
 
 
 def traced_names():
-    """Top-level names that perfbench/spans.py TARGETS resolves in the package."""
+    """The names that perfbench/spans.py TARGETS resolves in the package: each
+    qualified name ("Tower.nullity") and its top-level name ("Tower")."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
     targets = next(n.value for n in tree.body if isinstance(n, ast.Assign)
                    and getattr(n.targets[0], "id", "") == "TARGETS")
-    return {ast.literal_eval(t)[1].split(".")[0] for t in targets.elts}
+    qualified = {ast.literal_eval(t)[1] for t in targets.elts}
+    return qualified | {name.split(".")[0] for name in qualified}
 
 
 def is_click_command(node):
@@ -61,15 +63,27 @@ def is_click_command(node):
                for d in getattr(node, "decorator_list", ()))
 
 
+def public_defs(tree):
+    """(qualified name, node) of the public top-level functions and classes,
+    and of the public methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
 def uncalled_public_names():
-    """Public top-level functions and classes of the package that nothing
-    outside their own body reads, other than click commands and traced names."""
+    """Public top-level functions and classes of the package, and public
+    methods of its public classes, that nothing outside their own body
+    reads, other than click commands and traced names.  A method counts as
+    read wherever an attribute of its name is."""
     trees = {p: ast.parse(p.read_text()) for p in CALLERS}
     reads = sum((names_read(tree) for tree in trees.values()), Counter())
     exempt = traced_names()
-    return [f"{path.name}:{node.name}" for path in SOURCES for node in trees[path].body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-            and node.name not in exempt and not is_click_command(node)
+    return [f"{path.name}:{name}" for path in SOURCES for name, node in public_defs(trees[path])
+            if name not in exempt and not is_click_command(node)
             and reads[node.name] == names_read(node)[node.name]]
 
 
