@@ -35,8 +35,9 @@ term: its block maps are slices of the identity, formed when read.
 
 Homology is computed once per content, not once per complex.  A ghost
 tower forms no homology for its checks beyond its stages' own: the ghost
-check of a stage reads the homology of the next stage, the very complex
-the tower goes on with (see ghosts.universal_ghost).  Complexes built apart
+check of a stage solves against the differential of the next stage, whose
+homology is formed only if the tower goes on from it (see
+ghosts.universal_ghost).  Complexes built apart
 can still have the same content, so Complex.homology first looks H_k up by
 a digest of everything _homology_at reads: the ring (name, backend,
 modulus, structure constants, unit and declared simples), the degree k,

@@ -46,8 +46,8 @@ from .verdicts import Verdict
 class UniversalGhost:
     """Triangle  P -> X -> Y -> SP  with P free, P -> X onto homology,
     and the universal ghost g: X -> Y = cone(P -> X).  Only the next tower
-    stage nxt = S^-1 Y is kept (its homology answered the ghost check); Y
-    and g, the prefix inclusion of X's coordinates, are formed when read."""
+    stage nxt = S^-1 Y is kept (the ghost check solved on it); Y and g, the
+    prefix inclusion of X's coordinates, are formed when read."""
 
     source: Complex
     cover: Complex
@@ -66,17 +66,18 @@ class UniversalGhost:
 def universal_ghost(x):
     """Build the universal ghost out of x from a minimal homology cover.
 
-    Two checks run on what is built, each against homology the tower needs
-    anyway rather than homology formed only for the check:
+    Two checks run on what is built, and neither forms homology that the
+    tower does not need anyway:
 
     * the cover P -> X is onto homology.  P has zero differential, so
       H_k(P) = P_k with the identity as lift, and H_k of the cover is the
-      class of each column of its matrix in H_k(X);
-    * g: X -> Y = cone(P -> X) is a ghost.  S^-1 Y has the cycles and
-      boundaries of Y one degree down (negating d changes no kernel or
-      image), so H_k(g) is zero iff every
-      g_k . lift classifies to zero in H_(k-1)(S^-1 Y), which is the next
-      tower stage.
+      class of each column of its matrix in H_k(X), which the cover needed;
+    * g: X -> Y = cone(P -> X) is a ghost.  S^-1 Y, the next tower stage,
+      has the cycles and boundaries of Y one degree down (negating d
+      changes no kernel or image), so H_k(g) is zero iff every
+      g_k . lift is a boundary of the next stage: one solve per degree
+      against its differential.  Its homology is formed only if the tower
+      goes on from it.
 
     Each failure raises ValidationError.
     """
@@ -118,14 +119,17 @@ def _check_onto_homology(cover_map):
 def _check_ghost(x, nxt):
     """Raise unless the prefix inclusion g: X -> Y = S nxt induces zero on
     homology.  g_k . lift is the lift padded with zeros, already reduced, as
-    the leading orders of Y_k are X_k's."""
+    the leading orders of Y_k are X_k's.  Y_k = nxt_(k-1) and d_Y = -d_nxt,
+    so B_k(Y) = im d_nxt,k, and H_k(g) = 0 iff one solve of
+    d_nxt,k . c = g_k . lift has a solution: no homology of nxt is formed."""
+    m = x.ring.modulus
     for k in x.degrees():
         hk = x.homology_at(k)
         if hk.module.is_zero:
             continue
         pushed = linalg.zeros(nxt.term(k - 1).ngens, hk.lift.shape[1])
         pushed[:hk.lift.shape[0]] = hk.lift
-        if nxt.homology_at(k - 1).classify(pushed).any():
+        if linalg.solve_hetero(nxt.diff(k), pushed, nxt.term(k - 1).orders, m) is None:
             raise ValidationError("cofiber of a homology epi failed the ghost check")
 
 

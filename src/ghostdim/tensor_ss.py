@@ -42,7 +42,7 @@ from .complexes import (
 from .errors import RingMismatch, SideMismatch, ValidationError
 from .ghosts import ghost_tower
 from .linalg import eye, zeros
-from .modules import FgModule, _cover, tensor_map, tensor_modules
+from .modules import FgModule, _cover, kernel_generators, tensor_map, tensor_modules
 from .verdicts import Verdict
 
 
@@ -270,13 +270,16 @@ def ucss_filtration(x, z, window=None, max_depth=None):
     g_{s-1} (x) Z; the E-infinity order at (s, t) is the index jump of the
     kernel chain.  Only total degrees inside the window are read.
 
-    E-infinity reads only the orders of the kernels, so no homology of a
-    target W_s (x) Z is formed.  For phi = g_s (x) Z, B'_t the boundaries of
-    W_s (x) Z and L_t the cycle representatives of H_t(X (x) Z),
+    E-infinity reads only the orders of the kernels, so no homology module
+    is formed, of X (x) Z or of a target W_s (x) Z.  |H_t(X (x) Z)| comes
+    from orders alone (complexes.homology_order).  For phi = g_s (x) Z, B'_t
+    the boundaries of W_s (x) Z and L_t the reduced cycle generators of d_t
+    on X (x) Z (none are formed where H_t = 0),
         |ker H_t(phi)| = |H_t(X (x) Z)| / |im H_t(phi)|,
         |im H_t(phi)| = |B'_t + phi(L_t)| / |B'_t|,
-    because L_t spans the cycles modulo boundaries and the chain map phi sends
-    boundaries into B'_t.  Both are subgroup orders in the term of degree t.
+    because L_t spans the cycles, hence the cycles modulo boundaries, and the
+    chain map phi sends boundaries into B'_t.  Both are subgroup orders in
+    the term of degree t.
 
     W_s (x) Z is held as pieces (_StageTensor): X (x) Z, built once, and one
     piece per stage's free cover, so each stage appends to the previous one
@@ -287,13 +290,14 @@ def ucss_filtration(x, z, window=None, max_depth=None):
     ring = x.ring
     z = _as_left_complex(ring, z)
     txz = tensor_complexes(x, z)
-    lo, hi = txz.total.lo, txz.total.hi
+    tot = txz.total
+    lo, hi = tot.lo, tot.hi
     if window is not None:
         lo, hi = max(lo, window[0]), min(hi, window[1])
     degrees = [t for t in range(lo, hi + 1)]
-    homs = {t: txz.total.homology_at(t) for t in degrees}
-    h_orders = {t: hd.module.size for t, hd in homs.items()}
-    reps = {t: linalg.reduce_coords(hd.lift, txz.total.term(t).orders) for t, hd in homs.items()}
+    h_orders = {t: homology_order(tot, t) for t in degrees}
+    cycles = {t: kernel_generators(tot.diff(t), tot.term(t), tot.term(t - 1))
+              for t in degrees if h_orders[t] > 1}
     if max_depth is None:
         max_depth = max(x.length + 1, 1)
     kernel_orders = {t: [] for t in degrees}
@@ -307,11 +311,11 @@ def ucss_filtration(x, z, window=None, max_depth=None):
         exhausted = True
         for t in degrees:
             image = 1
-            if reps[t].any():
+            if t in cycles:
                 bounds = w.diffs[t + 1]
-                gens = zeros(len(w.orders[t]), bounds.shape[1] + reps[t].shape[1])
+                gens = zeros(len(w.orders[t]), bounds.shape[1] + cycles[t].shape[1])
                 gens[:, :bounds.shape[1]] = bounds
-                gens[:reps[t].shape[0], bounds.shape[1]:] = reps[t]
+                gens[:cycles[t].shape[0], bounds.shape[1]:] = cycles[t]
                 b_order, total = linalg.subgroup_order(gens, w.orders[t], ring.modulus,
                                                        split=bounds.shape[1])
                 image = total // b_order

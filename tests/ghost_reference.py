@@ -1,10 +1,12 @@
 """Reference homology checks and cover generators for the tests of ghostdim.ghosts.
 
 `is_ghost` and `homology_epi` are the checks that `universal_ghost` ran
-before it checked against the homology the tower needs anyway, copied
-unchanged: each forms the induced map on homology in every degree, so the
-homology of the cover and of the cone, which the package no longer builds
-for its checks.  They are the independent oracles for every tower stage.
+before it read only what the tower builds anyway (the homology of the
+stage it covers, and one solve against the next stage's differential),
+copied unchanged: each forms the induced map on homology in every degree,
+so the homology of the cover and of the cone, which the package never
+builds for its checks.  They are the independent oracles for every tower
+stage.
 
 `minimal_generators` is the greedy thinning that ghostdim.modules ran
 before it tested each trial set with one elimination, copied unchanged:

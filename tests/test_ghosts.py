@@ -128,13 +128,29 @@ def test_every_tower_stage_passes_the_reference_checks(name, least):
             if _gens(built_on) > STAGE_GENS_CAP:
                 break
             ug = tower.ug(i)
-            # the ghost is built on the previous stage's nxt, the complex whose
-            # homology that stage's ghost check read
+            # the ghost is built on the previous stage's nxt, the very complex
+            # that stage's ghost check solved on
             assert ug.source is built_on
             assert homology_epi(ug.cover_map)
             assert is_ghost(ug.ghost)
             checked += 1
     assert checked >= least
+
+
+@pytest.mark.parametrize("name", ("zmod:12", "ut3:f2", "dual:f2", "ut2:f3"))
+def test_pdim_forms_no_homology_of_the_last_stage(name):
+    """The ghost check solves on the built stage, so after pdim_complex the
+    last stage's nxt holds no homology, and every stage the tower went on
+    from holds its own (universal_ghost formed it for the cover)."""
+    members, _ = standard_battery(helpers.named_ring(name), 4, seed=0)
+    deeper = 0
+    for mem in members:
+        pdim_complex(mem.cx, 4)
+        ugs = ghost_tower(mem.cx, 0).ugs
+        assert "homology" not in ugs[-1].nxt._cache
+        assert all("homology" in ug.nxt._cache for ug in ugs[:-1])
+        deeper += len(ugs) > 1
+    assert deeper
 
 
 @pytest.mark.parametrize("name", ("zmod:12", "ut2:f3", "dual:f2"))

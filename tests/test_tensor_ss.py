@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 import tensor_reference as ref
-from ghostdim import modules, tensor_ss
+from ghostdim import complexes, modules, tensor_ss
 from ghostdim.cli import verify_compact_eq, verify_flatchar, verify_rouquier
 from ghostdim.complexes import (ChainMap, Complex, Homotopy, desuspend, dual_complex, module_complex,
                                 resolution_complex, suspend)
@@ -417,6 +417,36 @@ def test_ucss_orders_match_the_induced_map_route(name, smallest, chains):
                 assert got.vanishing_line == want.vanishing_line
                 checked += any(len(chain) > 1 for chain in got.kernel_orders.values())
     assert checked >= chains
+
+
+@pytest.mark.parametrize("name", ("ut3:f2", "dual:f2", "zmod:12"))
+def test_ucss_forms_no_homology_of_the_tensor(name, monkeypatch):
+    """Over the compact battery (bound 3), ucss_filtration forms no H_k of
+    any X (x) Z it builds, and its h_orders are the orders of those H_k."""
+    totals = []
+    formed = []
+    build, homology_at = tensor_ss.tensor_complexes, complexes._homology_at
+
+    def recorded_tensor(x, z):
+        got = build(x, z)
+        totals.append(got.total)
+        return got
+
+    def recorded_homology_at(cx, k):
+        formed.append(cx)               # held, like the totals, so that ids stay unique
+        return homology_at(cx, k)
+
+    monkeypatch.setattr(tensor_ss, "tensor_complexes", recorded_tensor)
+    monkeypatch.setattr(complexes, "_homology_at", recorded_homology_at)
+    members, _ = standard_battery(helpers.named_ring(name), 3, seed=0, min_size=25)
+    tables = [(mem.cx, z, ucss_filtration(mem.cx, z))
+              for mem in members for z in tensor_ss.default_tests(mem.cx)]
+    assert len(totals) == len(tables)
+    assert {id(t) for t in totals}.isdisjoint(id(cx) for cx in formed)
+    for x, z, table in tables:
+        tot = build(x, z).total
+        assert table.h_orders == {t: tot.homology_at(t).module.size for t in table.h_orders}
+    assert any(v > 1 for *_, table in tables for v in table.h_orders.values())
 
 
 def test_filtration_depth_counts_the_stages_read():
