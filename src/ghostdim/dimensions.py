@@ -354,7 +354,7 @@ class RouquierStep:
     cofiber: Complex             # cone(step_map)
     incl: ChainMap               # Y_j -> cofiber
     connecting: ChainMap         # cofiber -> S Y_{j-1}
-    model: Equivalence           # cofiber ~ S^j P_j
+    model: Equivalence           # cofiber ~ P_j
     free_rank_total: int
 
 
@@ -398,13 +398,13 @@ def rouquier_build(x, n):
 
     Requires pdim x <= n (PdimTooLarge otherwise).  The certificate carries
     the chain of triangles, an equivalence of each third term with a
-    suspended finite free complex, and the exact retraction coming from the
-    null-homotopy of the tower composite.
+    tower cover (a finite free complex with zero differential), and the
+    exact retraction coming from the null-homotopy of the tower composite.
 
     Y_j = S^-1 cone(g_j) is S^-1 W_j + X degreewise, and W_j is W_(j-1) +
-    S^(j+1) P_j (the prefix layout of ghosts.Tower).  So g_0 and each step
+    S P_j (the prefix layout of ghosts.Tower).  So g_0 and each step
     m_j: Y_(j-1) -> Y_j are coordinate inclusions, with cokernels S P_0 and
-    S^j P_j, and split_inclusion_model gives each cone's equivalence.
+    P_j, and split_inclusion_model gives each cone's equivalence.
     """
     tower = ghost_tower(x, n)
     h = tower.nullity(n)
@@ -412,8 +412,7 @@ def rouquier_build(x, n):
         raise PdimTooLarge(f"pdim {x.name or 'X'} exceeds {n}")
     fibers = [fiber(tower.composite(j)) for j in range(n + 1)]
     ys = [fib[0] for fib in fibers]
-    g_n = fibers[n][2].f
-    include = section_from_null_homotopy(g_n, Homotopy(g_n.src, g_n.tgt, h), ys[n], fibers[n][1])
+    include = section_from_null_homotopy(fibers[n][2].f, h, ys[n], fibers[n][1])
     # proj . include = id on the nose
     retract_homotopy = Homotopy(x, x, {})
     p0 = tower.ugs[0].cover
@@ -428,7 +427,7 @@ def rouquier_build(x, n):
             mats[k] = eye(n_next)[:, [*range(n_prev - n_x), *range(n_next - n_x, n_next)]]
         m_j = ChainMap(prev_y, y_j, mats)
         cd = cone(m_j, name=f"C{j}")
-        model = split_inclusion_model(cd, suspend(tower.ugs[j].cover, j))
+        model = split_inclusion_model(cd, tower.ugs[j].cover)
         steps.append(
             RouquierStep(
                 index=j,

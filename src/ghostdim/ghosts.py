@@ -1,10 +1,11 @@
 """Ghost maps, universal ghosts, ghost towers, and projective dimension.
 
 A ghost induces zero on homology.  The universal ghost out of X is the
-cofiber of a homology-surjective map from a free complex; every ghost out
-of X factors through it, so the tower of iterated universal ghosts decides
-projective dimension: pdim X <= n iff the (n+1)-fold composite is
-null-homotopic.
+inclusion of X into the cone of a homology-surjective map from a free
+complex; every ghost out of X factors through it, so the tower of iterated
+universal ghosts X -> W_0 -> W_1 -> ..., each stage the cone over the one
+before, decides projective dimension: pdim X <= n iff the (n+1)-fold
+composite is null-homotopic.
 
 Every bounded complex of projectives has pdim at most its length (it is
 built from its terms in that many extension steps), so the tower search
@@ -29,12 +30,10 @@ from .complexes import (
     chain_map_generators,
     check_null_homotopy,
     cone,
-    desuspend,
     free_complex,
     identity_chain,
     null_homotopy,
     prefix_inclusion,
-    suspend,
     zero_chain,
 )
 from .errors import NoFactorization, ValidationError
@@ -45,18 +44,14 @@ from .verdicts import Verdict
 @dataclass
 class UniversalGhost:
     """Triangle  P -> X -> Y -> SP  with P free, P -> X onto homology,
-    and the universal ghost g: X -> Y = cone(P -> X).  Only the next tower
-    stage nxt = S^-1 Y is kept (the ghost check solved on it); Y and g, the
-    prefix inclusion of X's coordinates, are formed when read."""
+    and the universal ghost g: X -> Y = cone(P -> X).  Y, the next tower
+    stage, is kept (the ghost check solved on it); g, the prefix inclusion
+    of X's coordinates, is formed when read."""
 
     source: Complex
     cover: Complex
     cover_map: ChainMap
-    nxt: Complex
-
-    @property
-    def target(self):
-        return suspend(self.nxt)
+    target: Complex
 
     @property
     def ghost(self):
@@ -72,12 +67,9 @@ def universal_ghost(x):
     * the cover P -> X is onto homology.  P has zero differential, so
       H_k(P) = P_k with the identity as lift, and H_k of the cover is the
       class of each column of its matrix in H_k(X), which the cover needed;
-    * g: X -> Y = cone(P -> X) is a ghost.  S^-1 Y, the next tower stage,
-      has the cycles and boundaries of Y one degree down (negating d
-      changes no kernel or image), so H_k(g) is zero iff every
-      g_k . lift is a boundary of the next stage: one solve per degree
-      against its differential.  Its homology is formed only if the tower
-      goes on from it.
+    * g: X -> Y = cone(P -> X) is a ghost: H_k(g) is zero iff every
+      g_k . lift is a boundary of Y, one solve per degree against d_Y.
+      The homology of Y is formed only if the tower goes on from it.
 
     Each failure raises ValidationError.
     """
@@ -99,9 +91,9 @@ def universal_ghost(x):
         mats[k] = free_map(p.term(k), x.term(k), cols).mat
     cover_map = ChainMap(p, x, mats)
     _check_onto_homology(cover_map)
-    nxt = desuspend(cone(cover_map, name=f"UG({x.name or 'X'})").cone)
-    _check_ghost(x, nxt)
-    return UniversalGhost(source=x, cover=p, cover_map=cover_map, nxt=nxt)
+    y = cone(cover_map, name=f"UG({x.name or 'X'})").cone
+    _check_ghost(x, y)
+    return UniversalGhost(source=x, cover=p, cover_map=cover_map, target=y)
 
 
 def _check_onto_homology(cover_map):
@@ -116,36 +108,35 @@ def _check_onto_homology(cover_map):
             raise ValidationError("homology cover failed to be surjective")
 
 
-def _check_ghost(x, nxt):
-    """Raise unless the prefix inclusion g: X -> Y = S nxt induces zero on
-    homology.  g_k . lift is the lift padded with zeros, already reduced, as
-    the leading orders of Y_k are X_k's.  Y_k = nxt_(k-1) and d_Y = -d_nxt,
-    so B_k(Y) = im d_nxt,k, and H_k(g) = 0 iff one solve of
-    d_nxt,k . c = g_k . lift has a solution: no homology of nxt is formed."""
+def _check_ghost(x, y):
+    """Raise unless the prefix inclusion g: X -> Y induces zero on homology.
+    g_k . lift is the lift padded with zeros, already reduced, as the
+    leading orders of Y_k are X_k's, and H_k(g) = 0 iff one solve of
+    d_Y,k+1 . c = g_k . lift has a solution: no homology of Y is formed."""
     m = x.ring.modulus
     for k in x.degrees():
         hk = x.homology_at(k)
         if hk.module.is_zero:
             continue
-        pushed = linalg.zeros(nxt.term(k - 1).ngens, hk.lift.shape[1])
+        pushed = linalg.zeros(y.term(k).ngens, hk.lift.shape[1])
         pushed[:hk.lift.shape[0]] = hk.lift
-        if linalg.solve_hetero(nxt.diff(k), pushed, nxt.term(k - 1).orders, m) is None:
+        if linalg.solve_hetero(y.diff(k + 1), pushed, y.term(k).orders, m) is None:
             raise ValidationError("cofiber of a homology epi failed the ghost check")
 
 
 class Tower:
     """The ghost tower of a complex: its universal ghosts, extended on demand.
 
-    ugs[i] is the universal ghost out of the stage X_i (X_0 the base,
-    X_(i+1) = ugs[i].nxt = S^-1 cone(p_i: P_i -> X_i)), and g_n: X -> W_n,
-    W_n = S^n cone(p_n) = S^(n+1) X_(n+1), is the composite of the first
-    n+1 ghosts.  A stage keeps its cover and the next stage only, no cone.
+    ugs[n] is the universal ghost out of W_(n-1) (W_(-1) = X, the base), and
+    its target is the next stage W_n = cone(p_n: P_n -> W_(n-1)), P_n a free
+    cover of H(W_(n-1)).  g_n: X -> W_n is the composite of the first n+1
+    ghosts.
 
-    The prefix layout: X_n = S^-n W_(n-1), with W_(-1) = X, so degreewise
-    W_n = W_(n-1) + S^(n+1) P_n, the new summand last, and
-        d_(W_n) = [d_(W_(n-1))  (-1)^n p_n]
-                  [     0            0    ]
-    as P_n has zero differential.  Each ghost X_n -> cone(p_n) is the block
+    The prefix layout, the one complexes.cone owns: degreewise W_n =
+    W_(n-1) + S P_n, the new summand last, and
+        d_(W_n) = [d_(W_(n-1))  p_n]
+                  [     0        0 ]
+    as P_n has zero differential.  Each ghost W_(n-1) -> W_n is the block
     inclusion, so g_n is the prefix inclusion [I; 0] of X's coordinates.
     """
 
@@ -156,25 +147,21 @@ class Tower:
 
     def extend_to(self, n):
         while len(self.ugs) <= n:
-            self.ugs.append(universal_ghost(self.ugs[-1].nxt if self.ugs else self.base))
+            self.ugs.append(universal_ghost(self.ugs[-1].target if self.ugs else self.base))
 
     def ug(self, i):
         self.extend_to(i)
         return self.ugs[i]
 
     def composite(self, n):
-        """g_n: X -> W_n = S^(n+1) X_(n+1), built on every call; the tower
-        keeps none.  The prefix inclusion is a chain map, as the X columns
+        """g_n: X -> W_n, on the kept stage; a chain map, as the X columns
         of every d_(W_n) are [d_X; 0]."""
-        return prefix_inclusion(self.base, suspend(self.ug(n).nxt, n + 1))
+        return prefix_inclusion(self.base, self.ug(n).target)
 
     def nullity(self, n):
-        """The matrices {k: h_k} of a null-homotopy of g_n, or None; cached.
-
-        Only the matrices are kept: a Homotopy would keep its target W_n."""
+        """A checked null-homotopy of g_n, or None; cached."""
         if n not in self._nullities:
-            h = null_homotopy(self.composite(n))
-            self._nullities[n] = None if h is None else h.mats
+            self._nullities[n] = null_homotopy(self.composite(n))
         return self._nullities[n]
 
 

@@ -202,13 +202,13 @@ class FiltrationTable:
 class _StageTensor:
     """W_s (x) Z in the total degrees of a range, held as pieces.
 
-    W_s is W_(s-1) + S^(s+1) P_s degreewise, with g_s: X -> W_s the prefix
-    inclusion (the prefix layout of ghosts.Tower).  So W_s (x) Z is held as
-    pieces, X (x) Z in the coordinates of tensor_complexes(X, Z), then
-    (S^(i+1) P_i) (x) Z for i = 0..s, and Tot_n lists the pieces in that
-    order.  A stage appends one block column to each d_n: (-1)^s p_s (x) 1,
-    with p_s's rows cut by the pieces of W_(s-1), and the new piece's own
-    (-1)^a 1 (x) d_Z.  This is cone((-1)^s p_s (x) Z) in the previous
+    W_s = cone(p_s: P_s -> W_(s-1)) is W_(s-1) + S P_s degreewise, with
+    g_s: X -> W_s the prefix inclusion (the prefix layout of ghosts.Tower).
+    So W_s (x) Z is held as pieces, X (x) Z in the coordinates of
+    tensor_complexes(X, Z), then (S P_i) (x) Z for i = 0..s, and Tot_n lists
+    the pieces in that order.  A stage appends one block column to each d_n:
+    p_s (x) 1, with p_s's rows cut by the pieces of W_(s-1), and the new
+    piece's own (-1)^a 1 (x) d_Z.  This is cone(p_s (x) Z) in the previous
     stage's coordinates, built unchecked because - (x) Z is additive and
     preserves the cone of a chain map degreewise; the pieces are built once
     and no W_s (x) Z is formed whole.  Only the current stage's orders and
@@ -224,26 +224,22 @@ class _StageTensor:
         self.diffs = {n: txz.total.diff(n) for n in degrees if n - 1 in degrees}
 
     def add_stage(self, cover):
-        """Append the piece of the stage's cover p_s: P_s -> X_s."""
-        s = len(self.pieces) - 1
-        m = cover.src.ring.modulus
+        """Append the piece of the stage's cover p_s: P_s -> W_(s-1)."""
         z = self.z
-        p = suspend(cover.src, s + 1)       # W-degree a holds P_s in degree a - s - 1
+        p = suspend(cover.src)              # the cone's S P_s
         blocks = _tensor_layout(p, z, self.degrees)
         own = _tensor_blocks(blocks, blocks, -1, [(0, _koszul_dz(p, z))])
-        sign = -1 if s % 2 else 1
         cross = []
         start = {}                          # W-degree -> first row of the next piece in it
         for piece, piece_blocks in self.pieces:
             def factors(a, b, piece=piece):
                 lo = start.get(a - 1, 0)
-                cut = cover.component(a - s - 1)[lo:lo + piece.term(a - 1).ngens]
-                return (sign * cut) % m, eye(z.term(b).ngens)
+                return cover.component(a - 1)[lo:lo + piece.term(a - 1).ngens], eye(z.term(b).ngens)
             cross.append(_tensor_blocks(blocks, piece_blocks, -1, [(-1, factors)]))
             for a in p.degrees():
                 start[a - 1] = start.get(a - 1, 0) + piece.term(a - 1).ngens
         for a in p.degrees():
-            if start.get(a - 1, 0) != cover.tgt.term(a - s - 1).ngens:
+            if start.get(a - 1, 0) != cover.tgt.term(a - 1).ngens:
                 raise ValidationError("tower stage is not the cone over the previous stage")
         self.pieces.append((p, blocks))
         for n in self.degrees:
@@ -282,11 +278,18 @@ def ucss_filtration(x, z, window=None, max_depth=None):
     the term of degree t.
 
     W_s (x) Z is held as pieces (_StageTensor): X (x) Z, built once, and one
-    piece per stage's free cover, so each stage appends to the previous one
-    and g_s is the prefix inclusion, phi(L_t) being L_t padded with zeros.
-    One elimination of [B'_t | phi(L_t)], the B'_t columns first, gives both
-    orders over a prime field (linalg.subgroup_order with a split).
+    piece per stage's free cover (W_s = W_(s-1) + S P_s), so each stage
+    appends to the previous one and g_s is the prefix inclusion, phi(L_t)
+    being L_t padded with zeros.  One elimination of [B'_t | phi(L_t)], the
+    B'_t columns first, gives both orders over a prime field
+    (linalg.subgroup_order with a split).
+
+    X must be a certified complex of projectives, as for
+    ghosts.pdim_complex: only then does the filtration end where the
+    flat dimension is.
     """
+    if not x.certified:
+        raise ValidationError("ucss_filtration needs a certified-projective complex")
     ring = x.ring
     z = _as_left_complex(ring, z)
     txz = tensor_complexes(x, z)

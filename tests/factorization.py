@@ -95,9 +95,9 @@ def factor_through_pdim_n(f, n, _verify=True):
     ug = tower.ug(0)
     p_map = ug.cover_map                 # p: P -> X
     pp = ug.cover
-    c0 = ug.target                       # cone(p) = S X_1
+    c0 = ug.target                       # cone(p), the first tower stage
     delta = ug.ghost                     # X -> C0, the universal ghost
-    x1 = ug.nxt                          # the first tower stage, S^-1 C0
+    x1 = desuspend(c0)                   # S^-1 C0
     # the block projection of S^-1 cone(p) onto P, a chain map as in fiber()
     c0_blocks = ConeData(p_map, c0)
     rprime = ChainMap(x1, pp, {k: c0_blocks.psh(k + 1) for k in x1.degrees()})

@@ -17,15 +17,22 @@ generators this one chooses.
 `ghost_factors_through_universal` asks whether a ghost factors through the
 universal ghost, the universal property the tests check.
 
-`chained_composites` builds each tower composite g_s as the product of the
-suspended ghosts, g_s = S^s delta_s . g_(s-1), the way ghosts.Tower built
-it before it built the prefix inclusion directly; the product is copied
-unchanged.  The package's g_s must equal it bit for bit.
+`chained_composites` builds each tower composite g_s as the product of
+the ghosts, g_s = delta_s . g_(s-1), each delta_s the universal ghost
+W_(s-1) -> W_s.  The prefix inclusion that the package builds directly
+must equal it bit for bit.
+
+`desuspended_composites` builds the tower the way ghostdim.ghosts did
+before its stages were the cones themselves, on the package's
+`universal_ghost`: the stages X_0 = X and X_(i+1) = S^-1 cone(p_i), each
+the desuspension of a universal ghost's target, and g_n the prefix
+inclusion X -> W_n = S^(n+1) X_(n+1).  Over F_2 no sign shows, and the
+package's W_n and its null-homotopies must equal these bit for bit.
 """
 
 from ghostdim import linalg
-from ghostdim.complexes import identity_chain, suspend, suspend_between
-from ghostdim.ghosts import _solve_squares
+from ghostdim.complexes import desuspend, identity_chain, prefix_inclusion, suspend
+from ghostdim.ghosts import _solve_squares, universal_ghost
 from ghostdim.linalg import eye, zeros
 from ghostdim.modules import (
     is_free_module,
@@ -115,18 +122,18 @@ def ghost_factors_through_universal(h, ug):
 
 
 def chained_composites(tower, n):
-    """[g_0, ..., g_n] of the tower, each the product of the step maps."""
+    """[g_0, ..., g_n] of the tower, each the product delta_s . g_(s-1)."""
     composites = []
+    for s in range(n + 1):
+        delta = tower.ug(s).ghost
+        composites.append(delta @ composites[-1] if composites else delta)
+    return composites
+
+
+def desuspended_composites(x, n):
+    """[g_0, ..., g_n] over the desuspended stages X_(i+1) = S^-1 cone(p_i)."""
+    stage, composites = x, []
     for i in range(n + 1):
-        ug = tower.ug(i)
-        delta = ug.ghost
-        if i == 0:
-            w = ug.target
-            composite = delta
-        else:
-            w = suspend(ug.target, i)
-            step = suspend_between(delta, prev_w, w, i)
-            composite = step @ composite
-        prev_w = w
-        composites.append(composite)
+        stage = desuspend(universal_ghost(stage).target)
+        composites.append(prefix_inclusion(x, suspend(stage, i + 1)))
     return composites

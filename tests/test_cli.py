@@ -74,6 +74,19 @@ def test_complex_pdim_from_file(tmp_path):
     assert json.loads(res.output)["value"] == "2"
 
 
+def test_fdim_of_an_uncertified_complex_exits_2_like_pdim(tmp_path):
+    """Z/2 over zmod:4 in degree 0 is not projective, and its flat dimension
+    is infinite: fdim refuses the file with one error line, as pdim does,
+    and prints no value."""
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"ring": ring_to_dict(zmod(4)), "lo": 0, "hi": 0,
+                                "terms": {"0": {"orders": [2]}}}))
+    for quantity in ("pdim", "fdim"):
+        res = invoke("complex", quantity, "--file", str(path))
+        assert res.exit_code == 2, (quantity, res.output)
+        assert res.output.startswith("error: ") and res.output.count("\n") == 1
+
+
 def test_verify_summary_pass():
     res = invoke("verify", "summary", "--ring", "zmod:6", "--bound", "4", "--output", "json")
     assert res.exit_code == 0
@@ -117,6 +130,7 @@ RINGS = os.path.join(os.path.dirname(__file__), "rings")
     ("dim-ghdim-a3rad2-f2.json",
      ("dim", "ghdim", "--ring", os.path.join(RINGS, "a3rad2-f2.json"), "--bound", "8")),
     ("verify-flatchar-ut2-f2-b3.json", ("verify", "flatchar", "--ring", "ut2:f2", "--bound", "3")),
+    ("dim-ghdim-zmod-9.json", ("dim", "ghdim", "--ring", "zmod:9")),
 ])
 def test_json_report_matches_golden_file(golden, args):
     res = invoke(*args, "--output", "json")

@@ -34,7 +34,7 @@ from ghostdim.complexes import (
     zero_chain,
 )
 from ghostdim.errors import ModulusTooLarge, ParseError, ValidationError
-from ghostdim import complexes, linalg, modules
+from ghostdim import complexes, ghosts, linalg, modules
 from ghostdim.dimensions import module_pdim, standard_battery
 from ghostdim.ghosts import _solve_squares, ghost_tower, pdim_complex, universal_ghost
 from ghostdim.modules import (
@@ -771,7 +771,7 @@ def test_assembly_and_homology_match_the_dense_reference_on_a_battery(name, monk
         # the ghost check forms no homology of the last stage; read every
         # stage's, so that the reference checks at least as many H_k
         for ug in ghost_tower(mem.cx, 0).ugs:
-            ug.nxt.homology()
+            ug.target.homology()
         for k in mem.cx.degrees():
             for mod in (mem.cx.term(k), mem.cx.homology_at(k).module):
                 for simple in ring.opposite().simples:
@@ -850,7 +850,7 @@ def test_lean_cone_is_bit_identical_to_the_dict_built_reference(backend):
 def test_pdim_builds_no_triangle_and_no_homotopy_outside_null_homotopy(monkeypatch):
     """Over a battery, pdim_complex constructs no Homotopy other than the
     solutions of null_homotopy, no cone inclusion or connecting map, and no
-    suspension inside cone(); a tower stage keeps no cone."""
+    suspension or desuspension at all; a tower stage keeps no ConeData."""
     import sys
     from collections import Counter
     from dataclasses import fields
@@ -881,9 +881,9 @@ def test_pdim_builds_no_triangle_and_no_homotopy_outside_null_homotopy(monkeypat
     for mem in members:
         pdim_complex(mem.cx, 4)
     assert set(homotopies) == {"null_homotopy"}
-    assert suspensions["desuspend"] and "cone" not in suspensions
+    assert not suspensions and not {"suspend", "desuspend"} & set(vars(ghosts))
     assert not triangles
-    assert [f.name for f in fields(UniversalGhost)] == ["source", "cover", "cover_map", "nxt"]
+    assert [f.name for f in fields(UniversalGhost)] == ["source", "cover", "cover_map", "target"]
     stages = [ug for mem in members if "tower" in mem.cx._cache for ug in mem.cx._cache["tower"].ugs]
     assert len(stages) >= len(members) - 1
     assert not [v for ug in stages for v in vars(ug).values() if isinstance(v, complexes.ConeData)]

@@ -1,6 +1,4 @@
-import gc
 import random
-import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +8,7 @@ import helpers
 from factorization import factor_through_pdim_n
 from ghost_reference import (
     chained_composites,
+    desuspended_composites,
     ghost_factors_through_universal,
     homology_epi,
     is_ghost,
@@ -20,7 +19,6 @@ from ghostdim.cli import verify_summary
 from ghostdim.complexes import (
     ChainMap,
     Complex,
-    desuspend,
     free_complex,
     identity_chain,
     module_complex,
@@ -94,10 +92,15 @@ def test_tower_soundness():
     for ug in tower.ugs[:4]:
         assert is_ghost(ug.ghost)
         assert homology_epi(ug.cover_map)
-    # the composite is a strict chain map into the suspended stage
+    # the composite is a strict chain map into the stage, the cone over the
+    # stage before it
     g2 = tower.composite(2)
     g2.validate()
-    assert g2.tgt.term(1).orders == suspend(tower.ugs[2].target, 2).term(1).orders
+    want = cone_reference.cone(tower.ugs[2].cover_map).cone
+    assert g2.tgt is tower.ugs[2].target and (g2.tgt.lo, g2.tgt.hi) == (want.lo, want.hi)
+    for k in range(want.lo - 1, want.hi + 2):
+        assert g2.tgt.term(k).orders == want.term(k).orders
+        assert np.array_equal(g2.tgt.diff(k), want.diff(k))
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +127,12 @@ def test_every_tower_stage_passes_the_reference_checks(name, least):
     for mem in members:
         tower = Tower(mem.cx)
         for i in range(4):
-            built_on = tower.ugs[i - 1].nxt if i else mem.cx
+            built_on = tower.ugs[i - 1].target if i else mem.cx
             if _gens(built_on) > STAGE_GENS_CAP:
                 break
             ug = tower.ug(i)
-            # the ghost is built on the previous stage's nxt, the very complex
-            # that stage's ghost check solved on
+            # the ghost is built on the previous stage's target, the very
+            # complex that stage's ghost check solved on
             assert ug.source is built_on
             assert homology_epi(ug.cover_map)
             assert is_ghost(ug.ghost)
@@ -140,15 +143,15 @@ def test_every_tower_stage_passes_the_reference_checks(name, least):
 @pytest.mark.parametrize("name", ("zmod:12", "ut3:f2", "dual:f2", "ut2:f3"))
 def test_pdim_forms_no_homology_of_the_last_stage(name):
     """The ghost check solves on the built stage, so after pdim_complex the
-    last stage's nxt holds no homology, and every stage the tower went on
+    last stage's target holds no homology, and every stage the tower went on
     from holds its own (universal_ghost formed it for the cover)."""
     members, _ = standard_battery(helpers.named_ring(name), 4, seed=0)
     deeper = 0
     for mem in members:
         pdim_complex(mem.cx, 4)
         ugs = ghost_tower(mem.cx, 0).ugs
-        assert "homology" not in ugs[-1].nxt._cache
-        assert all("homology" in ug.nxt._cache for ug in ugs[:-1])
+        assert "homology" not in ugs[-1].target._cache
+        assert all("homology" in ug.target._cache for ug in ugs[:-1])
         deeper += len(ugs) > 1
     assert deeper
 
@@ -173,20 +176,66 @@ def test_the_prefix_composite_is_the_chained_product(name):
 
 
 @pytest.mark.parametrize("name", ("zmod:12", "ut3:f2"))
-def test_the_composite_target_is_the_suspended_cone_mod_m(name):
-    """W_s = S^(s+1) X_(s+1), built from the kept stage, has the terms of
-    S^s cone(p_s) and its differentials mod m (s <= 2, bound-4 battery)."""
+def test_the_composite_target_is_the_cone_over_the_previous_stage(name):
+    """W_s, the kept stage, is cone(p_s: P_s -> W_(s-1)) as the reference
+    cone builds it: its terms, and its differentials in dtype and values
+    (s <= 2, bound-4 battery)."""
     members, _ = standard_battery(helpers.named_ring(name), 4, seed=0)
     for mem in members:
         tower = Tower(mem.cx)
-        m = mem.cx.ring.modulus
         for s in range(3):
             got = tower.composite(s).tgt
-            want = suspend(cone_reference.cone(tower.ug(s).cover_map).cone, s)
+            want = cone_reference.cone(tower.ug(s).cover_map).cone
             assert (got.lo, got.hi) == (want.lo, want.hi)
             for k in range(want.lo - 1, want.hi + 2):
                 assert got.term(k).orders == want.term(k).orders
-                assert np.array_equal(got.diff(k) % m, want.diff(k) % m)
+                assert got.diff(k).dtype == want.diff(k).dtype
+                assert np.array_equal(got.diff(k), want.diff(k))
+
+
+def _piece_columns(tower, n, k):
+    """Column ranges of d_(W_n),k: X's, then one per summand S P_i, i <= n."""
+    cuts = [0, tower.base.term(k).ngens]
+    for i in range(n + 1):
+        cuts.append(cuts[-1] + tower.ug(i).cover.term(k - 1).ngens)
+    return list(zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("name", ("ut3:f2", "a3:f2", "dual:f2", "zmod:12", "ut2:f3"))
+def test_the_tower_matches_the_desuspended_stage_layout(name):
+    """The stages as cones against the stages X_(i+1) = S^-1 cone(p_i) of
+    the earlier layout, with W_n = S^(n+1) X_(n+1), over the bound-4
+    battery and every n that pdim_complex reads.  Over F_2 every W_n
+    differential and every null-homotopy is bit-identical.  Where -1 != 1
+    the term orders are equal, each summand block of a differential agrees
+    mod m up to its sign, and g_n is null on both sides or on neither."""
+    members, _ = standard_battery(helpers.named_ring(name), 4, seed=0)
+    exact = name.endswith(":f2")
+    checked = 0
+    for mem in members:
+        x, m = mem.cx, mem.cx.ring.modulus
+        depth = pdim_complex(x, 4).n
+        tower = ghost_tower(x, 0)
+        for n, want in enumerate(desuspended_composites(x, min(depth, 4))):
+            got = tower.composite(n)
+            assert (got.tgt.lo, got.tgt.hi) == (want.tgt.lo, want.tgt.hi)
+            for k in range(want.tgt.lo - 1, want.tgt.hi + 2):
+                assert got.tgt.term(k).orders == want.tgt.term(k).orders, (n, k)
+                a, b = got.tgt.diff(k), want.tgt.diff(k)
+                if exact:
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (n, k)
+                    continue
+                for lo, hi in _piece_columns(tower, n, k):
+                    block, ref = a[:, lo:hi] % m, b[:, lo:hi] % m
+                    assert np.array_equal(block, ref) or np.array_equal(block, -ref % m), (n, k)
+            h, ref_h = tower.nullity(n), null_homotopy(want)
+            assert (h is None) == (ref_h is None), n
+            if exact and h is not None:
+                assert h.mats.keys() == ref_h.mats.keys()
+                assert all(h.mats[k].dtype == ref_h.mats[k].dtype
+                           and np.array_equal(h.mats[k], ref_h.mats[k]) for k in h.mats), n
+            checked += 1
+    assert checked >= len(members)
 
 
 def test_a_cover_missing_a_generator_fails_the_surjectivity_check(monkeypatch):
@@ -200,11 +249,10 @@ def test_a_cover_missing_a_generator_fails_the_surjectivity_check(monkeypatch):
 
 
 def test_a_non_ghost_fails_the_ghost_check(monkeypatch):
-    # the identity of a complex with homology (the prefix inclusion of x into
-    # S S^-1 x), against its own desuspension
+    # the identity of a complex with homology, the prefix inclusion of x into x
     x = mult_complex(Z4, 2)
     with pytest.raises(ValidationError, match="failed the ghost check"):
-        ghosts._check_ghost(x, desuspend(x))
+        ghosts._check_ghost(x, x)
     # inside universal_ghost: the cone of the zero map keeps H(X) as a summand
     real = ghosts.cone
     monkeypatch.setattr(ghosts, "cone", lambda f, name="": real(zero_chain(f.src, f.tgt), name=name))
@@ -254,22 +302,26 @@ def test_pdim_resolution_of_ut2_simple_is_one():
 
 
 def test_a_cached_nullity_keeps_no_composite_target(monkeypatch):
-    """Tower.nullity keeps the matrices of a null-homotopy of g_n, not a
-    Homotopy, whose target W_n the tower would otherwise keep alive."""
-    made = []
-    suspend = ghosts.suspend
-
-    def recorded(cx, times=1):
-        out = suspend(cx, times)
-        made.append(weakref.ref(out))
-        return out
-
-    monkeypatch.setattr(ghosts, "suspend", recorded)
+    """The composite's target is the kept stage W_n itself, so on a built
+    tower neither composite nor nullity constructs a complex, and the cached
+    null-homotopy holds no target of its own."""
     tower = Tower(resolution_complex(UT2.simples[0], 4))
-    assert tower.nullity(0) is None and tower.nullity(1) is not None
-    gc.collect()
-    assert len(made) == 2 and all(ref() is None for ref in made)
-    assert tower.nullity(1) is not None and len(made) == 2     # cached
+    tower.extend_to(1)
+    built = []
+    init = Complex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Complex, "__init__", counted)
+    for n in (0, 1):
+        assert tower.composite(n).tgt is tower.ug(n).target
+    assert tower.nullity(0) is None
+    h = tower.nullity(1)
+    assert h is not None and h.src is tower.base and h.tgt is tower.ug(1).target
+    assert tower.nullity(1) is h                                  # cached
+    assert built == []
 
 
 def test_pdim_cone2_is_one():
