@@ -20,8 +20,9 @@ cones) are linear systems over the base arithmetic and go through
 sparse triples on one linalg.Congruences as it is described, and asks it
 for a solution or the kernel.  The system's format stays in linalg.
 
-The zero terms of every complex over a ring, and its zero homology, are
-one module kept on the ring (zero_module).
+The zero terms of every complex over a ring, and every zero subquotient
+over it (zero homology, a zero kernel), are one module kept on the ring
+(modules.zero_module).
 
 Complex, ChainMap and Homotopy follow the validation policy of
 :mod:`ghostdim.modules`: constructors only build, and validate() checks in
@@ -33,16 +34,18 @@ fibers, sums, suspensions and the equivalences below are formulas on
 blocks, proved at each site.  A cone is its complex and the split of each
 term: its block maps are slices of the identity, formed when read.
 
-Homology is computed once per content, not once per complex.  A ghost
-tower forms no homology for its checks beyond its stages' own: the ghost
-check of a stage solves against the differential of the next stage, whose
-homology is formed only if the tower goes on from it (see
-ghosts.universal_ghost).  Complexes built apart
-can still have the same content, so Complex.homology first looks H_k up by
-a digest of everything _homology_at reads: the ring (name, backend,
-modulus, structure constants, unit and declared simples), the degree k,
-term k (its orders and action matrices), the orders of term k-1, and the
-shapes and bytes of d_k and d_(k+1) (each d_k digested once per complex).
+Homology is computed once per content, not once per complex or degree.  A
+ghost tower forms no homology for its checks beyond its stages' own: the
+ghost check of a stage solves against the differential of the next stage,
+whose homology is formed only if the tower goes on from it (see
+ghosts.universal_ghost).  Complexes built apart, or shifted, can still have
+the same content, so Complex.homology first looks H_k up by a digest of
+everything _homology_at reads: the ring (name, backend, modulus, structure
+constants, unit and declared simples), term k (its orders and action
+matrices), the orders of term k-1, and the shapes and bytes of d_k and
+d_(k+1) (each d_k digested once per complex).  The degree is not read: H_k
+is labelled "H" at every degree, so S^n X shares H_(k+n) with H_k of X
+when the suspension leaves d unchanged (n even, or over F_2).
 _homology_at is deterministic in exactly these inputs, so a shared result
 is bit-identical to a fresh one.  A shared H_k (a modules.Subquotient)
 lives as long as some complex holds it (a weak-valued table, no size limit
@@ -68,10 +71,10 @@ from .modules import (
     FgModule,
     ModuleMap,
     ProjectivityCertificate,
-    Subquotient,
     _cover,
     _kept,
     _syzygy,
+    _zero_subquotient,
     free_map,
     free_module,
     hom_congruences,
@@ -82,14 +85,9 @@ from .modules import (
     module_to_descriptor,
     module_unit_columns,
     subquotient,
+    zero_module,
 )
 from .rings import ring_to_dict
-
-
-def zero_module(ring):
-    """The zero module over ring: one per ring, kept on it."""
-    return _kept(ring, "_zero_module", lambda: FgModule(
-        ring=ring, orders=(), actions=tuple(zeros(0, 0) for _ in range(ring.rank)), label="0"))
 
 
 def direct_sum_modules(a, b, label=""):
@@ -177,7 +175,7 @@ class Complex:
     def homology_at(self, k):
         if self.lo <= k <= self.hi:
             return self.homology()[k]
-        return _zero_homology(self, k)
+        return _zero_subquotient(self.ring, self.term(k))
 
     def cache_get(self, key, build):
         if key not in self._cache:
@@ -189,24 +187,14 @@ class Complex:
         return f"{nm}[{self.lo}..{self.hi}]@{self.ring.name}"
 
 
-def _zero_homology(cx, k):
-    term = cx.term(k)
-    return Subquotient(module=zero_module(cx.ring), lift=zeros(term.ngens, 0),
-                       _gens=zeros(term.ngens, 0), _proj=zeros(0, 0), _ambient=term)
-
-
 def _homology_at(cx, k):
-    """H_k = cycles / boundaries, a Subquotient of term k over cx.ring."""
+    """H_k = cycles / boundaries, a Subquotient of term k over cx.ring,
+    labelled "H" at every degree (a zero H_k is the ring's zero module)."""
     term = cx.term(k)
-    if term.is_zero:
-        return _zero_homology(cx, k)
-    cyc = kernel_generators(cx.diff(k), term, cx.term(k - 1))
-    if cyc.shape[1] == 0:
-        return _zero_homology(cx, k)
+    # a zero term has no cycles to find
+    cyc = kernel_generators(cx.diff(k), term, cx.term(k - 1)) if term.ngens else zeros(0, 0)
     # cycles and boundaries are submodules, so H_k gets the induced action
-    h = subquotient(cx.ring, term, cyc, linalg.reduce_coords(cx.diff(k + 1), term.orders), f"H{k}")
-    # a zero H_k keeps no cycles
-    return h if h.module.ngens else _zero_homology(cx, k)
+    return subquotient(cx.ring, term, cyc, linalg.reduce_coords(cx.diff(k + 1), term.orders), "H")
 
 
 # H_k of every complex built in this process, by content digest.  An entry
@@ -262,7 +250,7 @@ def _homology_key(cx, k, diffs):
     """Digest of everything _homology_at(cx, k) reads; diffs[j] digests d_j."""
     h = blake2b(digest_size=32)
     h.update(_ring_digest(cx.ring))
-    h.update(repr((k, cx.term(k - 1).orders)).encode())
+    h.update(repr(cx.term(k - 1).orders).encode())
     h.update(_module_digest(cx.term(k)))
     h.update(diffs[k])
     h.update(diffs[k + 1])
@@ -706,10 +694,6 @@ def _sum_certificate(total, a, cert_a, b, cert_b):
     )
 
 
-def desuspend(cx, times=1):
-    return suspend(cx, -times)
-
-
 def fiber(g):
     """F = S^-1 cone(g: X -> W), with its projection F -> X.
 
@@ -717,7 +701,7 @@ def fiber(g):
     the block projection is a chain map.
     """
     cd = cone(g)
-    f = desuspend(cd.cone)
+    f = suspend(cd.cone, -1)
     proj = ChainMap(f, g.src, {k: cd.psh(k + 1) for k in f.degrees()})
     return f, proj, cd
 
@@ -824,14 +808,12 @@ def free_complex(ring, ranks, name=""):
     return Complex(ring, lo, hi, terms, {}, name=name)
 
 
-def module_complex(module, degree=0, name=""):
-    """The module placed in one degree, with no differential to check.  It is
+def module_complex(module, name=""):
+    """The module placed in degree 0, with no differential to check.  It is
     a compact object iff it is free or projective (then certified);
     homology-only uses may pass others."""
-    ring = module.ring
-    terms = {degree: module}
-    certs = {degree: is_projective(module)[1]}
-    return Complex(ring, degree, degree, terms, {}, certs=certs, name=name or module.label)
+    return Complex(module.ring, 0, 0, {0: module}, {}, certs={0: is_projective(module)[1]},
+                   name=name or module.label)
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +900,7 @@ def dual_free_map(ring, mat, src_rank, tgt_rank):
     return out.reshape(src_rank * rk, tgt_rank * rk)
 
 
-def dual_complex(cx, name=""):
+def dual_complex(cx):
     """D(X) = Hom(X, R): a complex over the opposite ring; X must be free-termed.
 
     Hom(-, R) is an additive functor to R^op-modules, so each D(d_k) is a
@@ -950,7 +932,7 @@ def dual_complex(cx, name=""):
         dmat = dual_free_map(ring, cx.diff(k), src_rank, tgt_rank)
         sign = -1 if (k % 2) else 1
         diffs[-(k - 1)] = (sign * dmat) % ring.modulus
-    return Complex(op, lo, hi, terms, diffs, name=name or f"D({cx.name or 'X'})")
+    return Complex(op, lo, hi, terms, diffs, name=f"D({cx.name or 'X'})")
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ from .modules import (
     free_module,
     is_projective,
     make_module,
-    quotient_by,
     submodule_generated,
+    subquotient,
 )
 from .tensor_ss import tor
 from .verdicts import Verdict, verdict_max
@@ -109,10 +109,8 @@ def module_fdim_tor(module, bound):
         raise NoSimplesDeclared(f"{module.ring.name} has no declared simples")
     rows = {}
     for s in op.simples:
-        groups = tor(module, s, bound + 1)
-        for degree, grp in groups.items():
-            rows.setdefault(degree, 0)
-            rows[degree] = max(rows[degree], grp.size)
+        for degree, order in tor(module, s, bound + 1).items():
+            rows[degree] = max(rows.get(degree, 0), order)
     for n in range(bound + 2):
         if rows.get(n, 1) == 1:
             # Tor_n vanished for all tests; all later degrees vanish too
@@ -199,10 +197,10 @@ def _cyclic_modules(ring, rng):
         if not x.any():
             continue
         span = submodule_generated(reg, x.reshape(-1, 1))
-        q = quotient_by(reg, span, closed=True, label=f"R/x{tries}")
-        if q.module.is_zero or q.module.size == reg.size:
+        q = subquotient(ring, reg, eye(reg.ngens), span, f"R/x{tries}").module
+        if q.is_zero or q.size == reg.size:
             continue
-        out.append(q.module)
+        out.append(q)
     return out
 
 

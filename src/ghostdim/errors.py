@@ -8,9 +8,9 @@ class GhostdimError(Exception):
 class NonAssociative(GhostdimError):
     """Structure constants fail associativity on some basis triple."""
 
-    def __init__(self, triple, detail=""):
+    def __init__(self, triple):
         self.triple = triple
-        super().__init__(f"structure constants not associative at basis triple {triple} {detail}".rstrip())
+        super().__init__(f"structure constants not associative at basis triple {triple}")
 
 
 class BadUnit(GhostdimError):
@@ -51,10 +51,6 @@ class ParseError(GhostdimError):
 
 class ValidationError(GhostdimError):
     """A parsed object failed an invariant check."""
-
-    def __init__(self, message, where=""):
-        self.where = where
-        super().__init__(f"{message}" + (f" (at {where})" if where else ""))
 
 
 class UnknownCommand(GhostdimError):

@@ -70,9 +70,6 @@ class FgModule:
     def elements(self):
         return linalg.enumerate_group(self.orders, cap=ENUMERATION_CAP)
 
-    def act(self, t, vec):
-        return linalg.reduce_coords(self.actions[t] @ vec, self.orders)
-
     def validate(self):
         """Raise ValidationError unless the actions make this a right module."""
         ring = self.ring
@@ -262,11 +259,13 @@ def hom_generators(src, tgt):
 @dataclass
 class Subquotient:
     """span(gens) / span(bounds) inside an ambient module: H_k of a complex
-    (cycles over boundaries) or a kernel (no bounds).
+    (cycles over boundaries), a kernel (no bounds) or a quotient (gens the
+    identity).
 
     lift holds ambient representatives of the module's generators, and
-    classify gives the module coordinates of columns in span(gens).  H_k is
-    shared between complexes with the same content, so its arrays are made
+    classify gives the module coordinates of columns in span(gens).  A zero
+    subquotient is the ring's zero module and keeps no gens.  H_k is shared
+    between complexes with the same content, so its arrays are made
     read-only (complexes._shared_homology).
     """
 
@@ -294,6 +293,18 @@ def kernel_generators(mat, src, tgt):
     return linalg.reduce_coords(linalg.kernel_hetero(mat, tgt.orders, src.ring.modulus), src.orders)
 
 
+def zero_module(ring):
+    """The zero module over ring: one per ring, kept on it."""
+    return _kept(ring, "_zero_module", lambda: FgModule(
+        ring=ring, orders=(), actions=tuple(zeros(0, 0) for _ in range(ring.rank)), label="0"))
+
+
+def _zero_subquotient(ring, ambient):
+    """A zero subquotient of ambient: zero_module(ring), keeping no gens."""
+    return Subquotient(module=zero_module(ring), lift=zeros(ambient.ngens, 0),
+                       _gens=zeros(ambient.ngens, 0), _proj=zeros(0, 0), _ambient=ambient)
+
+
 def subquotient(ring, ambient, gens, bounds, label):
     """span(gens) / span(bounds) inside ambient, as a module over ring.
 
@@ -304,16 +315,21 @@ def subquotient(ring, ambient, gens, bounds, label):
     gens; the quotient presentation of (Z/m)^g by [Y_b | kernel] gives the
     module.  A^t maps gens . lift to gens . Y_t . lift, so the action on the
     module is proj . Y_t . lift: another solution Y_t differs by a relation,
-    which proj kills.
+    which proj kills.  Empty gens (no elimination) and a quotient with no
+    orders both give zero_module(ring).
     """
     m = ring.modulus
     g, nb = gens.shape[1], bounds.shape[1]
+    if not g:
+        return _zero_subquotient(ring, ambient)
     moved = [linalg.reduce_coords(a @ gens, ambient.orders) for a in ambient.actions]
     dec = linalg.eliminate(gens, np.concatenate([bounds, *moved], axis=1), ambient.orders, m)
     y = dec.solution()
     if y is None:
         raise ValidationError("the bounds or the moved generators leave span(gens)")
     pres = linalg.quotient_presentation([m] * g, np.concatenate([y[:, :nb], dec.kernel()], axis=1), m)
+    if not pres.orders:
+        return _zero_subquotient(ring, ambient)
     # reduced between the two products, each a sum of g products of residues (check_exact)
     acts = [linalg.reduce_coords(pres.proj @ ((y[:, nb + t * g:nb + (t + 1) * g] @ pres.lift) % m),
                                  pres.orders)
@@ -342,36 +358,6 @@ def _reduce_mixed_generators(gens, orders, m):
     # pull back: the columns of red are columns of G T (reduce_generators),
     # so combinations of the embedded gens, and the scales divide them
     return linalg.reduce_coords(red // scale, orders)
-
-
-@dataclass
-class Quotient:
-    module: FgModule
-    projection: ModuleMap
-
-
-def quotient_by(ambient, rel_cols, label="", closed=False):
-    """Quotient of a module by the submodule generated by the given columns.
-
-    Pass closed=True when the columns are already closed under the ring
-    action (images of module maps are).
-    """
-    m = ambient.ring.modulus
-    rel_cols = as_matrix(rel_cols, rows=ambient.ngens)
-    if not closed and rel_cols.size:
-        rel_cols = submodule_generated(ambient, rel_cols)
-    pres = linalg.quotient_presentation(ambient.orders, rel_cols, m)
-    # The relations span a submodule, so the actions induce the quotient's
-    # and the projection is equivariant.
-    acts = []
-    for t in range(ambient.ring.rank):
-        if pres.orders:
-            acts.append(linalg.reduce_coords(pres.proj @ ambient.actions[t] @ pres.lift, pres.orders))
-        else:
-            acts.append(zeros(0, 0))
-    q = FgModule(ring=ambient.ring, orders=pres.orders, actions=tuple(acts), label=label)
-    proj = ModuleMap(ambient, q, pres.proj if pres.orders else zeros(0, ambient.ngens))
-    return Quotient(module=q, projection=proj)
 
 
 def submodule_generated(module, cols):
@@ -427,7 +413,7 @@ def is_free_module(mod):
 _free_cache = {}
 
 
-def free_module(ring, rank, label=None):
+def free_module(ring, rank):
     """(free right module)^rank; group generators are basis elements per copy."""
     key = (ring.key(), rank)
     cached = _free_cache.get(key)
@@ -443,8 +429,7 @@ def free_module(ring, rank, label=None):
             lo = c * ring.rank
             blocks[lo:lo + ring.rank, lo:lo + ring.rank] = regular[t]
         acts.append(blocks)
-    mod = FgModule(ring=ring, orders=orders, actions=tuple(acts),
-                   label=label or (f"R^{rank}" if rank != 1 else "R"))
+    mod = FgModule(ring=ring, orders=orders, actions=tuple(acts), label=f"R^{rank}" if rank != 1 else "R")
     object.__setattr__(mod, "_is_free", True)
     _free_cache[key] = mod
     return mod

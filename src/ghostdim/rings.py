@@ -233,20 +233,17 @@ def _dual_numbers(p, name):
     sc[0, 0, 0] = 1
     sc[0, 1, 1] = 1
     sc[1, 0, 1] = 1
-    spec = RingSpec(
+    return make_ring(RingSpec(
         name=name, backend="fp_algebra", p=p, dim=2,
         structure_constants=sc.tolist(), unit=[1, 0],
-        simples=[{"dim": 1, "actions": [[[1]], [[0]]]}],
-    )
-    ring = make_ring(spec)
-    for s, label in zip(ring.simples, ["k"]):
-        object.__setattr__(s, "label", label)
-    return ring
+        simples=[{"dim": 1, "actions": [[[1]], [[0]]], "label": "k"}],
+    ))
 
 
-def _upper_triangular(size, p, name):
-    # T_size(F_p): basis e_{ij} for i <= j, e_{ij} e_{kl} = delta_{jk} e_{il}
-    basis = [(i, j) for i in range(size) for j in range(i, size)]
+def _pair_algebra(basis, p, name):
+    """The F_p-algebra on an ordered basis of pairs (i, j), closed under
+    e_ij e_kl = delta_jk e_il, with unit sum_v e_vv and simples S1, S2, ...:
+    on S_(v+1) e_vv acts as 1 and every other basis element as 0."""
     index = {b: t for t, b in enumerate(basis)}
     dim = len(basis)
     sc = np.zeros((dim, dim, dim), dtype=np.int64)
@@ -254,53 +251,27 @@ def _upper_triangular(size, p, name):
         for (k, l), b in index.items():
             if j == k:
                 sc[a, b, index[(i, l)]] = 1
-    unit = np.zeros(dim, dtype=np.int64)
-    for i in range(size):
-        unit[index[(i, i)]] = 1
-    simples = []
-    for v in range(size):
-        acts = []
-        for (i, j) in basis:
-            acts.append([[1 if (i, j) == (v, v) else 0]])
-        simples.append({"dim": 1, "actions": acts})
-    spec = RingSpec(name=name, backend="fp_algebra", p=p, dim=dim,
-                    structure_constants=sc.tolist(), unit=unit.tolist(), simples=simples)
-    ring = make_ring(spec)
-    for v, s in enumerate(ring.simples):
-        object.__setattr__(s, "label", f"S{v + 1}")
-    return ring
+    idempotents = [i for i, j in basis if i == j]
+    simples = [{"dim": 1, "actions": [[[int(b == (v, v))]] for b in basis], "label": f"S{v + 1}"}
+               for v in idempotents]
+    return make_ring(RingSpec(name=name, backend="fp_algebra", p=p, dim=dim,
+                              structure_constants=sc.tolist(), unit=[int(i == j) for i, j in basis],
+                              simples=simples))
+
+
+def _upper_triangular(size, p, name):
+    """T_size(F_p): basis e_ij for i <= j, in row-major order."""
+    return _pair_algebra([(i, j) for i in range(size) for j in range(i, size)], p, name)
 
 
 def _linear_quiver_algebra(vertices, p, name):
     """Path algebra of the linear quiver 1 -> 2 -> ... -> n over F_p.
 
-    Basis: all paths, including the lazy paths e_v.  Products concatenate
-    ("first this path, then that one") when the endpoints match.
+    Basis: all paths (source, target), the lazy paths e_v first.  Products
+    concatenate ("first this path, then that one") when the endpoints match.
     """
-    paths = [(v, v) for v in range(vertices)]           # (source, target)
-    for i in range(vertices):
-        for j in range(i + 1, vertices):
-            paths.append((i, j))
-    index = {pth: t for t, pth in enumerate(paths)}
-    dim = len(paths)
-    sc = np.zeros((dim, dim, dim), dtype=np.int64)
-    for (a_s, a_t), a in index.items():
-        for (b_s, b_t), b in index.items():
-            if a_t == b_s:
-                sc[a, b, index[(a_s, b_t)]] = 1
-    unit = np.zeros(dim, dtype=np.int64)
-    for v in range(vertices):
-        unit[index[(v, v)]] = 1
-    simples = []
-    for v in range(vertices):
-        acts = [[[1 if (s, t) == (v, v) else 0]] for (s, t) in paths]
-        simples.append({"dim": 1, "actions": acts})
-    spec = RingSpec(name=name, backend="fp_algebra", p=p, dim=dim,
-                    structure_constants=sc.tolist(), unit=unit.tolist(), simples=simples)
-    ring = make_ring(spec)
-    for v, s in enumerate(ring.simples):
-        object.__setattr__(s, "label", f"S{v + 1}")
-    return ring
+    lazy = [(v, v) for v in range(vertices)]
+    return _pair_algebra(lazy + [(i, j) for i in range(vertices) for j in range(i + 1, vertices)], p, name)
 
 
 _BUILTIN_FACTORIES = {

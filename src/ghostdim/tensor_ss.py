@@ -164,10 +164,11 @@ def tensor_chain_map(f, src_tensor):
 
 
 def tor(m_right, n_left, max_degree):
-    """Tor_s(M, N) for s <= max_degree, by resolving the right module."""
+    """|Tor_s(M, N)| for s <= max_degree, by resolving the right module: the
+    orders of H_s of the tensor complex, with no homology module formed."""
     res = resolution_complex(m_right, max_degree + 1)
     t = tensor_complexes(res, module_complex(n_left))
-    return {s: t.total.homology_at(s).module for s in range(max_degree + 1)}
+    return {s: homology_order(t.total, s) for s in range(max_degree + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ from ghostdim.complexes import (
     Homotopy,
     _sum_certificate,
     cone,
-    desuspend,
     direct_sum_modules,
     fiber,
     identity_chain,
     null_homotopy,
+    suspend,
     suspend_between,
     zero_chain,
 )
@@ -97,7 +97,7 @@ def factor_through_pdim_n(f, n, _verify=True):
     pp = ug.cover
     c0 = ug.target                       # cone(p), the first tower stage
     delta = ug.ghost                     # X -> C0, the universal ghost
-    x1 = desuspend(c0)                   # S^-1 C0
+    x1 = suspend(c0, -1)                 # S^-1 C0
     # the block projection of S^-1 cone(p) onto P, a chain map as in fiber()
     c0_blocks = ConeData(p_map, c0)
     rprime = ChainMap(x1, pp, {k: c0_blocks.psh(k + 1) for k in x1.degrees()})
@@ -109,8 +109,8 @@ def factor_through_pdim_n(f, n, _verify=True):
     # 2. Z = fiber(h), with its triangle  S^-1 D -> Z -> A -> D; the block
     # inclusion S^-1 D -> Z is a chain map as d_Z(w, 0) = (-dw, 0)
     z, z_proj, z_cd = fiber(h)
-    z_incl = ChainMap(desuspend(h.tgt), z, {k: z_cd.it(k + 1) for k in z.degrees()})
-    phi_down = suspend_between(phi, desuspend(dtil), x1, -1)
+    z_incl = ChainMap(suspend(h.tgt, -1), z, {k: z_cd.it(k + 1) for k in z.degrees()})
+    phi_down = suspend_between(phi, suspend(dtil, -1), x1, -1)
 
     # 3. fill psi: Z -> P with  p.psi ~ f.z_proj  and  psi.z_incl ~ r'.phi_down
     got = _solve_squares_sign_tolerant(

@@ -31,7 +31,7 @@ package's W_n and its null-homotopies must equal these bit for bit.
 """
 
 from ghostdim import linalg
-from ghostdim.complexes import desuspend, identity_chain, prefix_inclusion, suspend
+from ghostdim.complexes import identity_chain, prefix_inclusion, suspend
 from ghostdim.ghosts import _solve_squares, universal_ghost
 from ghostdim.linalg import eye, zeros
 from ghostdim.modules import (
@@ -134,6 +134,6 @@ def desuspended_composites(x, n):
     """[g_0, ..., g_n] over the desuspended stages X_(i+1) = S^-1 cone(p_i)."""
     stage, composites = x, []
     for i in range(n + 1):
-        stage = desuspend(universal_ghost(stage).target)
+        stage = suspend(universal_ghost(stage).target, -1)
         composites.append(prefix_inclusion(x, suspend(stage, i + 1)))
     return composites

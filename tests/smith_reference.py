@@ -39,7 +39,6 @@ import numpy as np
 from ghostdim import linalg
 from dataclasses import dataclass
 
-from ghostdim.complexes import _zero_homology
 from ghostdim.errors import ValidationError
 from ghostdim.linalg import (
     _PRIME_CACHE,
@@ -58,6 +57,7 @@ from ghostdim.modules import (
     Subquotient,
     is_free_module,
     module_unit_columns,
+    zero_module,
 )
 
 
@@ -507,6 +507,13 @@ def kernel_hetero(a, row_orders, m):
     return SmithSolver(a2, m).kernel()
 
 
+def _zero_homology(cx, k):
+    """H_k = 0: the ring's zero module, with no cycles kept."""
+    term = cx.term(k)
+    return Subquotient(module=zero_module(cx.ring), lift=zeros(term.ngens, 0),
+                       _gens=zeros(term.ngens, 0), _proj=zeros(0, 0), _ambient=term)
+
+
 def homology_at(cx, k):
     ring = cx.ring
     m = ring.modulus
@@ -538,7 +545,7 @@ def homology_at(cx, k):
         y = in_cycles(linalg.reduce_coords(term.actions[t] @ lift, term.orders))
         acts.append(linalg.reduce_coords(pres.proj @ y, pres.orders))
     # cycles and boundaries are submodules, so H_k gets the induced action
-    h = FgModule(ring=ring, orders=pres.orders, actions=tuple(acts), label=f"H{k}")
+    h = FgModule(ring=ring, orders=pres.orders, actions=tuple(acts), label="H")
     return Subquotient(module=h, lift=lift, _gens=cyc, _proj=pres.proj, _ambient=term)
 
 

@@ -7,9 +7,6 @@ lines and timings.
 import random
 import time
 
-import numpy as np
-import pytest
-
 import helpers
 from ghostdim.cli import (
     verify_compact_eq,
@@ -18,15 +15,8 @@ from ghostdim.cli import (
     verify_summary,
     verify_symmetry,
 )
-from ghostdim.complexes import (
-    ChainMap,
-    Complex,
-    module_complex,
-    null_homotopy,
-    zero_chain,
-)
+from ghostdim.complexes import ChainMap, null_homotopy, zero_chain
 from ghostdim.ghosts import random_chain_map
-from ghostdim.modules import free_module
 from ghostdim.rings import BUILTIN_NAMES, builtin_ring, zmod
 from ghostdim.tensor_ss import resolution_filtration, ucss_filtration
 

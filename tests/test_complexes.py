@@ -428,13 +428,13 @@ def test_complexes_with_equal_content_share_one_homology():
         assert a.homology()[k] is b.homology()[k]
 
 
-def test_no_sharing_across_degrees_or_ring_names():
+def test_sharing_across_degrees_but_not_ring_names():
     a = mult_complex(Z4, 2)
     shifted = suspend(a, 2)           # same terms and differentials, degrees + 2
     assert np.array_equal(shifted.diff(3), a.diff(1))
     for k in a.degrees():
-        assert shifted.homology_at(k + 2) is not a.homology_at(k)
-        assert shifted.homology_at(k + 2).module.label == f"H{k + 2}"
+        assert shifted.homology_at(k + 2) is a.homology_at(k)
+        assert a.homology_at(k).module.label == "H"
     renamed = zmod(4, name="z4-renamed")
     b = mult_complex(renamed, 2)
     for k in a.degrees():
@@ -881,7 +881,7 @@ def test_pdim_builds_no_triangle_and_no_homotopy_outside_null_homotopy(monkeypat
     for mem in members:
         pdim_complex(mem.cx, 4)
     assert set(homotopies) == {"null_homotopy"}
-    assert not suspensions and not {"suspend", "desuspend"} & set(vars(ghosts))
+    assert not suspensions and "suspend" not in vars(ghosts)
     assert not triangles
     assert [f.name for f in fields(UniversalGhost)] == ["source", "cover", "cover_map", "target"]
     stages = [ug for mem in members if "tower" in mem.cx._cache for ug in mem.cx._cache["tower"].ugs]

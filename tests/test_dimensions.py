@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from ghostdim.cli import main
-from ghostdim.complexes import free_complex, module_complex, resolution_complex, suspend
+from ghostdim.complexes import free_complex, resolution_complex
 from ghostdim.dimensions import (
     DimReport,
     ghdim_ring,
@@ -21,7 +21,7 @@ from ghostdim.errors import PdimTooLarge, ValidationError
 from ghostdim.ghosts import pdim_complex
 from ghostdim.modules import free_module, make_module
 from ghostdim.rings import builtin_ring, zmod
-from ghostdim.verdicts import Verdict, verdict_max
+from ghostdim.verdicts import verdict_max
 
 Z4 = zmod(4)
 UT2 = builtin_ring("ut2:f2")

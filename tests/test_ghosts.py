@@ -30,7 +30,6 @@ from ghostdim.complexes import (
 from ghostdim.dimensions import standard_battery
 from ghostdim.errors import NoFactorization, ValidationError
 from ghostdim.ghosts import (
-    Factorization,
     Tower,
     factor_through_projective,
     ghost_tower,

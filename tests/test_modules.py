@@ -16,7 +16,6 @@ from ghostdim.modules import (
     canonical_group,
     find_isomorphism,
     free_cover,
-    free_map,
     free_module,
     hom_generators,
     is_projective,
@@ -25,11 +24,12 @@ from ghostdim.modules import (
     make_module,
     minimal_generators,
     module_to_descriptor,
-    quotient_by,
     submodule_generated,
     subgroup_order_in,
+    subquotient,
     tensor_map,
     tensor_modules,
+    zero_module,
 )
 from ghostdim.rings import BUILTIN_NAMES, _upper_triangular, builtin_ring, zmod
 
@@ -92,8 +92,9 @@ def test_hom_to_zero():
 
 
 def kernel_cokernel(f):
-    """(kernel inclusion, cokernel with projection) of a module map."""
-    return kernel_of(f), quotient_by(f.tgt, f.mat, closed=True)
+    """(kernel inclusion, cokernel) of a module map: the cokernel is the
+    subquotient span(I) / im f of the target."""
+    return kernel_of(f), subquotient(f.tgt.ring, f.tgt, linalg.eye(f.tgt.ngens), f.mat, "coker")
 
 
 def test_kernel_cokernel_of_doubling():
@@ -110,19 +111,45 @@ def test_kernel_cokernel_of_doubling():
         tuple(helpers.apply_map(ker, w)) for w in linalg.enumerate_group(ker.src.orders)
     }
     assert included == kernel_elements
-    # coker projection kills the image
-    assert not helpers.apply_map(coker.projection, [2]).any()
+    # the cokernel classifies the image as zero, and a generator as nonzero
+    assert not coker.classify(f.mat).any() and not coker.classify([[2]]).any()
+    assert coker.classify([[1]]).tolist() == [[1]]
 
 
 def test_kernel_cokernel_identity_and_zero():
     r = free_module(Z4, 1)
     ker, coker = kernel_cokernel(ModuleMap(r, r, linalg.eye(1)))
-    assert ker.src.is_zero and coker.module.is_zero
+    assert ker.src is coker.module is zero_module(r.ring)
+    assert coker.classify(linalg.eye(1)).shape == (0, 1)
     z = zmod_module(Z4, 2)
     f = ModuleMap(r, z, linalg.zeros(z.ngens, r.ngens))
     ker, coker = kernel_cokernel(f)
     assert ker.src.size == r.size
-    assert coker.module.size == z.size
+    assert coker.module.orders == z.orders
+    assert not coker.classify(f.mat).any()
+
+
+def test_a_zero_subquotient_is_the_rings_zero_module(monkeypatch):
+    """Empty gens (with no elimination) and gens that the bounds span both
+    give zero_module(ring), keeping no gens."""
+    r = free_module(UT2, 1)
+    calls = []
+    smith_mod = linalg.smith_mod
+    monkeypatch.setattr(linalg, "smith_mod", lambda *args: calls.append(args) or smith_mod(*args))
+    empty = subquotient(UT2, r, linalg.zeros(r.ngens, 0), linalg.zeros(r.ngens, 0), "E")
+    assert empty.module is zero_module(UT2) and calls == []
+    spanned = subquotient(UT2, r, linalg.eye(r.ngens), linalg.eye(r.ngens), "Q")
+    assert spanned.module is zero_module(UT2) and calls
+    for sq in (empty, spanned):
+        assert sq.lift.shape == sq._gens.shape == (r.ngens, 0) and sq._proj.shape == (0, 0)
+        assert sq.classify(linalg.eye(r.ngens)).shape == (0, r.ngens)
+
+
+def test_a_free_module_is_cached_with_the_label_of_its_rank():
+    """The label of a free module is a function of its rank alone: every
+    call gets the one cached module."""
+    assert free_module(UT3, 1) is free_module(UT3, 1)
+    assert free_module(UT3, 1).label == "R" and free_module(UT3, 2).label == "R^2"
 
 
 def test_free_cover_surjective():
@@ -189,7 +216,10 @@ def test_kernels_of_syzygy_chains_match_the_reference(name):
         for i in range(1, 5):
             pi = free_cover(below)[1]
             got, want = kernel_of(pi, f"syz{i}"), smith_reference.kernel_of(pi, f"syz{i}")
-            assert got.src.orders == want.module.orders and got.src.label == want.module.label
+            assert got.src.orders == want.module.orders
+            # a zero kernel is the ring's one zero module, labelled "0"
+            assert got.src is zero_module(pi.src.ring) if want.module.is_zero else (
+                got.src.label == want.module.label)
             assert len(got.src.actions) == len(want.module.actions)
             for g, w in [(got.mat, want.inclusion.mat), *zip(got.src.actions, want.module.actions)]:
                 assert _identical(g, w)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from ghostdim.errors import BadUnit, NonAssociative, NonSimpleDeclared, ParseErr
 from ghostdim.rings import (
     BUILTIN_NAMES,
     RingSpec,
+    _upper_triangular,
     builtin_ring,
     make_ring,
     ring_spec_from_dict,
@@ -23,6 +25,18 @@ def test_builtins_all_validate():
         ring = builtin_ring(name)
         assert ring.size <= 2 ** 8
         assert ring.simples is not None and len(ring.simples) >= 1
+
+
+def test_builtin_rings_keep_their_serialized_form():
+    """ring_to_dict of every builtin, and of T_2(F_3), digests as committed:
+    the pair algebras share one builder and set their simples' labels from
+    the descriptors."""
+    rings = {name: builtin_ring(name) for name in BUILTIN_NAMES}
+    rings["ut2:f3"] = _upper_triangular(2, 3, "ut2:f3")
+    got = {name: hashlib.sha256(json.dumps(ring_to_dict(r), sort_keys=True).encode()).hexdigest()[:16]
+           for name, r in rings.items()}
+    want = json.loads((Path(__file__).parent / "golden" / "ring-digests.json").read_text())
+    assert got == want
 
 
 def test_zmod6_simples():

@@ -1,5 +1,6 @@
-"""Source checks that need no linter: every module reads what it imports,
-every public function, class and method has a caller outside the tests, no
+"""Source checks that need no linter: every module of the package, the
+tests and the tools reads what it imports, every public function, class
+and method has a caller outside the tests, no
 constructor takes a check switch, no module forms a dense Kronecker
 product, and importing the package loads every traced layer."""
 
@@ -17,6 +18,9 @@ SOURCES = sorted(p for p in (ROOT / "src" / "ghostdim").glob("*.py")
 # Where a caller may live: the package, the tools and the benchmark harness.
 CALLERS = SOURCES + sorted(p for d in ("tools", "perfbench") for p in (ROOT / d).glob("*.py")
                            if not p.name.startswith("test_"))
+# Modules whose imports must all be read.  perfbench/spans.py imports the
+# package only to load every layer, so the harness is left out.
+IMPORTERS = SOURCES + sorted(p for d in ("tests", "tools") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source):
@@ -37,7 +41,8 @@ def test_the_checker_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nprint(b)\n") == [(1, "os"), (2, "d")]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTERS,
+                         ids=lambda p: p.name if p in SOURCES else p.relative_to(ROOT).as_posix())
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
 
@@ -46,6 +51,11 @@ def names_read(tree):
     """How often each name is read in tree, bare or as an attribute."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
                    if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def attributes_read(tree):
+    """How often each name is read in tree as an attribute (obj.name)."""
+    return Counter(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
 
 
 def traced_names():
@@ -64,31 +74,45 @@ def is_click_command(node):
 
 
 def public_defs(tree):
-    """(qualified name, node) of the public top-level functions and classes,
-    and of the public methods of those classes."""
+    """(qualified name, node, reader) of the public top-level functions and
+    classes, read by names_read, and of the public methods of those classes,
+    read by attributes_read."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
+            yield node.name, node, names_read
             if isinstance(node, ast.ClassDef):
-                yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                yield from ((f"{node.name}.{m.name}", m, attributes_read) for m in node.body
                             if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
 
 
-def uncalled_public_names():
+def uncalled_public_names(callers=CALLERS, sources=SOURCES):
     """Public top-level functions and classes of the package, and public
     methods of its public classes, that nothing outside their own body
     reads, other than click commands and traced names.  A method counts as
-    read wherever an attribute of its name is."""
-    trees = {p: ast.parse(p.read_text()) for p in CALLERS}
-    reads = sum((names_read(tree) for tree in trees.values()), Counter())
+    read only where an attribute of its name is (obj.method): a local
+    variable of the same name does not call it."""
+    trees = {p: ast.parse(p.read_text()) for p in callers}
+    reads = {reader: sum((reader(tree) for tree in trees.values()), Counter())
+             for reader in (names_read, attributes_read)}
     exempt = traced_names()
-    return [f"{path.name}:{name}" for path in SOURCES for name, node in public_defs(trees[path])
+    return [f"{path.name}:{name}" for path in sources for name, node, reader in public_defs(trees[path])
             if name not in exempt and not is_click_command(node)
-            and reads[node.name] == names_read(node)[node.name]]
+            and reads[reader][node.name] == reader(node)[node.name]]
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert uncalled_public_names() == []
+
+
+def test_a_local_variable_does_not_call_a_method(tmp_path):
+    """`act = ...` in one function is no call of a method act."""
+    src = tmp_path / "src.py"
+    src.write_text("class M:\n    def act(self):\n        return 1\n\n"
+                   "    def used(self):\n        return 2\n\n\n"
+                   "def run(m):\n    act = m.used()\n    return act\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text("run(M())\n")
+    assert uncalled_public_names([src, caller], [src]) == ["src.py:M.act"]
 
 
 def test_a_recursive_call_is_not_a_caller():
