@@ -288,7 +288,7 @@ def _compact_eq_check(x, bound, probes):
 
 
 def _rouquier_check(x, bound, probes):
-    """x is a retract of a pdim-step extension of frees (pdim <= min(4, bound))."""
+    """S x is a retract of a pdim-step extension of frees (pdim <= min(4, bound))."""
     v = pdim_complex(x, bound)
     if not v.is_finite or v.n > min(4, bound):
         return {"pdim": v.render(), "skipped": True}

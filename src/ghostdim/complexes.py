@@ -30,8 +30,8 @@ full (Complex.validate checks its terms too).  It runs at the trust boundary
 (complex_from_dict, chain_map_from_dict), in the certificates
 (check_null_homotopy checks each h_k as a module map; Equivalence checks
 its chain maps), and on the solutions of chain_map_generators.  Cones,
-fibers, sums, suspensions and the equivalences below are formulas on
-blocks, proved at each site.  A cone is its complex and the split of each
+sums, suspensions and the equivalences below are formulas on blocks,
+proved at each site.  A cone is its complex and the split of each
 term: its block maps are slices of the identity, formed when read.
 
 Homology is computed once per content, not once per complex or degree.  A
@@ -578,11 +578,6 @@ def suspend(cx, times=1):
                    name=f"S^{times}({cx.name})" if cx.name else "")
 
 
-def suspend_between(f, src, tgt, times):
-    """Suspended map with caller-supplied (already suspended) endpoints."""
-    return ChainMap(src, tgt, {k + times: m for k, m in f.mats.items()})
-
-
 def prefix_inclusion(x, w):
     """The chain map x -> w onto the leading coordinates of each term of w.
 
@@ -625,10 +620,6 @@ class ConeData:
         """C_k -> X_(k-1)."""
         ny, n = self._split(k)
         return np.eye(n - ny, n, ny, dtype=np.int64)
-
-    def inclusion(self):
-        """Y -> C, a chain map as d_C restricted to Y is d_Y."""
-        return prefix_inclusion(self.f.tgt, self.cone)
 
     def connecting(self):
         """C -> S X, (y, x) -> x: a chain map as d_(SX) = -d_X."""
@@ -692,36 +683,6 @@ def _sum_certificate(total, a, cert_a, b, cert_b):
         pi=ModuleMap(cover, total, pi),
         section=ModuleMap(total, cover, sec),
     )
-
-
-def fiber(g):
-    """F = S^-1 cone(g: X -> W), with its projection F -> X.
-
-    Returns (F, proj_to_src, cone_data).  F has d(w, x) = (-dw - gx, dx), so
-    the block projection is a chain map.
-    """
-    cd = cone(g)
-    f = suspend(cd.cone, -1)
-    proj = ChainMap(f, g.src, {k: cd.psh(k + 1) for k in f.degrees()})
-    return f, proj, cd
-
-
-def section_from_null_homotopy(g, h, fib, proj):
-    """If g ~ 0 via h, the fiber projection splits: s(x) = (-h x, x), proj.s = id.
-
-    s is a chain map exactly because g = dh + hd, which h was checked for.
-    """
-    mats = {}
-    for k in fib.degrees():
-        x_part = g.src.term(k)
-        if x_part.is_zero:
-            continue
-        n_w = g.tgt.term(k + 1).ngens
-        block = zeros(n_w + x_part.ngens, x_part.ngens)
-        block[:n_w] = (-h.component(k)) % g.src.ring.modulus
-        block[n_w:] = eye(x_part.ngens)
-        mats[k] = block
-    return ChainMap(g.src, fib, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -866,17 +827,6 @@ def split_inclusion_model(cd, q):
         minus_s[k] = -cd.ish(k + 1) @ r @ cd.pt(k)
     return Equivalence(src=c, tgt=q, fwd=ChainMap(c, q, fwd), bwd=ChainMap(q, c, bwd),
                        fwd_bwd=Homotopy(q, q, {}), bwd_fwd=Homotopy(c, c, minus_s))
-
-
-def suspend_equivalence(e, src, tgt, times):
-    """e suspended `times` times onto caller-supplied (already suspended)
-    endpoints; the homotopy witnesses pick up a sign (-1)^times."""
-    sign = -1 if times % 2 else 1
-    return Equivalence(
-        src=src, tgt=tgt,
-        fwd=suspend_between(e.fwd, src, tgt, times), bwd=suspend_between(e.bwd, tgt, src, times),
-        fwd_bwd=Homotopy(tgt, tgt, {k + times: sign * v for k, v in e.fwd_bwd.mats.items()}),
-        bwd_fwd=Homotopy(src, src, {k + times: sign * v for k, v in e.bwd_fwd.mats.items()}))
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,11 @@ from .complexes import (
     Equivalence,
     Homotopy,
     cone,
-    fiber,
     free_complex,
     identity_chain,
     resolution_complex,
-    section_from_null_homotopy,
     split_inclusion_model,
     suspend,
-    suspend_equivalence,
 )
 from .errors import NoSimplesDeclared, PdimTooLarge, ValidationError
 from .ghosts import (
@@ -60,19 +57,13 @@ from .verdicts import Verdict, verdict_max
 # Module-level dimensions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SyzygyRun:
-    verdict: Verdict
-    syzygies: list                 # the modules encountered
-    projective_at: int = -1
-
-
-def module_pdim(module, bound, with_run=False):
+def module_pdim(module, bound):
     """Projective dimension by syzygy iteration with periodicity detection.
 
-    Returns Verdict.finite(n) when the n-th syzygy is projective,
-    Verdict.infinite(...) when two non-projective syzygies are isomorphic,
-    else Verdict.at_least(bound + 1).
+    Returns (verdict, syzygies): Verdict.finite(n) when the n-th syzygy is
+    projective, Verdict.infinite(...) when two non-projective syzygies are
+    isomorphic, else Verdict.at_least(bound + 1); and the syzygies met on
+    the way, the module first.
     """
     current = module
     history = [current]
@@ -91,9 +82,7 @@ def module_pdim(module, bound, with_run=False):
         history.append(current)
     if verdict is None:
         verdict = Verdict.at_least(bound + 1)
-    if with_run:
-        return SyzygyRun(verdict=verdict, syzygies=history)
-    return verdict
+    return verdict, history
 
 
 def module_fdim_tor(module, bound):
@@ -129,8 +118,7 @@ def wdim_ring(ring, bound):
     verdicts = []
     witnesses = []
     for s in ring.simples:
-        run = module_pdim(s, bound, with_run=True)
-        v_syz = run.verdict
+        v_syz, syzygies = module_pdim(s, bound)
         v_tor = module_fdim_tor(s, bound)
         if v_syz.is_finite:
             if not (v_tor.is_finite and v_tor.n == v_syz.n):
@@ -147,7 +135,7 @@ def wdim_ring(ring, bound):
                 "module": s.label or "S",
                 "pdim": v_syz.to_json(),
                 "tor_flat_dim": v_tor.to_json(),
-                "syzygy_orders": [list(m.orders) for m in run.syzygies],
+                "syzygy_orders": [list(m.orders) for m in syzygies],
             }
         )
     return verdict_max(verdicts), witnesses
@@ -229,7 +217,7 @@ def standard_battery(ring, bound, seed, min_size=25):
         if label in seen:
             continue
         seen.add(label)
-        v = module_pdim(mod, bound)
+        v, _ = module_pdim(mod, bound)
         if v.is_finite:
             res = resolution_complex(mod, max(v.n, 1), name=f"res:{label}")
             members.append(BatteryMember(ident=f"res:{label}", cx=res,
@@ -346,108 +334,98 @@ def ghdim_ring(ring, bound, seed=0, battery=None):
 @dataclass
 class RouquierStep:
     index: int
-    prev_y: Complex
-    next_y: Complex
-    step_map: ChainMap           # Y_{j-1} -> Y_j
-    cofiber: Complex             # cone(step_map)
-    incl: ChainMap               # Y_j -> cofiber
-    connecting: ChainMap         # cofiber -> S Y_{j-1}
-    model: Equivalence           # cofiber ~ P_j
-    free_rank_total: int
+    step_map: ChainMap           # C_(j-1) -> C_j
+    model: Equivalence           # cone(step_map) ~ S P_j
+
+    @property
+    def free_rank_total(self):
+        return sum(self.model.tgt.term(k).ngens for k in self.model.tgt.degrees())
 
 
 @dataclass
 class RouquierCertificate:
-    target: Complex              # Y_n
-    include: ChainMap            # X -> Y_n (exact section)
-    retract: ChainMap            # Y_n -> X
+    target: Complex              # C_n
+    include: ChainMap            # S X -> C_n (exact section)
+    retract: ChainMap            # C_n -> S X
     retract_homotopy: Homotopy   # witness for id - retract . include (zero)
-    base_model: Equivalence      # Y_0 ~ P_0
+    base_model: Equivalence      # C_0 ~ S P_0
     steps: list
 
-    def validate(self, x):
+    def validate(self):
         """Every complex, chain map and witness the certificate holds, and
         that its pieces form one chain of triangles: the base model starts at
-        Y_0, each step starts where the one before it ends, and the last one
+        C_0, each step starts where the one before it ends, and the last one
         ends at the target."""
         from .complexes import check_null_homotopy
 
-        end = self.base_model.src                    # Y_0
+        end = self.base_model.src                    # C_0
         for st in self.steps:
-            if st.prev_y is not end:
+            if st.step_map.src is not end:
                 raise ValidationError(f"rouquier step {st.index} does not start where the chain ends")
-            end = st.next_y
+            end = st.step_map.tgt
         if end is not self.target:
             raise ValidationError("the chain of rouquier steps does not end at the target")
         self.target.validate()
         for f in (self.include, self.retract):
             f.validate()
-        check_null_homotopy(identity_chain(x) - self.retract @ self.include, self.retract_homotopy)
+        sx = self.retract.tgt
+        check_null_homotopy(identity_chain(sx) - self.retract @ self.include, self.retract_homotopy)
         self.base_model.validate()
         for st in self.steps:
-            for f in (st.step_map, st.incl, st.connecting):
-                f.validate()
+            st.step_map.validate()
             st.model.validate()
-            st.cofiber.validate()
+            st.model.src.validate()
 
 
 def rouquier_build(x, n):
-    """Realize x as a retract of an n-step extension of finite frees.
+    """Realize S x as a retract of an n-step extension of finite frees.
 
-    Requires pdim x <= n (PdimTooLarge otherwise).  The certificate carries
-    the chain of triangles, an equivalence of each third term with a
-    tower cover (a finite free complex with zero differential), and the
-    exact retraction coming from the null-homotopy of the tower composite.
+    Requires pdim x <= n (PdimTooLarge otherwise); every level built from R
+    is closed under suspension, so S x certifies the bound for x.  The
+    certificate carries the chain of triangles, an equivalence of each third
+    term with a suspended tower cover S P_j (a finite free complex with zero
+    differential), and the exact retraction coming from the null-homotopy h
+    of the tower composite.
 
-    Y_j = S^-1 cone(g_j) is S^-1 W_j + X degreewise, and W_j is W_(j-1) +
-    S P_j (the prefix layout of ghosts.Tower).  So g_0 and each step
-    m_j: Y_(j-1) -> Y_j are coordinate inclusions, with cokernels S P_0 and
-    P_j, and split_inclusion_model gives each cone's equivalence.
+    C_j = cone(g_j: x -> W_j) is W_j + x_(k-1) degreewise, and W_j is
+    W_(j-1) + P_j,(k-1) (the prefix layout of ghosts.Tower).  So g_0 and
+    each step m_j: C_(j-1) -> C_j are coordinate inclusions, with cokernels
+    S P_0 and S P_j, and split_inclusion_model gives each cone's
+    equivalence.  The retract is the connecting map C_n -> S x, and the
+    include sends x to (-h x, x), a chain map exactly because g_n = dh + hd.
     """
     tower = ghost_tower(x, n)
     h = tower.nullity(n)
     if h is None:
         raise PdimTooLarge(f"pdim {x.name or 'X'} exceeds {n}")
-    fibers = [fiber(tower.composite(j)) for j in range(n + 1)]
-    ys = [fib[0] for fib in fibers]
-    include = section_from_null_homotopy(fibers[n][2].f, h, ys[n], fibers[n][1])
-    # proj . include = id on the nose
-    retract_homotopy = Homotopy(x, x, {})
-    p0 = tower.ugs[0].cover
-    base_model = suspend_equivalence(split_inclusion_model(fibers[0][2], suspend(p0)), ys[0], p0, -1)
+    cones = [cone(tower.composite(j)) for j in range(n + 1)]
+    top = cones[n]
+    retract = top.connecting()
+    sx = retract.tgt
+    include = ChainMap(sx, top.cone, {k: top.ish(k) - top.it(k) @ h.component(k - 1) for k in sx.degrees()})
+    # retract . include = id on the nose
+    retract_homotopy = Homotopy(sx, sx, {})
+    base_model = split_inclusion_model(cones[0], suspend(tower.ugs[0].cover))
     steps = []
     for j in range(1, n + 1):
-        prev_y, y_j = ys[j - 1], ys[j]
+        prev, c_j = cones[j - 1].cone, cones[j].cone
         mats = {}
-        for k in prev_y.degrees():
-            # keep S^-1 W_(j-1) first and X last; a chain map as g_j extends g_(j-1)
-            n_prev, n_next, n_x = prev_y.term(k).ngens, y_j.term(k).ngens, x.term(k).ngens
+        for k in prev.degrees():
+            # keep W_(j-1) first and x last; a chain map as g_j extends g_(j-1)
+            n_prev, n_next, n_x = prev.term(k).ngens, c_j.term(k).ngens, x.term(k - 1).ngens
             mats[k] = eye(n_next)[:, [*range(n_prev - n_x), *range(n_next - n_x, n_next)]]
-        m_j = ChainMap(prev_y, y_j, mats)
-        cd = cone(m_j, name=f"C{j}")
-        model = split_inclusion_model(cd, tower.ugs[j].cover)
-        steps.append(
-            RouquierStep(
-                index=j,
-                prev_y=prev_y,
-                next_y=y_j,
-                step_map=m_j,
-                cofiber=cd.cone,
-                incl=cd.inclusion(),
-                connecting=cd.connecting(),
-                model=model,
-                free_rank_total=sum(model.tgt.term(k).ngens for k in model.tgt.degrees()),
-            )
-        )
+        m_j = ChainMap(prev, c_j, mats)
+        model = split_inclusion_model(cone(m_j), suspend(tower.ugs[j].cover))
+        steps.append(RouquierStep(index=j, step_map=m_j, model=model))
     cert = RouquierCertificate(
-        target=ys[n],
+        target=top.cone,
         include=include,
-        retract=fibers[n][1],
+        retract=retract,
         retract_homotopy=retract_homotopy,
         base_model=base_model,
         steps=steps,
     )
-    cert.validate(x)
+    cert.validate()
     return cert
 
 

@@ -410,15 +410,12 @@ def is_free_module(mod):
     return _kept(mod, "_is_free", build)
 
 
-_free_cache = {}
-
-
 def free_module(ring, rank):
-    """(free right module)^rank; group generators are basis elements per copy."""
-    key = (ring.key(), rank)
-    cached = _free_cache.get(key)
-    if cached is not None and cached.ring.same_ring(ring):
-        return cached
+    """(free right module)^rank; group generators are basis elements per copy.
+    One per (ring, rank), kept on the ring."""
+    kept = _kept(ring, "_free_modules", dict)
+    if rank in kept:
+        return kept[rank]
     # Copies of the regular module, a module by the ring's associativity.
     orders = tuple([ring.modulus] * (ring.rank * rank))
     regular = ring.regular_actions()
@@ -431,7 +428,7 @@ def free_module(ring, rank):
         acts.append(blocks)
     mod = FgModule(ring=ring, orders=orders, actions=tuple(acts), label=f"R^{rank}" if rank != 1 else "R")
     object.__setattr__(mod, "_is_free", True)
-    _free_cache[key] = mod
+    kept[rank] = mod
     return mod
 
 

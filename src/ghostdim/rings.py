@@ -82,9 +82,9 @@ class Ring:
                     ring=ring,
                     orders=s.orders,
                     actions=tuple(a.T % self.modulus for a in s.actions),
-                    label=s.label + "*",
+                    label=(s.label or f"S{i + 1}") + "*",
                 )
-                for s in self.simples
+                for i, s in enumerate(self.simples)
             )
             object.__setattr__(ring, "simples", duals)
         object.__setattr__(self, "_opposite", ring)

@@ -19,11 +19,9 @@ from ghostdim.complexes import (
     _sum_certificate,
     cone,
     direct_sum_modules,
-    fiber,
     identity_chain,
     null_homotopy,
     suspend,
-    suspend_between,
     zero_chain,
 )
 from ghostdim.errors import NoFactorization
@@ -35,6 +33,7 @@ from ghostdim.ghosts import (
     solve_chain_map_through,
 )
 from ghostdim.linalg import eye, zeros
+from helpers import cone_inclusion, fiber, suspend_between
 
 
 def direct_sum_complexes(a, b, name=""):
@@ -133,7 +132,7 @@ def factor_through_pdim_n(f, n, _verify=True):
     c1 = tau @ z_incl                       # S^-1 D -> Q
     bprime_cd = cone(c1)
     bprime = bprime_cd.cone
-    iota = bprime_cd.inclusion()            # Q -> B'
+    iota = cone_inclusion(bprime_cd)        # Q -> B'
     pi_d = bprime_cd.connecting()           # B' -> S S^-1 D (same terms as D)
     dtil_raised = pi_d.tgt                  # S S^-1 D: D's terms and differentials
     h_raised = ChainMap(a, dtil_raised, h.mats)

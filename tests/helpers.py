@@ -5,7 +5,9 @@ independent of the linear-algebra paths it cross-checks.  `named_ring`
 also builds zmod:12 and ut2:f3, the test rings that are not builtins.
 `cone_triangle` builds the triangle X -> Y -> cone(f) -> SX with its three
 homotopies, which only the tests read, and `homology_les_exact` checks its
-long exact sequence by orders.  `random_small_complex` draws the random
+long exact sequence by orders.  `cone_inclusion`, `suspend_between` and
+`fiber` (S^-1 of a cone, with its projection) are the triangle pieces that
+only the tests build.  `random_small_complex` draws the random
 complexes of acceptance criterion 7.
 `induced_map` and `image_subgroup_order` are the homology-module helpers
 that the package used before its tower-free filtration read orders only.
@@ -29,9 +31,9 @@ from ghostdim.complexes import (
     check_null_homotopy,
     cone,
     free_complex,
+    prefix_inclusion,
     resolution_complex,
     suspend,
-    suspend_between,
 )
 from ghostdim.ghosts import random_chain_map
 from ghostdim.linalg import zeros
@@ -272,6 +274,28 @@ def shift_identification(sa, a, k, times=1):
     return ModuleMap(hs.module, ht.module, ht.classify(hs.lift))
 
 
+def cone_inclusion(cd):
+    """Y -> cone(f: X -> Y), a chain map as d_C restricted to Y is d_Y."""
+    return prefix_inclusion(cd.f.tgt, cd.cone)
+
+
+def suspend_between(f, src, tgt, times):
+    """Suspended map with caller-supplied (already suspended) endpoints."""
+    return ChainMap(src, tgt, {k + times: m for k, m in f.mats.items()})
+
+
+def fiber(g):
+    """F = S^-1 cone(g: X -> W), with its projection F -> X.
+
+    Returns (F, proj_to_src, cone_data).  F has d(w, x) = (-dw - gx, dx), so
+    the block projection is a chain map.
+    """
+    cd = cone(g)
+    f = suspend(cd.cone, -1)
+    proj = ChainMap(f, g.src, {k: cd.psh(k + 1) for k in f.degrees()})
+    return f, proj, cd
+
+
 @dataclass
 class Triangle:
     """A -> B -> C -> SA with stored null-homotopies of consecutive composites."""
@@ -305,7 +329,7 @@ def cone_triangle(f):
     x, y, c = f.src, f.tgt, cd.cone
     proj = cd.connecting()
     return Triangle(
-        a=x, b=y, c=c, f=f, g=cd.inclusion(), h=proj,
+        a=x, b=y, c=c, f=f, g=cone_inclusion(cd), h=proj,
         gf_null=Homotopy(x, c, {k: cd.ish(k + 1) for k in x.degrees()}),
         hg_null=Homotopy(y, proj.tgt, {}),
         rot_null=Homotopy(c, suspend(y), {k: cd.pt(k) for k in c.degrees() if not c.term(k).is_zero}),

@@ -21,21 +21,19 @@ from ghostdim.complexes import (
     chain_map_generators,
     direct_sum_modules,
     dual_complex,
-    fiber,
     free_complex,
     homology_order,
     identity_chain,
     module_complex,
     null_homotopy,
     resolution_complex,
-    section_from_null_homotopy,
     split_inclusion_model,
     suspend,
     zero_chain,
 )
 from ghostdim.errors import ModulusTooLarge, ParseError, ValidationError
 from ghostdim import complexes, ghosts, linalg, modules
-from ghostdim.dimensions import module_pdim, standard_battery
+from ghostdim.dimensions import module_pdim, rouquier_build, standard_battery
 from ghostdim.ghosts import _solve_squares, ghost_tower, pdim_complex, universal_ghost
 from ghostdim.modules import (
     FgModule,
@@ -209,18 +207,21 @@ def test_resolution_of_ut2_simple_stops_at_one():
     assert res.certified
 
 
-def test_fiber_and_section():
-    # g = universal-ghost-flavored inclusion into a cone; just test the algebra:
-    f = ChainMap(CONE2, CONE2, {0: np.array([[2]]), 1: np.array([[2]])})
-    h = null_homotopy(f)
-    assert h is not None  # 2*id on this complex is null-homotopic (h=[1] works)
-    fib, proj, cd = fiber(f)
-    s = section_from_null_homotopy(f, h, fib, proj)
-    comp = proj @ s
-    assert homotopic(comp, identity_chain(CONE2))
-    # in fact exact equality
-    ident = identity_chain(CONE2)
-    assert all(np.array_equal(comp.component(k), ident.component(k)) for k in CONE2.degrees())
+def test_connecting_map_and_section():
+    """The Rouquier retract is the connecting map cone(g_n) -> S X, and the
+    include sends x to (-h x, x), h the tower's null-homotopy of g_n: an
+    exact section, retract . include = id on S X."""
+    n = pdim_complex(CONE2, 2).n
+    cert = rouquier_build(CONE2, n)
+    h = ghost_tower(CONE2, n).nullity(n)
+    sx = cert.retract.tgt
+    assert all(sx.term(k + 1) is CONE2.term(k) for k in CONE2.degrees())
+    for k in sx.degrees():
+        want = np.vstack([-h.component(k - 1) % 4, np.eye(sx.term(k).ngens, dtype=np.int64)])
+        assert np.array_equal(cert.include.component(k), want)
+    comp = cert.retract @ cert.include
+    ident = identity_chain(sx)
+    assert all(np.array_equal(comp.component(k), ident.component(k)) for k in sx.degrees())
 
 
 def test_split_inclusion_model_puts_the_sign_z4_sees():
@@ -577,7 +578,7 @@ def test_each_projective_non_free_term_is_split_once(monkeypatch):
     res = resolution_complex(s1, 4)
     assert len(calls) == 2 and res.hi == 1 and res.certified
     calls.clear()
-    assert resolution_complex(s1, 4).certified and module_pdim(s1, 4).n == 1 and calls == []
+    assert resolution_complex(s1, 4).certified and module_pdim(s1, 4)[0].n == 1 and calls == []
 
 
 def test_each_syzygy_is_covered_once(monkeypatch):
@@ -591,8 +592,8 @@ def test_each_syzygy_is_covered_once(monkeypatch):
         calls.clear()
         # the syzygy chain is kept on the module: a second call covers nothing
         resolution_complex(mod, 4)
-        assert module_pdim(mod, 4).is_infinite and calls == []
-        assert module_pdim(_fresh(mod), 4).is_infinite
+        assert module_pdim(mod, 4)[0].is_infinite and calls == []
+        assert module_pdim(_fresh(mod), 4)[0].is_infinite
         assert len(calls) == 2 and len({id(m) for m in calls}) == 2
 
 
@@ -820,8 +821,9 @@ def _same_maps(got, want):
 @pytest.mark.parametrize("backend", sorted(CRITERION_7_RINGS))
 def test_lean_cone_is_bit_identical_to_the_dict_built_reference(backend):
     """The random cones of acceptance criterion 7 (its rings and draws, 300
-    per backend): the cone, every block map at every degree, inclusion(),
-    connecting() and the test triangle's homotopies equal the reference's."""
+    per backend): the cone, every block map at every degree, the inclusion
+    (helpers.cone_inclusion), connecting() and the test triangle's
+    homotopies equal the reference's."""
     import random
 
     from ghostdim.ghosts import random_chain_map
@@ -838,7 +840,7 @@ def test_lean_cone_is_bit_identical_to_the_dict_built_reference(backend):
             assert _identical(got.cone.diff(k), want.cone.diff(k))
             for block in ("it", "ish", "pt", "psh"):
                 assert _identical(getattr(got, block)(k), getattr(want, block)(k)), (count, k, block)
-        assert _same_maps(got.inclusion(), want.triangle.g)
+        assert _same_maps(helpers.cone_inclusion(got), want.triangle.g)
         assert _same_maps(got.connecting(), want.triangle.h)
         tri = helpers.cone_triangle(f)
         for name in ("gf_null", "hg_null", "rot_null"):
@@ -849,8 +851,9 @@ def test_lean_cone_is_bit_identical_to_the_dict_built_reference(backend):
 
 def test_pdim_builds_no_triangle_and_no_homotopy_outside_null_homotopy(monkeypatch):
     """Over a battery, pdim_complex constructs no Homotopy other than the
-    solutions of null_homotopy, no cone inclusion or connecting map, and no
-    suspension or desuspension at all; a tower stage keeps no ConeData."""
+    solutions of null_homotopy, no connecting map of a cone or test
+    triangle, and no suspension or desuspension at all; a tower stage keeps
+    no ConeData."""
     import sys
     from collections import Counter
     from dataclasses import fields
@@ -873,8 +876,7 @@ def test_pdim_builds_no_triangle_and_no_homotopy_outside_null_homotopy(monkeypat
 
     monkeypatch.setattr(complexes.Homotopy, "__init__", counted_init)
     monkeypatch.setattr(complexes, "suspend", counted_suspend)
-    for name in ("inclusion", "connecting"):
-        monkeypatch.setattr(complexes.ConeData, name, lambda self, name=name: triangles.update([name]))
+    monkeypatch.setattr(complexes.ConeData, "connecting", lambda self: triangles.update(["connecting"]))
     monkeypatch.setattr(helpers.Triangle, "__init__", lambda self, *a, **kw: triangles.update(["Triangle"]))
     ring = helpers.named_ring("zmod:12")
     members, _ = standard_battery(ring, 4, seed=0)

@@ -119,7 +119,7 @@ def test_kernel_cokernel_of_doubling():
 def test_kernel_cokernel_identity_and_zero():
     r = free_module(Z4, 1)
     ker, coker = kernel_cokernel(ModuleMap(r, r, linalg.eye(1)))
-    assert ker.src is coker.module is zero_module(r.ring)
+    assert ker.src is coker.module is zero_module(Z4)
     assert coker.classify(linalg.eye(1)).shape == (0, 1)
     z = zmod_module(Z4, 2)
     f = ModuleMap(r, z, linalg.zeros(z.ngens, r.ngens))
@@ -150,6 +150,15 @@ def test_a_free_module_is_cached_with_the_label_of_its_rank():
     call gets the one cached module."""
     assert free_module(UT3, 1) is free_module(UT3, 1)
     assert free_module(UT3, 1).label == "R" and free_module(UT3, 2).label == "R^2"
+
+
+def test_a_free_module_lives_over_the_ring_object_it_was_asked_for():
+    """Equal rings, and Z/4 and its opposite (equal structure constants),
+    each get a free module of their own."""
+    a, b = zmod(4), zmod(4)
+    assert free_module(a, 1).ring is a and free_module(b, 1).ring is b
+    op = a.opposite()
+    assert free_module(op, 1).ring is op and free_module(a, 1).ring is a
 
 
 def test_free_cover_surjective():

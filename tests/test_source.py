@@ -2,7 +2,8 @@
 tests and the tools reads what it imports, every public function, class
 and method has a caller outside the tests, no
 constructor takes a check switch, no module forms a dense Kronecker
-product, and importing the package loads every traced layer."""
+product, no call of suspend passes a shift, and importing the package
+loads every traced layer."""
 
 import ast
 import subprocess
@@ -137,6 +138,17 @@ def test_no_dense_kronecker_product(path):
     linalg.kron_nonzeros, never as a dense np.kron."""
     tree = ast.parse(path.read_text())
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "kron"] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_call_of_suspend_passes_a_shift(path):
+    """The package suspends once at a time: the tower, its stage pieces and
+    the Rouquier steps are cones, and no desuspension is formed."""
+    tree = ast.parse(path.read_text())
+    shifted = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+               and (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) == "suspend"
+               and (len(n.args) > 1 or n.keywords)]
+    assert shifted == []
 
 
 def test_importing_the_package_loads_every_traced_layer():

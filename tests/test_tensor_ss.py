@@ -284,7 +284,7 @@ def test_free_left_tensor_matches_the_reference_builder(name):
     base = ring.base_ring()
     checked = 0
     for s in ring.simples:
-        for mod in module_pdim(s, 2, with_run=True).syzygies:
+        for mod in module_pdim(s, 2)[1]:
             if modules.is_free_module(mod) or mod.is_zero:
                 continue
             for rank in (1, 2):
@@ -306,7 +306,7 @@ CONSTRUCTORS = ((FgModule, "__post_init__"), (ModuleMap, "__post_init__"), (Chai
 def test_everything_the_constructors_build_validates(monkeypatch):
     """Every object the constructors build in four runs passes validate(): fdim
     and pdim (tensors, duals, towers), probes and factorizations, Rouquier
-    certificates (cones, fibers, equivalences) over a rank-3 ring, and the
+    certificates (cones, suspensions, equivalences) over a rank-3 ring, and the
     tower-free filtration (resolutions, tensor complexes, augmentations)."""
     built = []
     for cls, name in CONSTRUCTORS:
