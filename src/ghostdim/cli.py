@@ -24,6 +24,7 @@ from .complexes import (
     complex_to_dict,
     module_complex,
     null_homotopy,
+    prefix_inclusion,
 )
 from .dimensions import (
     DimReport,
@@ -258,7 +259,7 @@ def _flatchar_check(x, bound, probes):
     hom = x.homology()
     flat = all(is_projective(hom[k].module)[0] for k in x.degrees())
     ug = universal_ghost(x)
-    ghost_null = null_homotopy(ug.ghost) is not None
+    ghost_null = null_homotopy(prefix_inclusion(x, ug.cone)) is not None
     entry = {"flat_homology": flat, "universal_ghost_null": ghost_null}
     if flat != ghost_null:
         entry["fail"] = "ghost nullity disagrees with flatness"

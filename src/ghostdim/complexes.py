@@ -24,6 +24,9 @@ The zero terms of every complex over a ring, and every zero subquotient
 over it (zero homology, a zero kernel), are one module kept on the ring
 (modules.zero_module).
 
+A complex keeps its homology and its ghost tower, whose stages are the
+ConeData of their covers, on itself, as modules keep theirs (modules._kept).
+
 Complex, ChainMap and Homotopy follow the validation policy of
 :mod:`ghostdim.modules`: constructors only build, and validate() checks in
 full (Complex.validate checks its terms too).  It runs at the trust boundary
@@ -71,10 +74,10 @@ from .modules import (
     FgModule,
     ModuleMap,
     ProjectivityCertificate,
-    _cover,
     _kept,
     _syzygy,
     _zero_subquotient,
+    free_cover,
     free_map,
     free_module,
     hom_congruences,
@@ -103,7 +106,7 @@ def direct_sum_modules(a, b, label=""):
 
 
 class Complex:
-    """A bounded complex.  Immutable once built; derived data is cached."""
+    """A bounded complex.  Immutable once built; derived data is kept on it."""
 
     def __init__(self, ring, lo, hi, terms, diffs, certs=None, name=""):
         self.ring = ring
@@ -113,8 +116,8 @@ class Complex:
         self._diffs = {k: as_matrix(d) for k, d in diffs.items()}
         self.name = name
         self._zero = zero_module(ring)
-        self._cache = {}
         self.certs = {k: c for k, c in (certs or {}).items() if c is not None}
+        self._homology = self._tower = None     # kept on first read; set here for one attribute layout
 
     @classmethod
     def zero(cls, ring):
@@ -167,20 +170,15 @@ class Complex:
     # -- derived data ------------------------------------------------------
 
     def homology(self):
-        if "homology" not in self._cache:
+        def build():
             diffs = _diff_digests(self)
-            self._cache["homology"] = {k: _shared_homology(self, k, diffs) for k in self.degrees()}
-        return self._cache["homology"]
+            return {k: _shared_homology(self, k, diffs) for k in self.degrees()}
+        return _kept(self, "_homology", build)
 
     def homology_at(self, k):
         if self.lo <= k <= self.hi:
             return self.homology()[k]
         return _zero_subquotient(self.ring, self.term(k))
-
-    def cache_get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
 
     def __repr__(self):
         nm = self.name or "C"
@@ -198,7 +196,7 @@ def _homology_at(cx, k):
 
 
 # H_k of every complex built in this process, by content digest.  An entry
-# lives as long as some complex's homology cache holds it.
+# lives as long as some complex's kept homology holds it.
 _SHARED_HOMOLOGY = weakref.WeakValueDictionary()
 
 
@@ -667,22 +665,18 @@ def _sum_certificate(total, a, cert_a, b, cert_b):
             if not is_free_module(mod):
                 return None
             ident = ModuleMap(mod, mod, eye(mod.ngens))
-            cert = ProjectivityCertificate(cover=mod, pi=ident, section=ident)
+            cert = ProjectivityCertificate(pi=ident, section=ident)
         blocks.append(cert)
     cert_a, cert_b = blocks
-    cover = direct_sum_modules(cert_a.cover, cert_b.cover)
-    na, nb = cert_a.cover.ngens, cert_b.cover.ngens
+    cover = direct_sum_modules(cert_a.pi.src, cert_b.pi.src)
+    na, nb = cert_a.pi.src.ngens, cert_b.pi.src.ngens
     pi = zeros(total.ngens, na + nb)
     pi[: a.ngens, :na] = cert_a.pi.mat
     pi[a.ngens :, na:] = cert_b.pi.mat
     sec = zeros(na + nb, total.ngens)
     sec[:na, : a.ngens] = cert_a.section.mat
     sec[na:, a.ngens :] = cert_b.section.mat
-    return ProjectivityCertificate(
-        cover=cover,
-        pi=ModuleMap(cover, total, pi),
-        section=ModuleMap(total, cover, sec),
-    )
+    return ProjectivityCertificate(pi=ModuleMap(cover, total, pi), section=ModuleMap(total, cover, sec))
 
 
 # ---------------------------------------------------------------------------
@@ -711,14 +705,15 @@ def homology_order(cx, k):
 def resolution_complex(module, length, name=""):
     """A length-`length` complex of projectives with H_0 = module.
 
-    Uses minimal free covers; stops early by placing a projective kernel as
-    the final term, so finite projective dimension yields the honest finite
-    resolution.  H_k = 0 for 0 < k < length; H_length is the last syzygy.
+    Uses minimal free covers, and stops early at a projective syzygy K_k,
+    0 < k < length, placed as the final term.  Otherwise the last term is the
+    free cover of K_length: H_k = 0 for 0 < k < length, and H_length is
+    K_(length+1), nonzero even when K_length is projective but not free.
     Each d_k is a kernel inclusion after a cover map, so d.d = 0, and the
     certificates are the splits that split_surjection checked.
 
     The covers, kernel inclusions and certificates are the module's own
-    (modules._syzygy, _cover and is_projective): computed once per module
+    (modules._syzygy, free_cover and is_projective): computed once per module
     and kept on it for as long as it lives, the chain growing to the longest
     length asked for.  Every call builds a fresh Complex from them, so no
     homology or tower cache of a returned complex is tied to the module.
@@ -746,7 +741,7 @@ def resolution_complex(module, length, name=""):
                 diffs[k] = prev_incl.mat
                 break
         # truncation at k == length: the last term is the cover of the current syzygy
-        cover, pi = _cover(current)
+        cover, pi = free_cover(current)
         terms[k] = cover
         if prev_incl is not None:
             diffs[k] = linalg.reduce_coords(prev_incl.mat @ pi.mat, prev_incl.tgt.orders)
@@ -840,10 +835,7 @@ def dual_free_map(ring, mat, src_rank, tgt_rank):
     free_{R^op}(tgt_rank) -> free_{R^op}(src_rank).
     """
     rk = ring.rank
-    units = zeros(src_rank * rk, src_rank)
-    for j in range(src_rank):
-        units[j * rk : (j + 1) * rk, j] = ring.unit
-    values = (mat @ units) % ring.modulus   # column i: image of module generator i
+    values = (mat @ module_unit_columns(ring, src_rank)) % ring.modulus   # column i: image of generator i
     # functional phi_(j,t) with phi(e_j) = b_t, zero on other copies, sends
     # generator i to sum_s values[j, s, i] b_t b_s = sum_(s,k) values[j, s, i] sc[t, s, k] b_k
     out = np.einsum("jsi,tsk->ikjt", values.reshape(tgt_rank, rk, src_rank), ring.sc) % ring.modulus
@@ -871,15 +863,11 @@ def dual_complex(cx):
     lo, hi = -max(ranks), -min(ranks)
     terms = {-k: free_module(op, r) for k, r in ranks.items()}
     diffs = {}
-    for k in list(ranks):
-        # d^D at degree -k+1 ... build D of d_k: X_k -> X_{k-1}
-        if (k - 1) not in ranks and cx.term(k - 1).is_zero:
+    for k in ranks:
+        if k - 1 not in ranks:
             continue
-        src_rank = ranks.get(k, 0)
-        tgt_rank = ranks.get(k - 1, 0)
-        if src_rank == 0 or tgt_rank == 0:
-            continue
-        dmat = dual_free_map(ring, cx.diff(k), src_rank, tgt_rank)
+        # D of d_k: X_k -> X_(k-1), at degree -(k-1)
+        dmat = dual_free_map(ring, cx.diff(k), ranks[k], ranks[k - 1])
         sign = -1 if (k % 2) else 1
         diffs[-(k - 1)] = (sign * dmat) % ring.modulus
     return Complex(op, lo, hi, terms, diffs, name=f"D({cx.name or 'X'})")

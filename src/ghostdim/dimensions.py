@@ -26,6 +26,7 @@ from .complexes import (
     Complex,
     Equivalence,
     Homotopy,
+    check_null_homotopy,
     cone,
     free_complex,
     identity_chain,
@@ -344,7 +345,6 @@ class RouquierStep:
 
 @dataclass
 class RouquierCertificate:
-    target: Complex              # C_n
     include: ChainMap            # S X -> C_n (exact section)
     retract: ChainMap            # C_n -> S X
     retract_homotopy: Homotopy   # witness for id - retract . include (zero)
@@ -355,20 +355,19 @@ class RouquierCertificate:
         """Every complex, chain map and witness the certificate holds, and
         that its pieces form one chain of triangles: the base model starts at
         C_0, each step starts where the one before it ends, and the last one
-        ends at the target."""
-        from .complexes import check_null_homotopy
-
+        ends at C_n = retract.src, the complex include lands in; include
+        starts at S X = retract.tgt."""
         end = self.base_model.src                    # C_0
         for st in self.steps:
             if st.step_map.src is not end:
                 raise ValidationError(f"rouquier step {st.index} does not start where the chain ends")
             end = st.step_map.tgt
-        if end is not self.target:
-            raise ValidationError("the chain of rouquier steps does not end at the target")
-        self.target.validate()
+        sx = self.retract.tgt
+        if not (end is self.retract.src is self.include.tgt and self.include.src is sx):
+            raise ValidationError("include and retract do not pass through the end of the chain")
+        end.validate()
         for f in (self.include, self.retract):
             f.validate()
-        sx = self.retract.tgt
         check_null_homotopy(identity_chain(sx) - self.retract @ self.include, self.retract_homotopy)
         self.base_model.validate()
         for st in self.steps:
@@ -394,7 +393,7 @@ def rouquier_build(x, n):
     equivalence.  The retract is the connecting map C_n -> S x, and the
     include sends x to (-h x, x), a chain map exactly because g_n = dh + hd.
     """
-    tower = ghost_tower(x, n)
+    tower = ghost_tower(x)
     h = tower.nullity(n)
     if h is None:
         raise PdimTooLarge(f"pdim {x.name or 'X'} exceeds {n}")
@@ -405,7 +404,7 @@ def rouquier_build(x, n):
     include = ChainMap(sx, top.cone, {k: top.ish(k) - top.it(k) @ h.component(k - 1) for k in sx.degrees()})
     # retract . include = id on the nose
     retract_homotopy = Homotopy(sx, sx, {})
-    base_model = split_inclusion_model(cones[0], suspend(tower.ugs[0].cover))
+    base_model = split_inclusion_model(cones[0], suspend(tower.ug(0).f.src))
     steps = []
     for j in range(1, n + 1):
         prev, c_j = cones[j - 1].cone, cones[j].cone
@@ -415,10 +414,9 @@ def rouquier_build(x, n):
             n_prev, n_next, n_x = prev.term(k).ngens, c_j.term(k).ngens, x.term(k - 1).ngens
             mats[k] = eye(n_next)[:, [*range(n_prev - n_x), *range(n_next - n_x, n_next)]]
         m_j = ChainMap(prev, c_j, mats)
-        model = split_inclusion_model(cone(m_j), suspend(tower.ugs[j].cover))
+        model = split_inclusion_model(cone(m_j), suspend(tower.ug(j).f.src))
         steps.append(RouquierStep(index=j, step_map=m_j, model=model))
     cert = RouquierCertificate(
-        target=top.cone,
         include=include,
         retract=retract,
         retract_homotopy=retract_homotopy,

@@ -5,7 +5,8 @@ inclusion of X into the cone of a homology-surjective map from a free
 complex; every ghost out of X factors through it, so the tower of iterated
 universal ghosts X -> W_0 -> W_1 -> ..., each stage the cone over the one
 before, decides projective dimension: pdim X <= n iff the (n+1)-fold
-composite is null-homotopic.
+composite is null-homotopic.  A stage is the ConeData of its cover and no
+more, its ghost the prefix inclusion formed where read; a complex keeps its tower.
 
 Every bounded complex of projectives has pdim at most its length (it is
 built from its terms in that many extension steps), so the tower search
@@ -14,7 +15,7 @@ always terminates once the bound reaches the length.
 Homotopy-witness convention: all factorization solvers return witnesses h
 for  (claimed identity's left side) - (right side) = d h + h d  where the
 claimed identity is written  f ~ (composite); concretely every
-Factorization stores a witness for  f - out_of . into.
+Factorization stores a witness for  f - out_of . into; B = out_of.src.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from . import linalg
 from .complexes import (
     ChainMap,
-    Complex,
     Homotopy,
     MapSystem,
     chain_map_generators,
@@ -37,29 +37,15 @@ from .complexes import (
     zero_chain,
 )
 from .errors import NoFactorization, ValidationError
-from .modules import free_map, minimal_generators, subgroup_order_in
+from .modules import _kept, free_map, minimal_generators, subgroup_order_in
 from .verdicts import Verdict
 
 
-@dataclass
-class UniversalGhost:
-    """Triangle  P -> X -> Y -> SP  with P free, P -> X onto homology,
-    and the universal ghost g: X -> Y = cone(P -> X).  Y, the next tower
-    stage, is kept (the ghost check solved on it); g, the prefix inclusion
-    of X's coordinates, is formed when read."""
-
-    source: Complex
-    cover: Complex
-    cover_map: ChainMap
-    target: Complex
-
-    @property
-    def ghost(self):
-        return prefix_inclusion(self.source, self.target)
-
-
 def universal_ghost(x):
-    """Build the universal ghost out of x from a minimal homology cover.
+    """The triangle P -> X -> Y -> SP of the universal ghost out of x, as
+    cone(p: P -> X) (a ConeData): P = f.src is free with zero differential
+    and p = f is onto homology, Y = cone is the next tower stage, and the
+    ghost g: X -> Y is prefix_inclusion(x, cone), formed where it is read.
 
     Two checks run on what is built, and neither forms homology that the
     tower does not need anyway:
@@ -91,9 +77,9 @@ def universal_ghost(x):
         mats[k] = free_map(p.term(k), x.term(k), cols).mat
     cover_map = ChainMap(p, x, mats)
     _check_onto_homology(cover_map)
-    y = cone(cover_map, name=f"UG({x.name or 'X'})").cone
-    _check_ghost(x, y)
-    return UniversalGhost(source=x, cover=p, cover_map=cover_map, target=y)
+    stage = cone(cover_map, name=f"UG({x.name or 'X'})")
+    _check_ghost(x, stage.cone)
+    return stage
 
 
 def _check_onto_homology(cover_map):
@@ -125,12 +111,12 @@ def _check_ghost(x, y):
 
 
 class Tower:
-    """The ghost tower of a complex: its universal ghosts, extended on demand.
+    """The ghost tower of a complex: its stages, built on demand.
 
-    ugs[n] is the universal ghost out of W_(n-1) (W_(-1) = X, the base), and
-    its target is the next stage W_n = cone(p_n: P_n -> W_(n-1)), P_n a free
-    cover of H(W_(n-1)).  g_n: X -> W_n is the composite of the first n+1
-    ghosts.
+    ugs[n] = universal_ghost(W_(n-1)) (W_(-1) = X, the base) is the cone of
+    p_n: P_n -> W_(n-1), P_n a free cover of H(W_(n-1)): its f is p_n and
+    its cone the next stage W_n.  g_n: X -> W_n is the composite of the
+    first n+1 ghosts.
 
     The prefix layout, the one complexes.cone owns: degreewise W_n =
     W_(n-1) + S P_n, the new summand last, and
@@ -145,18 +131,16 @@ class Tower:
         self.ugs = []
         self._nullities = {}
 
-    def extend_to(self, n):
+    def ug(self, n):
+        """Stage n, building the stages up to it first."""
         while len(self.ugs) <= n:
-            self.ugs.append(universal_ghost(self.ugs[-1].target if self.ugs else self.base))
-
-    def ug(self, i):
-        self.extend_to(i)
-        return self.ugs[i]
+            self.ugs.append(universal_ghost(self.ugs[-1].cone if self.ugs else self.base))
+        return self.ugs[n]
 
     def composite(self, n):
         """g_n: X -> W_n, on the kept stage; a chain map, as the X columns
         of every d_(W_n) are [d_X; 0]."""
-        return prefix_inclusion(self.base, self.ug(n).target)
+        return prefix_inclusion(self.base, self.ug(n).cone)
 
     def nullity(self, n):
         """A checked null-homotopy of g_n, or None; cached."""
@@ -165,11 +149,9 @@ class Tower:
         return self._nullities[n]
 
 
-def ghost_tower(x, n):
-    """The tower to depth n, built on (and cached with) the complex."""
-    tower = x.cache_get("tower", lambda: Tower(x))
-    tower.extend_to(n)
-    return tower
+def ghost_tower(x):
+    """The tower of x, kept on the complex and extended as it is read."""
+    return _kept(x, "_tower", lambda: Tower(x))
 
 
 def pdim_complex(x, bound):
@@ -182,7 +164,7 @@ def pdim_complex(x, bound):
         return Verdict.finite(0)
     if not x.certified:
         raise ValidationError("pdim needs a certified-projective complex")
-    tower = ghost_tower(x, 0)
+    tower = ghost_tower(x)
     for n in range(bound + 1):
         if tower.nullity(n) is not None:
             return Verdict.finite(n)
@@ -199,7 +181,6 @@ def pdim_complex(x, bound):
 
 @dataclass
 class Factorization:
-    through: Complex
     into: ChainMap            # A -> B
     out_of: ChainMap          # B -> X
     witness: Homotopy         # f - out_of . into = d w + w d
@@ -222,16 +203,16 @@ def solve_chain_map_through(f, p):
 def factor_through_projective(f, ug):
     """Factor a map from a compact through a compact projective complex.
 
-    f: A -> X with H*(X) projective, and ug the universal ghost out of X.
-    Returns a Factorization through the free cover complex of X.  Raises
-    NoFactorization when the composite does not lift, which happens exactly
-    when the precondition fails.
+    f: A -> X with H*(X) projective, and ug the universal ghost out of X,
+    cone(ug.f: P -> X).  Returns a Factorization through P, the free cover
+    complex of X.  Raises NoFactorization when the composite does not lift,
+    which happens exactly when the precondition fails.
     """
-    got = solve_chain_map_through(f, ug.cover_map)
+    got = solve_chain_map_through(f, ug.f)
     if got is None:
         raise NoFactorization("map does not factor through the cover; is H*(X) projective?")
     t, s = got
-    fact = Factorization(through=ug.cover, into=t, out_of=ug.cover_map, witness=s)
+    fact = Factorization(into=t, out_of=ug.f, witness=s)
     fact.validate(f)
     return fact
 

@@ -513,12 +513,13 @@ def _minimal_generators(module):
 
 
 def free_cover(module):
-    """A surjection from a free module onto the module, via minimal generators."""
-    gens = minimal_generators(module)
-    rank = gens.shape[1]
-    f = free_module(module.ring, rank)
-    pi = free_map(f, module, gens)
-    return f, pi
+    """(F, pi): a surjection pi from a free module F onto the module, via
+    minimal generators; computed once per module and kept on it."""
+    def build():
+        gens = minimal_generators(module)
+        f = free_module(module.ring, gens.shape[1])
+        return f, free_map(f, module, gens)
+    return _kept(module, "_free_cover", build)
 
 
 def split_surjection(pi):
@@ -566,9 +567,9 @@ def split_surjection(pi):
 
 @dataclass
 class ProjectivityCertificate:
-    """A section of a surjection from a free module: pi . section = id."""
+    """A section of a surjection pi from a free module (pi.src) onto the
+    module (pi.tgt): pi . section = id."""
 
-    cover: FgModule
     pi: ModuleMap
     section: ModuleMap
 
@@ -580,27 +581,22 @@ class ProjectivityCertificate:
             raise ValidationError("projectivity certificate does not split")
 
 
-def _cover(module):
-    """free_cover(module), computed once per module and kept on it."""
-    return _kept(module, "_free_cover", lambda: free_cover(module))
-
-
 def is_projective(module):
     """Decide projectivity; returns (flag, certificate or None).
 
     A free module (the zero module included) is projective by construction
     and gets no certificate.  Any other module is projective iff its minimal
-    free cover (_cover) splits, and the certificate is that split.  Computed
+    free cover (free_cover) splits, and the certificate is that split.  Computed
     once per module and kept on it for as long as it lives.
     """
     def build():
         if is_free_module(module):
             return True, None
-        cover, pi = _cover(module)
+        pi = free_cover(module)[1]
         sec = split_surjection(pi)
         if sec is None:
             return False, None
-        return True, ProjectivityCertificate(cover=cover, pi=pi, section=sec)
+        return True, ProjectivityCertificate(pi=pi, section=sec)
     return _kept(module, "_projective", build)
 
 
@@ -615,7 +611,7 @@ def _syzygy(module, i):
     chain = _kept(module, "_syzygy_chain", list)
     while len(chain) < i:
         below = chain[-1].src if chain else module
-        chain.append(kernel_of(_cover(below)[1], label=f"syz{len(chain) + 1}"))
+        chain.append(kernel_of(free_cover(below)[1], label=f"syz{len(chain) + 1}"))
     return chain[i - 1]
 
 
@@ -916,4 +912,9 @@ def validate_simple_list(ring, mods):
             if hom_generators(mods[i], mods[j]):
                 raise NonSimpleDeclared(
                     f"declared simples #{i} and #{j} of {ring.name} are isomorphic"
+                )
+            # a label names one battery member, so distinct simples may not share one
+            if mods[i].label and mods[i].label == mods[j].label:
+                raise NonSimpleDeclared(
+                    f"declared simples #{i} and #{j} of {ring.name} share the label {mods[i].label!r}"
                 )

@@ -42,7 +42,7 @@ from .complexes import (
 from .errors import RingMismatch, SideMismatch, ValidationError
 from .ghosts import ghost_tower
 from .linalg import eye, zeros
-from .modules import FgModule, _cover, kernel_generators, tensor_map, tensor_modules
+from .modules import FgModule, free_cover, kernel_generators, tensor_map, tensor_modules
 from .verdicts import Verdict
 
 
@@ -311,7 +311,7 @@ def ucss_filtration(x, z, window=None, max_depth=None):
     while not exhausted:
         if s >= max_depth:
             break
-        w.add_stage(ghost_tower(x, s).ugs[s].cover_map)
+        w.add_stage(ghost_tower(x).ug(s).f)
         exhausted = True
         for t in degrees:
             image = 1
@@ -440,7 +440,7 @@ def _augmentation_map(q, z_module):
     if q.hi == 0 and f0 is z_module:
         # projective module: the resolution is the module itself
         return ChainMap(q, zc, {0: eye(z_module.ngens)})
-    cover, pi = _cover(z_module)
+    cover, pi = free_cover(z_module)
     if cover.ngens != f0.ngens:
         raise ValidationError("unexpected resolution shape for augmentation")
     return ChainMap(q, zc, {0: pi.mat})

@@ -14,13 +14,13 @@ import numpy as np
 from ghostdim.complexes import (
     ChainMap,
     Complex,
-    ConeData,
     Homotopy,
     _sum_certificate,
     cone,
     direct_sum_modules,
     identity_chain,
     null_homotopy,
+    prefix_inclusion,
     suspend,
     zero_chain,
 )
@@ -86,24 +86,22 @@ def factor_through_pdim_n(f, n, _verify=True):
     a, x = f.src, f.tgt
     if f.is_zero:
         z = Complex.zero(x.ring)
-        return Factorization(through=z, into=zero_chain(a, z), out_of=zero_chain(z, x),
-                             witness=Homotopy(a, x, {}))
-    tower = ghost_tower(x, 0)
+        return Factorization(into=zero_chain(a, z), out_of=zero_chain(z, x), witness=Homotopy(a, x, {}))
+    tower = ghost_tower(x)
     if n == 0:
         return factor_through_projective(f, ug=tower.ug(0))
-    ug = tower.ug(0)
-    p_map = ug.cover_map                 # p: P -> X
-    pp = ug.cover
-    c0 = ug.target                       # cone(p), the first tower stage
-    delta = ug.ghost                     # X -> C0, the universal ghost
+    ug = tower.ug(0)                     # cone(p), the first tower stage
+    p_map = ug.f                         # p: P -> X
+    pp = p_map.src
+    c0 = ug.cone
+    delta = prefix_inclusion(x, c0)      # X -> C0, the universal ghost
     x1 = suspend(c0, -1)                 # S^-1 C0
     # the block projection of S^-1 cone(p) onto P, a chain map as in fiber()
-    c0_blocks = ConeData(p_map, c0)
-    rprime = ChainMap(x1, pp, {k: c0_blocks.psh(k + 1) for k in x1.degrees()})
+    rprime = ChainMap(x1, pp, {k: ug.psh(k + 1) for k in x1.degrees()})
 
     # 1. recursively factor  delta . f : A -> C0  through pdim <= n-1
     sub = factor_through_pdim_n(delta @ f, n - 1, _verify=False)
-    dtil, h, phi = sub.through, sub.into, sub.out_of
+    dtil, h, phi = sub.out_of.src, sub.into, sub.out_of
 
     # 2. Z = fiber(h), with its triangle  S^-1 D -> Z -> A -> D; the block
     # inclusion S^-1 D -> Z is a chain map as d_Z(w, 0) = (-dw, 0)
@@ -125,8 +123,8 @@ def factor_through_pdim_n(f, n, _verify=True):
     psi, _ = got
 
     # 4. factor psi through the compact projective cover of P
-    proj_fact = factor_through_projective(psi, ug=ghost_tower(pp, 0).ug(0))
-    q_cx, tau, j = proj_fact.through, proj_fact.into, proj_fact.out_of
+    proj_fact = factor_through_projective(psi, ug=ghost_tower(pp).ug(0))
+    tau, j = proj_fact.into, proj_fact.out_of
 
     # 5. weak pushout: B' = cone(tau . z_incl), with fills sigma and rho
     c1 = tau @ z_incl                       # S^-1 D -> Q
@@ -174,7 +172,7 @@ def factor_through_pdim_n(f, n, _verify=True):
     witness = null_homotopy(f - out_of @ into)
     if witness is None:
         raise NoFactorization("assembled factorization is not homotopic to f")
-    fact = Factorization(through=b, into=into, out_of=out_of, witness=witness)
+    fact = Factorization(into=into, out_of=out_of, witness=witness)
     if _verify:
         fact.validate(f)
     return fact

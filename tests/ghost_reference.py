@@ -14,6 +14,8 @@ it closes each trial set under the ring action (`submodule_generated`)
 and then orders the closure.  The package must choose exactly the
 generators this one chooses.
 
+`ghost` is the universal ghost X -> cone(p) of a tower stage, the prefix
+inclusion that the package forms where it reads it.
 `ghost_factors_through_universal` asks whether a ghost factors through the
 universal ghost, the universal property the tests check.
 
@@ -25,7 +27,7 @@ must equal it bit for bit.
 `desuspended_composites` builds the tower the way ghostdim.ghosts did
 before its stages were the cones themselves, on the package's
 `universal_ghost`: the stages X_0 = X and X_(i+1) = S^-1 cone(p_i), each
-the desuspension of a universal ghost's target, and g_n the prefix
+the desuspension of a universal ghost's cone, and g_n the prefix
 inclusion X -> W_n = S^(n+1) X_(n+1).  Over F_2 no sign shows, and the
 package's W_n and its null-homotopies must equal these bit for bit.
 """
@@ -111,12 +113,17 @@ def minimal_generators(module):
     return gens[:, keep]
 
 
+def ghost(ug):
+    """The universal ghost X -> cone(p) of the stage ug = cone(p: P -> X)."""
+    return prefix_inclusion(ug.f.tgt, ug.cone)
+
+
 def ghost_factors_through_universal(h, ug):
     """Does  h ~ t . g  hold for some t out of the universal-ghost target?"""
     got = _solve_squares(
-        ug.target,
+        ug.cone,
         h.tgt,
-        [(h, identity_chain(h.tgt), ug.ghost, "sq1")],
+        [(h, identity_chain(h.tgt), ghost(ug), "sq1")],
     )
     return got is not None
 
@@ -125,7 +132,7 @@ def chained_composites(tower, n):
     """[g_0, ..., g_n] of the tower, each the product delta_s . g_(s-1)."""
     composites = []
     for s in range(n + 1):
-        delta = tower.ug(s).ghost
+        delta = ghost(tower.ug(s))
         composites.append(delta @ composites[-1] if composites else delta)
     return composites
 
@@ -134,6 +141,6 @@ def desuspended_composites(x, n):
     """[g_0, ..., g_n] over the desuspended stages X_(i+1) = S^-1 cone(p_i)."""
     stage, composites = x, []
     for i in range(n + 1):
-        stage = suspend(universal_ghost(stage).target, -1)
+        stage = suspend(universal_ghost(stage).cone, -1)
         composites.append(prefix_inclusion(x, suspend(stage, i + 1)))
     return composites

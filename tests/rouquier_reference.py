@@ -28,7 +28,7 @@ class FiberConstruction:
 def on_fibers(x, n):
     """The fiber construction for pdim x <= n; every map it holds is checked,
     and retract . include = id exactly."""
-    tower = ghost_tower(x, n)
+    tower = ghost_tower(x)
     h = tower.nullity(n)
     fibers = [fiber(tower.composite(j)) for j in range(n + 1)]
     ys = [f for f, _, _ in fibers]
@@ -54,4 +54,4 @@ def on_fibers(x, n):
     comp, ident = retract @ include, identity_chain(x)
     assert all((comp.component(k) == ident.component(k)).all() for k in x.degrees())
     return FiberConstruction(include=include, retract=retract, steps=steps,
-                             covers=[tower.ugs[j].cover for j in range(n + 1)])
+                             covers=[tower.ug(j).f.src for j in range(n + 1)])

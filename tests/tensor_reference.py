@@ -27,9 +27,9 @@ of every target W_s (x) Z and takes the kernel of the induced map by
 before it read orders only, copied unchanged but for its helpers: it forms
 the homology modules of X (x) Z, of Tot(X (x) Q) and of every column
 subcomplex (`_column_subcomplex` above), and orders the image of each
-induced map.  Its augmentation takes a fresh `free_cover` of the module, as
-`_augmentation_map` did before covers were kept on the module; the tensor
-complexes and id (x) aug are the package's own.
+induced map.  Its augmentation reads `free_cover`, the cover that
+resolution_complex resolved with; the tensor complexes and id (x) aug are
+the package's own.
 """
 
 from dataclasses import dataclass
@@ -280,7 +280,7 @@ def ucss_filtration(x, z, window=None, max_depth=None):
         lo, hi = max(lo, window[0]), min(hi, window[1])
     degrees = [t for t in range(lo, hi + 1)]
     h_orders = {t: txz.total.homology_at(t).module.size for t in degrees}
-    tower = ghost_tower(x, 0)
+    tower = ghost_tower(x)
     if max_depth is None:
         max_depth = max(x.length + 1, 1)
     kernel_orders = {t: [] for t in degrees}
@@ -378,7 +378,7 @@ def _augmentation_map(q, z_module):
     """The chain map from the resolution onto the module in degree zero.
 
     Its degree-0 matrix is the identity, or the cover that resolution_complex
-    resolved with (free_cover is deterministic), which kills d_1's image.
+    resolved with (free_cover, kept on the module), which kills d_1's image.
     """
     zc = module_complex(z_module)
     f0 = q.term(0)

@@ -167,6 +167,20 @@ def test_ring_spec_file_direct_path(tmp_path):
     assert json.loads(res.output)["value"] == "1"
 
 
+def test_declared_simples_sharing_a_label_exit_2(tmp_path):
+    """Three distinct simples all labelled "S" would be one battery member."""
+    with open(os.path.join(RINGS, "a3rad2-f2.json")) as fh:
+        spec = json.load(fh)
+    for s in spec["simples"]:
+        s["label"] = "S"
+    path = tmp_path / "same-label.json"
+    path.write_text(json.dumps(spec))
+    res = invoke("dim", "ghdim", "--ring", str(path), "--bound", "2")
+    assert res.exit_code == 2
+    assert res.output.count("\n") == 1
+    assert res.output.startswith("error: ") and "share the label 'S'" in res.output
+
+
 _DUAL_SC = ring_to_dict(builtin_ring("dual:f2"))["structure_constants"]
 
 

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 import helpers
 import rouquier_reference
 from ghostdim.cli import main
-from ghostdim.complexes import free_complex, resolution_complex
+from ghostdim.complexes import ChainMap, Complex, free_complex, resolution_complex
 from ghostdim.dimensions import (
     DimReport,
     ghdim_ring,
@@ -146,8 +146,6 @@ def test_rouquier_ut2_simple_resolution():
 
 
 def test_rouquier_cone2_over_z4():
-    from ghostdim.complexes import Complex
-
     r = free_module(Z4, 1)
     x = Complex(Z4, 0, 1, {0: r, 1: r}, {1: np.array([[2]])}, name="cone2")
     cert = rouquier_build(x, 1)
@@ -166,6 +164,25 @@ def test_a_rouquier_certificate_must_be_one_chain_of_triangles():
     for steps in (cert.steps[::-1], cert.steps[:-1]):
         with pytest.raises(ValidationError, match="chain"):
             dataclasses.replace(cert, steps=steps).validate()
+    cert.validate()
+
+
+def test_a_rouquier_include_must_pass_through_the_end_of_the_chain():
+    """An include into an equal copy of C_n, or out of an equal copy of S X,
+    is a chain map with retract . include = id all the same, so only the
+    identity of its ends shows that it leaves the chain of triangles."""
+    x = resolution_complex(UT2.simples[0], 3, name="resS1")
+    cert = rouquier_build(x, pdim_complex(x, 3).n)
+
+    def copy(cx):
+        return Complex(cx.ring, cx.lo, cx.hi, {k: cx.term(k) for k in cx.degrees()},
+                       {k: cx.diff(k) for k in cx.degrees()}, certs=cx.certs)
+
+    inc = cert.include
+    for tampered in (ChainMap(inc.src, copy(inc.tgt), inc.mats), ChainMap(copy(inc.src), inc.tgt, inc.mats)):
+        tampered.validate()
+        with pytest.raises(ValidationError, match="include and retract"):
+            dataclasses.replace(cert, include=tampered).validate()
     cert.validate()
 
 

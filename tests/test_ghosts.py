@@ -9,6 +9,7 @@ from factorization import factor_through_pdim_n
 from ghost_reference import (
     chained_composites,
     desuspended_composites,
+    ghost,
     ghost_factors_through_universal,
     homology_epi,
     is_ghost,
@@ -60,18 +61,19 @@ def test_is_ghost_basics():
 def test_universal_ghost_on_projective_is_null():
     r_cx = module_complex(free_module(UT2, 1))
     ug = universal_ghost(r_cx)
-    assert homology_epi(ug.cover_map)
-    assert is_ghost(ug.ghost)
-    assert null_homotopy(ug.ghost) is not None
+    assert homology_epi(ug.f)
+    assert is_ghost(ghost(ug))
+    assert null_homotopy(ghost(ug)) is not None
 
 
 def test_universal_ghost_on_cone2_is_not_null():
     x = mult_complex(Z4, 2)
     ug = universal_ghost(x)
     # cover is R + SR with zero differential
-    assert ug.cover.term(0).size == 4 and ug.cover.term(1).size == 4
-    assert not ug.cover.diff(1).any()
-    assert null_homotopy(ug.ghost) is None
+    p = ug.f.src
+    assert p.term(0).size == 4 and p.term(1).size == 4
+    assert not p.diff(1).any()
+    assert null_homotopy(ghost(ug)) is None
 
 
 def test_universal_ghost_on_acyclic():
@@ -81,22 +83,22 @@ def test_universal_ghost_on_acyclic():
     x = Complex(ring, 0, 1, {0: r, 1: r}, {1: np.array([[1]])})
     assert all(x.homology_at(k).module.is_zero for k in x.degrees())
     ug = universal_ghost(x)
-    assert ug.cover.is_zero
-    assert null_homotopy(ug.ghost - ChainMap(x, ug.target, ug.ghost.mats)) is not None
+    assert ug.f.src.is_zero
+    assert null_homotopy(ghost(ug) - ChainMap(x, ug.cone, ghost(ug).mats)) is not None
 
 
 def test_tower_soundness():
     x = mult_complex(Z4, 2)
-    tower = ghost_tower(x, 3)
-    for ug in tower.ugs[:4]:
-        assert is_ghost(ug.ghost)
-        assert homology_epi(ug.cover_map)
+    tower = ghost_tower(x)
+    for ug in map(tower.ug, range(4)):
+        assert is_ghost(ghost(ug))
+        assert homology_epi(ug.f)
     # the composite is a strict chain map into the stage, the cone over the
     # stage before it
     g2 = tower.composite(2)
     g2.validate()
-    want = cone_reference.cone(tower.ugs[2].cover_map).cone
-    assert g2.tgt is tower.ugs[2].target and (g2.tgt.lo, g2.tgt.hi) == (want.lo, want.hi)
+    want = cone_reference.cone(tower.ugs[2].f).cone
+    assert g2.tgt is tower.ugs[2].cone and (g2.tgt.lo, g2.tgt.hi) == (want.lo, want.hi)
     for k in range(want.lo - 1, want.hi + 2):
         assert g2.tgt.term(k).orders == want.term(k).orders
         assert np.array_equal(g2.tgt.diff(k), want.diff(k))
@@ -126,15 +128,15 @@ def test_every_tower_stage_passes_the_reference_checks(name, least):
     for mem in members:
         tower = Tower(mem.cx)
         for i in range(4):
-            built_on = tower.ugs[i - 1].target if i else mem.cx
+            built_on = tower.ugs[i - 1].cone if i else mem.cx
             if _gens(built_on) > STAGE_GENS_CAP:
                 break
             ug = tower.ug(i)
-            # the ghost is built on the previous stage's target, the very
+            # the ghost is built on the previous stage's cone, the very
             # complex that stage's ghost check solved on
-            assert ug.source is built_on
-            assert homology_epi(ug.cover_map)
-            assert is_ghost(ug.ghost)
+            assert ug.f.tgt is built_on
+            assert homology_epi(ug.f)
+            assert is_ghost(ghost(ug))
             checked += 1
     assert checked >= least
 
@@ -142,15 +144,15 @@ def test_every_tower_stage_passes_the_reference_checks(name, least):
 @pytest.mark.parametrize("name", ("zmod:12", "ut3:f2", "dual:f2", "ut2:f3"))
 def test_pdim_forms_no_homology_of_the_last_stage(name):
     """The ghost check solves on the built stage, so after pdim_complex the
-    last stage's target holds no homology, and every stage the tower went on
-    from holds its own (universal_ghost formed it for the cover)."""
+    last stage's cone keeps no homology, and every stage the tower went on
+    from keeps its own (universal_ghost formed it for the cover)."""
     members, _ = standard_battery(helpers.named_ring(name), 4, seed=0)
     deeper = 0
     for mem in members:
         pdim_complex(mem.cx, 4)
-        ugs = ghost_tower(mem.cx, 0).ugs
-        assert "homology" not in ugs[-1].target._cache
-        assert all("homology" in ug.target._cache for ug in ugs[:-1])
+        ugs = ghost_tower(mem.cx).ugs
+        assert ugs[-1].cone._homology is None
+        assert all(ug.cone._homology is not None for ug in ugs[:-1])
         deeper += len(ugs) > 1
     assert deeper
 
@@ -184,7 +186,7 @@ def test_the_composite_target_is_the_cone_over_the_previous_stage(name):
         tower = Tower(mem.cx)
         for s in range(3):
             got = tower.composite(s).tgt
-            want = cone_reference.cone(tower.ug(s).cover_map).cone
+            want = cone_reference.cone(tower.ug(s).f).cone
             assert (got.lo, got.hi) == (want.lo, want.hi)
             for k in range(want.lo - 1, want.hi + 2):
                 assert got.term(k).orders == want.term(k).orders
@@ -196,7 +198,7 @@ def _piece_columns(tower, n, k):
     """Column ranges of d_(W_n),k: X's, then one per summand S P_i, i <= n."""
     cuts = [0, tower.base.term(k).ngens]
     for i in range(n + 1):
-        cuts.append(cuts[-1] + tower.ug(i).cover.term(k - 1).ngens)
+        cuts.append(cuts[-1] + tower.ug(i).f.src.term(k - 1).ngens)
     return list(zip(cuts, cuts[1:]))
 
 
@@ -214,7 +216,7 @@ def test_the_tower_matches_the_desuspended_stage_layout(name):
     for mem in members:
         x, m = mem.cx, mem.cx.ring.modulus
         depth = pdim_complex(x, 4).n
-        tower = ghost_tower(x, 0)
+        tower = ghost_tower(x)
         for n, want in enumerate(desuspended_composites(x, min(depth, 4))):
             got = tower.composite(n)
             assert (got.tgt.lo, got.tgt.hi) == (want.tgt.lo, want.tgt.hi)
@@ -295,7 +297,7 @@ def test_pdim_resolution_of_ut2_simple_is_one():
     v = pdim_complex(res, 4)
     assert v.is_finite and v.n == 1
     # lower witness: g_0 is not null
-    tower = ghost_tower(res, 1)
+    tower = ghost_tower(res)
     assert tower.nullity(0) is None
     assert tower.nullity(1) is not None
 
@@ -305,7 +307,7 @@ def test_a_cached_nullity_keeps_no_composite_target(monkeypatch):
     tower neither composite nor nullity constructs a complex, and the cached
     null-homotopy holds no target of its own."""
     tower = Tower(resolution_complex(UT2.simples[0], 4))
-    tower.extend_to(1)
+    tower.ug(1)
     built = []
     init = Complex.__init__
 
@@ -315,10 +317,10 @@ def test_a_cached_nullity_keeps_no_composite_target(monkeypatch):
 
     monkeypatch.setattr(Complex, "__init__", counted)
     for n in (0, 1):
-        assert tower.composite(n).tgt is tower.ug(n).target
+        assert tower.composite(n).tgt is tower.ug(n).cone
     assert tower.nullity(0) is None
     h = tower.nullity(1)
-    assert h is not None and h.src is tower.base and h.tgt is tower.ug(1).target
+    assert h is not None and h.src is tower.base and h.tgt is tower.ug(1).cone
     assert tower.nullity(1) is h                                  # cached
     assert built == []
 
@@ -396,7 +398,8 @@ def test_factor_through_projective_flat_target():
         f = random_chain_map(a, x, rng)
         fact = factor_through_projective(f, universal_ghost(f.tgt))
         fact.validate(f)
-        assert not fact.through.diff(1).any() if fact.through.hi >= 1 else True
+        through = fact.out_of.src
+        assert not through.diff(1).any() if through.hi >= 1 else True
         done += 1
     assert done == 10
 
@@ -405,7 +408,7 @@ def test_factor_through_projective_zero_map():
     x = free_complex(Z4, {0: 1})
     a = mult_complex(Z4, 2)
     fact = factor_through_pdim_n(ChainMap(a, x, {}), 0)
-    assert fact.through.is_zero
+    assert fact.out_of.src.is_zero
 
 
 def test_factor_through_projective_fails_on_nonflat():
@@ -428,7 +431,7 @@ def test_factor_through_pdim_one_ut2():
         f = random_chain_map(a, x, rng)
         fact = factor_through_pdim_n(f, 1)
         fact.validate(f)
-        assert pdim_complex(fact.through, 1).n <= 1
+        assert pdim_complex(fact.out_of.src, 1).n <= 1
         checked += 1
     assert checked == 6
 
@@ -439,5 +442,5 @@ def test_factor_through_pdim_one_cone2():
     f = ChainMap(a, x, {0: np.array([[1]])})
     fact = factor_through_pdim_n(f, 1)
     fact.validate(f)
-    assert pdim_complex(fact.through, 2).n <= 1
+    assert pdim_complex(fact.out_of.src, 2).n <= 1
 

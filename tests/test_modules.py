@@ -195,7 +195,7 @@ def test_is_projective_cases():
     s2 = UT2.simples[1]
     flag, cert = is_projective(s2)
     assert flag
-    assert cert.cover is free_cover(s2)[0]
+    assert cert.pi.src is free_cover(s2)[0]
     assert helpers.maps_equal(cert.pi @ cert.section, ModuleMap(s2, s2, linalg.eye(s2.ngens)))
     # non-projective simple over UT2
     s1 = UT2.simples[0]

@@ -234,7 +234,7 @@ def test_tensor_blocks_match_the_reference_loops(name):
     ring = helpers.named_ring(name)
     checked = 0
     for x, towered, zs in _identity_cases(ring):
-        tower = ghost_tower(x, 1) if towered else None
+        depth = 2 if towered else 0
         for z in zs:
             got, want = tensor_complexes(x, z), ref.tensor_complexes(x, z)
             _assert_same_complex(got.total, want.total)
@@ -242,8 +242,8 @@ def test_tensor_blocks_match_the_reference_loops(name):
             for n, blocks in got.blocks.items():
                 assert [(a, b, off) for a, b, _, off in blocks] == \
                     [(a, b, off) for a, b, _, off in want.blocks[n]]
-            for s in range(len(tower.ugs) if tower else 0):
-                g = tower.composite(s)
+            for s in range(depth):
+                g = ghost_tower(x).composite(s)
                 _assert_same_chain_map(tensor_chain_map(g, got), ref.tensor_chain_map(g, want))
             checked += 1
     assert checked >= 5
@@ -448,7 +448,7 @@ def test_filtration_depth_counts_the_stages_read():
     z = ut3.opposite().simples[0]
     fresh = ucss_filtration(x, z).to_json()
     pdim_complex(x, 4)
-    assert len(ghost_tower(x, 0).ugs) > fresh["tower_depth"]
+    assert len(ghost_tower(x).ugs) > fresh["tower_depth"]
     assert ucss_filtration(x, z).to_json() == fresh
 
 
@@ -501,7 +501,7 @@ def test_stage_pieces_match_the_tensor_of_the_whole_stage(name, least):
     checked = 0
     for mem in members:
         x = mem.cx
-        tower = ghost_tower(x, 0)
+        tower = ghost_tower(x)
         depth = 0
         while depth < 4 and _total_gens(tower.composite(depth).tgt) <= PIECE_GENS_CAP:
             depth += 1
@@ -511,7 +511,7 @@ def test_stage_pieces_match_the_tensor_of_the_whole_stage(name, least):
             hi = max(cx.hi for cx in [x, *stages]) + z.hi + 1
             w = tensor_ss._StageTensor(tensor_complexes(x, z), range(lo, hi + 1))
             for s, stage in enumerate(stages):
-                now, _ = _add_checked_stage(w, tower.ug(s).cover_map)
+                now, _ = _add_checked_stage(w, tower.ug(s).f)
                 whole = tensor_complexes(stage, z).total
                 for n in w.degrees:
                     assert sorted(now.term(n).orders) == sorted(whole.term(n).orders), (s, n)
